@@ -7,12 +7,18 @@ the network as a plain vector. Forward/backward are hand-written
 reverse-mode numpy; gradients are exact, which the test suite checks
 against central finite differences.
 
+forward(want_cache=True) keeps what the reverse pass needs: the input of
+each layer and each hidden layer's activation derivative, taken from the
+sigmoid/tanh the forward pass already evaluated. One backprop routine
+serves both the parameter gradient and the input gradient.
+
 Checkpoint format (little-endian): magic ``TIWNET``, u16 format version,
 u32 header length, JSON header (architecture + arbitrary extra fields),
 then the parameter vector as raw float64. Round-trips are bit-exact.
 """
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -28,29 +34,22 @@ CHECKPOINT_VERSION = 1
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # tanh saturates instead of overflowing, so no branch on the sign of z
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def _silu(z):
-    return z * _sigmoid(z)
+# activation(z, want_prime) -> (value, derivative or None)
+def _tanh(z, want_prime):
+    a = np.tanh(z)
+    return a, (1.0 - a * a if want_prime else None)
 
 
-def _silu_prime(z):
+def _silu(z, want_prime):
     s = _sigmoid(z)
-    return s * (1.0 + z * (1.0 - s))
+    return z * s, (s * (1.0 + z * (1.0 - s)) if want_prime else None)
 
 
-def _tanh_prime(z):
-    th = np.tanh(z)
-    return 1.0 - th * th
-
-
-_ACT = {"tanh": (np.tanh, _tanh_prime), "silu": (_silu, _silu_prime)}
+_ACT = {"tanh": _tanh, "silu": _silu}
 
 
 @dataclass
@@ -59,8 +58,8 @@ class ForwardCache:
 
     net: "Mlp"
     feats: np.ndarray          # (B, feature_dim) network input incl. time features
-    zs: list                   # pre-activations per hidden layer
-    acts: list                 # post-activations per layer, acts[0] == feats
+    primes: list               # activation derivative per hidden layer
+    acts: list                 # input of each layer, acts[0] == feats
     batch: int
 
 
@@ -122,7 +121,7 @@ class Mlp:
         flat = self.params if flat is None else flat
         out = []
         for off, shape in self.layout:
-            out.append(flat[off:off + int(np.prod(shape))].reshape(shape))
+            out.append(flat[off:off + math.prod(shape)].reshape(shape))
         return out
 
     # -- evaluation ----------------------------------------------------------
@@ -155,23 +154,23 @@ class Mlp:
             raise InputError("non-finite network input")
         feats = np.concatenate([X, self._time_features(t, X.shape[0])], axis=1)
 
-        act, _ = _ACT[self.activation]
+        act = _ACT[self.activation]
         tensors = self._tensors()
         a = feats
-        zs, acts = [], [feats]
+        primes, acts = [], [feats]
         n_layers = len(self.widths) - 1
         for l in range(n_layers):
             W, b = tensors[2 * l], tensors[2 * l + 1]
             z = a @ W.T + b
             if l < n_layers - 1:
-                zs.append(z)
-                a = act(z)
+                a, prime = act(z, want_cache)
+                primes.append(prime)
                 acts.append(a)
             else:
                 a = z
         out = a[0] if single else a
         if want_cache:
-            return out, ForwardCache(net=self, feats=feats, zs=zs, acts=acts,
+            return out, ForwardCache(net=self, feats=feats, primes=primes, acts=acts,
                                      batch=feats.shape[0])
         return out
 
@@ -192,17 +191,8 @@ class Mlp:
                 f"output gradient shape {g.shape} does not match cache batch "
                 f"{cache.batch} x output_dim {self.output_dim}"
             )
-        _, act_prime = _ACT[self.activation]
-        tensors = self._tensors()
         grads = np.zeros(self.n_params)
-        gtensors = self._tensors(grads)
-        delta = g
-        for l in range(len(self.widths) - 2, -1, -1):
-            W = tensors[2 * l]
-            gtensors[2 * l] += delta.T @ cache.acts[l]
-            gtensors[2 * l + 1] += delta.sum(axis=0)
-            if l > 0:
-                delta = (delta @ W) * act_prime(cache.zs[l - 1])
+        self._backprop(g, cache, grads)
         return grads
 
     def input_gradient(self, x, t):
@@ -211,25 +201,41 @@ class Mlp:
         Shapes: (output_dim, input_dim) for a single x, squeezed to
         (input_dim,) when output_dim == 1; batches gain a leading axis.
         """
+        return self.value_and_input_gradient(x, t)[1]
+
+    def value_and_input_gradient(self, x, t):
+        """forward(x, t) and input_gradient(x, t) from one forward pass."""
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
-        _, cache = self.forward(x, t, want_cache=True)
-        _, act_prime = _ACT[self.activation]
-        tensors = self._tensors()
+        out, cache = self.forward(x, t, want_cache=True)
         B = cache.batch
         jac = np.empty((B, self.output_dim, self.input_dim))
-        primes = [act_prime(z) for z in cache.zs]
         for o in range(self.output_dim):
             delta = np.zeros((B, self.output_dim))
             delta[:, o] = 1.0
-            for l in range(len(self.widths) - 2, -1, -1):
-                delta = delta @ tensors[2 * l]
-                if l > 0:
-                    delta = delta * primes[l - 1]
-            jac[:, o, :] = delta[:, :self.input_dim]
+            jac[:, o, :] = self._backprop(delta, cache)[:, :self.input_dim]
         if self.output_dim == 1:
             jac = jac[:, 0, :]
-        return jac[0] if single else jac
+        return out, (jac[0] if single else jac)
+
+    def _backprop(self, delta, cache, grads=None):
+        """Reverse pass of delta = d(loss)/d(output) through the cached layers.
+
+        With a grads vector, adds d(loss)/d(params) into it and stops at the
+        first layer; without one, returns d(loss)/d(feats).
+        """
+        tensors = self._tensors()
+        gtensors = None if grads is None else self._tensors(grads)
+        for l in range(len(self.widths) - 2, -1, -1):
+            if gtensors is not None:
+                gtensors[2 * l] += delta.T @ cache.acts[l]
+                gtensors[2 * l + 1] += delta.sum(axis=0)
+                if l == 0:
+                    return None
+            delta = delta @ tensors[2 * l]
+            if l > 0:
+                delta *= cache.primes[l - 1]
+        return delta
 
     # -- serialization -------------------------------------------------------
 

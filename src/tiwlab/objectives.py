@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ContractError, InputError, NumericalError
 from .mixture import GaussianMixture
 from .net import Mlp, adam_step, init_optim
-from .ratio import DatasetSplit, RatioModel
+from .ratio import DatasetSplit, RatioModel, tilde_terms
 from .sde import VpSchedule
 
 OBJECTIVE_KINDS = ("dsm", "sm_oracle", "iw_dsm", "tiw_dsm", "tiw_alpha",
@@ -103,13 +103,12 @@ class LossSample:
 
 def _ratio_terms(rm: RatioModel, X_t, ts, alpha, form):
     """(weight, correction) arrays for the reweighted objectives."""
+    h, grad_h = rm.logit_and_grad(X_t, ts)
     if form == "tilde":
-        w = rm.ratio_tilde_alpha(X_t, ts, alpha)
-        g = rm.grad_log_tilde(X_t, ts, alpha)
+        w, g = tilde_terms(h, grad_h, alpha)
     else:
-        logit = rm.log_ratio_w(X_t, ts)
-        w = np.exp(alpha * logit)
-        g = alpha * rm.grad_log_w(X_t, ts)
+        w = np.exp(alpha * h)
+        g = alpha * grad_h
     if not (np.all(np.isfinite(w)) and np.all(np.isfinite(g))):
         raise NumericalError("non-finite density-ratio term in objective")
     return w, g
@@ -214,9 +213,9 @@ class QuadratureGrid:
     t_panels: int = 8
 
 
-def _space_nodes(pt: GaussianMixture, n_x, pad_std):
+def _space_nodes(pt: GaussianMixture, nodes, weights, pad_std):
+    """Gauss-Legendre nodes and weights on [-1, 1] mapped over pt's support."""
     std = float(np.sqrt(pt.variances.max()))
-    nodes, weights = np.polynomial.legendre.leggauss(n_x)
     axes = []
     for c in range(pt.dim):
         lo = pt.means[:, c].min() - pad_std * std
@@ -237,6 +236,7 @@ def _sm_quadrature(net, grid, sched, p_data, lambda_kind, want_grad):
     if p_data.dim > 2:
         raise InputError("quadrature oracle supports 1-D and 2-D mixtures only")
     base_nodes, base_weights = np.polynomial.legendre.leggauss(grid.n_t)
+    x_nodes, x_weights = np.polynomial.legendre.leggauss(grid.n_x)
     edges = np.linspace(sched.t_eps, sched.T, grid.t_panels + 1)
     t_nodes, t_weights = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -248,7 +248,7 @@ def _sm_quadrature(net, grid, sched, p_data, lambda_kind, want_grad):
     grads = np.zeros(net.n_params) if want_grad else None
     for t, tw in zip(t_nodes, t_weights):
         pt = p_data.perturb(sched, t)
-        X, xw = _space_nodes(pt, grid.n_x, grid.pad_std)
+        X, xw = _space_nodes(pt, x_nodes, x_weights, grid.pad_std)
         dens = pt.density(X)
         score = pt.score(X)
         lam = float(lambda_weight(sched, t, lambda_kind))

@@ -15,7 +15,9 @@ pairs and is used to calibrate everything the learned one does.
 Learned ratios clamp the logit to +-ln(1000) before exponentiation, which
 caps w in [1e-3, 1e3]; an overconfident discriminator otherwise produces
 weights that blow up downstream losses. The clamp is applied consistently
-to w and w~ so the algebraic identity w~ = 2w/(1+w) survives it.
+to w and w~ so the algebraic identity w~ = 2w/(1+w) survives it, and to
+the gradients: they are derivatives of the clamped logit, zero wherever
+the clamp binds.
 """
 
 from dataclasses import dataclass, field, replace
@@ -30,15 +32,11 @@ from .mixture import (
     pooled_mixture,
     true_ratio,
 )
-from .net import Mlp, adam_step, init_optim, load_net, save_net
+from .net import Mlp, _sigmoid, adam_step, init_optim, load_net, save_net
 from .sde import VpSchedule
 
 LOGIT_CLAMP = float(np.log(1000.0))
 LOG_FLOOR = float(np.log(1e-300))
-
-
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
 
 
 def _softplus(z):
@@ -107,29 +105,53 @@ class RatioModel:
 
     # -- core accessors ------------------------------------------------------
 
-    def logit(self, x, t):
-        """Raw log-ratio estimate (unclamped)."""
+    def _raw_logit(self, x, t, want_grad):
+        """Unclamped logit and, when asked, its x-gradient (else None)."""
         t = self._times(x, t)
         if self.kind == "learned":
-            out = self.net.forward(x, t)
-            return out[..., 0]
+            if want_grad:
+                out, grad = self.net.value_and_input_gradient(x, t)
+            else:
+                out, grad = self.net.forward(x, t), None
+            return out[..., 0], grad
         x = np.asarray(x, dtype=np.float64)
+        grad = None
         if np.ndim(t) == 0:
             pnum = self.p_num.perturb(self.sched, float(t))
             pden = self.p_den.perturb(self.sched, float(t))
-            lnum = np.maximum(pnum.log_density(x), LOG_FLOOR)
-            lden = np.maximum(pden.log_density(x), LOG_FLOOR)
-            return lnum - lden
-        ts = np.broadcast_to(np.asarray(t, dtype=np.float64), (x.shape[0],))
-        lnum = np.maximum(perturbed_log_density_batch(self.p_num, self.sched, x, ts), LOG_FLOOR)
-        lden = np.maximum(perturbed_log_density_batch(self.p_den, self.sched, x, ts), LOG_FLOOR)
-        return lnum - lden
+            lnum, lden = pnum.log_density(x), pden.log_density(x)
+            if want_grad:
+                grad = pnum.score(x) - pden.score(x)
+        else:
+            ts = np.broadcast_to(np.asarray(t, dtype=np.float64), (x.shape[0],))
+            lnum = perturbed_log_density_batch(self.p_num, self.sched, x, ts)
+            lden = perturbed_log_density_batch(self.p_den, self.sched, x, ts)
+            if want_grad:
+                grad = perturbed_score_batch(self.p_num, self.sched, x, ts) - \
+                    perturbed_score_batch(self.p_den, self.sched, x, ts)
+        return np.maximum(lnum, LOG_FLOOR) - np.maximum(lden, LOG_FLOOR), grad
+
+    def logit(self, x, t):
+        """Raw log-ratio estimate (unclamped)."""
+        return self._raw_logit(x, t, want_grad=False)[0]
 
     def _effective_logit(self, x, t):
         h = self.logit(x, t)
         if self.kind == "learned":
             h = np.clip(h, -self.logit_clamp, self.logit_clamp)
         return h
+
+    def logit_and_grad(self, x, t):
+        """(log w, grad log w) from one forward and one input backward pass.
+
+        Learned: the clamped logit and its x-gradient, which is zero where
+        the clamp binds. Oracle: the log-density and score differences.
+        """
+        h, grad = self._raw_logit(x, t, want_grad=True)
+        if self.kind == "learned":
+            grad = grad * (np.abs(h) <= self.logit_clamp)[..., None]
+            h = np.clip(h, -self.logit_clamp, self.logit_clamp)
+        return h, grad
 
     def log_ratio_w(self, x, t):
         """log w, which IS the (clamped) logit: no exp/log round trip."""
@@ -151,17 +173,7 @@ class RatioModel:
 
     def grad_log_w(self, x, t):
         """Gradient of log w in x; for the oracle this is the score difference."""
-        t = self._times(x, t)
-        if self.kind == "learned":
-            return self.net.input_gradient(x, t)
-        x = np.asarray(x, dtype=np.float64)
-        if np.ndim(t) == 0:
-            pnum = self.p_num.perturb(self.sched, float(t))
-            pden = self.p_den.perturb(self.sched, float(t))
-            return pnum.score(x) - pden.score(x)
-        ts = np.broadcast_to(np.asarray(t, dtype=np.float64), (x.shape[0],))
-        return perturbed_score_batch(self.p_num, self.sched, x, ts) - \
-            perturbed_score_batch(self.p_den, self.sched, x, ts)
+        return self.logit_and_grad(x, t)[1]
 
     def grad_log_tilde(self, x, t, alpha=1.0):
         """Gradient of log(2 w^a / (1 + w^a)): a (1 - sigmoid(a h)) grad h."""
@@ -170,10 +182,13 @@ class RatioModel:
         if alpha == 0.0:
             x = np.asarray(x, dtype=np.float64)
             return np.zeros_like(x)
-        h = self.logit(x, t)
-        factor = alpha * (1.0 - _sigmoid(alpha * h))
-        g = self.grad_log_w(x, t)
-        return factor[..., None] * g if np.ndim(g) == 2 else factor * g
+        return tilde_terms(*self.logit_and_grad(x, t), alpha)[1]
+
+
+def tilde_terms(h, grad_h, alpha):
+    """(w~^a, grad log w~^a) from log w = h and its gradient grad_h."""
+    s = _sigmoid(alpha * h)
+    return 2.0 * s, (alpha * (1.0 - s))[..., None] * grad_h
 
 
 def oracle_ratio_model(p_num, p_den, sched, time_independent=False):

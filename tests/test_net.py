@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tiwlab.errors import ContractError, InputError, IoError
-from tiwlab.net import Mlp, adam_step, init_optim, load_net, save_net
+from tiwlab.net import Mlp, _sigmoid, adam_step, init_optim, load_net, save_net
 
 
 def fd_param_gradient(net, x, t, coeffs, indices, h=1e-5):
@@ -23,6 +23,15 @@ def fd_param_gradient(net, x, t, coeffs, indices, h=1e-5):
 # ---------------------------------------------------------------------------
 # forward
 # ---------------------------------------------------------------------------
+
+def test_sigmoid_matches_exact_logistic_without_fp_warnings():
+    z = np.concatenate([np.linspace(-800.0, 800.0, 160_001), [-745.2, -37.5, 0.0, 37.5]])
+    with np.errstate(over="ignore"):
+        exact = 1.0 / (1.0 + np.exp(-z))
+    with np.errstate(all="raise"):
+        s = _sigmoid(z)
+    np.testing.assert_allclose(s, exact, rtol=0, atol=1e-15)
+
 
 def test_zero_params_give_zero_output():
     net = Mlp(2, [8], 2, params=np.zeros(Mlp(2, [8], 2).n_params))
@@ -119,8 +128,9 @@ def test_input_gradient_linear_net_is_weight_block():
     np.testing.assert_allclose(jac, W[:, :2], rtol=1e-14)
 
 
-def test_input_gradient_matches_finite_differences():
-    net = Mlp(3, [10, 10], 1, seed=13)
+@pytest.mark.parametrize("activation", ["tanh", "silu"])
+def test_input_gradient_matches_finite_differences(activation):
+    net = Mlp(3, [10, 10], 1, activation=activation, seed=13)
     rng = np.random.default_rng(4)
     h = 1e-6
     for _ in range(20):

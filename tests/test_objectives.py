@@ -9,6 +9,7 @@ from tiwlab.objectives import (
     ObjectiveSpec,
     QuadratureGrid,
     ScoreTrainConfig,
+    _ratio_terms,
     loss_sm_oracle,
     mc_loss_gradient,
     persample_ablation,
@@ -18,7 +19,7 @@ from tiwlab.objectives import (
     persample_tiw_dsm,
     train_score,
 )
-from tiwlab.ratio import DatasetSplit, oracle_ratio_model
+from tiwlab.ratio import DatasetSplit, RatioModel, oracle_ratio_model
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +145,23 @@ def test_ablation_terms_differ_from_tiw(sched, oracle_1d):
     wonly = persample_ablation("weight_only", net, x0, t, eps, sched, oracle_1d)
     conly = persample_ablation("correction_only", net, x0, t, eps, sched, oracle_1d)
     assert len({tiw, wonly, conly}) == 3
+
+
+@pytest.mark.parametrize("kind", ["learned", "oracle"])
+def test_ratio_terms_match_accessors(kind, sched, oracle_1d):
+    net = Mlp(1, [8], 1, seed=12)
+    net.params[-1] = -6.5  # some rows past the logit clamp
+    rm = oracle_1d if kind == "oracle" else RatioModel(sched=sched, kind="learned", net=net)
+    rng = np.random.default_rng(13)
+    X = rng.normal(scale=3.0, size=(40, 1))
+    ts = rng.uniform(0.05, 0.95, 40)
+    for alpha in (0.5, 1.0):
+        w, g = _ratio_terms(rm, X, ts, alpha, "tilde")
+        np.testing.assert_allclose(w, rm.ratio_tilde_alpha(X, ts, alpha), rtol=1e-12)
+        np.testing.assert_allclose(g, rm.grad_log_tilde(X, ts, alpha), rtol=1e-12)
+        w, g = _ratio_terms(rm, X, ts, alpha, "plain")
+        np.testing.assert_allclose(w, np.exp(alpha * rm.log_ratio_w(X, ts)), rtol=1e-12)
+        np.testing.assert_allclose(g, alpha * rm.grad_log_w(X, ts), rtol=1e-12)
 
 
 def test_interpolated_piecewise(sched, oracle_1d):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,6 +178,52 @@ def test_learned_grad_tilde_matches_finite_difference(random_disc):
             fd[c] = (np.log(random_disc.ratio_tilde(x + e, t)) -
                      np.log(random_disc.ratio_tilde(x - e, t))) / (2 * h)
         np.testing.assert_allclose(g, fd, rtol=1e-4, atol=1e-10)
+
+
+def test_learned_grads_are_derivatives_of_the_clamped_logit(sched_module):
+    net = Mlp(2, [4], 1, seed=3)
+    net.params[-1] = -20.0  # the logit sits far below -ln(1000) near the origin
+    rm = RatioModel(sched=sched_module, kind="learned", net=net)
+    x, t = np.array([0.3, -0.2]), 0.5
+    assert rm.logit(x, t) == pytest.approx(-20.27, abs=0.01)
+    np.testing.assert_array_equal(rm.grad_log_w(x, t), np.zeros(2))
+    np.testing.assert_array_equal(rm.grad_log_tilde(x, t), np.zeros(2))
+
+    # a batch on both sides of the clamp: each row matches finite differences
+    net.params[-1] = -6.5
+    X = np.random.default_rng(0).normal(scale=2.0, size=(12, 2))
+    clamped = np.abs(rm.logit(X, t)) > rm.logit_clamp
+    assert 0 < clamped.sum() < len(X)
+    h = 1e-6
+    for grad, f in ((rm.grad_log_w(X, t), lambda Y: rm.log_ratio_w(Y, t)),
+                    (rm.grad_log_tilde(X, t), lambda Y: np.log(rm.ratio_tilde(Y, t)))):
+        fd = np.column_stack([(f(X + e) - f(X - e)) / (2 * h) for e in h * np.eye(2)])
+        np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-10)
+        np.testing.assert_array_equal(grad[clamped], 0.0)
+
+
+@pytest.mark.parametrize("kind", ["learned", "oracle"])
+@pytest.mark.parametrize("time_independent", [False, True])
+def test_logit_and_grad_matches_accessors(kind, time_independent, random_disc, oracle):
+    rm = replace(random_disc if kind == "learned" else oracle,
+                 time_independent=time_independent)
+    rng = np.random.default_rng(7)
+    X = rng.normal(scale=2.0, size=(15, 2))
+    ts = rng.uniform(0.05, 0.95, 15)
+    for t in (0.3, ts):
+        h, g = rm.logit_and_grad(X, t)
+        np.testing.assert_array_equal(h, rm.log_ratio_w(X, t))
+        np.testing.assert_array_equal(g, rm.grad_log_w(X, t))
+        # the batch (per-row t) paths agree with one row at a time
+        for i, t_i in enumerate(np.broadcast_to(t, (15,))):
+            h_i, g_i = rm.logit_and_grad(X[i], t_i)
+            assert h_i == pytest.approx(h[i], rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(g_i, g[i], rtol=1e-12, atol=1e-12)
+    if time_independent:
+        h0, g0 = replace(rm, time_independent=False).logit_and_grad(X, 0.0)
+        h, g = rm.logit_and_grad(X, ts)
+        np.testing.assert_array_equal(h, h0)
+        np.testing.assert_array_equal(g, g0)
 
 
 def test_grad_tilde_alpha_zero_is_zero(random_disc, oracle):
