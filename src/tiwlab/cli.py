@@ -35,8 +35,7 @@ from .net import save_net
 from .objectives import (
     ObjectiveSpec,
     ScoreTrainConfig,
-    persample_dsm,
-    persample_tiw_dsm,
+    persample_loss,
     train_score,
 )
 from .ratio import (
@@ -49,6 +48,7 @@ from .ratio import (
     train_discriminator,
 )
 from .sampling import GenerationJob, generate, read_samples_csv, write_samples_csv
+from .sde import INTEGRATORS, SAMPLER_KINDS
 
 BASELINES = ("dsm_ref", "dsm_obs", "iw_dsm", "tiw_dsm")
 
@@ -421,17 +421,19 @@ def _endpoint_identity_checks(cfg, split, sched, rm):
     lam = cfg.raw["objective"]["lambda_kind"]
     from .net import Mlp
     probe_net = Mlp(split.dim, [8], split.dim, seed=cfg.seeds["score"])
+    alpha0 = ObjectiveSpec(kind="tiw_alpha", alpha=0.0, lambda_kind=lam, ratio=rm)
+    alpha1 = ObjectiveSpec(kind="tiw_alpha", alpha=1.0, lambda_kind=lam, ratio=rm)
+    dsm = ObjectiveSpec(kind="dsm", lambda_kind=lam)
+    tiw = ObjectiveSpec(kind="tiw_dsm", lambda_kind=lam, ratio=rm)
     worst0 = 0.0
     worst1 = 0.0
     for x0 in pool[idx]:
         t = float(rng.uniform(sched.t_eps, sched.T))
-        eps = rng.standard_normal(split.dim)
-        a0 = persample_tiw_dsm(probe_net, x0, t, eps, sched, rm, lam, alpha=0.0)
-        d = persample_dsm(probe_net, x0, t, eps, sched, lam)
-        worst0 = max(worst0, abs(a0 - d))
-        a1 = persample_tiw_dsm(probe_net, x0, t, eps, sched, rm, lam, alpha=1.0)
-        t1 = persample_tiw_dsm(probe_net, x0, t, eps, sched, rm, lam)
-        worst1 = max(worst1, abs(a1 - t1))
+        sample = (x0, t, rng.standard_normal(split.dim), sched)
+        worst0 = max(worst0, abs(persample_loss(probe_net, alpha0, *sample)
+                                 - persample_loss(probe_net, dsm, *sample)))
+        worst1 = max(worst1, abs(persample_loss(probe_net, alpha1, *sample)
+                                 - persample_loss(probe_net, tiw, *sample)))
     lines.append(f"alpha=0 per-sample loss == dsm on shared batch: "
                  f"max |diff| = {worst0!r} (exact identity expected)\n")
     lines.append(f"alpha=1 per-sample loss == tiw_dsm on shared batch: "
@@ -478,10 +480,10 @@ def build_parser():
     _add_common(p)
     p.add_argument("--source", help="checkpoint path, 'oracle-data' or 'oracle-bias' "
                                     "(default: the configured objective's checkpoint)")
-    p.add_argument("--kind", choices=["probability-flow-ode", "reverse-sde"],
+    p.add_argument("--kind", choices=SAMPLER_KINDS,
                    help="sampler kind override")
     p.add_argument("--steps", type=int, help="integration steps override")
-    p.add_argument("--integrator", choices=["euler", "heun"],
+    p.add_argument("--integrator", choices=INTEGRATORS,
                    help="integrator override")
     p.add_argument("--seed", type=int, help="sampling seed override")
     p.set_defaults(func=_run_sample)

@@ -19,7 +19,10 @@ import yaml
 
 from .errors import ConfigError, IoError
 from .mixture import GaussianMixture
-from .sde import SamplerSpec, VpSchedule
+from .net import ACTIVATIONS, TIME_EMBEDS
+from .objectives import LR_DECAYS, OBJECTIVE_KINDS, OBS_STREAMS, RATIO_FORMS, STREAMS
+from .ratio import RATIO_KINDS
+from .sde import INTEGRATORS, LAMBDA_KINDS, SAMPLER_KINDS, SamplerSpec, VpSchedule
 
 _MIXTURE_SCHEMA = {
     "type": "object",
@@ -38,8 +41,8 @@ _NET_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "hidden": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        "activation": {"enum": ["tanh", "silu"]},
-        "time_embed": {"enum": ["append-scalar", "sinusoidal"]},
+        "activation": {"enum": list(ACTIVATIONS)},
+        "time_embed": {"enum": list(TIME_EMBEDS)},
         "n_frequencies": {"type": "integer", "minimum": 1},
     },
 }
@@ -87,7 +90,7 @@ CONFIG_SCHEMA = {
                 "steps": {"type": "integer", "minimum": 1},
                 "batch_size": {"type": "integer", "minimum": 2},
                 "learning_rate": {"type": "number", "exclusiveMinimum": 0},
-                "lambda_prime": {"enum": ["uniform", "sigma_squared"]},
+                "lambda_prime": {"enum": list(LAMBDA_KINDS)},
                 "holdout_fraction": {"type": "number", "minimum": 0, "maximum": 0.5},
             },
         },
@@ -99,31 +102,30 @@ CONFIG_SCHEMA = {
                 "batch_size": {"type": "integer", "minimum": 1},
                 "learning_rate": {"type": "number", "exclusiveMinimum": 0},
                 "telemetry_every": {"type": "integer", "minimum": 0},
-                "obs_stream": {"enum": ["auto", "empirical", "balanced"]},
-                "lr_decay": {"enum": ["cosine", "none"]},
+                "obs_stream": {"enum": ["auto", *OBS_STREAMS]},
+                "lr_decay": {"enum": list(LR_DECAYS)},
             },
         },
         "objective": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "kind": {"enum": ["dsm", "iw_dsm", "tiw_dsm", "tiw_alpha",
-                                  "weight_only", "correction_only", "interpolated"]},
+                "kind": {"enum": [k for k in OBJECTIVE_KINDS if k != "sm_oracle"]},
                 "alpha": {"type": "number", "minimum": 0},
                 "tau": {"type": "number", "minimum": 0},
-                "lambda_kind": {"enum": ["sigma_squared", "uniform"]},
-                "stream": {"enum": ["auto", "bias", "ref", "obs"]},
-                "ratio_form": {"enum": ["auto", "tilde", "plain"]},
-                "ratio": {"enum": ["learned", "oracle"]},
+                "lambda_kind": {"enum": list(LAMBDA_KINDS)},
+                "stream": {"enum": ["auto", *STREAMS]},
+                "ratio_form": {"enum": ["auto", *RATIO_FORMS]},
+                "ratio": {"enum": list(RATIO_KINDS)},
             },
         },
         "sampler": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "kind": {"enum": ["probability-flow-ode", "reverse-sde"]},
+                "kind": {"enum": list(SAMPLER_KINDS)},
                 "steps": {"type": "integer", "minimum": 2},
-                "integrator": {"enum": ["euler", "heun"]},
+                "integrator": {"enum": list(INTEGRATORS)},
             },
         },
         "eval": {

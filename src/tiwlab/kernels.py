@@ -1,65 +1,60 @@
-"""Hot numeric kernels with paired numba / pure-numpy implementations.
+"""Numpy kernels for Gaussian-mixture evaluation and pairwise distances.
 
-The numba path is selected at import time unless the environment variable
-``TIWLAB_NUMBA`` is set to ``0`` (or numba fails to import). Both paths
-compute the same quantities; they may differ in last-bit rounding because
-summation order differs. ``benchmarks/bench_kernels.py`` times the two
-paths against each other.
+One implementation serves both the constant-time case (the sampler, the
+quadrature oracle, plain mixtures) and the per-row case (the oracle ratio
+at each sample's own time): the component moments broadcast.
 
-Kernels here are the ones that dominate runtime: Gaussian-mixture batch
-evaluation (log-density, score, posterior responsibilities), which sits
-inside every oracle-score reverse integration and DRE sweep, and the
-O(m*n) pairwise-distance sum behind the energy distance.
+    X          (n, d)              evaluation points
+    log_w      (k,)                log mixture weights
+    means      (k, d) or (n, k, d) component means, shared or per row
+    variances  (k,)   or (n, k)    isotropic component variances
 
-All kernels take float64 C-contiguous arrays:
-    X          (n, d)  evaluation points
-    log_w      (k,)    log mixture weights
-    means      (k, d)  component means
-    variances  (k,)    isotropic component variances
+Densities are accumulated in the log domain (log-sum-exp), so cross terms
+far in the tails survive. ``pairwise_mean_dist`` is the O(m*n) sum behind
+the energy distance, chunked so its temporary stays bounded.
 """
-
-import os
 
 import numpy as np
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+# pairs (rows of A times rows of B) held in one pairwise-distance temporary
+PAIRS_PER_CHUNK = 20_000_000
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations (reference + fallback)
-# ---------------------------------------------------------------------------
-
-def _component_log_terms(X, log_w, means, variances):
-    # (n, k) matrix of log(w_j N(x_i; mu_j, v_j I))
-    d = X.shape[1]
-    sq = ((X[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)  # (n, k)
-    return log_w[None, :] - 0.5 * d * (LOG_2PI + np.log(variances))[None, :] \
-        - 0.5 * sq / variances[None, :]
+def _log_terms(X, log_w, means, variances):
+    """(n, k) log(w_j N(x_i; mu_j, v_j I)) and the (n, k, d) offsets x_i - mu_j."""
+    diff = X[:, None, :] - means
+    sq = (diff**2).sum(axis=2)
+    terms = log_w - 0.5 * X.shape[1] * (LOG_2PI + np.log(variances)) - 0.5 * sq / variances
+    return terms, diff
 
 
-def _gm_logpdf_np(X, log_w, means, variances):
-    terms = _component_log_terms(X, log_w, means, variances)
-    mx = terms.max(axis=1)
-    return mx + np.log(np.exp(terms - mx[:, None]).sum(axis=1))
-
-
-def _gm_posterior_np(X, log_w, means, variances):
-    terms = _component_log_terms(X, log_w, means, variances)
+def _responsibilities(terms):
     mx = terms.max(axis=1, keepdims=True)
     e = np.exp(terms - mx)
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _gm_score_np(X, log_w, means, variances):
-    r = _gm_posterior_np(X, log_w, means, variances)  # (n, k)
-    pull = (means[None, :, :] - X[:, None, :]) / variances[None, :, None]
-    return (r[:, :, None] * pull).sum(axis=1)
+def gm_logpdf(X, log_w, means, variances):
+    terms, _ = _log_terms(X, log_w, means, variances)
+    mx = terms.max(axis=1)
+    return mx + np.log(np.exp(terms - mx[:, None]).sum(axis=1))
 
 
-def _pairwise_mean_dist_np(A, B):
-    # mean_{i,j} ||A_i - B_j||, chunked so the temporary stays bounded
+def gm_posterior(X, log_w, means, variances):
+    return _responsibilities(_log_terms(X, log_w, means, variances)[0])
+
+
+def gm_score(X, log_w, means, variances):
+    terms, diff = _log_terms(X, log_w, means, variances)
+    r = _responsibilities(terms)
+    return (r[:, :, None] * (-diff / variances[..., None])).sum(axis=1)
+
+
+def pairwise_mean_dist(A, B):
+    """mean_{i,j} ||A_i - B_j||."""
     m, n = A.shape[0], B.shape[0]
-    chunk = max(1, int(2e7) // max(n, 1))
+    chunk = max(1, PAIRS_PER_CHUNK // max(n, 1))
     total = 0.0
     for s in range(0, m, chunk):
         diff = A[s:s + chunk, None, :] - B[None, :, :]
@@ -67,107 +62,5 @@ def _pairwise_mean_dist_np(A, B):
     return total / (m * n)
 
 
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-_env = os.environ.get("TIWLAB_NUMBA", "1").strip().lower()
-NUMBA_ENABLED = _env not in ("0", "false", "off")
-
-if NUMBA_ENABLED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_ENABLED = False
-
-if NUMBA_ENABLED:
-
-    @njit(cache=True)
-    def _gm_logpdf_nb(X, log_w, means, variances):
-        n, d = X.shape
-        k = log_w.shape[0]
-        out = np.empty(n)
-        terms = np.empty(k)
-        for i in range(n):
-            mx = -np.inf
-            for j in range(k):
-                sq = 0.0
-                for c in range(d):
-                    diff = X[i, c] - means[j, c]
-                    sq += diff * diff
-                t = log_w[j] - 0.5 * d * (LOG_2PI + np.log(variances[j])) \
-                    - 0.5 * sq / variances[j]
-                terms[j] = t
-                if t > mx:
-                    mx = t
-            acc = 0.0
-            for j in range(k):
-                acc += np.exp(terms[j] - mx)
-            out[i] = mx + np.log(acc)
-        return out
-
-    @njit(cache=True)
-    def _gm_posterior_nb(X, log_w, means, variances):
-        n, d = X.shape
-        k = log_w.shape[0]
-        out = np.empty((n, k))
-        for i in range(n):
-            mx = -np.inf
-            for j in range(k):
-                sq = 0.0
-                for c in range(d):
-                    diff = X[i, c] - means[j, c]
-                    sq += diff * diff
-                t = log_w[j] - 0.5 * d * (LOG_2PI + np.log(variances[j])) \
-                    - 0.5 * sq / variances[j]
-                out[i, j] = t
-                if t > mx:
-                    mx = t
-            acc = 0.0
-            for j in range(k):
-                out[i, j] = np.exp(out[i, j] - mx)
-                acc += out[i, j]
-            for j in range(k):
-                out[i, j] /= acc
-        return out
-
-    @njit(cache=True)
-    def _gm_score_nb(X, log_w, means, variances):
-        n, d = X.shape
-        k = log_w.shape[0]
-        r = _gm_posterior_nb(X, log_w, means, variances)
-        out = np.zeros((n, d))
-        for i in range(n):
-            for j in range(k):
-                w = r[i, j] / variances[j]
-                for c in range(d):
-                    out[i, c] += w * (means[j, c] - X[i, c])
-        return out
-
-    @njit(cache=True)
-    def _pairwise_mean_dist_nb(A, B):
-        m, d = A.shape
-        n = B.shape[0]
-        total = 0.0
-        for i in range(m):
-            for j in range(n):
-                sq = 0.0
-                for c in range(d):
-                    diff = A[i, c] - B[j, c]
-                    sq += diff * diff
-                total += np.sqrt(sq)
-        return total / (m * n)
-
-    gm_logpdf = _gm_logpdf_nb
-    gm_posterior = _gm_posterior_nb
-    gm_score = _gm_score_nb
-    pairwise_mean_dist = _pairwise_mean_dist_nb
-else:
-    gm_logpdf = _gm_logpdf_np
-    gm_posterior = _gm_posterior_np
-    gm_score = _gm_score_np
-    pairwise_mean_dist = _pairwise_mean_dist_np
-
-
 def backend_name():
-    return "numba" if NUMBA_ENABLED else "numpy"
+    return "numpy"

@@ -6,7 +6,7 @@ Energy distance stands in for feature-space distribution distances at
 desk scale.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,13 +26,6 @@ def mode_proportions(samples, classifier: GaussianMixture):
     """Mean posterior mass per latent component (soft assignment)."""
     X = _check_samples(samples, "samples")
     return classifier.posterior(X).mean(axis=0)
-
-
-def mode_counts(samples, classifier: GaussianMixture):
-    """Hard-assignment variant: argmax posterior, ties to the lower index."""
-    X = _check_samples(samples, "samples")
-    idx = np.argmax(classifier.posterior(X), axis=1)
-    return np.bincount(idx, minlength=classifier.n_components) / X.shape[0]
 
 
 def bias_metric(samples_model, samples_ref, classifier: GaussianMixture):
@@ -67,12 +60,11 @@ def energy_distance(a, b):
 
 @dataclass
 class EvalReport:
-    """One evaluation row: bias statistic, proportions, distance, DRE curve."""
+    """One evaluation row: bias statistic, proportions, energy distance."""
 
     bias: float
     proportions: np.ndarray
     energy_distance: float
-    dre_curve: list = field(default_factory=list)  # (t, mse) pairs
     notes: str = ""
 
     def __post_init__(self):

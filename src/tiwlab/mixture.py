@@ -99,12 +99,8 @@ class GaussianMixture:
 
         Means scale by alpha(t); each variance becomes alpha^2 v + sigma^2.
         """
-        alpha, sigma = sched.alpha_sigma(t)
-        return GaussianMixture(
-            weights=self.weights.copy(),
-            means=alpha * self.means,
-            variances=alpha * alpha * self.variances + sigma * sigma,
-        )
+        means, variances = _perturbed_moments(self, sched, t)
+        return GaussianMixture(weights=self.weights.copy(), means=means, variances=variances)
 
     def sample(self, n, seed):
         if n < 1:
@@ -150,42 +146,34 @@ def pooled_mixture(a: GaussianMixture, b: GaussianMixture, weight_a=0.5):
     )
 
 
-def perturbed_log_density_batch(gm: GaussianMixture, sched, X, ts):
-    """log density of the noised mixture with a per-row time vector.
+def _perturbed_moments(gm: GaussianMixture, sched, t):
+    """Component means and variances of gm pushed to time t.
 
-    Equivalent to looping gm.perturb(sched, t_i).log_density(x_i) but in one
-    broadcasted pass; used where every batch element carries its own time.
+    A scalar t gives the (k, d) / (k,) moments of gm.perturb(sched, t); a
+    per-row t of shape (n,) gives (n, k, d) / (n, k), one set per row.
     """
-    X, _ = _as_batch(X, gm.dim)
-    alpha, sigma = sched.alpha_sigma(ts)
-    alpha = np.broadcast_to(np.asarray(alpha, dtype=np.float64), (X.shape[0],))
-    sigma = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (X.shape[0],))
-    # (B, k) moments of the pushforward at each row's time
-    means = alpha[:, None, None] * gm.means[None, :, :]
-    var = alpha[:, None] ** 2 * gm.variances[None, :] + sigma[:, None] ** 2
-    sq = ((X[:, None, :] - means) ** 2).sum(axis=2)
-    d = gm.dim
-    terms = gm._log_weights[None, :] - 0.5 * d * np.log(2.0 * np.pi * var) - 0.5 * sq / var
-    mx = terms.max(axis=1)
-    return mx + np.log(np.exp(terms - mx[:, None]).sum(axis=1))
+    alpha, sigma = sched.alpha_sigma(t)
+    means = alpha[..., None, None] * gm.means
+    variances = alpha[..., None] ** 2 * gm.variances + sigma[..., None] ** 2
+    return means, variances
 
 
-def perturbed_score_batch(gm: GaussianMixture, sched, X, ts):
-    """Score of the noised mixture with a per-row time vector."""
-    X, _ = _as_batch(X, gm.dim)
-    alpha, sigma = sched.alpha_sigma(ts)
-    alpha = np.broadcast_to(np.asarray(alpha, dtype=np.float64), (X.shape[0],))
-    sigma = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (X.shape[0],))
-    means = alpha[:, None, None] * gm.means[None, :, :]
-    var = alpha[:, None] ** 2 * gm.variances[None, :] + sigma[:, None] ** 2
-    diff = X[:, None, :] - means
-    sq = (diff**2).sum(axis=2)
-    d = gm.dim
-    terms = gm._log_weights[None, :] - 0.5 * d * np.log(2.0 * np.pi * var) - 0.5 * sq / var
-    mx = terms.max(axis=1, keepdims=True)
-    resp = np.exp(terms - mx)
-    resp /= resp.sum(axis=1, keepdims=True)
-    return (resp[:, :, None] * (-diff / var[:, :, None])).sum(axis=1)
+def perturbed_log_density_batch(gm: GaussianMixture, sched, X, t):
+    """log density of the noised mixture at a shared or per-row time t.
+
+    Equals gm.perturb(sched, t_i).log_density(x_i) row by row without
+    building a mixture per time.
+    """
+    X, single = _as_batch(X, gm.dim)
+    out = kernels.gm_logpdf(X, gm._log_weights, *_perturbed_moments(gm, sched, t))
+    return out[0] if single else out
+
+
+def perturbed_score_batch(gm: GaussianMixture, sched, X, t):
+    """Score of the noised mixture at a shared or per-row time t."""
+    X, single = _as_batch(X, gm.dim)
+    out = kernels.gm_score(X, gm._log_weights, *_perturbed_moments(gm, sched, t))
+    return out[0] if single else out
 
 
 def standard_normal_mixture(dim):

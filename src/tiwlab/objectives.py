@@ -25,7 +25,7 @@ density.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,27 +33,19 @@ from .errors import ContractError, InputError, NumericalError
 from .mixture import GaussianMixture
 from .net import Mlp, adam_step, init_optim
 from .ratio import DatasetSplit, RatioModel, tilde_terms
-from .sde import VpSchedule
+from .sde import LAMBDA_KINDS, VpSchedule, lambda_weight
 
 OBJECTIVE_KINDS = ("dsm", "sm_oracle", "iw_dsm", "tiw_dsm", "tiw_alpha",
                    "weight_only", "correction_only", "interpolated")
-LAMBDA_KINDS = ("sigma_squared", "uniform")
 STREAMS = ("bias", "ref", "obs")
 RATIO_FORMS = ("tilde", "plain")
+OBS_STREAMS = ("empirical", "balanced")
+LR_DECAYS = ("cosine", "none")
 
 _RATIO_KINDS = ("iw_dsm", "tiw_dsm", "tiw_alpha", "weight_only",
                 "correction_only", "interpolated")
 _KIND_DEFAULT_STREAM = {"weight_only": "bias", "correction_only": "bias"}
 _KIND_DEFAULT_FORM = {"weight_only": "plain", "correction_only": "plain"}
-
-
-def lambda_weight(sched: VpSchedule, t, kind):
-    if kind == "uniform":
-        return np.ones_like(np.asarray(t, dtype=np.float64))
-    if kind == "sigma_squared":
-        _, sigma = sched.alpha_sigma(t)
-        return sigma * sigma
-    raise InputError(f"unknown temporal weighting {kind!r}")
 
 
 @dataclass
@@ -150,49 +142,12 @@ def _batch_terms(net, X0, ts, eps, sched, spec: ObjectiveSpec, iw_weights=None):
     return losses, outgrad, cache, weights, X_t
 
 
-def _single(value):
-    return float(np.asarray(value)[0])
-
-
-def persample_dsm(net, x0, t, noise, sched, lambda_kind="sigma_squared"):
-    spec = ObjectiveSpec(kind="dsm", lambda_kind=lambda_kind)
-    losses, *_ = _batch_terms(net, x0, t, noise, sched, spec)
-    return _single(losses)
-
-
-def persample_tiw_dsm(net, x0, t, noise, sched, rm, lambda_kind="sigma_squared",
-                      alpha=1.0, ratio_form="tilde"):
-    spec = ObjectiveSpec(kind="tiw_alpha", alpha=alpha, lambda_kind=lambda_kind,
-                         ratio=rm, ratio_form=ratio_form)
-    losses, *_ = _batch_terms(net, x0, t, noise, sched, spec)
-    return _single(losses)
-
-
-def persample_iw_dsm(net, x0_origin_weight, x0, t, noise, sched,
-                     lambda_kind="sigma_squared"):
-    if x0_origin_weight <= 0.0:
+def persample_loss(net, spec: ObjectiveSpec, x0, t, noise, sched, iw_weight=None):
+    """Loss of one sample (x0, t, noise) under spec; iw_dsm needs its t=0 weight."""
+    if iw_weight is not None and iw_weight <= 0.0:
         raise InputError("importance weight must be positive")
-    base = persample_dsm(net, x0, t, noise, sched, lambda_kind)
-    return x0_origin_weight * base
-
-
-def persample_ablation(kind, net, x0, t, noise, sched, rm,
-                       lambda_kind="sigma_squared", alpha=1.0, ratio_form="plain"):
-    if kind not in ("weight_only", "correction_only"):
-        raise InputError("ablation kind must be weight_only or correction_only")
-    spec = ObjectiveSpec(kind=kind, alpha=alpha, lambda_kind=lambda_kind,
-                         ratio=rm, ratio_form=ratio_form)
-    losses, *_ = _batch_terms(net, x0, t, noise, sched, spec)
-    return _single(losses)
-
-
-def persample_interpolated(tau, net, x0, t, noise, sched, rm,
-                           lambda_kind="sigma_squared", alpha=1.0,
-                           ratio_form="tilde"):
-    spec = ObjectiveSpec(kind="interpolated", tau=tau, alpha=alpha,
-                         lambda_kind=lambda_kind, ratio=rm, ratio_form=ratio_form)
-    losses, *_ = _batch_terms(net, x0, t, noise, sched, spec)
-    return _single(losses)
+    losses, *_ = _batch_terms(net, x0, t, noise, sched, spec, iw_weights=iw_weight)
+    return float(losses[0])
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +317,7 @@ class ScoreTrainConfig:
     # the half/half pool their weights are normalized against), plain DSM
     # pools with empirical proportions
     obs_stream: str = None
-    lr_decay: str = "cosine"       # or "none"
+    lr_decay: str = "cosine"       # one of LR_DECAYS
 
 
 def _stream_points(data: DatasetSplit, stream):
@@ -386,10 +341,10 @@ def train_score(data: DatasetSplit, spec: ObjectiveSpec, sched: VpSchedule,
     if spec.kind == "sm_oracle":
         raise InputError("sm_oracle is a verification loss, not a trainable objective")
     cfg = cfg or ScoreTrainConfig()
-    if cfg.obs_stream not in (None, "empirical", "balanced"):
-        raise InputError("obs_stream must be empirical or balanced")
-    if cfg.lr_decay not in ("cosine", "none"):
-        raise InputError("lr_decay must be cosine or none")
+    if cfg.obs_stream not in (None, *OBS_STREAMS):
+        raise InputError(f"obs_stream must be one of {OBS_STREAMS}")
+    if cfg.lr_decay not in LR_DECAYS:
+        raise InputError(f"lr_decay must be one of {LR_DECAYS}")
     obs_stream = cfg.obs_stream
     if obs_stream is None:
         tilde_ratio = spec.kind in _RATIO_KINDS and spec.ratio_form == "tilde"

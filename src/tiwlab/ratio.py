@@ -20,7 +20,7 @@ the gradients: they are derivatives of the clamped logit, zero wherever
 the clamp binds.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,11 +30,11 @@ from .mixture import (
     perturbed_log_density_batch,
     perturbed_score_batch,
     pooled_mixture,
-    true_ratio,
 )
 from .net import Mlp, _sigmoid, adam_step, init_optim, load_net, save_net
-from .sde import VpSchedule
+from .sde import VpSchedule, lambda_weight
 
+RATIO_KINDS = ("learned", "oracle")
 LOGIT_CLAMP = float(np.log(1000.0))
 LOG_FLOOR = float(np.log(1e-300))
 
@@ -76,7 +76,7 @@ class RatioModel:
     """
 
     sched: VpSchedule
-    kind: str = "learned"  # "learned" | "oracle"
+    kind: str = "learned"  # one of RATIO_KINDS
     net: Mlp = None
     p_num: GaussianMixture = None
     p_den: GaussianMixture = None
@@ -94,7 +94,8 @@ class RatioModel:
             if self.p_num.dim != self.p_den.dim:
                 raise InputError("oracle mixtures must share a dimension")
         else:
-            raise InputError(f"ratio model kind must be learned|oracle, got {self.kind!r}")
+            raise InputError(f"ratio model kind must be one of {RATIO_KINDS}, "
+                             f"got {self.kind!r}")
 
     @property
     def dim(self):
@@ -114,21 +115,12 @@ class RatioModel:
             else:
                 out, grad = self.net.forward(x, t), None
             return out[..., 0], grad
-        x = np.asarray(x, dtype=np.float64)
+        lnum = perturbed_log_density_batch(self.p_num, self.sched, x, t)
+        lden = perturbed_log_density_batch(self.p_den, self.sched, x, t)
         grad = None
-        if np.ndim(t) == 0:
-            pnum = self.p_num.perturb(self.sched, float(t))
-            pden = self.p_den.perturb(self.sched, float(t))
-            lnum, lden = pnum.log_density(x), pden.log_density(x)
-            if want_grad:
-                grad = pnum.score(x) - pden.score(x)
-        else:
-            ts = np.broadcast_to(np.asarray(t, dtype=np.float64), (x.shape[0],))
-            lnum = perturbed_log_density_batch(self.p_num, self.sched, x, ts)
-            lden = perturbed_log_density_batch(self.p_den, self.sched, x, ts)
-            if want_grad:
-                grad = perturbed_score_batch(self.p_num, self.sched, x, ts) - \
-                    perturbed_score_batch(self.p_den, self.sched, x, ts)
+        if want_grad:
+            grad = perturbed_score_batch(self.p_num, self.sched, x, t) - \
+                perturbed_score_batch(self.p_den, self.sched, x, t)
         return np.maximum(lnum, LOG_FLOOR) - np.maximum(lden, LOG_FLOOR), grad
 
     def logit(self, x, t):
@@ -215,15 +207,6 @@ class DiscTrainConfig:
     holdout_fraction: float = 0.1
 
 
-def _lambda_prime(sched, t, kind):
-    if kind == "uniform":
-        return np.ones_like(np.asarray(t, dtype=np.float64))
-    if kind == "sigma_squared":
-        _, sigma = sched.alpha_sigma(t)
-        return sigma * sigma
-    raise InputError(f"unknown temporal weighting {kind!r}")
-
-
 def train_discriminator(split: DatasetSplit, sched: VpSchedule,
                         cfg: DiscTrainConfig = None) -> RatioModel:
     """Fit the time-dependent discriminator by temporally weighted BCE.
@@ -268,7 +251,7 @@ def train_discriminator(split: DatasetSplit, sched: VpSchedule,
         x_t = sched.forward_sample(x0, t, rng.standard_normal(x0.shape))
         out, cache = net.forward(x_t, t, want_cache=True)
         h = out[:, 0]
-        lam = _lambda_prime(sched, t, cfg.lambda_prime)
+        lam = lambda_weight(sched, t, cfg.lambda_prime)
         losses = lam * (_softplus(h) - labels * h)
         last_loss = float(losses.mean())
         if not np.isfinite(last_loss):
@@ -300,7 +283,7 @@ def _heldout_tbce(net, sched, ref_hold, bias_hold, cfg, seed, n_rounds=16):
                 t = np.zeros(points.shape[0])
             x_t = sched.forward_sample(points, t, rng.standard_normal(points.shape))
             h = net.forward(x_t, t)[:, 0]
-            lam = _lambda_prime(sched, t, cfg.lambda_prime)
+            lam = lambda_weight(sched, t, cfg.lambda_prime)
             vals.append(lam * (_softplus(h) - label * h))
     return float(np.concatenate(vals).mean())
 

@@ -19,6 +19,7 @@ from .errors import InputError, NumericalError
 
 SAMPLER_KINDS = ("probability-flow-ode", "reverse-sde")
 INTEGRATORS = ("euler", "heun")
+LAMBDA_KINDS = ("sigma_squared", "uniform")
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,16 @@ class VpSchedule:
             alpha = alpha[:, None]
             sigma = sigma[:, None]
         return -(x_t - alpha * x0) / (sigma * sigma)
+
+
+def lambda_weight(sched: VpSchedule, t, kind):
+    """Temporal weight lambda(t) of a time-integrated loss: 1 or sigma(t)^2."""
+    if kind == "uniform":
+        return np.ones_like(np.asarray(t, dtype=np.float64))
+    if kind == "sigma_squared":
+        _, sigma = sched.alpha_sigma(t)
+        return sigma * sigma
+    raise InputError(f"unknown temporal weighting {kind!r}")
 
 
 @dataclass(frozen=True)

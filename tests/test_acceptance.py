@@ -23,9 +23,7 @@ from tiwlab.objectives import (
     ScoreTrainConfig,
     loss_sm_oracle,
     mc_loss_gradient,
-    persample_dsm,
-    persample_iw_dsm,
-    persample_tiw_dsm,
+    persample_loss,
     train_score,
 )
 from tiwlab.ratio import (
@@ -150,6 +148,10 @@ def test_criterion_4_degeneracy_identities(setup1d):
     sched, bias, data, oracle = setup1d
     unit = oracle_ratio_model(data, data, sched)
     net = Mlp(1, [12], 1, seed=7)
+    dsm = ObjectiveSpec(kind="dsm")
+    alpha0 = ObjectiveSpec(kind="tiw_alpha", alpha=0.0, ratio=oracle)
+    unit_tiw = ObjectiveSpec(kind="tiw_dsm", ratio=unit)
+    iw = ObjectiveSpec(kind="iw_dsm", ratio=oracle)
     rng = np.random.default_rng(40)
     worst = 0.0
     tilde_ok = True
@@ -157,12 +159,11 @@ def test_criterion_4_degeneracy_identities(setup1d):
         x0 = rng.normal(scale=2.0, size=1)
         t = float(rng.uniform(sched.t_eps, sched.T))
         eps = rng.normal(size=1)
-        d = persample_dsm(net, x0, t, eps, sched)
+        d = persample_loss(net, dsm, x0, t, eps, sched)
         worst = max(worst,
-                    abs(persample_tiw_dsm(net, x0, t, eps, sched, oracle,
-                                          alpha=0.0) - d),
-                    abs(persample_tiw_dsm(net, x0, t, eps, sched, unit) - d),
-                    abs(persample_iw_dsm(net, 1.0, x0, t, eps, sched) - d))
+                    abs(persample_loss(net, alpha0, x0, t, eps, sched) - d),
+                    abs(persample_loss(net, unit_tiw, x0, t, eps, sched) - d),
+                    abs(persample_loss(net, iw, x0, t, eps, sched, iw_weight=1.0) - d))
         tilde_ok &= oracle.ratio_tilde_alpha(x0, t, 0.0) == 1.0
     report(4, "bit-level degeneracies (alpha=0, unit ratio, unit weight)",
            worst == 0.0 and tilde_ok,

@@ -12,7 +12,11 @@ from tiwlab.config import (
     load_config,
 )
 from tiwlab.errors import ConfigError
+from tiwlab.net import ACTIVATIONS, TIME_EMBEDS
+from tiwlab.objectives import LR_DECAYS, OBJECTIVE_KINDS, OBS_STREAMS, RATIO_FORMS, STREAMS
+from tiwlab.ratio import RATIO_KINDS
 from tiwlab.sampling import read_samples_csv
+from tiwlab.sde import INTEGRATORS, LAMBDA_KINDS, SAMPLER_KINDS
 
 
 @pytest.fixture()
@@ -60,6 +64,31 @@ def test_bad_value_rejected():
         ExperimentConfig(raw={"split": {"n_ref": 0}})
     with pytest.raises(ConfigError, match="beta_max"):
         ExperimentConfig(raw={"schedule": {"beta_min": 5.0, "beta_max": 1.0}})
+
+
+ENUM_FIELDS = [
+    ("disc_net.activation", ACTIVATIONS),
+    ("score_net.time_embed", TIME_EMBEDS),
+    ("disc_train.lambda_prime", LAMBDA_KINDS),
+    ("score_train.obs_stream", ("auto", *OBS_STREAMS)),
+    ("score_train.lr_decay", LR_DECAYS),
+    ("objective.kind", tuple(k for k in OBJECTIVE_KINDS if k != "sm_oracle")),
+    ("objective.lambda_kind", LAMBDA_KINDS),
+    ("objective.stream", ("auto", *STREAMS)),
+    ("objective.ratio_form", ("auto", *RATIO_FORMS)),
+    ("objective.ratio", RATIO_KINDS),
+    ("sampler.kind", SAMPLER_KINDS),
+    ("sampler.integrator", INTEGRATORS),
+]
+
+
+@pytest.mark.parametrize("path,values", ENUM_FIELDS, ids=[p for p, _ in ENUM_FIELDS])
+def test_schema_enums_follow_code_constants(path, values):
+    section, key = path.split(".")
+    for value in values:
+        assert load_config(overrides=[f"{path}={value}"]).raw[section][key] == value
+    with pytest.raises(ConfigError, match=path):
+        load_config(overrides=[f"{path}=no-such-{key}"])
 
 
 def test_overrides_parse_yaml_scalars():

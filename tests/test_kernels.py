@@ -1,43 +1,77 @@
-"""Parity between the numba kernels and the pure-numpy fallbacks."""
+"""The mixture kernels at a shared time and at per-row times agree with
+building the perturbed mixture one time at a time."""
 
 import numpy as np
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiwlab import kernels
+from tiwlab.mixture import GaussianMixture, perturbed_log_density_batch, perturbed_score_batch
+from tiwlab.sde import VpSchedule
+
+SCHED = VpSchedule()
 
 
-@pytest.fixture(scope="module")
-def random_mixture_inputs():
-    rng = np.random.default_rng(7)
-    X = rng.normal(size=(200, 3))
-    w = rng.uniform(0.5, 2.0, size=4)
-    w /= w.sum()
-    means = rng.normal(scale=2.0, size=(4, 3))
-    variances = rng.uniform(0.3, 2.0, size=4)
-    return (np.ascontiguousarray(X), np.log(w), np.ascontiguousarray(means),
-            np.ascontiguousarray(variances))
+@st.composite
+def mixture_cases(draw):
+    """(mixture, points, per-row times) with 1-4 components in 1-3 dimensions."""
+    k = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.uniform(0.1, 1.0, k)
+    gm = GaussianMixture(weights=w / w.sum(), means=rng.uniform(-4.0, 4.0, (k, d)),
+                         variances=rng.uniform(0.1, 3.0, k))
+    X = rng.uniform(-8.0, 8.0, (n, d))
+    ts = np.array(draw(st.lists(st.floats(0.0, SCHED.T), min_size=n, max_size=n)))
+    return gm, X, ts
 
 
-def test_logpdf_paths_agree(random_mixture_inputs):
-    X, lw, mu, var = random_mixture_inputs
-    a = kernels._gm_logpdf_np(X, lw, mu, var)
-    b = kernels.gm_logpdf(X, lw, mu, var)
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+def _per_row_moments(gm, ts):
+    alpha, sigma = SCHED.alpha_sigma(ts)
+    means = alpha[:, None, None] * gm.means
+    variances = alpha[:, None] ** 2 * gm.variances + sigma[:, None] ** 2
+    return means, variances
 
 
-def test_posterior_paths_agree(random_mixture_inputs):
-    X, lw, mu, var = random_mixture_inputs
-    a = kernels._gm_posterior_np(X, lw, mu, var)
-    b = kernels.gm_posterior(X, lw, mu, var)
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
-    np.testing.assert_allclose(b.sum(axis=1), 1.0, atol=1e-12)
+@settings(max_examples=60, deadline=None)
+@given(mixture_cases())
+def test_logpdf_paths_agree(case):
+    gm, X, ts = case
+    per_row = perturbed_log_density_batch(gm, SCHED, X, ts)
+    by_row = np.array([gm.perturb(SCHED, t).log_density(x) for x, t in zip(X, ts)])
+    np.testing.assert_allclose(per_row, by_row, rtol=1e-12, atol=1e-12)
+    shared = perturbed_log_density_batch(gm, SCHED, X, ts[0])
+    assert shared.tobytes() == gm.perturb(SCHED, ts[0]).log_density(X).tobytes()
 
 
-def test_score_paths_agree(random_mixture_inputs):
-    X, lw, mu, var = random_mixture_inputs
-    a = kernels._gm_score_np(X, lw, mu, var)
-    b = kernels.gm_score(X, lw, mu, var)
-    np.testing.assert_allclose(a, b, rtol=1e-11, atol=1e-12)
+@settings(max_examples=60, deadline=None)
+@given(mixture_cases())
+def test_score_paths_agree(case):
+    gm, X, ts = case
+    per_row = perturbed_score_batch(gm, SCHED, X, ts)
+    by_row = np.array([gm.perturb(SCHED, t).score(x) for x, t in zip(X, ts)])
+    np.testing.assert_allclose(per_row, by_row, rtol=1e-12, atol=1e-12)
+    shared = perturbed_score_batch(gm, SCHED, X, ts[0])
+    assert shared.tobytes() == gm.perturb(SCHED, ts[0]).score(X).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixture_cases())
+def test_posterior_paths_agree(case):
+    gm, X, ts = case
+    log_w = np.log(gm.weights)
+    means, variances = _per_row_moments(gm, ts)
+    per_row = kernels.gm_posterior(X, log_w, means, variances)
+    by_row = np.array([gm.perturb(SCHED, t).posterior(x) for x, t in zip(X, ts)])
+    np.testing.assert_allclose(per_row, by_row, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(per_row.sum(axis=1), 1.0, atol=1e-12)
+    # a shared time spelled out per row gives the same bytes as the shared moments
+    same_t = np.full_like(ts, ts[0])
+    pt = gm.perturb(SCHED, ts[0])
+    for fn in (kernels.gm_logpdf, kernels.gm_posterior, kernels.gm_score):
+        assert fn(X, log_w, *_per_row_moments(gm, same_t)).tobytes() == \
+            fn(X, log_w, pt.means, pt.variances).tobytes()
 
 
 def test_pairwise_mean_dist_matches_bruteforce():
@@ -46,15 +80,14 @@ def test_pairwise_mean_dist_matches_bruteforce():
     B = rng.normal(size=(23, 2))
     brute = np.mean([np.linalg.norm(a - b) for a in A for b in B])
     np.testing.assert_allclose(kernels.pairwise_mean_dist(A, B), brute, rtol=1e-12)
-    np.testing.assert_allclose(kernels._pairwise_mean_dist_np(A, B), brute, rtol=1e-12)
 
 
-def test_pairwise_mean_dist_chunking_consistent():
+def test_pairwise_mean_dist_chunking_consistent(monkeypatch):
     rng = np.random.default_rng(3)
     A = rng.normal(size=(501, 4))
     B = rng.normal(size=(499, 4))
-    np.testing.assert_allclose(
-        kernels.pairwise_mean_dist(A, B),
-        kernels._pairwise_mean_dist_np(A, B),
-        rtol=1e-12,
-    )
+    brute = np.sqrt(((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)).mean()
+    np.testing.assert_allclose(kernels.pairwise_mean_dist(A, B), brute, rtol=1e-12)
+    # 7 rows of A per chunk: 72 chunks, the last one partial
+    monkeypatch.setattr(kernels, "PAIRS_PER_CHUNK", 7 * B.shape[0])
+    np.testing.assert_allclose(kernels.pairwise_mean_dist(A, B), brute, rtol=1e-12)

@@ -7,7 +7,6 @@ from tiwlab.metrics import (
     bias_metric,
     energy_distance,
     evaluate_samples,
-    mode_counts,
     mode_proportions,
 )
 
@@ -41,11 +40,6 @@ def test_mode_proportions_one_hot_at_mode(p_data):
     props = mode_proportions(np.array([[2.0, 2.0]]), p_data)
     assert props[1] == pytest.approx(1.0, abs=1e-6)
     assert props.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_mode_counts_hard_assignment(p_data):
-    X = np.array([[2.0, 2.0], [-2.0, -2.0], [1.9, 2.1]])
-    np.testing.assert_allclose(mode_counts(X, p_data), [1 / 3, 2 / 3])
 
 
 def test_energy_distance_identical_matrices_is_zero(p_data):

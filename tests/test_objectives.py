@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from tiwlab.errors import InputError, NumericalError
-from tiwlab.mixture import GaussianMixture, pooled_mixture, standard_normal_mixture
+from tiwlab.mixture import (
+    GaussianMixture,
+    pooled_mixture,
+    standard_normal_mixture,
+    two_mode_balanced_mixture,
+    two_mode_bias_mixture,
+)
 from tiwlab.net import Mlp
 from tiwlab.objectives import (
     LossSample,
@@ -12,11 +18,7 @@ from tiwlab.objectives import (
     _ratio_terms,
     loss_sm_oracle,
     mc_loss_gradient,
-    persample_ablation,
-    persample_dsm,
-    persample_interpolated,
-    persample_iw_dsm,
-    persample_tiw_dsm,
+    persample_loss,
     train_score,
 )
 from tiwlab.ratio import DatasetSplit, RatioModel, oracle_ratio_model
@@ -47,6 +49,9 @@ def unit_oracle(sched, oned):
     return oracle_ratio_model(data, data, sched)
 
 
+DSM = ObjectiveSpec(kind="dsm")
+
+
 def random_case(dim, seed):
     rng = np.random.default_rng(seed)
     return rng.normal(size=dim), rng.uniform(0.05, 0.95), rng.normal(size=dim)
@@ -71,7 +76,7 @@ class CondScoreStub:
 def test_dsm_zero_at_kernel_score(sched):
     x0, t, eps = random_case(2, 0)
     stub = CondScoreStub(sched, x0)
-    assert persample_dsm(stub, x0, t, eps, sched) == pytest.approx(0.0, abs=1e-25)
+    assert persample_loss(stub, DSM, x0, t, eps, sched) == pytest.approx(0.0, abs=1e-25)
 
 
 def test_dsm_zero_net_sigma_weighting_gives_half_eps_norm(sched):
@@ -79,7 +84,8 @@ def test_dsm_zero_net_sigma_weighting_gives_half_eps_norm(sched):
     proto = Mlp(2, [4], 2)
     net = Mlp(2, [4], 2, params=np.zeros(proto.n_params))
     x0, t, eps = random_case(2, 1)
-    val = persample_dsm(net, x0, t, eps, sched, lambda_kind="sigma_squared")
+    val = persample_loss(net, ObjectiveSpec(kind="dsm", lambda_kind="sigma_squared"),
+                         x0, t, eps, sched)
     assert val == pytest.approx(0.5 * float(eps @ eps), rel=1e-12)
 
 
@@ -87,36 +93,40 @@ def test_dsm_nonnegative(sched):
     net = Mlp(2, [8], 2, seed=4)
     for seed in range(10):
         x0, t, eps = random_case(2, seed)
-        assert persample_dsm(net, x0, t, eps, sched) >= 0.0
+        assert persample_loss(net, DSM, x0, t, eps, sched) >= 0.0
 
 
 def test_tiw_degenerates_to_dsm_with_unit_ratio(sched, unit_oracle):
     net = Mlp(1, [8], 1, seed=5)
+    spec = ObjectiveSpec(kind="tiw_dsm", ratio=unit_oracle)
     for seed in range(5):
         x0, t, eps = random_case(1, seed)
-        tiw = persample_tiw_dsm(net, x0, t, eps, sched, unit_oracle)
-        dsm = persample_dsm(net, x0, t, eps, sched)
+        tiw = persample_loss(net, spec, x0, t, eps, sched)
+        dsm = persample_loss(net, DSM, x0, t, eps, sched)
         assert tiw == dsm  # bit-level
 
 
 def test_tiw_alpha_zero_is_dsm_bitwise(sched, oracle_1d):
     net = Mlp(1, [8], 1, seed=6)
+    spec = ObjectiveSpec(kind="tiw_alpha", alpha=0.0, ratio=oracle_1d)
     for seed in range(5):
         x0, t, eps = random_case(1, seed)
-        tiw0 = persample_tiw_dsm(net, x0, t, eps, sched, oracle_1d, alpha=0.0)
-        dsm = persample_dsm(net, x0, t, eps, sched)
+        tiw0 = persample_loss(net, spec, x0, t, eps, sched)
+        dsm = persample_loss(net, DSM, x0, t, eps, sched)
         assert tiw0 == dsm
 
 
 def test_iw_weight_scaling(sched):
     net = Mlp(2, [8], 2, seed=7)
+    iw = ObjectiveSpec(kind="iw_dsm", ratio=oracle_ratio_model(
+        two_mode_balanced_mixture(), two_mode_bias_mixture(), sched))
     x0, t, eps = random_case(2, 3)
-    dsm = persample_dsm(net, x0, t, eps, sched)
-    assert persample_iw_dsm(net, 1.0, x0, t, eps, sched) == dsm
-    assert persample_iw_dsm(net, 0.01, x0, t, eps, sched) == pytest.approx(
+    dsm = persample_loss(net, DSM, x0, t, eps, sched)
+    assert persample_loss(net, iw, x0, t, eps, sched, iw_weight=1.0) == dsm
+    assert persample_loss(net, iw, x0, t, eps, sched, iw_weight=0.01) == pytest.approx(
         0.01 * dsm, rel=1e-15)
     with pytest.raises(InputError):
-        persample_iw_dsm(net, 0.0, x0, t, eps, sched)
+        persample_loss(net, iw, x0, t, eps, sched, iw_weight=0.0)
 
 
 def test_iw_weights_average_to_one_on_pooled_stream(sched, oned, oracle_1d):
@@ -131,9 +141,10 @@ def test_iw_weights_average_to_one_on_pooled_stream(sched, oned, oracle_1d):
 def test_ablations_reduce_to_dsm_with_unit_ratio(sched, unit_oracle):
     net = Mlp(1, [8], 1, seed=8)
     x0, t, eps = random_case(1, 4)
-    dsm = persample_dsm(net, x0, t, eps, sched)
+    dsm = persample_loss(net, DSM, x0, t, eps, sched)
     for kind in ("weight_only", "correction_only"):
-        val = persample_ablation(kind, net, x0, t, eps, sched, unit_oracle)
+        val = persample_loss(net, ObjectiveSpec(kind=kind, ratio=unit_oracle),
+                             x0, t, eps, sched)
         assert val == dsm
 
 
@@ -141,9 +152,10 @@ def test_ablation_terms_differ_from_tiw(sched, oracle_1d):
     net = Mlp(1, [8], 1, seed=9)
     x0 = np.array([2.0])  # minority mode: w != 1 there
     t, eps = 0.3, np.array([0.4])
-    tiw = persample_tiw_dsm(net, x0, t, eps, sched, oracle_1d, ratio_form="plain")
-    wonly = persample_ablation("weight_only", net, x0, t, eps, sched, oracle_1d)
-    conly = persample_ablation("correction_only", net, x0, t, eps, sched, oracle_1d)
+    tiw, wonly, conly = (
+        persample_loss(net, ObjectiveSpec(kind=kind, ratio=oracle_1d, ratio_form="plain"),
+                       x0, t, eps, sched)
+        for kind in ("tiw_dsm", "weight_only", "correction_only"))
     assert len({tiw, wonly, conly}) == 3
 
 
@@ -167,21 +179,26 @@ def test_ratio_terms_match_accessors(kind, sched, oracle_1d):
 def test_interpolated_piecewise(sched, oracle_1d):
     net = Mlp(1, [8], 1, seed=10)
     tau = 0.5
+    interp = ObjectiveSpec(kind="interpolated", tau=tau, ratio=oracle_1d)
+    tiw_spec = ObjectiveSpec(kind="tiw_dsm", ratio=oracle_1d)
     for t in (0.2, 0.8):
         x0, _, eps = random_case(1, int(t * 10))
-        val = persample_interpolated(tau, net, x0, t, eps, sched, oracle_1d)
-        dsm = persample_dsm(net, x0, t, eps, sched)
-        tiw = persample_tiw_dsm(net, x0, t, eps, sched, oracle_1d)
+        val = persample_loss(net, interp, x0, t, eps, sched)
+        dsm = persample_loss(net, DSM, x0, t, eps, sched)
+        tiw = persample_loss(net, tiw_spec, x0, t, eps, sched)
         assert val == (dsm if t < tau else tiw)
 
 
 def test_interpolated_endpoints(sched, oracle_1d):
     net = Mlp(1, [8], 1, seed=11)
     x0, t, eps = random_case(1, 5)
-    assert persample_interpolated(0.0, net, x0, t, eps, sched, oracle_1d) == \
-        persample_tiw_dsm(net, x0, t, eps, sched, oracle_1d)
-    assert persample_interpolated(sched.T, net, x0, t, eps, sched, oracle_1d) == \
-        persample_dsm(net, x0, t, eps, sched)
+
+    def loss(kind, **kw):
+        return persample_loss(net, ObjectiveSpec(kind=kind, ratio=oracle_1d, **kw),
+                              x0, t, eps, sched)
+
+    assert loss("interpolated", tau=0.0) == loss("tiw_dsm")
+    assert loss("interpolated", tau=sched.T) == persample_loss(net, DSM, x0, t, eps, sched)
 
 
 def test_spec_requires_ratio():
