@@ -16,6 +16,7 @@ byte. Commands compose through files in the configured output directory:
 """
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from .errors import EXIT_CODES, InputError, IoError, TiwlabError
 from .metrics import evaluate_samples
 from .net import save_net
 from .objectives import (
+    RATIO_READERS,
     ObjectiveSpec,
     ScoreTrainConfig,
     persample_loss,
@@ -50,7 +52,12 @@ from .ratio import (
 from .sampling import GenerationJob, generate, read_samples_csv, write_samples_csv
 from .sde import INTEGRATORS, SAMPLER_KINDS
 
-BASELINES = ("dsm_ref", "dsm_obs", "iw_dsm", "tiw_dsm")
+# named baseline -> (objective kind, stream); None keeps objective.stream
+BASELINES = {"dsm_ref": ("dsm", "ref"), "dsm_obs": ("dsm", "obs"),
+             "iw_dsm": ("iw_dsm", None), "tiw_dsm": ("tiw_dsm", None)}
+# discriminator checkpoint, keyed by time independence
+DISC_CKPT = {False: "disc.ckpt", True: "disc_t0.ckpt"}
+SCORE_CKPT = "score_{}.ckpt"  # per objective name, for train-score and sample
 
 
 # ---------------------------------------------------------------------------
@@ -110,36 +117,52 @@ def _score_cfg(cfg: ExperimentConfig, telemetry_path=None) -> ScoreTrainConfig:
 
 def _ratio_for(cfg: ExperimentConfig, kind):
     """Resolve the ratio model an objective kind needs, or None."""
-    if kind in ("dsm",):
+    if kind not in RATIO_READERS:
         return None
-    sched = cfg.schedule
+    t0 = RATIO_READERS[kind]
     if cfg.raw["objective"]["ratio"] == "oracle":
-        return oracle_ratio_model(cfg.mixture("data"), cfg.mixture("bias"), sched,
-                                  time_independent=(kind == "iw_dsm"))
-    name = "disc_t0.ckpt" if kind == "iw_dsm" else "disc.ckpt"
-    path = cfg.output_dir / name
+        return oracle_ratio_model(cfg.mixture("data"), cfg.mixture("bias"),
+                                  cfg.schedule, time_independent=t0)
+    path = cfg.output_dir / DISC_CKPT[t0]
     if not path.exists():
         raise InputError(f"discriminator checkpoint {path} not found "
-                         f"(run train-disc{' --time-independent' if kind == 'iw_dsm' else ''} first)")
-    return load_ratio_model(path, sched)
+                         f"(run train-disc{' --time-independent' if t0 else ''} first)")
+    return load_ratio_model(path, cfg.schedule)
 
 
 def _objective_spec(cfg: ExperimentConfig, baseline=None) -> ObjectiveSpec:
-    o = dict(cfg.raw["objective"])
+    """The configured objective, or a named baseline (which takes no alpha or tau)."""
+    o = cfg.raw["objective"]
     stream = None if o["stream"] == "auto" else o["stream"]
     form = None if o["ratio_form"] == "auto" else o["ratio_form"]
-    kind = o["kind"]
-    if baseline is not None:
-        if baseline == "dsm_ref":
-            kind, stream = "dsm", "ref"
-        elif baseline == "dsm_obs":
-            kind, stream = "dsm", "obs"
-        else:
-            kind = baseline
-    ratio = _ratio_for(cfg, kind)
-    return ObjectiveSpec(kind=kind, alpha=o["alpha"], tau=o["tau"],
-                         lambda_kind=o["lambda_kind"], stream=stream,
-                         ratio_form=form, ratio=ratio)
+    if baseline is None:
+        kind, scaling = o["kind"], {"alpha": o["alpha"], "tau": o["tau"]}
+    else:
+        kind, fixed_stream = BASELINES[baseline]
+        stream, scaling = fixed_stream or stream, {}
+    return ObjectiveSpec(kind=kind, lambda_kind=o["lambda_kind"], stream=stream,
+                         ratio_form=form, ratio=_ratio_for(cfg, kind), **scaling)
+
+
+def _train_disc(cfg: ExperimentConfig, split, time_independent):
+    """Train one discriminator and save it under its checkpoint name."""
+    path = cfg.output_dir / DISC_CKPT[time_independent]
+    rm = train_discriminator(split, cfg.schedule,
+                             _disc_cfg(cfg, time_dependent=not time_independent))
+    save_ratio_model(rm, path)
+    return rm, path
+
+
+def _train_ratios(cfg: ExperimentConfig, split, kinds, report):
+    """Train and save every learned discriminator the objective kinds read."""
+    if cfg.raw["objective"]["ratio"] != "learned":
+        return
+    for t0 in sorted({RATIO_READERS[k] for k in kinds if k in RATIO_READERS}):
+        stem = Path(DISC_CKPT[t0]).stem
+        with StageTimer(report, f"train-{stem.replace('_', '-')}"):
+            _, path = _train_disc(cfg, split, t0)
+        report.checkpoints[stem] = str(path)
+        report.add_artifact(path)
 
 
 def _fresh_report(cfg: ExperimentConfig) -> RunReport:
@@ -156,6 +179,26 @@ def _generate_samples(cfg, source, out_dir, seed=None):
 def _oracle_reference(cfg):
     return cfg.mixture("data").sample(cfg.raw["eval"]["n_oracle"],
                                       seed=cfg.seeds["eval"])
+
+
+def _score_run(cfg, split, spec, sub, label, report, oracle_ref, objective=None):
+    """Train a score network into sub/, sample from it, evaluate the samples."""
+    sub.mkdir(parents=True, exist_ok=True)
+    telemetry, ckpt = sub / "telemetry.csv", sub / "score.ckpt"
+    with StageTimer(report, f"train-score[{label}]"):
+        net = train_score(split, spec, cfg.schedule, _score_cfg(cfg, telemetry))
+    save_net(net, ckpt, extra={"role": "score", "objective": objective or label})
+    with StageTimer(report, f"sample[{label}]"):
+        samples, _ = _generate_samples(cfg, ckpt, sub)
+    with StageTimer(report, f"eval[{label}]"):
+        ev = evaluate_samples(samples, oracle_ref, cfg.mixture("data"), notes=label)
+    report.checkpoints[label] = str(ckpt)
+    for path in (ckpt, telemetry, sub / "samples.csv", sub / "provenance.json"):
+        report.add_artifact(path)
+    report.metrics.append({"label": label, "bias": ev.bias,
+                           "proportions": ev.proportions.tolist(),
+                           "energy_distance": ev.energy_distance})
+    return ev
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +220,7 @@ def cmd_gen_data(cfg: ExperimentConfig):
 
 
 def cmd_train_disc(cfg: ExperimentConfig, time_independent=False):
-    split = _load_split(cfg)
-    rm = train_discriminator(split, cfg.schedule,
-                             _disc_cfg(cfg, time_dependent=not time_independent))
-    name = "disc_t0.ckpt" if time_independent else "disc.ckpt"
-    path = cfg.output_dir / name
-    save_ratio_model(rm, path)
+    rm, path = _train_disc(cfg, _load_split(cfg), time_independent)
     heldout = rm.train_report.get("heldout_tbce")
     print(f"wrote {path}; train BCE {rm.train_report['final_train_bce']:.4f}, "
           f"held-out T-BCE {heldout if heldout == heldout else 'not evaluated'}")
@@ -196,7 +234,7 @@ def cmd_train_score(cfg: ExperimentConfig, baseline=None):
     out = cfg.output_dir
     telemetry = out / f"telemetry_{name}.csv"
     net = train_score(split, spec, cfg.schedule, _score_cfg(cfg, telemetry))
-    path = out / f"score_{name}.ckpt"
+    path = out / SCORE_CKPT.format(name)
     save_net(net, path, extra={"role": "score", "objective": name})
     print(f"wrote {path}")
     return 0
@@ -206,7 +244,7 @@ def cmd_sample(cfg: ExperimentConfig, source=None):
     out = cfg.output_dir
     if source in (None, "score"):
         name = cfg.raw["objective"]["kind"]
-        src = out / f"score_{name}.ckpt"
+        src = out / SCORE_CKPT.format(name)
         if not src.exists():
             raise InputError(f"score checkpoint {src} not found (run train-score)")
     elif source == "oracle-data":
@@ -238,12 +276,9 @@ def cmd_repro_fig2(cfg: ExperimentConfig):
     out = cfg.output_dir
     out.mkdir(parents=True, exist_ok=True)
     split = _load_split(cfg)
-    sched = cfg.schedule
-    rm_dep = train_discriminator(split, sched, _disc_cfg(cfg, time_dependent=True))
-    rm_indep = train_discriminator(split, sched, _disc_cfg(cfg, time_dependent=False))
-    save_ratio_model(rm_dep, out / "disc.ckpt")
-    save_ratio_model(rm_indep, out / "disc_t0.ckpt")
-    oracle = oracle_ratio_model(cfg.mixture("data"), cfg.mixture("bias"), sched)
+    rm_dep, _ = _train_disc(cfg, split, time_independent=False)
+    rm_indep, _ = _train_disc(cfg, split, time_independent=True)
+    oracle = oracle_ratio_model(cfg.mixture("data"), cfg.mixture("bias"), cfg.schedule)
     scan = integrated_dre_error(rm_dep, rm_indep, oracle,
                                 np.asarray(cfg.raw["eval"]["dre_grid"]),
                                 n=cfg.raw["eval"]["dre_n"],
@@ -253,11 +288,10 @@ def cmd_repro_fig2(cfg: ExperimentConfig):
                [[_fmt(t), _fmt(a), _fmt(b)] for t, a, b in scan.per_t])
     summary = {
         "integrated_ratio": scan.ratio,
-        "integral_time_dep": float(np.trapezoid(scan.mse_time_dep, scan.grid)),
-        "integral_time_indep": float(np.trapezoid(scan.mse_time_indep, scan.grid)),
+        "integral_time_dep": scan.integral_time_dep,
+        "integral_time_indep": scan.integral_time_indep,
         "config_hash": config_hash(cfg),
     }
-    import json
     (out / "dre_summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=2) + "\n")
     print(f"integrated error ratio (time-dep / time-indep): {scan.ratio:.4f}")
@@ -306,55 +340,18 @@ def cmd_debias(cfg: ExperimentConfig, all_baselines=False):
     report.add_artifact(out / "bias.csv")
     report.add_artifact(out / "ref.csv")
     split = _load_split(cfg)
-    sched = cfg.schedule
 
-    baselines = list(BASELINES) if all_baselines else [cfg.raw["objective"]["kind"]]
-    kinds = ["dsm" if b in ("dsm_ref", "dsm_obs") else b for b in baselines]
-    learned = cfg.raw["objective"]["ratio"] == "learned"
-    needs_dep = learned and any(k not in ("dsm", "iw_dsm") for k in kinds)
-    needs_t0 = learned and "iw_dsm" in kinds
-    if needs_dep:
-        with StageTimer(report, "train-disc"):
-            rm = train_discriminator(split, sched, _disc_cfg(cfg, True))
-            save_ratio_model(rm, out / "disc.ckpt")
-        report.checkpoints["disc"] = str(out / "disc.ckpt")
-        report.add_artifact(out / "disc.ckpt")
-    if needs_t0:
-        with StageTimer(report, "train-disc-t0"):
-            rm0 = train_discriminator(split, sched, _disc_cfg(cfg, False))
-            save_ratio_model(rm0, out / "disc_t0.ckpt")
-        report.checkpoints["disc_t0"] = str(out / "disc_t0.ckpt")
-        report.add_artifact(out / "disc_t0.ckpt")
-
+    baselines = list(BASELINES) if all_baselines else [None]
+    kinds = [BASELINES[b][0] if b else cfg.raw["objective"]["kind"] for b in baselines]
+    _train_ratios(cfg, split, kinds, report)
     oracle_ref = _oracle_reference(cfg)
-    classifier = cfg.mixture("data")
     rows = []
-    for baseline in baselines:
-        sub = out / baseline
-        sub.mkdir(parents=True, exist_ok=True)
-        spec = _objective_spec(cfg, baseline)
-        telemetry = sub / "telemetry.csv"
-        with StageTimer(report, f"train-score[{baseline}]"):
-            net = train_score(split, spec, sched, _score_cfg(cfg, telemetry))
-        ckpt = sub / "score.ckpt"
-        save_net(net, ckpt, extra={"role": "score", "objective": baseline})
-        report.checkpoints[baseline] = str(ckpt)
-        for p in (ckpt, telemetry):
-            report.add_artifact(p)
-        with StageTimer(report, f"sample[{baseline}]"):
-            samples, _ = _generate_samples(cfg, ckpt, sub)
-        report.add_artifact(sub / "samples.csv")
-        report.add_artifact(sub / "provenance.json")
-        with StageTimer(report, f"eval[{baseline}]"):
-            ev = evaluate_samples(samples, oracle_ref, classifier, notes=baseline)
+    for baseline, kind in zip(baselines, kinds):
+        label = baseline or kind
+        ev = _score_run(cfg, split, _objective_spec(cfg, baseline), out / label,
+                        label, report, oracle_ref)
         rows.append(ev)
-        report.metrics.append({
-            "label": baseline,
-            "bias": ev.bias,
-            "proportions": ev.proportions.tolist(),
-            "energy_distance": ev.energy_distance,
-        })
-        print(f"{baseline}: bias {ev.bias:.4f}, minority proportion "
+        print(f"{label}: bias {ev.bias:.4f}, minority proportion "
               f"{ev.proportions[-1]:.4f}, energy distance {ev.energy_distance:.5f}")
 
     header = ["label"] + rows[0].csv_header()
@@ -376,32 +373,20 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, alphas):
     with StageTimer(report, "gen-data"):
         cmd_gen_data(cfg)
     split = _load_split(cfg)
-    sched = cfg.schedule
-    if cfg.raw["objective"]["ratio"] == "learned":
-        with StageTimer(report, "train-disc"):
-            rm = train_discriminator(split, sched, _disc_cfg(cfg, True))
-            save_ratio_model(rm, out / "disc.ckpt")
-    else:
-        rm = oracle_ratio_model(cfg.mixture("data"), cfg.mixture("bias"), sched)
+    _train_ratios(cfg, split, ["tiw_alpha"], report)
+    rm = _ratio_for(cfg, "tiw_alpha")
 
-    checks = _endpoint_identity_checks(cfg, split, sched, rm)
+    checks = _endpoint_identity_checks(cfg, split, cfg.schedule, rm)
     (out / "identity_checks.txt").write_text("".join(checks))
 
     oracle_ref = _oracle_reference(cfg)
-    classifier = cfg.mixture("data")
     rows = []
     for alpha in alphas:
-        sub = out / f"alpha_{alpha:g}"
-        sub.mkdir(parents=True, exist_ok=True)
         spec = ObjectiveSpec(kind="tiw_alpha", alpha=alpha,
                              lambda_kind=cfg.raw["objective"]["lambda_kind"],
                              ratio=rm)
-        with StageTimer(report, f"train[alpha={alpha:g}]"):
-            net = train_score(split, spec, sched, _score_cfg(cfg))
-        ckpt = sub / "score.ckpt"
-        save_net(net, ckpt, extra={"role": "score", "objective": f"tiw_alpha@{alpha:g}"})
-        samples, _ = _generate_samples(cfg, ckpt, sub)
-        ev = evaluate_samples(samples, oracle_ref, classifier, notes=f"alpha={alpha:g}")
+        ev = _score_run(cfg, split, spec, out / f"alpha_{alpha:g}", f"alpha={alpha:g}",
+                        report, oracle_ref, objective=f"tiw_alpha@{alpha:g}")
         rows.append((alpha, ev))
         print(f"alpha {alpha:g}: bias {ev.bias:.4f}, energy distance "
               f"{ev.energy_distance:.5f}")
@@ -472,7 +457,7 @@ def build_parser():
 
     p = sub.add_parser("train-score", help="train a score network")
     _add_common(p)
-    p.add_argument("--baseline", choices=BASELINES,
+    p.add_argument("--baseline", choices=list(BASELINES),
                    help="override the objective with a named baseline")
     p.set_defaults(func=lambda cfg, args: cmd_train_score(cfg, args.baseline))
 

@@ -20,8 +20,8 @@ import yaml
 from .errors import ConfigError, IoError
 from .mixture import GaussianMixture
 from .net import ACTIVATIONS, TIME_EMBEDS
-from .objectives import LR_DECAYS, OBJECTIVE_KINDS, OBS_STREAMS, RATIO_FORMS, STREAMS
-from .ratio import RATIO_KINDS
+from .objectives import LR_DECAYS, OBJECTIVE_KINDS, OBS_STREAMS, STREAMS
+from .ratio import RATIO_FORMS, RATIO_KINDS
 from .sde import INTEGRATORS, LAMBDA_KINDS, SAMPLER_KINDS, SamplerSpec, VpSchedule
 
 _MIXTURE_SCHEMA = {
@@ -257,11 +257,6 @@ class ExperimentConfig:
 
     def to_dict(self):
         return copy.deepcopy(self.raw)
-
-    def without_output_dir(self):
-        d = self.to_dict()
-        d.pop("output_dir")
-        return d
 
 
 def config_hash(cfg: ExperimentConfig):

@@ -15,10 +15,13 @@ the variant:
     interpolated      dsm for t < tau, tiw for t >= tau
 
 ratio_form chooses which ratio feeds the variant: "tilde" uses the pooled
-half/half ratio (2 sigmoid of the logit; the practical form trained on the
-full observed set), "plain" the direct bias-vs-data ratio (exp of the
-logit; the form whose weight-only / correction-only fixed points are the
-biased and unbiased scores respectively). An exact-quadrature oracle loss
+half/half ratio (the practical form trained on the full observed set),
+"plain" the direct bias-vs-data ratio (the form whose weight-only /
+correction-only fixed points are the biased and unbiased scores
+respectively). The (weight, c) pair itself comes from
+RatioModel.weight_and_correction. tiw_dsm is tiw_alpha at a = 1; only
+tiw_alpha, the two ablations and interpolated read alpha, and only
+interpolated reads tau. An exact-quadrature oracle loss
 is provided for verifying that the reweighted objective's parameter
 gradient coincides with classical score matching against the clean data
 density.
@@ -32,18 +35,20 @@ import numpy as np
 from .errors import ContractError, InputError, NumericalError
 from .mixture import GaussianMixture
 from .net import Mlp, adam_step, init_optim
-from .ratio import DatasetSplit, RatioModel, tilde_terms
+from .ratio import RATIO_FORMS, DatasetSplit, RatioModel
 from .sde import LAMBDA_KINDS, VpSchedule, lambda_weight
 
 OBJECTIVE_KINDS = ("dsm", "sm_oracle", "iw_dsm", "tiw_dsm", "tiw_alpha",
                    "weight_only", "correction_only", "interpolated")
 STREAMS = ("bias", "ref", "obs")
-RATIO_FORMS = ("tilde", "plain")
 OBS_STREAMS = ("empirical", "balanced")
 LR_DECAYS = ("cosine", "none")
 
-_RATIO_KINDS = ("iw_dsm", "tiw_dsm", "tiw_alpha", "weight_only",
-                "correction_only", "interpolated")
+# the ratio each kind reads: the t=0 one (True) or the time-dependent one
+# (False); kinds missing here read none
+RATIO_READERS = {"iw_dsm": True, "tiw_dsm": False, "tiw_alpha": False,
+                 "weight_only": False, "correction_only": False,
+                 "interpolated": False}
 _KIND_DEFAULT_STREAM = {"weight_only": "bias", "correction_only": "bias"}
 _KIND_DEFAULT_FORM = {"weight_only": "plain", "correction_only": "plain"}
 
@@ -57,8 +62,6 @@ class ObjectiveSpec:
     stream: str = None
     ratio_form: str = None
     ratio: RatioModel = None
-    t_min: float = None
-    t_max: float = None
 
     def __post_init__(self):
         if self.kind not in OBJECTIVE_KINDS:
@@ -75,9 +78,12 @@ class ObjectiveSpec:
             raise InputError(f"ratio_form must be one of {RATIO_FORMS}")
         if self.alpha < 0.0:
             raise InputError("alpha must be >= 0")
+        if self.kind == "tiw_dsm" and self.alpha != 1.0:
+            raise InputError("tiw_dsm is tiw_alpha at alpha = 1; use kind tiw_alpha "
+                             f"for alpha = {self.alpha!r}")
         if self.tau < 0.0:
             raise InputError("tau must be >= 0")
-        if self.kind in _RATIO_KINDS and self.ratio is None:
+        if self.kind in RATIO_READERS and self.ratio is None:
             raise InputError(f"objective kind {self.kind!r} requires a ratio model")
 
 
@@ -91,19 +97,6 @@ class LossSample:
     noise: np.ndarray
     loss: float
     weight: float
-
-
-def _ratio_terms(rm: RatioModel, X_t, ts, alpha, form):
-    """(weight, correction) arrays for the reweighted objectives."""
-    h, grad_h = rm.logit_and_grad(X_t, ts)
-    if form == "tilde":
-        w, g = tilde_terms(h, grad_h, alpha)
-    else:
-        w = np.exp(alpha * h)
-        g = alpha * grad_h
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(g))):
-        raise NumericalError("non-finite density-ratio term in objective")
-    return w, g
 
 
 def _batch_terms(net, X0, ts, eps, sched, spec: ObjectiveSpec, iw_weights=None):
@@ -123,17 +116,17 @@ def _batch_terms(net, X0, ts, eps, sched, spec: ObjectiveSpec, iw_weights=None):
         if iw_weights is None:
             raise ContractError("iw_dsm needs per-sample t=0 weights")
         weights = np.broadcast_to(np.asarray(iw_weights, dtype=np.float64), (B,))
-    elif kind in ("tiw_dsm", "tiw_alpha", "weight_only", "correction_only"):
-        w, g = _ratio_terms(spec.ratio, X_t, ts, spec.alpha, spec.ratio_form)
+    elif kind in RATIO_READERS:
+        w, g = spec.ratio.weight_and_correction(X_t, ts, spec.ratio_form, spec.alpha)
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(g))):
+            raise NumericalError("non-finite density-ratio term in objective")
+        if kind == "interpolated":
+            tiw_side = ts >= spec.tau
+            w, g = np.where(tiw_side, w, 1.0), np.where(tiw_side[:, None], g, 0.0)
         if kind != "correction_only":
             weights = w
         if kind != "weight_only":
             corr = g
-    elif kind == "interpolated":
-        w, g = _ratio_terms(spec.ratio, X_t, ts, spec.alpha, spec.ratio_form)
-        tiw_side = ts >= spec.tau
-        weights = np.where(tiw_side, w, 1.0)
-        corr = np.where(tiw_side[:, None], g, 0.0)
 
     out, cache = net.forward(X_t, ts, want_cache=True)
     resid = out - target - corr
@@ -255,11 +248,10 @@ def mc_loss_gradient(net, spec: ObjectiveSpec, sched, base_mixture: GaussianMixt
     evaluations. With variance_reduction the kernel noise comes in
     antithetic, second-moment-matched pairs (n//2 base points evaluated at
     +-eps), which sharpens gradient-equivalence comparisons several-fold.
-    The [t_min, t_max] range factor is included, making the result directly
+    The [t_eps, T] range factor is included, making the result directly
     comparable with the quadrature loss.
     """
-    t_lo = spec.t_min if spec.t_min is not None else sched.t_eps
-    t_hi = spec.t_max if spec.t_max is not None else sched.T
+    t_lo, t_hi = sched.t_eps, sched.T
     m = n // 2 if variance_reduction else n
     x0 = base_mixture.sample(m, seed=[seed, 1])
     rng_t = np.random.default_rng([seed, 2])
@@ -289,10 +281,8 @@ def mc_loss_gradient(net, spec: ObjectiveSpec, sched, base_mixture: GaussianMixt
 
 def _iw_weights(spec: ObjectiveSpec, points):
     """Importance weights at t=0, cached per data point for iw_dsm."""
-    rm = spec.ratio
-    if spec.ratio_form == "tilde":
-        return rm.ratio_tilde(points, 0.0)
-    return rm.ratio_w(points, 0.0)
+    return spec.ratio.weight_and_correction(points, 0.0, spec.ratio_form,
+                                            want_grad=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +337,7 @@ def train_score(data: DatasetSplit, spec: ObjectiveSpec, sched: VpSchedule,
         raise InputError(f"lr_decay must be one of {LR_DECAYS}")
     obs_stream = cfg.obs_stream
     if obs_stream is None:
-        tilde_ratio = spec.kind in _RATIO_KINDS and spec.ratio_form == "tilde"
+        tilde_ratio = spec.kind in RATIO_READERS and spec.ratio_form == "tilde"
         obs_stream = "balanced" if tilde_ratio else "empirical"
     rng = np.random.default_rng(cfg.seed)
     pool = _stream_points(data, spec.stream)
@@ -362,8 +352,6 @@ def train_score(data: DatasetSplit, spec: ObjectiveSpec, sched: VpSchedule,
               time_embed=cfg.time_embed, n_frequencies=cfg.n_frequencies,
               seed=cfg.seed)
     state = init_optim(net.n_params, learning_rate=cfg.learning_rate)
-    t_lo = spec.t_min if spec.t_min is not None else sched.t_eps
-    t_hi = spec.t_max if spec.t_max is not None else sched.T
 
     telemetry = []
     writer = ctx = None
@@ -383,7 +371,7 @@ def train_score(data: DatasetSplit, spec: ObjectiveSpec, sched: VpSchedule,
             else:
                 idx = rng.integers(0, n_pool, cfg.batch_size)
             x0 = pool[idx]
-            ts = rng.uniform(t_lo, t_hi, cfg.batch_size)
+            ts = rng.uniform(sched.t_eps, sched.T, cfg.batch_size)
             eps = rng.standard_normal((cfg.batch_size, dim))
             losses, outgrad, cache, weights, _ = _batch_terms(
                 net, x0, ts, eps, sched, spec,

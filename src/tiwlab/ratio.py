@@ -14,10 +14,12 @@ pairs and is used to calibrate everything the learned one does.
 
 Learned ratios clamp the logit to +-ln(1000) before exponentiation, which
 caps w in [1e-3, 1e3]; an overconfident discriminator otherwise produces
-weights that blow up downstream losses. The clamp is applied consistently
-to w and w~ so the algebraic identity w~ = 2w/(1+w) survives it, and to
-the gradients: they are derivatives of the clamped logit, zero wherever
-the clamp binds.
+weights that blow up downstream losses. The clamp is applied once, in
+RatioModel.logit_and_grad, so w and w~ share it (the algebraic identity
+w~ = 2w/(1+w) survives it) and so do the gradients: they are derivatives
+of the clamped logit, zero wherever the clamp binds. Every weight and
+correction, objectives' included, comes from RatioModel.weight_and_correction;
+the named accessors are views of it.
 """
 
 from dataclasses import dataclass, field
@@ -35,6 +37,7 @@ from .net import Mlp, _sigmoid, adam_step, init_optim, load_net, save_net
 from .sde import VpSchedule, lambda_weight
 
 RATIO_KINDS = ("learned", "oracle")
+RATIO_FORMS = ("tilde", "plain")
 LOGIT_CLAMP = float(np.log(1000.0))
 LOG_FLOOR = float(np.log(1e-300))
 
@@ -101,14 +104,12 @@ class RatioModel:
     def dim(self):
         return self.net.input_dim if self.kind == "learned" else self.p_num.dim
 
-    def _times(self, x, t):
-        return 0.0 if self.time_independent else t
-
-    # -- core accessors ------------------------------------------------------
+    # -- core ----------------------------------------------------------------
 
     def _raw_logit(self, x, t, want_grad):
         """Unclamped logit and, when asked, its x-gradient (else None)."""
-        t = self._times(x, t)
+        if self.time_independent:
+            t = 0.0
         if self.kind == "learned":
             if want_grad:
                 out, grad = self.net.value_and_input_gradient(x, t)
@@ -123,45 +124,58 @@ class RatioModel:
                 perturbed_score_batch(self.p_den, self.sched, x, t)
         return np.maximum(lnum, LOG_FLOOR) - np.maximum(lden, LOG_FLOOR), grad
 
-    def logit(self, x, t):
-        """Raw log-ratio estimate (unclamped)."""
-        return self._raw_logit(x, t, want_grad=False)[0]
-
-    def _effective_logit(self, x, t):
-        h = self.logit(x, t)
-        if self.kind == "learned":
-            h = np.clip(h, -self.logit_clamp, self.logit_clamp)
-        return h
-
-    def logit_and_grad(self, x, t):
+    def logit_and_grad(self, x, t, want_grad=True):
         """(log w, grad log w) from one forward and one input backward pass.
 
         Learned: the clamped logit and its x-gradient, which is zero where
         the clamp binds. Oracle: the log-density and score differences.
+        Without want_grad the gradient is None and no backward pass runs.
         """
-        h, grad = self._raw_logit(x, t, want_grad=True)
+        h, grad = self._raw_logit(x, t, want_grad)
         if self.kind == "learned":
-            grad = grad * (np.abs(h) <= self.logit_clamp)[..., None]
+            if want_grad:
+                grad = grad * (np.abs(h) <= self.logit_clamp)[..., None]
             h = np.clip(h, -self.logit_clamp, self.logit_clamp)
         return h, grad
 
+    def weight_and_correction(self, x, t, form="tilde", alpha=1.0, want_grad=True):
+        """(weight, grad log weight) of the ratio form raised to alpha.
+
+        form "tilde": w~^a = 2 sigmoid(a h), gradient a (1 - sigmoid(a h)) grad h;
+        form "plain": w^a = exp(a h), gradient a grad h. Both read the clamped
+        logit h of logit_and_grad; the gradient is None without want_grad.
+        """
+        if alpha < 0.0:
+            raise InputError("alpha must be >= 0")
+        if form not in RATIO_FORMS:
+            raise InputError(f"ratio form must be one of {RATIO_FORMS}")
+        h, grad = self.logit_and_grad(x, t, want_grad)
+        if form == "tilde":
+            s = _sigmoid(alpha * h)
+            return 2.0 * s, None if grad is None else (alpha * (1.0 - s))[..., None] * grad
+        return np.exp(alpha * h), None if grad is None else alpha * grad
+
+    # -- accessors -------------------------------------------------------------
+
+    def logit(self, x, t):
+        """Raw log-ratio estimate (unclamped)."""
+        return self._raw_logit(x, t, want_grad=False)[0]
+
     def log_ratio_w(self, x, t):
         """log w, which IS the (clamped) logit: no exp/log round trip."""
-        return self._effective_logit(x, t)
+        return self.logit_and_grad(x, t, want_grad=False)[0]
 
     def ratio_w(self, x, t):
         """w = p_num^t / p_den^t; learned values are capped to [1e-3, 1e3]."""
-        return np.exp(self._effective_logit(x, t))
+        return self.weight_and_correction(x, t, "plain", want_grad=False)[0]
 
     def ratio_tilde(self, x, t):
         """Ratio against the pooled half/half mixture: 2w/(1+w) in (0, 2)."""
-        return 2.0 * _sigmoid(self._effective_logit(x, t))
+        return self.weight_and_correction(x, t, want_grad=False)[0]
 
     def ratio_tilde_alpha(self, x, t, alpha):
         """Confidence-scaled pooled ratio 2 w^a / (1 + w^a); a=0 gives 1."""
-        if alpha < 0.0:
-            raise InputError("alpha must be >= 0")
-        return 2.0 * _sigmoid(alpha * self._effective_logit(x, t))
+        return self.weight_and_correction(x, t, alpha=alpha, want_grad=False)[0]
 
     def grad_log_w(self, x, t):
         """Gradient of log w in x; for the oracle this is the score difference."""
@@ -169,18 +183,7 @@ class RatioModel:
 
     def grad_log_tilde(self, x, t, alpha=1.0):
         """Gradient of log(2 w^a / (1 + w^a)): a (1 - sigmoid(a h)) grad h."""
-        if alpha < 0.0:
-            raise InputError("alpha must be >= 0")
-        if alpha == 0.0:
-            x = np.asarray(x, dtype=np.float64)
-            return np.zeros_like(x)
-        return tilde_terms(*self.logit_and_grad(x, t), alpha)[1]
-
-
-def tilde_terms(h, grad_h, alpha):
-    """(w~^a, grad log w~^a) from log w = h and its gradient grad_h."""
-    s = _sigmoid(alpha * h)
-    return 2.0 * s, (alpha * (1.0 - s))[..., None] * grad_h
+        return self.weight_and_correction(x, t, alpha=alpha)[1]
 
 
 def oracle_ratio_model(p_num, p_den, sched, time_independent=False):
@@ -304,12 +307,15 @@ def dre_mse(rm: RatioModel, oracle_rm: RatioModel, eval_mix: GaussianMixture,
 
 @dataclass
 class DreScan:
-    """Per-time ratio errors for both discriminators plus the integral ratio."""
+    """Per-time ratio errors for both discriminators, their integrals and
+    the integral ratio."""
 
     ratio: float
     grid: np.ndarray
     mse_time_dep: np.ndarray
     mse_time_indep: np.ndarray
+    integral_time_dep: float
+    integral_time_indep: float
 
     @property
     def per_t(self):
@@ -347,7 +353,8 @@ def integrated_dre_error(rm_time_dep: RatioModel, rm_time_indep: RatioModel,
         raise InputError("time-independent error integral is degenerate (zero)")
     else:
         ratio = int_dep / int_indep
-    return DreScan(ratio=ratio, grid=grid, mse_time_dep=mse_dep, mse_time_indep=mse_indep)
+    return DreScan(ratio=ratio, grid=grid, mse_time_dep=mse_dep, mse_time_indep=mse_indep,
+                   integral_time_dep=int_dep, integral_time_indep=int_indep)
 
 
 # ---------------------------------------------------------------------------

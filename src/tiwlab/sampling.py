@@ -58,7 +58,7 @@ def _resolve_score_fn(job: GenerationJob):
 
     def score_fn(X, t):
         return net.forward(X, t)
-    return score_fn, net.input_dim, {"source": str(src),
+    return score_fn, net.input_dim, {"source": Path(src).name,
                                      "source_hash": _checkpoint_hash(src)}
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tiwlab.cli import main
+from tiwlab.cli import _objective_spec, main
 from tiwlab.config import (
     DEFAULT_CONFIG,
     ExperimentConfig,
@@ -12,7 +12,7 @@ from tiwlab.config import (
     load_config,
 )
 from tiwlab.errors import ConfigError
-from tiwlab.net import ACTIVATIONS, TIME_EMBEDS
+from tiwlab.net import ACTIVATIONS, TIME_EMBEDS, load_net
 from tiwlab.objectives import LR_DECAYS, OBJECTIVE_KINDS, OBS_STREAMS, RATIO_FORMS, STREAMS
 from tiwlab.ratio import RATIO_KINDS
 from tiwlab.sampling import read_samples_csv
@@ -198,6 +198,11 @@ def test_dre_curve_grid_increasing(tiny_config):
     assert np.all(rows[:, 1:] >= 0)
     summary = json.loads((out / "dre_summary.json").read_text())
     assert summary["integrated_ratio"] >= 0
+    # the integrals are those of the written curve, and their ratio is the headline
+    assert summary["integral_time_dep"] == np.trapezoid(rows[:, 1], rows[:, 0])
+    assert summary["integral_time_indep"] == np.trapezoid(rows[:, 2], rows[:, 0])
+    assert summary["integrated_ratio"] == \
+        summary["integral_time_dep"] / summary["integral_time_indep"]
 
 
 def test_debias_report_lists_artifacts(tiny_config):
@@ -223,6 +228,67 @@ def test_debias_byte_deterministic(tiny_config, tmp_path):
     main(["debias", "--config", str(config)])
     assert (out / "eval_rows.csv").read_bytes() == rows_first
     assert (out / "disc.ckpt").read_bytes() == disc_first
+
+
+def test_named_baselines_ignore_objective_alpha(tiny_config):
+    config, out = tiny_config()
+    argv = ["debias", "--all-baselines", "--config", str(config),
+            "--set", "objective.ratio=oracle"]
+    assert main(argv) == 0
+    alpha_one = (out / "tiw_dsm" / "score.ckpt").read_bytes()
+    assert main(argv + ["--set", "objective.alpha=0.5"]) == 0
+    assert (out / "tiw_dsm" / "score.ckpt").read_bytes() == alpha_one
+
+
+def test_configured_tiw_dsm_rejects_alpha(tiny_config, capsys):
+    config, _ = tiny_config()
+    main(["gen-data", "--config", str(config)])
+    argv = ["train-score", "--config", str(config), "--set", "objective.ratio=oracle",
+            "--set", "score_train.steps=5"]
+    assert main(argv + ["--set", "objective.alpha=0.5"]) == 2
+    assert "tiw_alpha" in capsys.readouterr().err
+    assert main(argv + ["--set", "objective.alpha=0.5",
+                        "--set", "objective.kind=tiw_alpha"]) == 0
+
+
+@pytest.fixture(scope="module")
+def disc_run(tmp_path_factory):
+    """Tiny config with data and both discriminators already trained."""
+    import yaml
+
+    root = tmp_path_factory.mktemp("kinds")
+    config = root / "config.yaml"
+    config.write_text(yaml.safe_dump({
+        "output_dir": str(root / "out"),
+        "split": {"n_bias": 150, "n_ref": 30},
+        "disc_train": {"steps": 20, "batch_size": 64},
+        "score_train": {"steps": 10, "batch_size": 32, "telemetry_every": 5},
+    }))
+    for argv in (["gen-data"], ["train-disc"], ["train-disc", "--time-independent"]):
+        assert main(argv + ["--config", str(config)]) == 0
+    return config, root / "out"
+
+
+@pytest.mark.parametrize("ratio", RATIO_KINDS)
+@pytest.mark.parametrize("kind", [k for k in OBJECTIVE_KINDS if k != "sm_oracle"])
+def test_train_score_every_objective_kind(kind, ratio, disc_run):
+    config, out = disc_run
+    overrides = [f"objective.kind={kind}", f"objective.ratio={ratio}"]
+    if kind != "tiw_dsm":
+        overrides += ["objective.alpha=0.5", "objective.tau=0.3"]
+    argv = ["train-score", "--config", str(config)]
+    assert main(argv + [a for o in overrides for a in ("--set", o)]) == 0
+    _, header = load_net(out / f"score_{kind}.ckpt")
+    assert header["objective"] == kind
+    assert (out / f"telemetry_{kind}.csv").read_text().count("\n") == 3
+
+    spec = _objective_spec(load_config(config, overrides))
+    if kind == "dsm":
+        assert spec.ratio is None
+    else:
+        assert spec.ratio.kind == ratio
+        assert spec.ratio.time_independent == (kind == "iw_dsm")
+        assert spec.alpha == (1.0 if kind == "tiw_dsm" else 0.5)
 
 
 def test_sweep_alpha_identities_and_ordering(tiny_config):

@@ -15,7 +15,6 @@ from tiwlab.objectives import (
     ObjectiveSpec,
     QuadratureGrid,
     ScoreTrainConfig,
-    _ratio_terms,
     loss_sm_oracle,
     mc_loss_gradient,
     persample_loss,
@@ -168,12 +167,17 @@ def test_ratio_terms_match_accessors(kind, sched, oracle_1d):
     X = rng.normal(scale=3.0, size=(40, 1))
     ts = rng.uniform(0.05, 0.95, 40)
     for alpha in (0.5, 1.0):
-        w, g = _ratio_terms(rm, X, ts, alpha, "tilde")
+        w, g = rm.weight_and_correction(X, ts, "tilde", alpha)
         np.testing.assert_allclose(w, rm.ratio_tilde_alpha(X, ts, alpha), rtol=1e-12)
         np.testing.assert_allclose(g, rm.grad_log_tilde(X, ts, alpha), rtol=1e-12)
-        w, g = _ratio_terms(rm, X, ts, alpha, "plain")
+        w_tilde, g_tilde = w, g
+        w, g = rm.weight_and_correction(X, ts, "plain", alpha)
         np.testing.assert_allclose(w, np.exp(alpha * rm.log_ratio_w(X, ts)), rtol=1e-12)
         np.testing.assert_allclose(g, alpha * rm.grad_log_w(X, ts), rtol=1e-12)
+        # the two forms agree: w~^a = 2 w^a / (1 + w^a), grad log w~^a = (1 - w~^a / 2) grad log w^a
+        np.testing.assert_allclose(w_tilde, 2.0 * w / (1.0 + w), rtol=1e-12)
+        np.testing.assert_allclose(g_tilde, (1.0 - w_tilde / 2.0)[:, None] * g,
+                                   rtol=1e-9, atol=1e-15)
 
 
 def test_interpolated_piecewise(sched, oracle_1d):
@@ -206,6 +210,15 @@ def test_spec_requires_ratio():
         ObjectiveSpec(kind="tiw_dsm", ratio=None)
     with pytest.raises(InputError):
         ObjectiveSpec(kind="dsm", stream="nowhere")
+
+
+def test_tiw_dsm_is_alpha_one_only(oracle_1d):
+    # tiw_dsm is tiw_alpha at alpha = 1; any other alpha is a different objective
+    assert ObjectiveSpec(kind="tiw_dsm", alpha=1.0, ratio=oracle_1d).alpha == 1.0
+    for alpha in (0.0, 0.5, 2.0):
+        with pytest.raises(InputError, match="tiw_alpha"):
+            ObjectiveSpec(kind="tiw_dsm", alpha=alpha, ratio=oracle_1d)
+        ObjectiveSpec(kind="tiw_alpha", alpha=alpha, ratio=oracle_1d)
 
 
 # ---------------------------------------------------------------------------

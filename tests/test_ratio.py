@@ -233,6 +233,16 @@ def test_grad_tilde_alpha_zero_is_zero(random_disc, oracle):
         assert rm.ratio_tilde_alpha(x, 0.4, 0.0) == 1.0
 
 
+def test_weight_and_correction_rejects_bad_alpha_and_form(random_disc, oracle):
+    x = np.array([0.7, -1.1])
+    for rm in (random_disc, oracle):
+        with pytest.raises(InputError, match="alpha"):
+            rm.weight_and_correction(x, 0.4, alpha=-0.5)
+        with pytest.raises(InputError, match="form"):
+            rm.weight_and_correction(x, 0.4, form="exp")
+        assert rm.weight_and_correction(x, 0.4, want_grad=False)[1] is None
+
+
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------

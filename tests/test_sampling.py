@@ -54,6 +54,21 @@ def test_checkpoint_source_and_provenance(sched, tmp_path):
     assert (tmp_path / "run" / "provenance.json").exists()
 
 
+def test_provenance_does_not_depend_on_the_output_directory(sched, tmp_path):
+    net = Mlp(2, [8], 2, seed=5)
+    records = []
+    for run in ("a", "b"):
+        path = tmp_path / run / "score.ckpt"
+        path.parent.mkdir()
+        save_net(net, path, extra={"role": "score"})
+        generate(GenerationJob(score_source=path, sched=sched,
+                               spec=SamplerSpec(steps=10, seed=6), n=8,
+                               output=path.parent))
+        records.append((path.parent / "provenance.json").read_bytes())
+    assert records[0] == records[1]
+    assert b'"source": "score.ckpt"' in records[0]
+
+
 def test_corrupt_checkpoint_reports_field(sched, tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"garbage-not-a-checkpoint")
