@@ -16,23 +16,23 @@ byte. Commands compose through files in the configured output directory:
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, artifacts
 from .config import (
     ExperimentConfig,
     RunReport,
     StageTimer,
+    apply_overrides,
     config_hash,
     load_config,
 )
-from .errors import EXIT_CODES, InputError, IoError, TiwlabError
+from .errors import EXIT_CODES, InputError, TiwlabError
 from .metrics import evaluate_samples
-from .net import save_net
+from .net import Mlp, save_net
 from .objectives import (
     RATIO_READERS,
     ObjectiveSpec,
@@ -64,16 +64,6 @@ SCORE_CKPT = "score_{}.ckpt"  # per objective name, for train-score and sample
 # shared plumbing
 # ---------------------------------------------------------------------------
 
-def _write_csv(path, header, rows):
-    try:
-        with open(path, "w", newline="") as f:
-            f.write(",".join(header) + "\n")
-            for row in rows:
-                f.write(",".join(row) + "\n")
-    except OSError as e:
-        raise IoError(f"cannot write {path}: {e}") from e
-
-
 def _fmt(value):
     return repr(float(value))
 
@@ -88,13 +78,13 @@ def _load_split(cfg: ExperimentConfig) -> DatasetSplit:
                         ref_points=read_samples_csv(ref_path))
 
 
-def _disc_cfg(cfg: ExperimentConfig, time_dependent=True) -> DiscTrainConfig:
+def _disc_cfg(cfg: ExperimentConfig, time_independent=False) -> DiscTrainConfig:
     t = cfg.raw["disc_train"]
     n = cfg.raw["disc_net"]
     return DiscTrainConfig(
         steps=t["steps"], batch_size=t["batch_size"],
         learning_rate=t["learning_rate"], seed=cfg.seeds["disc"],
-        time_dependent=time_dependent, hidden=tuple(n["hidden"]),
+        time_independent=time_independent, hidden=tuple(n["hidden"]),
         activation=n["activation"], time_embed=n["time_embed"],
         n_frequencies=n["n_frequencies"], lambda_prime=t["lambda_prime"],
         holdout_fraction=t["holdout_fraction"])
@@ -147,8 +137,7 @@ def _objective_spec(cfg: ExperimentConfig, baseline=None) -> ObjectiveSpec:
 def _train_disc(cfg: ExperimentConfig, split, time_independent):
     """Train one discriminator and save it under its checkpoint name."""
     path = cfg.output_dir / DISC_CKPT[time_independent]
-    rm = train_discriminator(split, cfg.schedule,
-                             _disc_cfg(cfg, time_dependent=not time_independent))
+    rm = train_discriminator(split, cfg.schedule, _disc_cfg(cfg, time_independent))
     save_ratio_model(rm, path)
     return rm, path
 
@@ -183,7 +172,6 @@ def _oracle_reference(cfg):
 
 def _score_run(cfg, split, spec, sub, label, report, oracle_ref, objective=None):
     """Train a score network into sub/, sample from it, evaluate the samples."""
-    sub.mkdir(parents=True, exist_ok=True)
     telemetry, ckpt = sub / "telemetry.csv", sub / "score.ckpt"
     with StageTimer(report, f"train-score[{label}]"):
         net = train_score(split, spec, cfg.schedule, _score_cfg(cfg, telemetry))
@@ -207,7 +195,6 @@ def _score_run(cfg, split, spec, sub, label, report, oracle_ref, objective=None)
 
 def cmd_gen_data(cfg: ExperimentConfig):
     out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     bias = cfg.mixture("bias").sample(cfg.raw["split"]["n_bias"],
                                       seed=[cfg.seeds["data"], 0])
     ref = cfg.mixture("data").sample(cfg.raw["split"]["n_ref"],
@@ -260,11 +247,10 @@ def cmd_sample(cfg: ExperimentConfig, source=None):
 
 def cmd_eval(cfg: ExperimentConfig, samples_path=None, label="run"):
     out = cfg.output_dir
-    samples = read_samples_csv(Path(samples_path) if samples_path
-                               else out / "samples.csv")
+    samples = read_samples_csv(samples_path or out / "samples.csv")
     report = evaluate_samples(samples, _oracle_reference(cfg),
                               cfg.mixture("data"), notes=label)
-    _write_csv(out / "eval.csv", report.csv_header(), [report.csv_row()])
+    artifacts.write_csv(out / "eval.csv", report.csv_header(), [report.csv_row()])
     print(f"bias {report.bias:.4f}, proportions "
           f"{np.array2string(report.proportions, precision=4)}, "
           f"energy distance {report.energy_distance:.5f}")
@@ -274,7 +260,6 @@ def cmd_eval(cfg: ExperimentConfig, samples_path=None, label="run"):
 def cmd_repro_fig2(cfg: ExperimentConfig):
     """Ratio-error curve of time-dependent vs single-time discriminators."""
     out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     split = _load_split(cfg)
     rm_dep, _ = _train_disc(cfg, split, time_independent=False)
     rm_indep, _ = _train_disc(cfg, split, time_independent=True)
@@ -283,17 +268,15 @@ def cmd_repro_fig2(cfg: ExperimentConfig):
                                 np.asarray(cfg.raw["eval"]["dre_grid"]),
                                 n=cfg.raw["eval"]["dre_n"],
                                 seed=cfg.seeds["eval"])
-    _write_csv(out / "dre_curve.csv",
-               ["t", "mse_time_dep", "mse_time_indep"],
-               [[_fmt(t), _fmt(a), _fmt(b)] for t, a, b in scan.per_t])
+    artifacts.write_csv(out / "dre_curve.csv", ["t", "mse_time_dep", "mse_time_indep"],
+                        [[_fmt(t), _fmt(a), _fmt(b)] for t, a, b in scan.per_t])
     summary = {
         "integrated_ratio": scan.ratio,
         "integral_time_dep": scan.integral_time_dep,
         "integral_time_indep": scan.integral_time_indep,
         "config_hash": config_hash(cfg),
     }
-    (out / "dre_summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    artifacts.write_json(out / "dre_summary.json", summary)
     print(f"integrated error ratio (time-dep / time-indep): {scan.ratio:.4f}")
     print(f"wrote {out / 'dre_curve.csv'} and {out / 'dre_summary.json'}")
     return 0
@@ -302,7 +285,6 @@ def cmd_repro_fig2(cfg: ExperimentConfig):
 def cmd_repro_fig3(cfg: ExperimentConfig):
     """Vector-field lattices of the two scores and the ratio correction at t=0."""
     out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     bias, data = cfg.mixture("bias"), cfg.mixture("data")
     if bias.dim != 2:
         raise InputError("field lattices are only defined for 2-D mixtures")
@@ -320,13 +302,12 @@ def cmd_repro_fig3(cfg: ExperimentConfig):
         return [[_fmt(x[0]), _fmt(x[1])] + [_fmt(v) for v in np.atleast_1d(val)]
                 for x, val in zip(lattice, values)]
 
-    _write_csv(out / "field_score_bias.csv", ["x0", "x1", "v0", "v1"],
-               field_rows(score_bias))
-    _write_csv(out / "field_score_data.csv", ["x0", "x1", "v0", "v1"],
-               field_rows(score_data))
-    _write_csv(out / "field_grad_log_w.csv", ["x0", "x1", "v0", "v1"],
-               field_rows(grad_w))
-    _write_csv(out / "field_w.csv", ["x0", "x1", "w"], field_rows(w))
+    vector = ["x0", "x1", "v0", "v1"]
+    for name, header, values in (("field_score_bias", vector, score_bias),
+                                 ("field_score_data", vector, score_data),
+                                 ("field_grad_log_w", vector, grad_w),
+                                 ("field_w", ["x0", "x1", "w"], w)):
+        artifacts.write_csv(out / f"{name}.csv", header, field_rows(values))
     print(f"wrote 4 lattice files ({lattice.shape[0]} rows each) under {out}")
     return 0
 
@@ -355,8 +336,8 @@ def cmd_debias(cfg: ExperimentConfig, all_baselines=False):
               f"{ev.proportions[-1]:.4f}, energy distance {ev.energy_distance:.5f}")
 
     header = ["label"] + rows[0].csv_header()
-    _write_csv(out / "eval_rows.csv", header,
-               [[r.notes] + r.csv_row() for r in rows])
+    artifacts.write_csv(out / "eval_rows.csv", header,
+                        [[r.notes] + r.csv_row() for r in rows])
     report.add_artifact(out / "eval_rows.csv")
     report.write(out / "report.json")
     report.add_artifact(out / "report.json")
@@ -376,8 +357,8 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, alphas):
     _train_ratios(cfg, split, ["tiw_alpha"], report)
     rm = _ratio_for(cfg, "tiw_alpha")
 
-    checks = _endpoint_identity_checks(cfg, split, cfg.schedule, rm)
-    (out / "identity_checks.txt").write_text("".join(checks))
+    artifacts.write_text(out / "identity_checks.txt",
+                         _endpoint_identity_checks(cfg, split, rm))
 
     oracle_ref = _oracle_reference(cfg)
     rows = []
@@ -390,40 +371,35 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, alphas):
         rows.append((alpha, ev))
         print(f"alpha {alpha:g}: bias {ev.bias:.4f}, energy distance "
               f"{ev.energy_distance:.5f}")
-    _write_csv(out / "alpha_sweep.csv", ["alpha", "bias", "energy_distance"],
-               [[_fmt(a), _fmt(e.bias), _fmt(e.energy_distance)] for a, e in rows])
+    artifacts.write_csv(out / "alpha_sweep.csv", ["alpha", "bias", "energy_distance"],
+                        [[_fmt(a), _fmt(e.bias), _fmt(e.energy_distance)]
+                         for a, e in rows])
     report.write(out / "report.json")
     print(f"wrote {out / 'alpha_sweep.csv'}")
     return 0
 
 
-def _endpoint_identity_checks(cfg, split, sched, rm):
+def _endpoint_identity_checks(cfg, split, rm):
     """Per-sample identities at the sweep endpoints, logged for the record."""
+    sched, lam = cfg.schedule, cfg.raw["objective"]["lambda_kind"]
     rng = np.random.default_rng(cfg.seeds["score"])
     pool = split.pooled
     idx = rng.integers(0, pool.shape[0], 16)
-    lines = []
-    lam = cfg.raw["objective"]["lambda_kind"]
-    from .net import Mlp
     probe_net = Mlp(split.dim, [8], split.dim, seed=cfg.seeds["score"])
-    alpha0 = ObjectiveSpec(kind="tiw_alpha", alpha=0.0, lambda_kind=lam, ratio=rm)
-    alpha1 = ObjectiveSpec(kind="tiw_alpha", alpha=1.0, lambda_kind=lam, ratio=rm)
-    dsm = ObjectiveSpec(kind="dsm", lambda_kind=lam)
-    tiw = ObjectiveSpec(kind="tiw_dsm", lambda_kind=lam, ratio=rm)
-    worst0 = 0.0
-    worst1 = 0.0
+    # each endpoint alpha of tiw_alpha and the objective it must equal there
+    ends = ((0.0, ObjectiveSpec(kind="dsm", lambda_kind=lam)),
+            (1.0, ObjectiveSpec(kind="tiw_dsm", lambda_kind=lam, ratio=rm)))
+    worst = [0.0, 0.0]
     for x0 in pool[idx]:
         t = float(rng.uniform(sched.t_eps, sched.T))
         sample = (x0, t, rng.standard_normal(split.dim), sched)
-        worst0 = max(worst0, abs(persample_loss(probe_net, alpha0, *sample)
-                                 - persample_loss(probe_net, dsm, *sample)))
-        worst1 = max(worst1, abs(persample_loss(probe_net, alpha1, *sample)
-                                 - persample_loss(probe_net, tiw, *sample)))
-    lines.append(f"alpha=0 per-sample loss == dsm on shared batch: "
-                 f"max |diff| = {worst0!r} (exact identity expected)\n")
-    lines.append(f"alpha=1 per-sample loss == tiw_dsm on shared batch: "
-                 f"max |diff| = {worst1!r} (exact identity expected)\n")
-    return lines
+        for i, (alpha, same) in enumerate(ends):
+            scaled = ObjectiveSpec(kind="tiw_alpha", alpha=alpha, lambda_kind=lam, ratio=rm)
+            worst[i] = max(worst[i], abs(persample_loss(probe_net, scaled, *sample)
+                                         - persample_loss(probe_net, same, *sample)))
+    return "".join(f"alpha={alpha:g} per-sample loss == {same.kind} on shared batch: "
+                   f"max |diff| = {w!r} (exact identity expected)\n"
+                   for (alpha, same), w in zip(ends, worst))
 
 
 # ---------------------------------------------------------------------------
@@ -511,13 +487,8 @@ def _run_sample(cfg, args):
     if args.seed is not None:
         overrides.append(f"seeds.sample={args.seed}")
     if overrides:
-        cfg = ExperimentConfig(raw=_merge_overrides(cfg, overrides))
+        cfg = ExperimentConfig(raw=apply_overrides(cfg.to_dict(), overrides))
     return cmd_sample(cfg, args.source)
-
-
-def _merge_overrides(cfg, overrides):
-    from .config import apply_overrides
-    return apply_overrides(cfg.to_dict(), overrides)
 
 
 def _run_sweep(cfg, args):

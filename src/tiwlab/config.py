@@ -17,7 +17,8 @@ from pathlib import Path
 import jsonschema
 import yaml
 
-from .errors import ConfigError, IoError
+from . import artifacts
+from .errors import ConfigError
 from .mixture import GaussianMixture
 from .net import ACTIVATIONS, TIME_EMBEDS
 from .objectives import LR_DECAYS, OBJECTIVE_KINDS, OBS_STREAMS, STREAMS
@@ -110,7 +111,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "kind": {"enum": [k for k in OBJECTIVE_KINDS if k != "sm_oracle"]},
+                "kind": {"enum": list(OBJECTIVE_KINDS)},
                 "alpha": {"type": "number", "minimum": 0},
                 "tau": {"type": "number", "minimum": 0},
                 "lambda_kind": {"enum": list(LAMBDA_KINDS)},
@@ -268,10 +269,7 @@ def load_config(path=None, overrides=None):
     """Read a YAML config file (optional) and apply dotted overrides."""
     raw = {}
     if path is not None:
-        try:
-            text = Path(path).read_text()
-        except OSError as e:
-            raise IoError(f"cannot read config {path}: {e}") from e
+        text = artifacts.read_text(path)
         try:
             raw = yaml.safe_load(text) or {}
         except yaml.YAMLError as e:
@@ -296,7 +294,6 @@ class RunReport:
     metrics: list = field(default_factory=list)    # dict rows
     checkpoints: dict = field(default_factory=dict)
     artifacts: list = field(default_factory=list)  # every emitted file
-    notes: list = field(default_factory=list)
 
     def add_artifact(self, path):
         self.artifacts.append(str(path))
@@ -309,12 +306,8 @@ class RunReport:
             "metrics": self.metrics,
             "checkpoints": self.checkpoints,
             "artifacts": sorted(self.artifacts),
-            "notes": self.notes,
         }
-        try:
-            Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        except OSError as e:
-            raise IoError(f"cannot write run report {path}: {e}") from e
+        artifacts.write_json(path, payload)
 
 
 class StageTimer:

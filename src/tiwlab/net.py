@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import artifacts
 from .errors import ContractError, InputError, IoError
 
 ACTIVATIONS = ("tanh", "silu")
@@ -295,24 +296,14 @@ def save_net(net: Mlp, path, extra=None):
     if extra:
         header.update(extra)
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    try:
-        with open(path, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<H", CHECKPOINT_VERSION))
-            f.write(struct.pack("<I", len(blob)))
-            f.write(blob)
-            f.write(net.params.astype("<f8").tobytes())
-    except OSError as e:
-        raise IoError(f"cannot write checkpoint {path}: {e}") from e
+    artifacts.write_bytes(path, CHECKPOINT_MAGIC
+                          + struct.pack("<HI", CHECKPOINT_VERSION, len(blob))
+                          + blob + net.params.astype("<f8").tobytes())
 
 
 def load_net(path):
     """Read a checkpoint; returns (net, header dict)."""
-    try:
-        with open(path, "rb") as f:
-            raw = f.read()
-    except OSError as e:
-        raise IoError(f"cannot read checkpoint {path}: {e}") from e
+    raw = artifacts.read_bytes(path)
     if raw[:6] != CHECKPOINT_MAGIC:
         raise IoError(f"corrupt checkpoint {path}: bad magic field")
     if len(raw) < 12:

@@ -27,18 +27,18 @@ gradient coincides with classical score matching against the clean data
 density.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import artifacts
 from .errors import ContractError, InputError, NumericalError
 from .mixture import GaussianMixture
 from .net import Mlp, adam_step, init_optim
 from .ratio import RATIO_FORMS, DatasetSplit, RatioModel
 from .sde import LAMBDA_KINDS, VpSchedule, lambda_weight
 
-OBJECTIVE_KINDS = ("dsm", "sm_oracle", "iw_dsm", "tiw_dsm", "tiw_alpha",
+OBJECTIVE_KINDS = ("dsm", "iw_dsm", "tiw_dsm", "tiw_alpha",
                    "weight_only", "correction_only", "interpolated")
 STREAMS = ("bias", "ref", "obs")
 OBS_STREAMS = ("empirical", "balanced")
@@ -92,9 +92,7 @@ class LossSample:
     """One telemetry record: where a loss value came from."""
 
     step: int
-    x0: np.ndarray
     t: float
-    noise: np.ndarray
     loss: float
     weight: float
 
@@ -326,10 +324,9 @@ def train_score(data: DatasetSplit, spec: ObjectiveSpec, sched: VpSchedule,
     with empirical proportions unless cfg.obs_stream == "balanced", which
     picks the source set by a fair coin first. Deterministic in cfg.seed.
     Telemetry LossSamples land on the returned network (.telemetry) and,
-    when telemetry_path is set, in a CSV with columns step,t,weight,loss.
+    when telemetry_path is set, in a CSV with columns step,t,weight,loss,
+    written when the loop ends, also when it diverges.
     """
-    if spec.kind == "sm_oracle":
-        raise InputError("sm_oracle is a verification loss, not a trainable objective")
     cfg = cfg or ScoreTrainConfig()
     if cfg.obs_stream not in (None, *OBS_STREAMS):
         raise InputError(f"obs_stream must be one of {OBS_STREAMS}")
@@ -354,11 +351,6 @@ def train_score(data: DatasetSplit, spec: ObjectiveSpec, sched: VpSchedule,
     state = init_optim(net.n_params, learning_rate=cfg.learning_rate)
 
     telemetry = []
-    writer = ctx = None
-    if cfg.telemetry_path and cfg.telemetry_every:
-        ctx = open(cfg.telemetry_path, "w", newline="")
-        writer = csv.writer(ctx)
-        writer.writerow(["step", "t", "weight", "loss"])
     try:
         for step in range(cfg.steps):
             if balanced:
@@ -386,15 +378,13 @@ def train_score(data: DatasetSplit, spec: ObjectiveSpec, sched: VpSchedule,
                     1.0 + np.cos(np.pi * step / cfg.steps))
             adam_step(net.params, grads, state)
             if cfg.telemetry_every and step % cfg.telemetry_every == 0:
-                rec = LossSample(step=step, x0=x0[0].copy(), t=float(ts[0]),
-                                 noise=eps[0].copy(), loss=float(losses[0]),
-                                 weight=float(weights[0]))
-                telemetry.append(rec)
-                if writer is not None:
-                    writer.writerow([rec.step, repr(rec.t), repr(rec.weight),
-                                     repr(rec.loss)])
+                telemetry.append(LossSample(step=step, t=float(ts[0]),
+                                            loss=float(losses[0]),
+                                            weight=float(weights[0])))
     finally:
-        if ctx is not None:
-            ctx.close()
+        if cfg.telemetry_path and cfg.telemetry_every:
+            artifacts.write_csv(cfg.telemetry_path, ["step", "t", "weight", "loss"],
+                                [[str(r.step), repr(r.t), repr(r.weight), repr(r.loss)]
+                                 for r in telemetry])
     net.telemetry = telemetry
     return net

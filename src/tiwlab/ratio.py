@@ -201,7 +201,7 @@ class DiscTrainConfig:
     batch_size: int = 128
     learning_rate: float = 1e-3
     seed: int = 0
-    time_dependent: bool = True
+    time_independent: bool = False
     hidden: tuple = (64, 64, 64)
     activation: str = "silu"
     time_embed: str = "sinusoidal"
@@ -247,10 +247,10 @@ def train_discriminator(split: DatasetSplit, sched: VpSchedule,
             ref_train[rng.integers(0, ref_train.shape[0], half)],
             bias_train[rng.integers(0, bias_train.shape[0], half)],
         ])
-        if cfg.time_dependent:
-            t = rng.uniform(sched.t_eps, sched.T, 2 * half)
-        else:
+        if cfg.time_independent:
             t = np.zeros(2 * half)
+        else:
+            t = rng.uniform(sched.t_eps, sched.T, 2 * half)
         x_t = sched.forward_sample(x0, t, rng.standard_normal(x0.shape))
         out, cache = net.forward(x_t, t, want_cache=True)
         h = out[:, 0]
@@ -264,7 +264,7 @@ def train_discriminator(split: DatasetSplit, sched: VpSchedule,
         adam_step(net.params, grads, state)
 
     model = RatioModel(sched=sched, kind="learned", net=net,
-                       time_independent=not cfg.time_dependent)
+                       time_independent=cfg.time_independent)
     model.train_report = {
         "final_train_bce": last_loss,
         "steps": cfg.steps,
@@ -280,10 +280,10 @@ def _heldout_tbce(net, sched, ref_hold, bias_hold, cfg, seed, n_rounds=16):
     vals = []
     for _ in range(n_rounds):
         for points, label in ((ref_hold, 1.0), (bias_hold, 0.0)):
-            if cfg.time_dependent:
-                t = rng.uniform(sched.t_eps, sched.T, points.shape[0])
-            else:
+            if cfg.time_independent:
                 t = np.zeros(points.shape[0])
+            else:
+                t = rng.uniform(sched.t_eps, sched.T, points.shape[0])
             x_t = sched.forward_sample(points, t, rng.standard_normal(points.shape))
             h = net.forward(x_t, t)[:, 0]
             lam = lambda_weight(sched, t, cfg.lambda_prime)

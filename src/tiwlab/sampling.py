@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import artifacts
 from .errors import InputError, IoError
 from .mixture import GaussianMixture
 from .net import load_net
@@ -39,10 +40,7 @@ def _mixture_hash(gm: GaussianMixture):
 
 
 def _checkpoint_hash(path):
-    try:
-        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    except OSError as e:
-        raise IoError(f"cannot read checkpoint {path}: {e}") from e
+    return hashlib.sha256(artifacts.read_bytes(path)).hexdigest()
 
 
 def _resolve_score_fn(job: GenerationJob):
@@ -74,34 +72,22 @@ def generate(job: GenerationJob):
     }
     if job.output is not None:
         out = Path(job.output)
-        out.mkdir(parents=True, exist_ok=True)
         write_samples_csv(out / "samples.csv", samples)
-        try:
-            (out / "provenance.json").write_text(
-                json.dumps(provenance, sort_keys=True, indent=2) + "\n")
-        except OSError as e:
-            raise IoError(f"cannot write provenance record: {e}") from e
+        artifacts.write_json(out / "provenance.json", provenance)
     return samples, provenance
 
 
 def write_samples_csv(path, samples):
     samples = np.atleast_2d(samples)
-    header = ",".join(f"x{i}" for i in range(samples.shape[1]))
-    try:
-        with open(path, "w", newline="") as f:
-            f.write(header + "\n")
-            for row in samples:
-                f.write(",".join(repr(float(v)) for v in row) + "\n")
-    except OSError as e:
-        raise IoError(f"cannot write samples to {path}: {e}") from e
+    artifacts.write_csv(path, [f"x{i}" for i in range(samples.shape[1])],
+                        ([repr(float(v)) for v in row] for row in samples))
 
 
 def read_samples_csv(path):
+    header, _, body = artifacts.read_text(path).partition("\n")
+    if not header.startswith("x0"):
+        raise IoError(f"{path} is not a samples CSV (missing x0 header)")
     try:
-        with open(path) as f:
-            header = f.readline()
-            if not header.startswith("x0"):
-                raise IoError(f"{path} is not a samples CSV (missing x0 header)")
-            return np.loadtxt(f, delimiter=",", ndmin=2)
-    except OSError as e:
-        raise IoError(f"cannot read samples from {path}: {e}") from e
+        return np.loadtxt(body.splitlines(), delimiter=",", ndmin=2)
+    except ValueError as e:
+        raise IoError(f"{path} is not a samples CSV: {e}") from e

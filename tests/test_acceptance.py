@@ -70,7 +70,7 @@ def discriminators(cfg, setup2d):
                 seed=cfg.seeds["disc"], holdout_fraction=0.0)
     rm = train_discriminator(split, sched, DiscTrainConfig(**base))
     rm0 = train_discriminator(split, sched,
-                              DiscTrainConfig(**base, time_dependent=False))
+                              DiscTrainConfig(**base, time_independent=True))
     return rm, rm0
 
 

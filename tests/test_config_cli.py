@@ -72,7 +72,7 @@ ENUM_FIELDS = [
     ("disc_train.lambda_prime", LAMBDA_KINDS),
     ("score_train.obs_stream", ("auto", *OBS_STREAMS)),
     ("score_train.lr_decay", LR_DECAYS),
-    ("objective.kind", tuple(k for k in OBJECTIVE_KINDS if k != "sm_oracle")),
+    ("objective.kind", OBJECTIVE_KINDS),
     ("objective.lambda_kind", LAMBDA_KINDS),
     ("objective.stream", ("auto", *STREAMS)),
     ("objective.ratio_form", ("auto", *RATIO_FORMS)),
@@ -270,7 +270,7 @@ def disc_run(tmp_path_factory):
 
 
 @pytest.mark.parametrize("ratio", RATIO_KINDS)
-@pytest.mark.parametrize("kind", [k for k in OBJECTIVE_KINDS if k != "sm_oracle"])
+@pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
 def test_train_score_every_objective_kind(kind, ratio, disc_run):
     config, out = disc_run
     overrides = [f"objective.kind={kind}", f"objective.ratio={ratio}"]
@@ -327,3 +327,23 @@ def test_eval_command(tiny_config):
     text = (out / "eval.csv").read_text().splitlines()
     assert text[0].startswith("bias,proportion_0,proportion_1,energy_distance")
     assert text[1].endswith("oracle")
+
+
+@pytest.mark.parametrize("body", ["0.5,0.25\n0.5,oops\n", "0.5,0.25\n0.5\n"],
+                         ids=["non-numeric", "ragged"])
+def test_malformed_samples_csv_exits_5(tiny_config, capsys, body):
+    config, out = tiny_config()
+    bad = out.parent / "bad.csv"
+    bad.write_text("x0,x1\n" + body)
+    assert main(["eval", "--config", str(config), "--samples", str(bad)]) == 5
+    err = capsys.readouterr().err
+    assert "error[io]" in err and str(bad) in err
+
+
+def test_unwritable_json_artifact_exits_5(tiny_config, capsys):
+    config, out = tiny_config()
+    assert main(["gen-data", "--config", str(config)]) == 0
+    (out / "dre_summary.json").mkdir()
+    assert main(["repro-fig2", "--config", str(config)]) == 5
+    assert "dre_summary.json" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir() if p.name.endswith(".tmp")] == []

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -380,6 +382,24 @@ def test_train_telemetry_csv(tmp_path, sched, oned):
     assert len(net.telemetry) == 5
     assert isinstance(net.telemetry[0], LossSample)
     assert all(rec.weight > 0.0 and rec.loss >= 0.0 for rec in net.telemetry)
+
+
+def test_diverging_run_keeps_telemetry_up_to_the_failing_step(tmp_path, sched, oned):
+    bias, data = oned
+    split = DatasetSplit(bias_points=bias.sample(100, seed=26),
+                         ref_points=data.sample(20, seed=27))
+    path = tmp_path / "telemetry.csv"
+    cfg = ScoreTrainConfig(steps=50, learning_rate=1e6, seed=28, telemetry_every=1,
+                           telemetry_path=str(path))
+    with pytest.raises(NumericalError, match=r"at step (\d+)") as info:
+        train_score(split, ObjectiveSpec(kind="dsm", stream="obs"), sched, cfg)
+    failed = int(re.search(r"at step (\d+)", str(info.value)).group(1))
+    assert failed >= 1  # else there would be no row to keep
+    raw = path.read_bytes()
+    assert b"\r" not in raw
+    lines = raw.decode().splitlines()
+    assert lines[0] == "step,t,weight,loss"
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(failed))
 
 
 def test_sm_oracle_not_trainable(sched, oned):

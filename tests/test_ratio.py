@@ -278,7 +278,7 @@ def test_checkpoint_role_round_trip(tmp_path, sched_module, p_data_module, p_bia
     split = DatasetSplit(bias_points=p_bias_module.sample(100, seed=1),
                          ref_points=p_data_module.sample(40, seed=2))
     rm = train_discriminator(split, sched_module,
-                             DiscTrainConfig(steps=50, seed=4, time_dependent=False))
+                             DiscTrainConfig(steps=50, seed=4, time_independent=True))
     path = tmp_path / "disc.ckpt"
     save_ratio_model(rm, path)
     clone = load_ratio_model(path, sched_module)
