@@ -26,23 +26,15 @@ from .config import (
     ExperimentConfig,
     RunReport,
     StageTimer,
-    apply_overrides,
     config_hash,
     load_config,
 )
 from .errors import EXIT_CODES, InputError, TiwlabError
 from .metrics import evaluate_samples
 from .net import Mlp, save_net
-from .objectives import (
-    RATIO_READERS,
-    ObjectiveSpec,
-    ScoreTrainConfig,
-    persample_loss,
-    train_score,
-)
+from .objectives import RATIO_READERS, ObjectiveSpec, persample_loss, train_score
 from .ratio import (
     DatasetSplit,
-    DiscTrainConfig,
     integrated_dre_error,
     load_ratio_model,
     oracle_ratio_model,
@@ -78,33 +70,6 @@ def _load_split(cfg: ExperimentConfig) -> DatasetSplit:
                         ref_points=read_samples_csv(ref_path))
 
 
-def _disc_cfg(cfg: ExperimentConfig, time_independent=False) -> DiscTrainConfig:
-    t = cfg.raw["disc_train"]
-    n = cfg.raw["disc_net"]
-    return DiscTrainConfig(
-        steps=t["steps"], batch_size=t["batch_size"],
-        learning_rate=t["learning_rate"], seed=cfg.seeds["disc"],
-        time_independent=time_independent, hidden=tuple(n["hidden"]),
-        activation=n["activation"], time_embed=n["time_embed"],
-        n_frequencies=n["n_frequencies"], lambda_prime=t["lambda_prime"],
-        holdout_fraction=t["holdout_fraction"])
-
-
-def _score_cfg(cfg: ExperimentConfig, telemetry_path=None) -> ScoreTrainConfig:
-    t = cfg.raw["score_train"]
-    n = cfg.raw["score_net"]
-    obs_stream = t["obs_stream"]
-    return ScoreTrainConfig(
-        steps=t["steps"], batch_size=t["batch_size"],
-        learning_rate=t["learning_rate"], seed=cfg.seeds["score"],
-        hidden=tuple(n["hidden"]), activation=n["activation"],
-        time_embed=n["time_embed"], n_frequencies=n["n_frequencies"],
-        telemetry_every=t["telemetry_every"],
-        telemetry_path=str(telemetry_path) if telemetry_path else None,
-        obs_stream=None if obs_stream == "auto" else obs_stream,
-        lr_decay=t["lr_decay"])
-
-
 def _ratio_for(cfg: ExperimentConfig, kind):
     """Resolve the ratio model an objective kind needs, or None."""
     if kind not in RATIO_READERS:
@@ -122,22 +87,19 @@ def _ratio_for(cfg: ExperimentConfig, kind):
 
 def _objective_spec(cfg: ExperimentConfig, baseline=None) -> ObjectiveSpec:
     """The configured objective, or a named baseline (which takes no alpha or tau)."""
-    o = cfg.raw["objective"]
-    stream = None if o["stream"] == "auto" else o["stream"]
-    form = None if o["ratio_form"] == "auto" else o["ratio_form"]
-    if baseline is None:
-        kind, scaling = o["kind"], {"alpha": o["alpha"], "tau": o["tau"]}
-    else:
-        kind, fixed_stream = BASELINES[baseline]
-        stream, scaling = fixed_stream or stream, {}
-    return ObjectiveSpec(kind=kind, lambda_kind=o["lambda_kind"], stream=stream,
-                         ratio_form=form, ratio=_ratio_for(cfg, kind), **scaling)
+    values = cfg.section("objective")
+    del values["ratio"]  # the ratio's kind, which _ratio_for reads
+    if baseline is not None:
+        kind, stream = BASELINES[baseline]
+        del values["alpha"], values["tau"]
+        values.update(kind=kind, stream=stream or values["stream"])
+    return ObjectiveSpec(**values, ratio=_ratio_for(cfg, values["kind"]))
 
 
 def _train_disc(cfg: ExperimentConfig, split, time_independent):
     """Train one discriminator and save it under its checkpoint name."""
     path = cfg.output_dir / DISC_CKPT[time_independent]
-    rm = train_discriminator(split, cfg.schedule, _disc_cfg(cfg, time_independent))
+    rm = train_discriminator(split, cfg.schedule, cfg.disc_train_config(time_independent))
     save_ratio_model(rm, path)
     return rm, path
 
@@ -158,6 +120,15 @@ def _fresh_report(cfg: ExperimentConfig) -> RunReport:
     return RunReport(config_hash=config_hash(cfg), library_version=__version__)
 
 
+def _gen_data_stage(cfg, report):
+    """gen-data as a timed pipeline stage; returns the split it wrote."""
+    with StageTimer(report, "gen-data"):
+        cmd_gen_data(cfg)
+    for name in ("bias.csv", "ref.csv"):
+        report.add_artifact(cfg.output_dir / name)
+    return _load_split(cfg)
+
+
 def _generate_samples(cfg, source, out_dir, seed=None):
     job = GenerationJob(score_source=source, sched=cfg.schedule,
                         spec=cfg.sampler_spec(seed=seed),
@@ -174,7 +145,7 @@ def _score_run(cfg, split, spec, sub, label, report, oracle_ref, objective=None)
     """Train a score network into sub/, sample from it, evaluate the samples."""
     telemetry, ckpt = sub / "telemetry.csv", sub / "score.ckpt"
     with StageTimer(report, f"train-score[{label}]"):
-        net = train_score(split, spec, cfg.schedule, _score_cfg(cfg, telemetry))
+        net = train_score(split, spec, cfg.schedule, cfg.score_train_config(telemetry))
     save_net(net, ckpt, extra={"role": "score", "objective": objective or label})
     with StageTimer(report, f"sample[{label}]"):
         samples, _ = _generate_samples(cfg, ckpt, sub)
@@ -220,7 +191,7 @@ def cmd_train_score(cfg: ExperimentConfig, baseline=None):
     name = baseline or spec.kind
     out = cfg.output_dir
     telemetry = out / f"telemetry_{name}.csv"
-    net = train_score(split, spec, cfg.schedule, _score_cfg(cfg, telemetry))
+    net = train_score(split, spec, cfg.schedule, cfg.score_train_config(telemetry))
     path = out / SCORE_CKPT.format(name)
     save_net(net, path, extra={"role": "score", "objective": name})
     print(f"wrote {path}")
@@ -316,11 +287,7 @@ def cmd_debias(cfg: ExperimentConfig, all_baselines=False):
     """Full pipeline: data -> discriminators -> score training -> evaluation."""
     out = cfg.output_dir
     report = _fresh_report(cfg)
-    with StageTimer(report, "gen-data"):
-        cmd_gen_data(cfg)
-    report.add_artifact(out / "bias.csv")
-    report.add_artifact(out / "ref.csv")
-    split = _load_split(cfg)
+    split = _gen_data_stage(cfg, report)
 
     baselines = list(BASELINES) if all_baselines else [None]
     kinds = [BASELINES[b][0] if b else cfg.raw["objective"]["kind"] for b in baselines]
@@ -340,7 +307,6 @@ def cmd_debias(cfg: ExperimentConfig, all_baselines=False):
                         [[r.notes] + r.csv_row() for r in rows])
     report.add_artifact(out / "eval_rows.csv")
     report.write(out / "report.json")
-    report.add_artifact(out / "report.json")
     print(f"wrote {out / 'eval_rows.csv'} and {out / 'report.json'}")
     return 0
 
@@ -351,14 +317,13 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, alphas):
         raise InputError("alpha values must be >= 0")
     out = cfg.output_dir
     report = _fresh_report(cfg)
-    with StageTimer(report, "gen-data"):
-        cmd_gen_data(cfg)
-    split = _load_split(cfg)
+    split = _gen_data_stage(cfg, report)
     _train_ratios(cfg, split, ["tiw_alpha"], report)
     rm = _ratio_for(cfg, "tiw_alpha")
 
     artifacts.write_text(out / "identity_checks.txt",
                          _endpoint_identity_checks(cfg, split, rm))
+    report.add_artifact(out / "identity_checks.txt")
 
     oracle_ref = _oracle_reference(cfg)
     rows = []
@@ -374,6 +339,7 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, alphas):
     artifacts.write_csv(out / "alpha_sweep.csv", ["alpha", "bias", "energy_distance"],
                         [[_fmt(a), _fmt(e.bias), _fmt(e.energy_distance)]
                          for a, e in rows])
+    report.add_artifact(out / "alpha_sweep.csv")
     report.write(out / "report.json")
     print(f"wrote {out / 'alpha_sweep.csv'}")
     return 0
@@ -441,13 +407,15 @@ def build_parser():
     _add_common(p)
     p.add_argument("--source", help="checkpoint path, 'oracle-data' or 'oracle-bias' "
                                     "(default: the configured objective's checkpoint)")
-    p.add_argument("--kind", choices=SAMPLER_KINDS,
+    # a flag whose dest is a dotted config path is one more --set
+    p.add_argument("--kind", dest="sampler.kind", choices=SAMPLER_KINDS,
                    help="sampler kind override")
-    p.add_argument("--steps", type=int, help="integration steps override")
-    p.add_argument("--integrator", choices=INTEGRATORS,
+    p.add_argument("--steps", dest="sampler.steps", type=int,
+                   help="integration steps override")
+    p.add_argument("--integrator", dest="sampler.integrator", choices=INTEGRATORS,
                    help="integrator override")
-    p.add_argument("--seed", type=int, help="sampling seed override")
-    p.set_defaults(func=_run_sample)
+    p.add_argument("--seed", dest="seeds.sample", type=int, help="sampling seed override")
+    p.set_defaults(func=lambda cfg, args: cmd_sample(cfg, args.source))
 
     p = sub.add_parser("eval", help="evaluate a sample set against the oracle")
     _add_common(p)
@@ -478,19 +446,6 @@ def build_parser():
     return parser
 
 
-def _run_sample(cfg, args):
-    overrides = []
-    for name in ("kind", "steps", "integrator"):
-        value = getattr(args, name)
-        if value is not None:
-            overrides.append(f"sampler.{name}={value}")
-    if args.seed is not None:
-        overrides.append(f"seeds.sample={args.seed}")
-    if overrides:
-        cfg = ExperimentConfig(raw=apply_overrides(cfg.to_dict(), overrides))
-    return cmd_sample(cfg, args.source)
-
-
 def _run_sweep(cfg, args):
     try:
         alphas = [float(v) for v in args.alphas.split(",") if v.strip() != ""]
@@ -508,6 +463,7 @@ def main(argv=None):
         overrides = list(args.overrides or [])
         if args.output_dir:
             overrides.append(f"output_dir={args.output_dir}")
+        overrides += [f"{k}={v}" for k, v in vars(args).items() if "." in k and v is not None]
         cfg = load_config(args.config, overrides)
         return args.func(cfg, args)
     except TiwlabError as e:

@@ -1,185 +1,187 @@
 """Experiment configuration: YAML in, validated dataclass out.
 
-Configs are strict: the jsonschema below rejects unknown keys anywhere, so
-typos fail loudly instead of silently falling back to defaults. Every
-random decision in a run flows from the named seeds here, and the config
-hash (sha256 of the canonical JSON form, defaults filled in) identifies a
-run completely.
+Each config leaf is declared once, as a dataclass field that carries its
+key, type, default and bound or choices. The library types declare their
+sections: VpSchedule is schedule, NetSpec is disc_net and score_net,
+DiscTrainConfig and ScoreTrainConfig are disc_train and score_train, and
+ObjectiveSpec and SamplerSpec are objective and sampler. The sections with
+no library type are declared below; ranges.py explains the field
+metadata. This module derives DEFAULT_CONFIG, the validator and the
+construction of the library objects from these fields.
+
+Configs are strict: unknown keys anywhere are rejected, so typos fail
+loudly instead of silently falling back to defaults. A bool is never a
+number and a float never an integer, and values are kept exactly as given,
+since JSON writes 1 and 1.0 differently. Every random decision in a run
+flows from the named seeds here, and the config hash (sha256 of the
+canonical JSON form, defaults filled in) identifies a run completely.
 """
 
 import copy
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, Field, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin
 
-import jsonschema
 import yaml
 
 from . import artifacts
-from .errors import ConfigError
-from .mixture import GaussianMixture
-from .net import ACTIVATIONS, TIME_EMBEDS
-from .objectives import LR_DECAYS, OBJECTIVE_KINDS, OBS_STREAMS, STREAMS
-from .ratio import RATIO_FORMS, RATIO_KINDS
-from .sde import INTEGRATORS, LAMBDA_KINDS, SAMPLER_KINDS, SamplerSpec, VpSchedule
+from .errors import ConfigError, InputError
+from .mixture import GaussianMixture, two_mode_balanced_mixture, two_mode_bias_mixture
+from .net import NetSpec
+from .objectives import ObjectiveSpec, ScoreTrainConfig
+from .ranges import range_error
+from .ratio import RATIO_KINDS, DiscTrainConfig
+from .sde import SamplerSpec, VpSchedule
 
-_MIXTURE_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["weights", "means", "variances"],
-    "properties": {
-        "weights": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-        "means": {"type": "array",
-                  "items": {"type": "array", "items": {"type": "number"}}},
-        "variances": {"type": "array", "items": {"type": "number"}},
-    },
+# ---------------------------------------------------------------------------
+# the leaves no library type declares
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _Run:
+    output_dir: str = "runs/default"
+
+
+@dataclass
+class _Seeds:
+    data: int = 101
+    disc: int = 202
+    score: int = 303
+    sample: int = 404
+    eval: int = 505
+
+
+@dataclass
+class _Mixture:
+    weights: list[float] = field(metadata={"min_len": 1})
+    means: list[list[float]]
+    variances: list[float]
+
+
+@dataclass
+class _Mixtures:
+    bias: _Mixture = field(
+        default_factory=lambda: _Mixture(**two_mode_bias_mixture().to_dict()))
+    data: _Mixture = field(
+        default_factory=lambda: _Mixture(**two_mode_balanced_mixture().to_dict()))
+
+
+@dataclass
+class _Split:
+    n_bias: int = field(default=1000, metadata={"ge": 1})
+    n_ref: int = field(default=100, metadata={"ge": 1})
+
+
+@dataclass
+class _RatioKind:
+    ratio: str = field(default="learned", metadata={"choices": RATIO_KINDS})
+
+
+@dataclass
+class _Eval:
+    n_samples: int = field(default=4000, metadata={"ge": 1})
+    n_oracle: int = field(default=4000, metadata={"ge": 2})
+    dre_grid: list[float] = field(
+        default_factory=lambda: [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0],
+        metadata={"min_len": 2})
+    dre_n: int = field(default=20000, metadata={"ge": 10})
+
+
+@dataclass
+class _FieldGrid:
+    resolution: int = field(default=25, metadata={"ge": 2})
+    extent: float = field(default=4.0, metadata={"gt": 0})
+
+
+# ---------------------------------------------------------------------------
+# what the declarations give: the layout, the defaults, the validator
+# ---------------------------------------------------------------------------
+
+def _leaves(*classes):
+    """Config key -> field, for each config leaf the classes declare.
+
+    A class declares the fields it adds to its dataclass bases, so the
+    training configs leave their network fields to NetSpec.
+    """
+    leaves = {}
+    for cls in classes:
+        inherited = {f.name for base in cls.__bases__ if is_dataclass(base)
+                     for f in fields(base)}
+        leaves.update((f.metadata.get("key", f.name), f) for f in fields(cls)
+                      if f.name not in inherited and f.metadata.get("config", True))
+    return leaves
+
+
+# section -> {key: field}; a field typed by a dataclass is a nested object
+LAYOUT = {
+    **_leaves(_Run),
+    "seeds": _leaves(_Seeds),
+    "mixtures": _leaves(_Mixtures),
+    "split": _leaves(_Split),
+    "schedule": _leaves(VpSchedule),
+    "disc_net": _leaves(NetSpec),
+    "score_net": _leaves(NetSpec),
+    "disc_train": _leaves(DiscTrainConfig),
+    "score_train": _leaves(ScoreTrainConfig),
+    "objective": _leaves(ObjectiveSpec, _RatioKind),
+    "sampler": _leaves(SamplerSpec),
+    "eval": _leaves(_Eval),
+    "field_grid": _leaves(_FieldGrid),
 }
 
-_NET_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "hidden": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        "activation": {"enum": list(ACTIVATIONS)},
-        "time_embed": {"enum": list(TIME_EMBEDS)},
-        "n_frequencies": {"type": "integer", "minimum": 1},
-    },
-}
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "output_dir": {"type": "string"},
-        "seeds": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {k: {"type": "integer"} for k in
-                           ("data", "disc", "score", "sample", "eval")},
-        },
-        "mixtures": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"bias": _MIXTURE_SCHEMA, "data": _MIXTURE_SCHEMA},
-        },
-        "split": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "n_bias": {"type": "integer", "minimum": 1},
-                "n_ref": {"type": "integer", "minimum": 1},
-            },
-        },
-        "schedule": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "beta_min": {"type": "number", "exclusiveMinimum": 0},
-                "beta_max": {"type": "number"},
-                "horizon": {"type": "number", "exclusiveMinimum": 0},
-                "t_eps": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "disc_net": _NET_SCHEMA,
-        "score_net": _NET_SCHEMA,
-        "disc_train": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "steps": {"type": "integer", "minimum": 1},
-                "batch_size": {"type": "integer", "minimum": 2},
-                "learning_rate": {"type": "number", "exclusiveMinimum": 0},
-                "lambda_prime": {"enum": list(LAMBDA_KINDS)},
-                "holdout_fraction": {"type": "number", "minimum": 0, "maximum": 0.5},
-            },
-        },
-        "score_train": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "steps": {"type": "integer", "minimum": 1},
-                "batch_size": {"type": "integer", "minimum": 1},
-                "learning_rate": {"type": "number", "exclusiveMinimum": 0},
-                "telemetry_every": {"type": "integer", "minimum": 0},
-                "obs_stream": {"enum": ["auto", *OBS_STREAMS]},
-                "lr_decay": {"enum": list(LR_DECAYS)},
-            },
-        },
-        "objective": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": list(OBJECTIVE_KINDS)},
-                "alpha": {"type": "number", "minimum": 0},
-                "tau": {"type": "number", "minimum": 0},
-                "lambda_kind": {"enum": list(LAMBDA_KINDS)},
-                "stream": {"enum": ["auto", *STREAMS]},
-                "ratio_form": {"enum": ["auto", *RATIO_FORMS]},
-                "ratio": {"enum": list(RATIO_KINDS)},
-            },
-        },
-        "sampler": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": list(SAMPLER_KINDS)},
-                "steps": {"type": "integer", "minimum": 2},
-                "integrator": {"enum": list(INTEGRATORS)},
-            },
-        },
-        "eval": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "n_samples": {"type": "integer", "minimum": 1},
-                "n_oracle": {"type": "integer", "minimum": 2},
-                "dre_grid": {"type": "array", "items": {"type": "number"},
-                             "minItems": 2},
-                "dre_n": {"type": "integer", "minimum": 10},
-            },
-        },
-        "field_grid": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "resolution": {"type": "integer", "minimum": 2},
-                "extent": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-    },
-}
+def _default(node):
+    """A subtree's or a leaf's default, spelled as the config file spells it."""
+    if isinstance(node, dict):
+        return {key: _default(sub) for key, sub in node.items()}
+    value = node.default_factory() if node.default is MISSING else node.default
+    if is_dataclass(value):
+        return asdict(value)
+    return list(value) if isinstance(value, tuple) else value
 
-DEFAULT_CONFIG = {
-    "output_dir": "runs/default",
-    "seeds": {"data": 101, "disc": 202, "score": 303, "sample": 404, "eval": 505},
-    "mixtures": {
-        "bias": {"weights": [0.9, 0.1], "means": [[-2.0, -2.0], [2.0, 2.0]],
-                 "variances": [1.0, 1.0]},
-        "data": {"weights": [0.5, 0.5], "means": [[-2.0, -2.0], [2.0, 2.0]],
-                 "variances": [1.0, 1.0]},
-    },
-    "split": {"n_bias": 1000, "n_ref": 100},
-    "schedule": {"beta_min": 0.1, "beta_max": 20.0, "horizon": 1.0, "t_eps": 1e-3},
-    "disc_net": {"hidden": [64, 64, 64], "activation": "silu",
-                 "time_embed": "sinusoidal", "n_frequencies": 8},
-    "score_net": {"hidden": [64, 64, 64], "activation": "silu",
-                  "time_embed": "sinusoidal", "n_frequencies": 8},
-    "disc_train": {"steps": 6000, "batch_size": 256, "learning_rate": 1e-3,
-                   "lambda_prime": "uniform", "holdout_fraction": 0.0},
-    "score_train": {"steps": 12000, "batch_size": 128, "learning_rate": 1e-3,
-                    "telemetry_every": 500, "obs_stream": "auto",
-                    "lr_decay": "cosine"},
-    "objective": {"kind": "tiw_dsm", "alpha": 1.0, "tau": 0.0,
-                  "lambda_kind": "sigma_squared", "stream": "auto",
-                  "ratio_form": "auto", "ratio": "learned"},
-    "sampler": {"kind": "probability-flow-ode", "steps": 200, "integrator": "heun"},
-    "eval": {"n_samples": 4000, "n_oracle": 4000,
-             "dre_grid": [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0],
-             "dre_n": 20000},
-    "field_grid": {"resolution": 25, "extent": 4.0},
-}
+
+DEFAULT_CONFIG = _default(LAYOUT)
+
+
+def _invalid(path, message):
+    return ConfigError(f"config field {path or '<root>'}: {message}")
+
+
+def _check(value, node, path=""):
+    """Raise ConfigError unless value fits node, a subtree or a leaf field."""
+    if isinstance(node, Field) and is_dataclass(node.type):
+        node = _leaves(node.type)
+    if not isinstance(node, dict):
+        _check_leaf(value, node.type, node.metadata, path)
+        return
+    if not isinstance(value, dict):
+        raise _invalid(path, f"{value!r} is not an object")
+    extra = [key for key in value if key not in node]
+    if extra:
+        raise _invalid(path, f"additional keys are not allowed ({', '.join(map(repr, extra))})")
+    for key, sub in node.items():
+        _check(value[key], sub, f"{path}.{key}" if path else key)
+
+
+def _check_leaf(value, kind, meta, path):
+    if get_origin(kind) in (list, tuple):
+        if not isinstance(value, list):
+            raise _invalid(path, f"{value!r} is not a list")
+        if len(value) < meta.get("min_len", 0):
+            raise _invalid(path, f"{value!r} has fewer than {meta['min_len']} items")
+        for i, item in enumerate(value):
+            _check_leaf(item, get_args(kind)[0], {**meta, "min_len": 0}, f"{path}.{i}")
+        return
+    # exact types: bool is not int, 1.0 is not int; an int is a float
+    if not (type(value) is kind or (kind is float and type(value) is int)):
+        raise _invalid(path, f"{value!r} is not of type {kind.__name__}")
+    problem = range_error(value, meta)
+    if problem:
+        raise _invalid(path, problem)
 
 
 def _deep_merge(base, override):
@@ -218,15 +220,12 @@ class ExperimentConfig:
     raw: dict
 
     def __post_init__(self):
-        merged = _deep_merge(DEFAULT_CONFIG, self.raw)
-        try:
-            jsonschema.validate(merged, CONFIG_SCHEMA)
-        except jsonschema.ValidationError as e:
-            path = ".".join(str(p) for p in e.absolute_path) or "<root>"
-            raise ConfigError(f"config field {path}: {e.message}") from e
-        if merged["schedule"]["beta_max"] < merged["schedule"]["beta_min"]:
-            raise ConfigError("schedule.beta_max must be >= schedule.beta_min")
-        self.raw = merged
+        self.raw = _deep_merge(DEFAULT_CONFIG, self.raw)
+        _check(self.raw, LAYOUT)
+        try:  # VpSchedule checks beta_min <= beta_max and t_eps < T
+            VpSchedule(**self.section("schedule"))
+        except InputError as e:
+            raise ConfigError(f"config field schedule: {e}") from e
 
     # -- typed accessors -----------------------------------------------------
 
@@ -238,6 +237,12 @@ class ExperimentConfig:
     def seeds(self):
         return self.raw["seeds"]
 
+    def section(self, name):
+        """A section's values by field name: keyword arguments of its types."""
+        values = self.raw[name]
+        return {f.name: tuple(values[key]) if get_origin(f.type) is tuple else values[key]
+                for key, f in LAYOUT[name].items()}
+
     def mixture(self, name):
         try:
             return GaussianMixture.from_dict(self.raw["mixtures"][name])
@@ -246,15 +251,20 @@ class ExperimentConfig:
 
     @property
     def schedule(self):
-        s = self.raw["schedule"]
-        return VpSchedule(beta_min=s["beta_min"], beta_max=s["beta_max"],
-                          T=s["horizon"], t_eps=s["t_eps"])
+        return VpSchedule(**self.section("schedule"))
 
     def sampler_spec(self, seed=None):
-        s = self.raw["sampler"]
-        return SamplerSpec(kind=s["kind"], steps=s["steps"],
-                           integrator=s["integrator"],
+        return SamplerSpec(**self.section("sampler"),
                            seed=self.seeds["sample"] if seed is None else seed)
+
+    def disc_train_config(self, time_independent=False):
+        return DiscTrainConfig(**self.section("disc_net"), **self.section("disc_train"),
+                               seed=self.seeds["disc"], time_independent=time_independent)
+
+    def score_train_config(self, telemetry_path=None):
+        return ScoreTrainConfig(**self.section("score_net"), **self.section("score_train"),
+                                seed=self.seeds["score"],
+                                telemetry_path=str(telemetry_path) if telemetry_path else None)
 
     def to_dict(self):
         return copy.deepcopy(self.raw)
@@ -293,12 +303,14 @@ class RunReport:
     stages: list = field(default_factory=list)     # (name, seconds)
     metrics: list = field(default_factory=list)    # dict rows
     checkpoints: dict = field(default_factory=dict)
-    artifacts: list = field(default_factory=list)  # every emitted file
+    artifacts: list = field(default_factory=list)  # every emitted file, itself too
 
     def add_artifact(self, path):
         self.artifacts.append(str(path))
 
     def write(self, path):
+        """Write the report to path, which it lists among the artifacts."""
+        self.add_artifact(path)
         payload = {
             "config_hash": self.config_hash,
             "library_version": self.library_version,

@@ -16,7 +16,7 @@ class InputError(TiwlabError):
 
 
 class ConfigError(TiwlabError):
-    """Malformed or schema-violating experiment configuration."""
+    """Malformed or invalid experiment configuration."""
 
     category = "config"
 

@@ -17,10 +17,11 @@ u32 header length, JSON header (architecture + arbitrary extra fields),
 then the parameter vector as raw float64. Round-trips are bit-exact.
 """
 
+import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,6 +55,16 @@ _ACT = {"tanh": _tanh, "silu": _silu}
 
 
 @dataclass
+class NetSpec:
+    """Hidden architecture of an Mlp; the two training configs extend it."""
+
+    hidden: tuple[int, ...] = field(default=(64, 64, 64), metadata={"ge": 1})
+    activation: str = field(default="silu", metadata={"choices": ACTIVATIONS})
+    time_embed: str = field(default="sinusoidal", metadata={"choices": TIME_EMBEDS})
+    n_frequencies: int = field(default=8, metadata={"ge": 1})
+
+
+@dataclass
 class ForwardCache:
     """Activations saved by forward() for the matching backward pass."""
 
@@ -65,8 +76,9 @@ class ForwardCache:
 
 
 class Mlp:
-    def __init__(self, input_dim, hidden, output_dim, activation="silu",
-                 time_embed="sinusoidal", n_frequencies=8, params=None, seed=0):
+    def __init__(self, input_dim, hidden, output_dim, activation=NetSpec.activation,
+                 time_embed=NetSpec.time_embed, n_frequencies=NetSpec.n_frequencies,
+                 params=None, seed=0):
         if activation not in ACTIVATIONS:
             raise InputError(f"activation must be one of {ACTIVATIONS}")
         if time_embed not in TIME_EMBEDS:
@@ -302,7 +314,7 @@ def save_net(net: Mlp, path, extra=None):
 
 
 def load_net(path):
-    """Read a checkpoint; returns (net, header dict)."""
+    """Read a checkpoint; returns (net, header + "sha256" of the bytes read)."""
     raw = artifacts.read_bytes(path)
     if raw[:6] != CHECKPOINT_MAGIC:
         raise IoError(f"corrupt checkpoint {path}: bad magic field")
@@ -316,10 +328,10 @@ def load_net(path):
         header = json.loads(raw[12:12 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise IoError(f"corrupt checkpoint {path}: unreadable header ({e})") from e
-    for field in ("input_dim", "hidden", "output_dim", "activation",
-                  "time_embed", "n_frequencies", "param_count"):
-        if field not in header:
-            raise IoError(f"corrupt checkpoint {path}: missing header field {field!r}")
+    for key in ("input_dim", "hidden", "output_dim", "activation",
+                "time_embed", "n_frequencies", "param_count"):
+        if key not in header:
+            raise IoError(f"corrupt checkpoint {path}: missing header field {key!r}")
     body = raw[12 + hlen:]
     n = header["param_count"]
     if len(body) != 8 * n:
@@ -331,4 +343,5 @@ def load_net(path):
     net = Mlp(header["input_dim"], header["hidden"], header["output_dim"],
               activation=header["activation"], time_embed=header["time_embed"],
               n_frequencies=header["n_frequencies"], params=params)
+    header["sha256"] = hashlib.sha256(raw).hexdigest()
     return net, header

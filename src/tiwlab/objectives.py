@@ -27,14 +27,15 @@ gradient coincides with classical score matching against the clean data
 density.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import artifacts
 from .errors import ContractError, InputError, NumericalError
 from .mixture import GaussianMixture
-from .net import Mlp, adam_step, init_optim
+from .net import Mlp, NetSpec, adam_step, init_optim
+from .ranges import check_fields
 from .ratio import RATIO_FORMS, DatasetSplit, RatioModel
 from .sde import LAMBDA_KINDS, VpSchedule, lambda_weight
 
@@ -55,34 +56,26 @@ _KIND_DEFAULT_FORM = {"weight_only": "plain", "correction_only": "plain"}
 
 @dataclass
 class ObjectiveSpec:
-    kind: str = "tiw_dsm"
-    alpha: float = 1.0
-    tau: float = 0.0
-    lambda_kind: str = "sigma_squared"
-    stream: str = None
-    ratio_form: str = None
-    ratio: RatioModel = None
+    """The objective config section, less objective.ratio (the ratio's kind)."""
+
+    kind: str = field(default="tiw_dsm", metadata={"choices": OBJECTIVE_KINDS})
+    alpha: float = field(default=1.0, metadata={"ge": 0})
+    tau: float = field(default=0.0, metadata={"ge": 0})
+    lambda_kind: str = field(default="sigma_squared", metadata={"choices": LAMBDA_KINDS})
+    # "auto" resolves per kind in __post_init__
+    stream: str = field(default="auto", metadata={"choices": ("auto", *STREAMS)})
+    ratio_form: str = field(default="auto", metadata={"choices": ("auto", *RATIO_FORMS)})
+    ratio: RatioModel = field(default=None, metadata={"config": False})
 
     def __post_init__(self):
-        if self.kind not in OBJECTIVE_KINDS:
-            raise InputError(f"objective kind must be one of {OBJECTIVE_KINDS}")
-        if self.lambda_kind not in LAMBDA_KINDS:
-            raise InputError(f"lambda_kind must be one of {LAMBDA_KINDS}")
-        if self.stream is None:
+        check_fields(self)
+        if self.stream == "auto":
             self.stream = _KIND_DEFAULT_STREAM.get(self.kind, "obs")
-        if self.ratio_form is None:
+        if self.ratio_form == "auto":
             self.ratio_form = _KIND_DEFAULT_FORM.get(self.kind, "tilde")
-        if self.stream not in STREAMS:
-            raise InputError(f"stream must be one of {STREAMS}")
-        if self.ratio_form not in RATIO_FORMS:
-            raise InputError(f"ratio_form must be one of {RATIO_FORMS}")
-        if self.alpha < 0.0:
-            raise InputError("alpha must be >= 0")
         if self.kind == "tiw_dsm" and self.alpha != 1.0:
             raise InputError("tiw_dsm is tiw_alpha at alpha = 1; use kind tiw_alpha "
                              f"for alpha = {self.alpha!r}")
-        if self.tau < 0.0:
-            raise InputError("tau must be >= 0")
         if self.kind in RATIO_READERS and self.ratio is None:
             raise InputError(f"objective kind {self.kind!r} requires a ratio model")
 
@@ -288,24 +281,26 @@ def _iw_weights(spec: ObjectiveSpec, points):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ScoreTrainConfig:
-    steps: int = 6000
-    batch_size: int = 128
-    learning_rate: float = 1e-3
-    seed: int = 0
-    hidden: tuple = (64, 64, 64)
-    activation: str = "silu"
-    time_embed: str = "sinusoidal"
-    n_frequencies: int = 8
-    telemetry_every: int = 0       # 0 disables telemetry
-    telemetry_path: str = None
-    divergence_threshold: float = 1e6
-    # pooled-stream draw rule; None resolves per objective: tilde-ratio
+class ScoreTrainConfig(NetSpec):
+    """The score_train config section, over the score_net one (NetSpec)."""
+
+    steps: int = field(default=12000, metadata={"ge": 1})
+    batch_size: int = field(default=128, metadata={"ge": 1})
+    learning_rate: float = field(default=1e-3, metadata={"gt": 0})
+    seed: int = field(default=0, metadata={"config": False})
+    # 0 disables telemetry
+    telemetry_every: int = field(default=500, metadata={"ge": 0})
+    telemetry_path: str = field(default=None, metadata={"config": False})
+    divergence_threshold: float = field(default=1e6, metadata={"config": False})
+    # pooled-stream draw rule; "auto" resolves per objective: tilde-ratio
     # objectives draw the source set by a fair coin ("balanced", matching
     # the half/half pool their weights are normalized against), plain DSM
     # pools with empirical proportions
-    obs_stream: str = None
-    lr_decay: str = "cosine"       # one of LR_DECAYS
+    obs_stream: str = field(default="auto", metadata={"choices": ("auto", *OBS_STREAMS)})
+    lr_decay: str = field(default="cosine", metadata={"choices": LR_DECAYS})
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 def _stream_points(data: DatasetSplit, stream):
@@ -328,12 +323,8 @@ def train_score(data: DatasetSplit, spec: ObjectiveSpec, sched: VpSchedule,
     written when the loop ends, also when it diverges.
     """
     cfg = cfg or ScoreTrainConfig()
-    if cfg.obs_stream not in (None, *OBS_STREAMS):
-        raise InputError(f"obs_stream must be one of {OBS_STREAMS}")
-    if cfg.lr_decay not in LR_DECAYS:
-        raise InputError(f"lr_decay must be one of {LR_DECAYS}")
     obs_stream = cfg.obs_stream
-    if obs_stream is None:
+    if obs_stream == "auto":
         tilde_ratio = spec.kind in RATIO_READERS and spec.ratio_form == "tilde"
         obs_stream = "balanced" if tilde_ratio else "empirical"
     rng = np.random.default_rng(cfg.seed)

@@ -33,8 +33,9 @@ from .mixture import (
     perturbed_score_batch,
     pooled_mixture,
 )
-from .net import Mlp, _sigmoid, adam_step, init_optim, load_net, save_net
-from .sde import VpSchedule, lambda_weight
+from .net import Mlp, NetSpec, _sigmoid, adam_step, init_optim, load_net, save_net
+from .ranges import check_fields
+from .sde import LAMBDA_KINDS, VpSchedule, lambda_weight
 
 RATIO_KINDS = ("learned", "oracle")
 RATIO_FORMS = ("tilde", "plain")
@@ -196,18 +197,20 @@ def oracle_ratio_model(p_num, p_den, sched, time_independent=False):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class DiscTrainConfig:
-    steps: int = 3000
-    batch_size: int = 128
-    learning_rate: float = 1e-3
-    seed: int = 0
-    time_independent: bool = False
-    hidden: tuple = (64, 64, 64)
-    activation: str = "silu"
-    time_embed: str = "sinusoidal"
-    n_frequencies: int = 8
-    lambda_prime: str = "uniform"  # temporal weighting of the BCE
-    holdout_fraction: float = 0.1
+class DiscTrainConfig(NetSpec):
+    """The disc_train config section, over the disc_net one (NetSpec)."""
+
+    steps: int = field(default=6000, metadata={"ge": 1})
+    batch_size: int = field(default=256, metadata={"ge": 2})
+    learning_rate: float = field(default=1e-3, metadata={"gt": 0})
+    seed: int = field(default=0, metadata={"config": False})
+    time_independent: bool = field(default=False, metadata={"config": False})
+    # temporal weighting of the BCE
+    lambda_prime: str = field(default="uniform", metadata={"choices": LAMBDA_KINDS})
+    holdout_fraction: float = field(default=0.0, metadata={"ge": 0, "le": 0.5})
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 def train_discriminator(split: DatasetSplit, sched: VpSchedule,
@@ -224,8 +227,6 @@ def train_discriminator(split: DatasetSplit, sched: VpSchedule,
     cfg = cfg or DiscTrainConfig()
     rng = np.random.default_rng(cfg.seed)
     half = cfg.batch_size // 2
-    if half < 1:
-        raise InputError("batch_size must be >= 2")
 
     def carve(points):
         n_hold = int(round(cfg.holdout_fraction * points.shape[0]))

@@ -9,7 +9,7 @@ reproduces the matrix bit for bit.
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,10 +39,6 @@ def _mixture_hash(gm: GaussianMixture):
     return hashlib.sha256(blob).hexdigest()
 
 
-def _checkpoint_hash(path):
-    return hashlib.sha256(artifacts.read_bytes(path)).hexdigest()
-
-
 def _resolve_score_fn(job: GenerationJob):
     src = job.score_source
     if isinstance(src, GaussianMixture):
@@ -57,7 +53,7 @@ def _resolve_score_fn(job: GenerationJob):
     def score_fn(X, t):
         return net.forward(X, t)
     return score_fn, net.input_dim, {"source": Path(src).name,
-                                     "source_hash": _checkpoint_hash(src)}
+                                     "source_hash": header["sha256"]}
 
 
 def generate(job: GenerationJob):
@@ -67,7 +63,7 @@ def generate(job: GenerationJob):
     provenance = {
         "n": job.n,
         "dim": dim,
-        **job.spec.to_dict(),
+        **asdict(job.spec),
         **source_info,
     }
     if job.output is not None:

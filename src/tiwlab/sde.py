@@ -11,11 +11,12 @@ probability-flow ODE (deterministic; Euler or Heun) or the reverse SDE
 (Euler-Maruyama) from t = T down to t = t_eps.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError, NumericalError
+from .ranges import check_fields
 
 SAMPLER_KINDS = ("probability-flow-ode", "reverse-sde")
 INTEGRATORS = ("euler", "heun")
@@ -24,16 +25,19 @@ LAMBDA_KINDS = ("sigma_squared", "uniform")
 
 @dataclass(frozen=True)
 class VpSchedule:
-    beta_min: float = 0.1
+    """The schedule config section; its key for T is horizon."""
+
+    beta_min: float = field(default=0.1, metadata={"gt": 0})
     beta_max: float = 20.0
-    T: float = 1.0
-    t_eps: float = 1e-3
+    T: float = field(default=1.0, metadata={"key": "horizon", "gt": 0})
+    t_eps: float = field(default=1e-3, metadata={"gt": 0})
 
     def __post_init__(self):
-        if self.beta_min <= 0.0 or self.beta_max < self.beta_min:
-            raise InputError("need 0 < beta_min <= beta_max")
-        if not 0.0 < self.t_eps < self.T:
-            raise InputError("need 0 < t_eps < T")
+        check_fields(self)
+        if self.beta_max < self.beta_min:
+            raise InputError("need beta_min <= beta_max")
+        if self.t_eps >= self.T:
+            raise InputError("need t_eps < T")
 
     def _check_t(self, t):
         t = np.asarray(t, dtype=np.float64)
@@ -99,28 +103,17 @@ def lambda_weight(sched: VpSchedule, t, kind):
 
 @dataclass(frozen=True)
 class SamplerSpec:
-    kind: str = "probability-flow-ode"
-    steps: int = 200
-    integrator: str = "heun"
-    seed: int = 0
+    """The sampler config section; the seed comes from seeds.sample."""
+
+    kind: str = field(default="probability-flow-ode", metadata={"choices": SAMPLER_KINDS})
+    steps: int = field(default=200, metadata={"ge": 2})
+    integrator: str = field(default="heun", metadata={"choices": INTEGRATORS})
+    seed: int = field(default=0, metadata={"config": False})
 
     def __post_init__(self):
-        if self.kind not in SAMPLER_KINDS:
-            raise InputError(f"sampler kind must be one of {SAMPLER_KINDS}")
-        if self.integrator not in INTEGRATORS:
-            raise InputError(f"integrator must be one of {INTEGRATORS}")
-        if self.steps < 2:
-            raise InputError("steps must be >= 2")
+        check_fields(self)
         if self.kind == "reverse-sde" and self.integrator != "euler":
             raise InputError("reverse-sde supports only the euler (Euler-Maruyama) integrator")
-
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "steps": self.steps,
-            "integrator": self.integrator,
-            "seed": self.seed,
-        }
 
 
 def _trajectory_noise(seed, n, rows, dim):

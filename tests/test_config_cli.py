@@ -1,4 +1,7 @@
 import json
+import os
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +14,22 @@ from tiwlab.config import (
     config_hash,
     load_config,
 )
-from tiwlab.errors import ConfigError
+from tiwlab.errors import ConfigError, InputError
 from tiwlab.net import ACTIVATIONS, TIME_EMBEDS, load_net
-from tiwlab.objectives import LR_DECAYS, OBJECTIVE_KINDS, OBS_STREAMS, RATIO_FORMS, STREAMS
-from tiwlab.ratio import RATIO_KINDS
+from tiwlab.objectives import (
+    LR_DECAYS,
+    OBJECTIVE_KINDS,
+    OBS_STREAMS,
+    RATIO_FORMS,
+    STREAMS,
+    ObjectiveSpec,
+    ScoreTrainConfig,
+)
+from tiwlab.ratio import RATIO_KINDS, DiscTrainConfig
 from tiwlab.sampling import read_samples_csv
-from tiwlab.sde import INTEGRATORS, LAMBDA_KINDS, SAMPLER_KINDS
+from tiwlab.sde import INTEGRATORS, LAMBDA_KINDS, SAMPLER_KINDS, SamplerSpec, VpSchedule
+
+TWO_MODE = Path(__file__).resolve().parent.parent / "configs" / "two-mode.yaml"
 
 
 @pytest.fixture()
@@ -114,6 +127,103 @@ def test_config_hash_changes_iff_field_changes():
     c = ExperimentConfig(raw={"seeds": {"data": 102}})
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash(c)
+
+
+BAD_OVERRIDES = [
+    ("split.n_bias=1.5", "split.n_bias"),
+    ("split.n_bias=true", "split.n_bias"),
+    ("seeds.data=x", "seeds.data"),
+    ("schedule.t_eps=0", "schedule.t_eps"),
+    ("schedule.horizon=0", "schedule.horizon"),
+    ("schedule.t_eps=2", "schedule: need t_eps < T"),
+    ("disc_train.holdout_fraction=0.6", "disc_train.holdout_fraction"),
+    ("disc_train.batch_size=1", "disc_train.batch_size"),
+    ("disc_train.learning_rate=0", "disc_train.learning_rate"),
+    ("score_train.telemetry_every=-1", "score_train.telemetry_every"),
+    ("disc_net.hidden=[0]", "disc_net.hidden.0"),
+    ("disc_net.hidden=[1.5]", "disc_net.hidden.0"),
+    ("eval.dre_grid=[0.5]", "eval.dre_grid"),
+    ("eval.dre_grid=[a,b]", "eval.dre_grid"),
+    ("eval.dre_n=9", "eval.dre_n"),
+    ("sampler.steps=1", "sampler.steps"),
+    ("field_grid.extent=0", "field_grid.extent"),
+    ("objective.alpha=-0.1", "objective.alpha"),
+    ("objective.alpha=true", "objective.alpha"),
+    ("mixtures.bias.weights=[]", "mixtures.bias.weights"),
+    ("mixtures.bias.wieghts=[1]", "(?i)mixtures.bias.*additional"),
+    ("mixtures.bias=null", "mixtures.bias"),
+    ("mixtures.bias.means=[1,2]", "mixtures.bias.means"),
+    ("output_dir=3", "output_dir"),
+    ("disc_net=3", "disc_net"),
+]
+
+
+@pytest.mark.parametrize("override,path", BAD_OVERRIDES, ids=[o for o, _ in BAD_OVERRIDES])
+def test_bad_override_names_its_path(override, path):
+    with pytest.raises(ConfigError, match=path):
+        load_config(overrides=[override])
+
+
+@pytest.mark.parametrize("override", ["seeds.data=1.0", "split.n_bias=150.0",
+                                      "sampler.steps=16.0"])
+def test_integral_float_is_not_an_integer(tiny_config, capsys, override):
+    config, _ = tiny_config()
+    assert main(["gen-data", "--config", str(config), "--set", override]) == 3
+    assert override.split("=")[0] in capsys.readouterr().err
+
+
+def test_two_mode_yaml_holds_the_defaults():
+    raw = load_config(TWO_MODE).raw
+    assert raw.pop("output_dir") == "runs/two-mode"
+    assert raw == {k: v for k, v in DEFAULT_CONFIG.items() if k != "output_dir"}
+
+
+def test_config_hashes_pinned():
+    assert config_hash(ExperimentConfig(raw={})) == \
+        "32196232b5bfe77ac110ed0ea18ca580dbf3fe0de21fc6913318e4a649b2ad33"
+    assert config_hash(load_config(TWO_MODE)) == \
+        "a17d192b8919801d3f0ef717c329fddd75c1136d139aa345bfbf42c9408c27c8"
+
+
+# each library type a section maps to: its defaults (given what the CLI built,
+# for the fields that are not config keys) and how the CLI builds it; the
+# oracle ratio lets the objective build without a trained discriminator, and
+# objective.ratio is not an ObjectiveSpec field
+SECTION_TYPES = {
+    "DiscTrainConfig": (lambda built: DiscTrainConfig(), lambda cfg: cfg.disc_train_config()),
+    "ScoreTrainConfig": (lambda built: ScoreTrainConfig(),
+                         lambda cfg: cfg.score_train_config()),
+    "VpSchedule": (lambda built: VpSchedule(), lambda cfg: cfg.schedule),
+    "SamplerSpec": (lambda built: SamplerSpec(), lambda cfg: cfg.sampler_spec()),
+    "ObjectiveSpec": (lambda built: ObjectiveSpec(ratio=built.ratio), _objective_spec),
+}
+NOT_CONFIG_KEYS = {"seed", "time_independent", "telemetry_path", "divergence_threshold",
+                   "ratio"}
+
+
+@pytest.mark.parametrize("name", SECTION_TYPES)
+def test_library_defaults_equal_config_defaults(name):
+    make_default, build = SECTION_TYPES[name]
+    built = build(ExperimentConfig(raw={"objective": {"ratio": "oracle"}}))
+    default = make_default(built)
+    for f in fields(default):
+        if f.name not in NOT_CONFIG_KEYS:
+            assert getattr(default, f.name) == getattr(built, f.name), f.name
+
+
+@pytest.mark.parametrize("make,field", [
+    (lambda: DiscTrainConfig(holdout_fraction=0.6), "holdout_fraction"),
+    (lambda: DiscTrainConfig(batch_size=1), "batch_size"),
+    (lambda: ScoreTrainConfig(telemetry_every=-1), "telemetry_every"),
+    (lambda: ScoreTrainConfig(hidden=(8, 0)), "hidden"),
+    (lambda: ScoreTrainConfig(obs_stream="pooled"), "obs_stream"),
+    (lambda: SamplerSpec(steps=1), "steps"),
+    (lambda: VpSchedule(T=0.0), "T"),
+    (lambda: ObjectiveSpec(kind="dsm", tau=-1.0), "tau"),
+], ids=["holdout", "disc-batch", "telemetry", "hidden", "obs_stream", "steps", "T", "tau"])
+def test_library_types_check_the_declared_ranges(make, field):
+    with pytest.raises(InputError, match=field):
+        make()
 
 
 def test_load_config_missing_file(tmp_path):
@@ -218,6 +328,17 @@ def test_debias_report_lists_artifacts(tiny_config):
     labels = [m["label"] for m in report["metrics"]]
     assert labels == ["tiw_dsm"]
     assert (out / "tiw_dsm" / "samples.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["debias", "--all-baselines"],
+                                  ["sweep-alpha", "--alphas", "0,1"]],
+                         ids=["debias", "sweep-alpha"])
+def test_report_lists_every_file_written(tiny_config, argv):
+    config, out = tiny_config()
+    assert main(argv + ["--config", str(config)]) == 0
+    written = {os.path.join(d, f) for d, _, names in os.walk(out) for f in names}
+    report = json.loads((out / "report.json").read_text())
+    assert set(report["artifacts"]) == written
 
 
 def test_debias_byte_deterministic(tiny_config, tmp_path):

@@ -250,7 +250,9 @@ def test_weight_and_correction_rejects_bad_alpha_and_form(random_disc, oracle):
 def test_indistinguishable_sources_drive_logits_to_zero(sched_module, p_data_module):
     split = DatasetSplit(bias_points=p_data_module.sample(600, seed=1),
                          ref_points=p_data_module.sample(600, seed=2))
-    rm = train_discriminator(split, sched_module, DiscTrainConfig(steps=1200, seed=3))
+    rm = train_discriminator(split, sched_module,
+                             DiscTrainConfig(steps=1200, seed=3, batch_size=128,
+                                             holdout_fraction=0.1))
     rng = np.random.default_rng(6)
     x0 = p_data_module.sample(400, seed=7)
     t = rng.uniform(sched_module.t_eps, 1.0, 400)
@@ -261,7 +263,7 @@ def test_indistinguishable_sources_drive_logits_to_zero(sched_module, p_data_mod
 def test_training_deterministic(tmp_path, sched_module, p_data_module, p_bias_module):
     split = DatasetSplit(bias_points=p_bias_module.sample(200, seed=1),
                          ref_points=p_data_module.sample(50, seed=2))
-    cfg = DiscTrainConfig(steps=150, seed=9)
+    cfg = DiscTrainConfig(steps=150, seed=9, batch_size=128, holdout_fraction=0.1)
     a = train_discriminator(split, sched_module, cfg)
     b = train_discriminator(split, sched_module, cfg)
     save_ratio_model(a, tmp_path / "a.ckpt")
@@ -278,7 +280,8 @@ def test_checkpoint_role_round_trip(tmp_path, sched_module, p_data_module, p_bia
     split = DatasetSplit(bias_points=p_bias_module.sample(100, seed=1),
                          ref_points=p_data_module.sample(40, seed=2))
     rm = train_discriminator(split, sched_module,
-                             DiscTrainConfig(steps=50, seed=4, time_independent=True))
+                             DiscTrainConfig(steps=50, seed=4, time_independent=True,
+                                             batch_size=128, holdout_fraction=0.1))
     path = tmp_path / "disc.ckpt"
     save_ratio_model(rm, path)
     clone = load_ratio_model(path, sched_module)
@@ -330,7 +333,8 @@ def test_dre_curve_decreases_up_to_one_inversion(sched_module, p_data_module,
     split = DatasetSplit(bias_points=p_bias_module.sample(1000, seed=50),
                          ref_points=p_data_module.sample(100, seed=51))
     rm = train_discriminator(split, sched_module,
-                             DiscTrainConfig(steps=1500, seed=52))
+                             DiscTrainConfig(steps=1500, seed=52, batch_size=128,
+                                             holdout_fraction=0.1))
     pool = pooled_mixture(p_data_module, p_bias_module)
     curve = [dre_mse(rm, oracle, pool, t, 10_000, seed=53)
              for t in (0.0, 0.2, 0.4, 0.6, 0.8)]

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,20 @@ def test_checkpoint_source_and_provenance(sched, tmp_path):
     assert samples.shape == (16, 2)
     assert prov["source_hash"] and prov["steps"] == 30
     assert (tmp_path / "run" / "provenance.json").exists()
+
+
+def test_checkpoint_read_once_per_generate(sched, tmp_path, monkeypatch):
+    from tiwlab import artifacts
+
+    path = tmp_path / "score.ckpt"
+    save_net(Mlp(2, [8], 2, seed=5), path, extra={"role": "score"})
+    reads = []
+    read_bytes = artifacts.read_bytes
+    monkeypatch.setattr(artifacts, "read_bytes", lambda p: reads.append(p) or read_bytes(p))
+    _, prov = generate(GenerationJob(score_source=path, sched=sched,
+                                     spec=SamplerSpec(steps=4, seed=6), n=8))
+    assert reads == [path]
+    assert prov["source_hash"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_provenance_does_not_depend_on_the_output_directory(sched, tmp_path):
