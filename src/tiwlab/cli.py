@@ -469,6 +469,9 @@ def main(argv=None):
     except TiwlabError as e:
         print(f"error[{e.category}]: {e}", file=sys.stderr)
         return EXIT_CODES.get(e.category, 1)
+    except (FloatingPointError, OverflowError, ZeroDivisionError, np.linalg.LinAlgError) as e:
+        print(f"error[numerical]: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_CODES["numerical"]
 
 
 if __name__ == "__main__":

@@ -222,10 +222,13 @@ class ExperimentConfig:
     def __post_init__(self):
         self.raw = _deep_merge(DEFAULT_CONFIG, self.raw)
         _check(self.raw, LAYOUT)
-        try:  # VpSchedule checks beta_min <= beta_max and t_eps < T
-            VpSchedule(**self.section("schedule"))
-        except InputError as e:
-            raise ConfigError(f"config field schedule: {e}") from e
+        # the checks across fields: VpSchedule needs beta_min <= beta_max and
+        # t_eps < T, SamplerSpec pairs reverse-sde with euler only
+        for name, spec in (("schedule", VpSchedule), ("sampler", SamplerSpec)):
+            try:
+                spec(**self.section(name))
+            except InputError as e:
+                raise ConfigError(f"config field {name}: {e}") from e
 
     # -- typed accessors -----------------------------------------------------
 

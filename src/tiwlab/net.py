@@ -36,19 +36,27 @@ CHECKPOINT_VERSION = 1
 
 
 def _sigmoid(z):
-    # tanh saturates instead of overflowing, so no branch on the sign of z
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+    # tanh saturates instead of overflowing, so no branch on the sign of z;
+    # 0.5 * (1 + tanh(0.5 z)) in one fresh array, a numpy scalar for a 0-d z
+    s = np.multiply(z, 0.5, out=np.empty(np.shape(z)))
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return s if s.ndim else s[()]
 
 
-# activation(z, want_prime) -> (value, derivative or None)
+# activation(z, want_prime) -> (value, derivative or None); the value is
+# written over z, after the derivative has read it
 def _tanh(z, want_prime):
-    a = np.tanh(z)
+    a = np.tanh(z, out=z)
     return a, (1.0 - a * a if want_prime else None)
 
 
 def _silu(z, want_prime):
     s = _sigmoid(z)
-    return z * s, (s * (1.0 + z * (1.0 - s)) if want_prime else None)
+    prime = s * (1.0 + z * (1.0 - s)) if want_prime else None
+    z *= s
+    return z, prime
 
 
 _ACT = {"tanh": _tanh, "silu": _silu}
@@ -141,16 +149,18 @@ class Mlp:
 
     def _time_features(self, t, batch):
         t = np.asarray(t, dtype=np.float64)
-        if t.ndim == 0:
-            t = np.full(batch, float(t))
-        if t.shape != (batch,):
+        if t.ndim != 0 and t.shape != (batch,):
             raise InputError(f"t must be scalar or shape ({batch},), got {t.shape}")
+        # a scalar t gives one row of features, broadcast over the batch
+        rows = t.reshape(-1, 1)
         if self.time_embed == "append-scalar":
-            return t[:, None]
-        # harmonics 1..k of the unit horizon; keeps the t-dependence band-limited
-        freqs = np.arange(1, self.n_frequencies + 1, dtype=np.float64)
-        ang = 2.0 * np.pi * t[:, None] * freqs[None, :]
-        return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+            feats = rows
+        else:
+            # harmonics 1..k of the unit horizon; keeps the t-dependence band-limited
+            freqs = np.arange(1, self.n_frequencies + 1, dtype=np.float64)
+            ang = 2.0 * np.pi * rows * freqs[None, :]
+            feats = np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+        return np.broadcast_to(feats, (batch, feats.shape[1]))
 
     def forward(self, x, t, want_cache=False):
         """Evaluate the network; returns (B, output_dim) for batches.
@@ -174,7 +184,8 @@ class Mlp:
         n_layers = len(self.widths) - 1
         for l in range(n_layers):
             W, b = tensors[2 * l], tensors[2 * l + 1]
-            z = a @ W.T + b
+            z = a @ W.T
+            z += b
             if l < n_layers - 1:
                 a, prime = act(z, want_cache)
                 primes.append(prime)
@@ -278,9 +289,9 @@ class OptimState:
     eps: float = 1e-8
 
 
-def init_optim(n_params, learning_rate=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-    return OptimState(step=0, m=np.zeros(n_params), v=np.zeros(n_params),
-                      learning_rate=learning_rate, beta1=beta1, beta2=beta2, eps=eps)
+def init_optim(n_params, **hyper):
+    """Fresh Adam state; hyper overrides OptimState's learning_rate, beta1, beta2, eps."""
+    return OptimState(step=0, m=np.zeros(n_params), v=np.zeros(n_params), **hyper)
 
 
 def adam_step(params, grads, state: OptimState):

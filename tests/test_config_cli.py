@@ -95,11 +95,17 @@ ENUM_FIELDS = [
 ]
 
 
+# an enum value that is valid only together with another setting
+COMPANIONS = {"sampler.kind=reverse-sde": ["sampler.integrator=euler"]}
+
+
 @pytest.mark.parametrize("path,values", ENUM_FIELDS, ids=[p for p, _ in ENUM_FIELDS])
 def test_schema_enums_follow_code_constants(path, values):
     section, key = path.split(".")
     for value in values:
-        assert load_config(overrides=[f"{path}={value}"]).raw[section][key] == value
+        override = f"{path}={value}"
+        cfg = load_config(overrides=[override, *COMPANIONS.get(override, [])])
+        assert cfg.raw[section][key] == value
     with pytest.raises(ConfigError, match=path):
         load_config(overrides=[f"{path}=no-such-{key}"])
 
@@ -261,6 +267,32 @@ def test_exit_codes(tiny_config, capsys):
     # input error: training data missing
     assert main(["train-disc", "--config", str(config)]) == 2
     assert "gen-data" in capsys.readouterr().err
+
+
+def test_reverse_sde_with_heun_is_refused_at_load(tiny_config, capsys):
+    config, _ = tiny_config()
+    assert main(["gen-data", "--config", str(config),
+                 "--set", "sampler.kind=reverse-sde"]) == 3
+    err = capsys.readouterr().err
+    assert "error[config]" in err and "sampler" in err and "euler" in err
+
+
+@pytest.mark.parametrize("exc", [FloatingPointError("overflow encountered"),
+                                 OverflowError("math range error"),
+                                 ZeroDivisionError("float division by zero"),
+                                 np.linalg.LinAlgError("Singular matrix")],
+                         ids=lambda e: type(e).__name__)
+def test_numerical_failure_exits_4(tiny_config, capsys, monkeypatch, exc):
+    config, _ = tiny_config()
+
+    def fail(cfg):
+        raise exc
+
+    monkeypatch.setattr("tiwlab.cli.cmd_gen_data", fail)
+    assert main(["gen-data", "--config", str(config)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error[numerical]: ") and str(exc) in err
+    assert "Traceback" not in err
 
 
 def test_sample_oracle_deterministic(tiny_config, tmp_path):

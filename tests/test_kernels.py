@@ -1,7 +1,11 @@
 """The mixture kernels at a shared time and at per-row times agree with
-building the perturbed mixture one time at a time."""
+building the perturbed mixture one time at a time; the pairwise distance
+sum agrees with the difference-tensor form and keeps its temporary small."""
+
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -91,3 +95,47 @@ def test_pairwise_mean_dist_chunking_consistent(monkeypatch):
     # 7 rows of A per chunk: 72 chunks, the last one partial
     monkeypatch.setattr(kernels, "PAIRS_PER_CHUNK", 7 * B.shape[0])
     np.testing.assert_allclose(kernels.pairwise_mean_dist(A, B), brute, rtol=1e-12)
+
+
+def _pairwise_mean_dist_reference(A, B, pairs_per_chunk):
+    """The (rows, n, d) difference-tensor form, same chunk boundaries."""
+    m, n = A.shape[0], B.shape[0]
+    chunk = max(1, pairs_per_chunk // max(n, 1))
+    total = 0.0
+    for s in range(0, m, chunk):
+        diff = A[s:s + chunk, None, :] - B[None, :, :]
+        total += np.sqrt((diff * diff).sum(axis=2)).sum()
+    return total / (m * n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 40), n=st.integers(1, 40), d=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1))
+def test_pairwise_mean_dist_matches_difference_tensor(m, n, d, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(m, d)) * rng.uniform(0.1, 10.0)
+    B = rng.normal(size=(n, d)) + rng.uniform(-3.0, 3.0)
+    # one chunk, then 3 rows of A per chunk (the last chunk partial when 3 does not divide m)
+    for pairs in (kernels.PAIRS_PER_CHUNK, 3 * n):
+        want = _pairwise_mean_dist_reference(A, B, pairs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "PAIRS_PER_CHUNK", pairs)
+            got = kernels.pairwise_mean_dist(A, B)
+        if d <= 7:  # sum(axis=2) adds fewer than 8 terms in order, as the kernel does
+            assert got == want
+        else:  # numpy sums 8 or more terms pairwise
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_pairwise_mean_dist_temporary_is_bounded_by_pairs():
+    m = n = 1000
+    rng = np.random.default_rng(5)
+    A, B = rng.normal(size=(m, 3)), rng.normal(size=(n, 3))
+    tracemalloc.start()
+    try:
+        kernels.pairwise_mean_dist(A, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # squared distances plus one coordinate's term; the (m, n, d) form peaks at 7
+    assert peak < 2.5 * m * n * 8

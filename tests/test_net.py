@@ -72,6 +72,32 @@ def test_batch_matches_single_rows():
         np.testing.assert_allclose(batch[i], net.forward(X[i], ts[i]), rtol=1e-15)
 
 
+@pytest.mark.parametrize("time_embed", ["append-scalar", "sinusoidal"])
+@pytest.mark.parametrize("activation", ["tanh", "silu"])
+def test_inference_forward_gives_the_cached_forward_bytes(activation, time_embed):
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(50, 2)) * 3.0
+    ts = rng.uniform(0.0, 1.0, 50)
+    X_before, ts_before = X.copy(), ts.copy()
+    for n_frequencies in (3, 8):
+        net = Mlp(2, [16, 16], 2, activation=activation, time_embed=time_embed,
+                  n_frequencies=n_frequencies, seed=4)
+        for t in (ts, 0.37, 1e-3, 1.0):
+            assert net.forward(X, t).tobytes() == \
+                net.forward(X, t, want_cache=True)[0].tobytes()
+        # a scalar time gives the bytes of that time spelled out per row
+        for t in np.linspace(0.0, 1.0, 101):
+            assert net.forward(X, t).tobytes() == net.forward(X, np.full(50, t)).tobytes()
+    assert X.tobytes() == X_before.tobytes() and ts.tobytes() == ts_before.tobytes()
+
+
+@pytest.mark.parametrize("z", [0.3, -2.5, 40.0, np.array(0.3), np.array(-700.0)])
+def test_sigmoid_of_a_scalar_is_the_logistic_formula(z):
+    s = _sigmoid(z)
+    assert isinstance(s, np.float64)
+    assert s.tobytes() == np.float64(0.5 * (1.0 + np.tanh(0.5 * z))).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # parameter gradient
 # ---------------------------------------------------------------------------
