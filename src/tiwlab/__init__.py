@@ -4,7 +4,7 @@ truth has a closed form."""
 
 __version__ = "0.1.0"
 
-from .mixture import GaussianMixture, pooled_mixture, true_ratio  # noqa: F401
+from .mixture import GaussianMixture, pooled_mixture  # noqa: F401
 from .sde import SamplerSpec, VpSchedule, reverse_generate  # noqa: F401
 from .net import Mlp, adam_step, init_optim, load_net, save_net  # noqa: F401
 from .ratio import (  # noqa: F401

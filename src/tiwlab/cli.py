@@ -315,6 +315,10 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, alphas):
     """One TIW training per ratio-scaling value; logs the endpoint identities."""
     if any(a < 0 for a in alphas):
         raise InputError("alpha values must be >= 0")
+    labels = [f"alpha_{a:g}" for a in alphas]
+    if len(set(labels)) < len(labels):
+        raise InputError(f"alpha values repeat a run label ({', '.join(labels)}); "
+                         "give each once, distinct at 6 significant digits")
     out = cfg.output_dir
     report = _fresh_report(cfg)
     split = _gen_data_stage(cfg, report)

@@ -223,12 +223,17 @@ class ExperimentConfig:
         self.raw = _deep_merge(DEFAULT_CONFIG, self.raw)
         _check(self.raw, LAYOUT)
         # the checks across fields: VpSchedule needs beta_min <= beta_max and
-        # t_eps < T, SamplerSpec pairs reverse-sde with euler only
+        # t_eps < T, SamplerSpec pairs reverse-sde with euler only, each
+        # mixture must build and both must share a dimension
         for name, spec in (("schedule", VpSchedule), ("sampler", SamplerSpec)):
             try:
                 spec(**self.section(name))
             except InputError as e:
                 raise ConfigError(f"config field {name}: {e}") from e
+        bias, data = self.mixture("bias"), self.mixture("data")
+        if bias.dim != data.dim:
+            raise ConfigError(f"config field mixtures: bias is {bias.dim}-D, "
+                              f"data is {data.dim}-D")
 
     # -- typed accessors -----------------------------------------------------
 

@@ -1,10 +1,10 @@
 """Closed-form isotropic Gaussian mixtures.
 
 These mixtures are the ground truth of every experiment: they supply exact
-densities, scores, perturbed (noised) versions of themselves, density
-ratios, samples, and component posteriors. Densities are accumulated in
-the log domain (log-sum-exp) so cross terms at the e^-16 scale survive,
-and ratios floor the densities at 1e-300.
+densities, scores, perturbed (noised) versions of themselves, samples, and
+component posteriors; the oracle RatioModel builds its ratios from them.
+Densities are accumulated in the log domain (log-sum-exp) so cross terms
+at the e^-16 scale survive.
 """
 
 from dataclasses import dataclass, field
@@ -13,8 +13,6 @@ import numpy as np
 
 from . import kernels
 from .errors import InputError
-
-DENSITY_FLOOR = 1e-300
 
 
 def _as_batch(x, dim, name="x"):
@@ -122,15 +120,6 @@ class GaussianMixture:
     @classmethod
     def from_dict(cls, d):
         return cls(weights=d["weights"], means=d["means"], variances=d["variances"])
-
-
-def true_ratio(p_num: GaussianMixture, p_den: GaussianMixture, x):
-    """Exact density ratio p_num(x) / p_den(x), densities floored at 1e-300."""
-    if p_num.dim != p_den.dim:
-        raise InputError(f"dimension mismatch: {p_num.dim} vs {p_den.dim}")
-    num = np.maximum(p_num.density(x), DENSITY_FLOOR)
-    den = np.maximum(p_den.density(x), DENSITY_FLOOR)
-    return num / den
 
 
 def pooled_mixture(a: GaussianMixture, b: GaussianMixture, weight_a=0.5):

@@ -14,11 +14,12 @@ the variant:
     correction_only   weight = 1,            c = grad log ratio^a
     interpolated      dsm for t < tau, tiw for t >= tau
 
-ratio_form chooses which ratio feeds the variant: "tilde" uses the pooled
-half/half ratio (the practical form trained on the full observed set),
-"plain" the direct bias-vs-data ratio (the form whose weight-only /
-correction-only fixed points are the biased and unbiased scores
-respectively). The (weight, c) pair itself comes from
+The stream decides which ratio feeds the variant: on the pooled "obs"
+stream the tilde ratio against the half/half pool, which the ratio kinds
+draw half/half (the practical form trained on the full observed set); on
+one set, "bias" or "ref", the plain data-vs-bias ratio (the form whose
+weight-only / correction-only fixed points are the biased and unbiased
+scores respectively). The (weight, c) pair itself comes from
 RatioModel.weight_and_correction. tiw_dsm is tiw_alpha at a = 1; only
 tiw_alpha, the two ablations and interpolated read alpha, and only
 interpolated reads tau. An exact-quadrature oracle loss
@@ -32,17 +33,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import artifacts
-from .errors import ContractError, InputError, NumericalError
+from .errors import InputError, NumericalError
 from .mixture import GaussianMixture
 from .net import Mlp, NetSpec, adam_step, init_optim
 from .ranges import check_fields
-from .ratio import RATIO_FORMS, DatasetSplit, RatioModel
+from .ratio import DatasetSplit, RatioModel
 from .sde import LAMBDA_KINDS, VpSchedule, lambda_weight
 
 OBJECTIVE_KINDS = ("dsm", "iw_dsm", "tiw_dsm", "tiw_alpha",
                    "weight_only", "correction_only", "interpolated")
 STREAMS = ("bias", "ref", "obs")
-OBS_STREAMS = ("empirical", "balanced")
 LR_DECAYS = ("cosine", "none")
 
 # the ratio each kind reads: the t=0 one (True) or the time-dependent one
@@ -51,7 +51,6 @@ RATIO_READERS = {"iw_dsm": True, "tiw_dsm": False, "tiw_alpha": False,
                  "weight_only": False, "correction_only": False,
                  "interpolated": False}
 _KIND_DEFAULT_STREAM = {"weight_only": "bias", "correction_only": "bias"}
-_KIND_DEFAULT_FORM = {"weight_only": "plain", "correction_only": "plain"}
 
 
 @dataclass
@@ -64,20 +63,28 @@ class ObjectiveSpec:
     lambda_kind: str = field(default="sigma_squared", metadata={"choices": LAMBDA_KINDS})
     # "auto" resolves per kind in __post_init__
     stream: str = field(default="auto", metadata={"choices": ("auto", *STREAMS)})
-    ratio_form: str = field(default="auto", metadata={"choices": ("auto", *RATIO_FORMS)})
     ratio: RatioModel = field(default=None, metadata={"config": False})
 
     def __post_init__(self):
         check_fields(self)
         if self.stream == "auto":
             self.stream = _KIND_DEFAULT_STREAM.get(self.kind, "obs")
-        if self.ratio_form == "auto":
-            self.ratio_form = _KIND_DEFAULT_FORM.get(self.kind, "tilde")
         if self.kind == "tiw_dsm" and self.alpha != 1.0:
             raise InputError("tiw_dsm is tiw_alpha at alpha = 1; use kind tiw_alpha "
                              f"for alpha = {self.alpha!r}")
         if self.kind in RATIO_READERS and self.ratio is None:
             raise InputError(f"objective kind {self.kind!r} requires a ratio model")
+
+    @property
+    def ratio_form(self):
+        """The ratio the weights read: tilde on the pooled stream, else plain."""
+        return "tilde" if self.stream == "obs" else "plain"
+
+    @property
+    def balanced_draw(self):
+        """Pooled draws pick the set by a fair coin for the ratio kinds, as
+        the tilde ratio's half/half pool; dsm keeps the empirical shares."""
+        return self.stream == "obs" and self.kind in RATIO_READERS
 
 
 @dataclass
@@ -91,7 +98,8 @@ class LossSample:
 
 
 def _batch_terms(net, X0, ts, eps, sched, spec: ObjectiveSpec, iw_weights=None):
-    """Per-sample losses plus what backprop needs (d loss_i / d s_i, cache)."""
+    """Per-sample losses plus what backprop needs (d loss_i / d s_i, cache);
+    iw_dsm's t=0 weights come from spec.ratio unless passed in iw_weights."""
     X0 = np.atleast_2d(np.asarray(X0, dtype=np.float64))
     eps = np.atleast_2d(np.asarray(eps, dtype=np.float64))
     ts = np.broadcast_to(np.asarray(ts, dtype=np.float64), (X0.shape[0],))
@@ -104,9 +112,7 @@ def _batch_terms(net, X0, ts, eps, sched, spec: ObjectiveSpec, iw_weights=None):
     corr = np.zeros((B, d))
     kind = spec.kind
     if kind == "iw_dsm":
-        if iw_weights is None:
-            raise ContractError("iw_dsm needs per-sample t=0 weights")
-        weights = np.broadcast_to(np.asarray(iw_weights, dtype=np.float64), (B,))
+        weights = _iw_weights(spec, X0) if iw_weights is None else iw_weights
     elif kind in RATIO_READERS:
         w, g = spec.ratio.weight_and_correction(X_t, ts, spec.ratio_form, spec.alpha)
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(g))):
@@ -126,11 +132,9 @@ def _batch_terms(net, X0, ts, eps, sched, spec: ObjectiveSpec, iw_weights=None):
     return losses, outgrad, cache, weights, X_t
 
 
-def persample_loss(net, spec: ObjectiveSpec, x0, t, noise, sched, iw_weight=None):
-    """Loss of one sample (x0, t, noise) under spec; iw_dsm needs its t=0 weight."""
-    if iw_weight is not None and iw_weight <= 0.0:
-        raise InputError("importance weight must be positive")
-    losses, *_ = _batch_terms(net, x0, t, noise, sched, spec, iw_weights=iw_weight)
+def persample_loss(net, spec: ObjectiveSpec, x0, t, noise, sched):
+    """Loss of one sample (x0, t, noise) under spec."""
+    losses, *_ = _batch_terms(net, x0, t, noise, sched, spec)
     return float(losses[0])
 
 
@@ -254,16 +258,13 @@ def mc_loss_gradient(net, spec: ObjectiveSpec, sched, base_mixture: GaussianMixt
     else:
         noise_blocks = (eps,)
 
-    iw = _iw_weights(spec, x0) if spec.kind == "iw_dsm" else None
-
     total = 0.0
     grads = np.zeros(net.n_params)
     for block in noise_blocks:
         for s in range(0, m, batch):
             sl = slice(s, min(s + batch, m))
             losses, outgrad, cache, _, _ = _batch_terms(
-                net, x0[sl], ts[sl], block[sl], sched, spec,
-                iw_weights=None if iw is None else iw[sl])
+                net, x0[sl], ts[sl], block[sl], sched, spec)
             total += losses.sum()
             grads += net.param_gradient(outgrad, cache)
     scale = (t_hi - t_lo) / (m * len(noise_blocks))
@@ -271,7 +272,7 @@ def mc_loss_gradient(net, spec: ObjectiveSpec, sched, base_mixture: GaussianMixt
 
 
 def _iw_weights(spec: ObjectiveSpec, points):
-    """Importance weights at t=0, cached per data point for iw_dsm."""
+    """iw_dsm's importance weights: the ratio at t=0 of each point."""
     return spec.ratio.weight_and_correction(points, 0.0, spec.ratio_form,
                                             want_grad=False)[0]
 
@@ -292,11 +293,6 @@ class ScoreTrainConfig(NetSpec):
     telemetry_every: int = field(default=500, metadata={"ge": 0})
     telemetry_path: str = field(default=None, metadata={"config": False})
     divergence_threshold: float = field(default=1e6, metadata={"config": False})
-    # pooled-stream draw rule; "auto" resolves per objective: tilde-ratio
-    # objectives draw the source set by a fair coin ("balanced", matching
-    # the half/half pool their weights are normalized against), plain DSM
-    # pools with empirical proportions
-    obs_stream: str = field(default="auto", metadata={"choices": ("auto", *OBS_STREAMS)})
     lr_decay: str = field(default="cosine", metadata={"choices": LR_DECAYS})
 
     def __post_init__(self):
@@ -316,22 +312,18 @@ def train_score(data: DatasetSplit, spec: ObjectiveSpec, sched: VpSchedule,
     """Adam loop over mini-batches of the configured objective.
 
     The data stream follows spec.stream; for "obs" the pooled set is drawn
-    with empirical proportions unless cfg.obs_stream == "balanced", which
-    picks the source set by a fair coin first. Deterministic in cfg.seed.
+    with empirical proportions unless spec.balanced_draw, which picks the
+    source set by a fair coin first. iw_dsm's t=0 weights are computed once
+    per pool point. Deterministic in cfg.seed.
     Telemetry LossSamples land on the returned network (.telemetry) and,
     when telemetry_path is set, in a CSV with columns step,t,weight,loss,
     written when the loop ends, also when it diverges.
     """
     cfg = cfg or ScoreTrainConfig()
-    obs_stream = cfg.obs_stream
-    if obs_stream == "auto":
-        tilde_ratio = spec.kind in RATIO_READERS and spec.ratio_form == "tilde"
-        obs_stream = "balanced" if tilde_ratio else "empirical"
     rng = np.random.default_rng(cfg.seed)
     pool = _stream_points(data, spec.stream)
     n_pool = pool.shape[0]
     dim = pool.shape[1]
-    balanced = spec.stream == "obs" and obs_stream == "balanced"
     n_bias = data.bias_points.shape[0]
 
     iw_cache = _iw_weights(spec, pool) if spec.kind == "iw_dsm" else None
@@ -344,7 +336,7 @@ def train_score(data: DatasetSplit, spec: ObjectiveSpec, sched: VpSchedule,
     telemetry = []
     try:
         for step in range(cfg.steps):
-            if balanced:
+            if spec.balanced_draw:
                 pick_ref = rng.integers(0, 2, cfg.batch_size).astype(bool)
                 idx = np.where(
                     pick_ref,

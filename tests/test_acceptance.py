@@ -151,7 +151,7 @@ def test_criterion_4_degeneracy_identities(setup1d):
     dsm = ObjectiveSpec(kind="dsm")
     alpha0 = ObjectiveSpec(kind="tiw_alpha", alpha=0.0, ratio=oracle)
     unit_tiw = ObjectiveSpec(kind="tiw_dsm", ratio=unit)
-    iw = ObjectiveSpec(kind="iw_dsm", ratio=oracle)
+    unit_iw = ObjectiveSpec(kind="iw_dsm", ratio=unit)
     rng = np.random.default_rng(40)
     worst = 0.0
     tilde_ok = True
@@ -163,7 +163,7 @@ def test_criterion_4_degeneracy_identities(setup1d):
         worst = max(worst,
                     abs(persample_loss(net, alpha0, x0, t, eps, sched) - d),
                     abs(persample_loss(net, unit_tiw, x0, t, eps, sched) - d),
-                    abs(persample_loss(net, iw, x0, t, eps, sched, iw_weight=1.0) - d))
+                    abs(persample_loss(net, unit_iw, x0, t, eps, sched) - d))
         tilde_ok &= oracle.ratio_tilde_alpha(x0, t, 0.0) == 1.0
     report(4, "bit-level degeneracies (alpha=0, unit ratio, unit weight)",
            worst == 0.0 and tilde_ok,

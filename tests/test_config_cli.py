@@ -19,8 +19,6 @@ from tiwlab.net import ACTIVATIONS, TIME_EMBEDS, load_net
 from tiwlab.objectives import (
     LR_DECAYS,
     OBJECTIVE_KINDS,
-    OBS_STREAMS,
-    RATIO_FORMS,
     STREAMS,
     ObjectiveSpec,
     ScoreTrainConfig,
@@ -83,12 +81,10 @@ ENUM_FIELDS = [
     ("disc_net.activation", ACTIVATIONS),
     ("score_net.time_embed", TIME_EMBEDS),
     ("disc_train.lambda_prime", LAMBDA_KINDS),
-    ("score_train.obs_stream", ("auto", *OBS_STREAMS)),
     ("score_train.lr_decay", LR_DECAYS),
     ("objective.kind", OBJECTIVE_KINDS),
     ("objective.lambda_kind", LAMBDA_KINDS),
     ("objective.stream", ("auto", *STREAMS)),
-    ("objective.ratio_form", ("auto", *RATIO_FORMS)),
     ("objective.ratio", RATIO_KINDS),
     ("sampler.kind", SAMPLER_KINDS),
     ("sampler.integrator", INTEGRATORS),
@@ -159,6 +155,10 @@ BAD_OVERRIDES = [
     ("mixtures.bias.wieghts=[1]", "(?i)mixtures.bias.*additional"),
     ("mixtures.bias=null", "mixtures.bias"),
     ("mixtures.bias.means=[1,2]", "mixtures.bias.means"),
+    ("mixtures.bias.weights=[0.5,0.6]", "mixtures.bias"),
+    ("mixtures.data.means=[[-2,-2,0],[2,2,0]]", "mixtures: bias is 2-D, data is 3-D"),
+    ("objective.ratio_form=plain", "objective.*ratio_form"),
+    ("score_train.obs_stream=balanced", "score_train.*obs_stream"),
     ("output_dir=3", "output_dir"),
     ("disc_net=3", "disc_net"),
 ]
@@ -186,9 +186,9 @@ def test_two_mode_yaml_holds_the_defaults():
 
 def test_config_hashes_pinned():
     assert config_hash(ExperimentConfig(raw={})) == \
-        "32196232b5bfe77ac110ed0ea18ca580dbf3fe0de21fc6913318e4a649b2ad33"
+        "0719b71a031209655000e53cc90b50b493840a410cd23b97b9c3995567fb7482"
     assert config_hash(load_config(TWO_MODE)) == \
-        "a17d192b8919801d3f0ef717c329fddd75c1136d139aa345bfbf42c9408c27c8"
+        "8859b055b06b5b7e293ded50667d7a42a57751d598c311389f32f938b8b032c7"
 
 
 # each library type a section maps to: its defaults (given what the CLI built,
@@ -222,11 +222,10 @@ def test_library_defaults_equal_config_defaults(name):
     (lambda: DiscTrainConfig(batch_size=1), "batch_size"),
     (lambda: ScoreTrainConfig(telemetry_every=-1), "telemetry_every"),
     (lambda: ScoreTrainConfig(hidden=(8, 0)), "hidden"),
-    (lambda: ScoreTrainConfig(obs_stream="pooled"), "obs_stream"),
     (lambda: SamplerSpec(steps=1), "steps"),
     (lambda: VpSchedule(T=0.0), "T"),
     (lambda: ObjectiveSpec(kind="dsm", tau=-1.0), "tau"),
-], ids=["holdout", "disc-batch", "telemetry", "hidden", "obs_stream", "steps", "T", "tau"])
+], ids=["holdout", "disc-batch", "telemetry", "hidden", "steps", "T", "tau"])
 def test_library_types_check_the_declared_ranges(make, field):
     with pytest.raises(InputError, match=field):
         make()
@@ -470,6 +469,14 @@ def test_sweep_alpha_one_matches_tiw_checkpoint(tiny_config):
     net_a, _ = load_net(out / "tiw_dsm" / "score.ckpt")
     net_b, _ = load_net(out / "alpha_1" / "score.ckpt")
     assert net_a.params.tobytes() == net_b.params.tobytes()
+
+
+@pytest.mark.parametrize("alphas", ["0.1,0.1000001", "1,1"])
+def test_sweep_alpha_refuses_repeated_run_labels(tiny_config, capsys, alphas):
+    config, out = tiny_config()
+    assert main(["sweep-alpha", "--config", str(config), "--alphas", alphas]) == 2
+    assert "alpha_" in capsys.readouterr().err
+    assert not out.exists()  # refused before any data or training
 
 
 def test_eval_command(tiny_config):

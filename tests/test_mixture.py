@@ -8,8 +8,9 @@ from tiwlab.mixture import (
     GaussianMixture,
     pooled_mixture,
     standard_normal_mixture,
-    true_ratio,
 )
+from tiwlab.ratio import oracle_ratio_model
+from tiwlab.sde import VpSchedule
 
 from conftest import mixture_pdf_by_hand
 
@@ -150,21 +151,25 @@ def test_perturb_agrees_with_kernel_quadrature_1d(sched):
 
 
 # ---------------------------------------------------------------------------
-# ratios
+# ratios: the oracle ratio at t=0 is the density quotient of the mixtures
 # ---------------------------------------------------------------------------
+
+def ratio_t0(p_num, p_den, x):
+    return oracle_ratio_model(p_num, p_den, VpSchedule()).ratio_w(x, 0.0)
+
 
 def test_ratio_of_identical_mixtures(p_data):
     rng = np.random.default_rng(1)
     X = rng.normal(size=(50, 2))
-    np.testing.assert_allclose(true_ratio(p_data, p_data, X), 1.0, rtol=1e-12)
+    np.testing.assert_allclose(ratio_t0(p_data, p_data, X), 1.0, rtol=1e-12)
 
 
 def test_ratio_two_mode_values(p_data, p_bias):
     num = mixture_pdf_by_hand([-2.0, -2.0], [0.5, 0.5], [[-2, -2], [2, 2]], [1, 1])
     den = mixture_pdf_by_hand([-2.0, -2.0], [0.9, 0.1], [[-2, -2], [2, 2]], [1, 1])
-    assert true_ratio(p_data, p_bias, [-2.0, -2.0]) == pytest.approx(num / den, rel=1e-12)
+    assert ratio_t0(p_data, p_bias, [-2.0, -2.0]) == pytest.approx(num / den, rel=1e-12)
     assert num / den == pytest.approx(0.55556, rel=1e-4)
-    assert true_ratio(p_data, p_bias, [2.0, 2.0]) == pytest.approx(5.0, rel=1e-5)
+    assert ratio_t0(p_data, p_bias, [2.0, 2.0]) == pytest.approx(5.0, rel=1e-5)
 
 
 @settings(max_examples=30, deadline=None)
@@ -172,7 +177,7 @@ def test_ratio_two_mode_values(p_data, p_bias):
 def test_ratio_reciprocal_identity(x):
     p = GaussianMixture(weights=[0.5, 0.5], means=[[-2, -2], [2, 2]], variances=[1, 1])
     q = GaussianMixture(weights=[0.9, 0.1], means=[[-2, -2], [2, 2]], variances=[1, 1])
-    prod = true_ratio(p, q, np.array(x)) * true_ratio(q, p, np.array(x))
+    prod = ratio_t0(p, q, np.array(x)) * ratio_t0(q, p, np.array(x))
     assert prod == pytest.approx(1.0, rel=1e-10)
 
 

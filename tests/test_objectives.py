@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from tiwlab import objectives
 from tiwlab.errors import InputError, NumericalError
 from tiwlab.mixture import (
     GaussianMixture,
@@ -118,16 +119,13 @@ def test_tiw_alpha_zero_is_dsm_bitwise(sched, oracle_1d):
 
 
 def test_iw_weight_scaling(sched):
+    # iw_dsm is dsm scaled by the ratio model's t=0 weight at x0
     net = Mlp(2, [8], 2, seed=7)
-    iw = ObjectiveSpec(kind="iw_dsm", ratio=oracle_ratio_model(
-        two_mode_balanced_mixture(), two_mode_bias_mixture(), sched))
+    oracle = oracle_ratio_model(two_mode_balanced_mixture(), two_mode_bias_mixture(), sched)
     x0, t, eps = random_case(2, 3)
     dsm = persample_loss(net, DSM, x0, t, eps, sched)
-    assert persample_loss(net, iw, x0, t, eps, sched, iw_weight=1.0) == dsm
-    assert persample_loss(net, iw, x0, t, eps, sched, iw_weight=0.01) == pytest.approx(
-        0.01 * dsm, rel=1e-15)
-    with pytest.raises(InputError):
-        persample_loss(net, iw, x0, t, eps, sched, iw_weight=0.0)
+    iw = persample_loss(net, ObjectiveSpec(kind="iw_dsm", ratio=oracle), x0, t, eps, sched)
+    assert iw == pytest.approx(oracle.ratio_tilde(x0, 0.0) * dsm, rel=1e-15)
 
 
 def test_iw_weights_average_to_one_on_pooled_stream(sched, oned, oracle_1d):
@@ -154,7 +152,7 @@ def test_ablation_terms_differ_from_tiw(sched, oracle_1d):
     x0 = np.array([2.0])  # minority mode: w != 1 there
     t, eps = 0.3, np.array([0.4])
     tiw, wonly, conly = (
-        persample_loss(net, ObjectiveSpec(kind=kind, ratio=oracle_1d, ratio_form="plain"),
+        persample_loss(net, ObjectiveSpec(kind=kind, ratio=oracle_1d, stream="bias"),
                        x0, t, eps, sched)
         for kind in ("tiw_dsm", "weight_only", "correction_only"))
     assert len({tiw, wonly, conly}) == 3
@@ -304,8 +302,7 @@ def test_tiw_gradient_matches_sm_quadrature_2d_linear_model(sched):
     net.params[-2:] += 1.5  # push output biases off the optimum
     _, grad_q = loss_sm_oracle(net, QuadratureGrid(n_t=12, n_x=72, t_panels=6),
                                sched, data)
-    spec = ObjectiveSpec(kind="tiw_dsm", ratio=oracle, ratio_form="tilde",
-                         stream="obs")
+    spec = ObjectiveSpec(kind="tiw_dsm", ratio=oracle, stream="obs")
     _, grad_mc = mc_loss_gradient(net, spec, sched, obs, n=400_000, seed=15)
     rel = np.linalg.norm(grad_mc - grad_q) / np.linalg.norm(grad_q)
     assert rel < 5e-3
@@ -345,6 +342,33 @@ def test_train_dsm_single_gaussian(sched):
                       ScoreTrainConfig(steps=3000, seed=22))
     for t in (0.1, 0.5):
         assert probe_score_mse(net, sched, gm, t, lo=-2.0, hi=2.0) < 0.05
+
+
+def test_pooled_draw_follows_the_objective(sched, oned, oracle_1d, monkeypatch):
+    # the ratio kinds draw the obs pool half/half, dsm with its empirical shares
+    bias, data = oned
+    split = DatasetSplit(bias_points=bias.sample(600, seed=30),
+                         ref_points=data.sample(60, seed=31))
+    drawn = []
+    batch_terms = objectives._batch_terms
+
+    def record(net, X0, *args, **kwargs):
+        drawn.append(X0[:, 0])
+        return batch_terms(net, X0, *args, **kwargs)
+
+    monkeypatch.setattr(objectives, "_batch_terms", record)
+    cfg = ScoreTrainConfig(hidden=(8,), steps=40, batch_size=128, telemetry_every=0, seed=32)
+
+    def ref_share(kind, stream):
+        drawn.clear()
+        ratio = None if kind == "dsm" else oracle_1d
+        train_score(split, ObjectiveSpec(kind=kind, stream=stream, ratio=ratio), sched, cfg)
+        return np.isin(np.concatenate(drawn), split.ref_points[:, 0]).mean()
+
+    for kind in ("tiw_dsm", "iw_dsm"):
+        assert ref_share(kind, "obs") == pytest.approx(0.5, abs=0.05)
+    assert ref_share("dsm", "obs") == pytest.approx(60 / 660, abs=0.03)
+    assert ref_share("dsm", "bias") == 0.0
 
 
 def test_train_deterministic(sched, oned):
