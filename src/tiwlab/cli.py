@@ -313,8 +313,8 @@ def cmd_debias(cfg: ExperimentConfig, all_baselines=False):
 
 def cmd_sweep_alpha(cfg: ExperimentConfig, alphas):
     """One TIW training per ratio-scaling value; logs the endpoint identities."""
-    if any(a < 0 for a in alphas):
-        raise InputError("alpha values must be >= 0")
+    if not all(0.0 <= a < np.inf for a in alphas):  # also refuses nan
+        raise InputError("alpha values must be finite and >= 0")
     labels = [f"alpha_{a:g}" for a in alphas]
     if len(set(labels)) < len(labels):
         raise InputError(f"alpha values repeat a run label ({', '.join(labels)}); "

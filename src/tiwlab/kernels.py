@@ -11,17 +11,20 @@ at each sample's own time): the component moments broadcast.
 
 Densities are accumulated in the log domain (log-sum-exp), so cross terms
 far in the tails survive. ``pairwise_mean_dist`` is the O(m*n) sum behind
-the energy distance: it builds each chunk's squared distances one
-coordinate at a time, so its temporaries are bounded by pairs, not
-pairs times dimension.
+the energy distance: it fills each chunk's distance matrix in blocks of
+ROW_BLOCK rows, one coordinate at a time, so a block's squared distances
+stay in cache until their square root is taken, and the temporaries are
+one matrix of at most PAIRS_PER_CHUNK entries plus one block.
 """
 
 import numpy as np
 
 LOG_2PI = float(np.log(2.0 * np.pi))
-# pairs (rows of A times rows of B) per chunk; each chunk holds two
-# (rows, n) float64 matrices: the squared distances and one coordinate's term
+# pairs (rows of A times rows of B) per chunk; each chunk holds one (rows, n)
+# float64 distance matrix, filled ROW_BLOCK rows at a time
 PAIRS_PER_CHUNK = 20_000_000
+# rows of A per block; one (ROW_BLOCK, n) buffer holds a coordinate's term
+ROW_BLOCK = 64
 
 
 def _log_terms(X, log_w, means, variances):
@@ -63,17 +66,22 @@ def pairwise_mean_dist(A, B):
     """
     m, n = A.shape[0], B.shape[0]
     chunk = max(1, PAIRS_PER_CHUNK // max(n, 1))
+    term = np.empty((min(ROW_BLOCK, m), n))
     total = 0.0
     for s in range(0, m, chunk):
         a = A[s:s + chunk]
-        sq = np.subtract.outer(a[:, 0], B[:, 0])
-        sq *= sq
-        term = np.empty_like(sq)
-        for j in range(1, A.shape[1]):
-            np.subtract.outer(a[:, j], B[:, j], out=term)
-            term *= term
-            sq += term
-        total += np.sqrt(sq, out=sq).sum()
+        dist = np.empty((a.shape[0], n))
+        for r in range(0, a.shape[0], ROW_BLOCK):
+            ab, sq = a[r:r + ROW_BLOCK], dist[r:r + ROW_BLOCK]
+            np.subtract.outer(ab[:, 0], B[:, 0], out=sq)
+            sq *= sq
+            tb = term[:sq.shape[0]]
+            for j in range(1, A.shape[1]):
+                np.subtract.outer(ab[:, j], B[:, j], out=tb)
+                tb *= tb
+                sq += tb
+            np.sqrt(sq, out=sq)
+        total += dist.sum()
     return total / (m * n)
 
 

@@ -7,10 +7,21 @@ the network as a plain vector. Forward/backward are hand-written
 reverse-mode numpy; gradients are exact, which the test suite checks
 against central finite differences.
 
+Each layer is one matmul over the whole batch, followed by an elementwise
+chain (bias add, activation, and its derivative when a cache is wanted)
+run over row blocks of about BLOCK_ELEMENTS entries, so a block stays in
+cache from the bias add to the activation's last pass. The blocking
+changes no value: the elementwise work is the same per entry and every
+matmul keeps its shape.
+
 forward(want_cache=True) keeps what the reverse pass needs: the input of
-each layer and each hidden layer's activation derivative, taken from the
-sigmoid/tanh the forward pass already evaluated. One backprop routine
-serves both the parameter gradient and the input gradient.
+each layer and each hidden layer's activation derivative, written by the
+activation straight into the cache from the sigmoid/tanh it evaluated.
+One backprop routine serves both the parameter gradient and the input
+gradient. Without a cache, the hidden activations go into two buffers the
+network keeps while the row count stays the same; the returned output is
+always a fresh array. The (W, b) views into the parameter vector are built
+once, so ``params`` can be written in place but not rebound.
 
 Checkpoint format (little-endian): magic ``TIWNET``, u16 format version,
 u32 header length, JSON header (architecture + arbitrary extra fields),
@@ -34,6 +45,10 @@ TIME_EMBEDS = ("append-scalar", "sinusoidal")
 CHECKPOINT_MAGIC = b"TIWNET"
 CHECKPOINT_VERSION = 1
 
+# float64 entries per row block of the elementwise chain: 128 KB, which is
+# 256 rows at width 64
+BLOCK_ELEMENTS = 16_384
+
 
 def _sigmoid(z):
     # tanh saturates instead of overflowing, so no branch on the sign of z;
@@ -45,18 +60,24 @@ def _sigmoid(z):
     return s if s.ndim else s[()]
 
 
-# activation(z, want_prime) -> (value, derivative or None); the value is
-# written over z, after the derivative has read it
-def _tanh(z, want_prime):
-    a = np.tanh(z, out=z)
-    return a, (1.0 - a * a if want_prime else None)
+# activation(z, prime) writes its value over z; given a prime array, it
+# first writes the derivative there, from the sigmoid/tanh it evaluated
+def _tanh(z, prime):
+    np.tanh(z, out=z)
+    if prime is not None:
+        np.multiply(z, z, out=prime)
+        np.subtract(1.0, prime, out=prime)
 
 
-def _silu(z, want_prime):
+def _silu(z, prime):
     s = _sigmoid(z)
-    prime = s * (1.0 + z * (1.0 - s)) if want_prime else None
+    if prime is not None:
+        # s * (1 + z * (1 - s))
+        np.subtract(1.0, s, out=prime)
+        prime *= z
+        prime += 1.0
+        prime *= s
     z *= s
-    return z, prime
 
 
 _ACT = {"tanh": _tanh, "silu": _silu}
@@ -115,35 +136,57 @@ class Mlp:
         self.n_params = off
 
         if params is None:
-            self.params = self._init_params(seed)
+            self._params = self._init_params(seed)
         else:
             params = np.asarray(params, dtype=np.float64)
             if params.shape != (self.n_params,):
                 raise InputError(
                     f"params must have length {self.n_params}, got {params.shape}"
                 )
-            self.params = params.copy()
+            self._params = params.copy()
+        self._layers = self._views(self._params)
+        self._buffer_rows, self._buffers = None, ()
+
+    @property
+    def params(self):
+        """The flat parameter vector; the layer views share its memory."""
+        return self._params
+
+    @params.setter
+    def params(self, value):
+        # `net.params += g` hands back the same array; any other would leave
+        # the layer views reading the old one
+        if value is not self._params:
+            raise ContractError("Mlp.params cannot be rebound; write into it "
+                                "in place (net.params[:] = ...)")
 
     def _init_params(self, seed):
         # uniform +-1/sqrt(fan_in), per layer
         rng = np.random.default_rng(seed)
         params = np.empty(self.n_params)
-        for i in range(0, len(self.layout), 2):
-            w_off, w_shape = self.layout[i]
-            b_off, b_shape = self.layout[i + 1]
-            bound = 1.0 / np.sqrt(w_shape[1])
-            params[w_off:w_off + w_shape[0] * w_shape[1]] = rng.uniform(
-                -bound, bound, w_shape[0] * w_shape[1]
-            )
-            params[b_off:b_off + b_shape[0]] = rng.uniform(-bound, bound, b_shape[0])
+        for W, b in self._views(params):
+            bound = 1.0 / np.sqrt(W.shape[1])
+            W[...] = rng.uniform(-bound, bound, W.shape)
+            b[...] = rng.uniform(-bound, bound, b.shape)
         return params
 
-    def _tensors(self, flat=None):
-        flat = self.params if flat is None else flat
-        out = []
-        for off, shape in self.layout:
-            out.append(flat[off:off + math.prod(shape)].reshape(shape))
-        return out
+    def _views(self, flat):
+        """(W, b) per layer, as views into a vector laid out like params."""
+        views = [flat[off:off + math.prod(shape)].reshape(shape) for off, shape in self.layout]
+        return list(zip(views[0::2], views[1::2]))
+
+    def _buffer(self, rows, layer):
+        """(rows, width) inference buffer for a hidden layer's activation.
+
+        Two buffers alternate, so a layer never writes the one it reads;
+        they are kept while the row count stays the same.
+        """
+        if rows != self._buffer_rows:
+            size = rows * max(self.hidden)
+            self._buffers = tuple(np.empty(size) for _ in range(min(2, len(self.hidden))))
+            self._buffer_rows = rows
+        width = self.widths[layer + 1]
+        return self._buffers[layer % 2][:rows * width].reshape(rows, width)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -178,20 +221,27 @@ class Mlp:
         feats = np.concatenate([X, self._time_features(t, X.shape[0])], axis=1)
 
         act = _ACT[self.activation]
-        tensors = self._tensors()
+        B = feats.shape[0]
         a = feats
         primes, acts = [], [feats]
-        n_layers = len(self.widths) - 1
-        for l in range(n_layers):
-            W, b = tensors[2 * l], tensors[2 * l + 1]
-            z = a @ W.T
-            z += b
-            if l < n_layers - 1:
-                a, prime = act(z, want_cache)
+        for l, (W, b) in enumerate(self._layers[:-1]):
+            if want_cache:
+                z = a @ W.T
+                prime = np.empty_like(z)
                 primes.append(prime)
-                acts.append(a)
+                acts.append(z)
             else:
-                a = z
+                z = np.matmul(a, W.T, out=self._buffer(B, l))
+                prime = None
+            rows = max(1, BLOCK_ELEMENTS // z.shape[1])
+            for r in range(0, B, rows):
+                zb = z[r:r + rows]
+                zb += b
+                act(zb, None if prime is None else prime[r:r + rows])
+            a = z
+        W, b = self._layers[-1]
+        a = a @ W.T
+        a += b
         out = a[0] if single else a
         if want_cache:
             return out, ForwardCache(net=self, feats=feats, primes=primes, acts=acts,
@@ -248,15 +298,15 @@ class Mlp:
         With a grads vector, adds d(loss)/d(params) into it and stops at the
         first layer; without one, returns d(loss)/d(feats).
         """
-        tensors = self._tensors()
-        gtensors = None if grads is None else self._tensors(grads)
-        for l in range(len(self.widths) - 2, -1, -1):
-            if gtensors is not None:
-                gtensors[2 * l] += delta.T @ cache.acts[l]
-                gtensors[2 * l + 1] += delta.sum(axis=0)
+        glayers = None if grads is None else self._views(grads)
+        for l in range(len(self._layers) - 1, -1, -1):
+            if glayers is not None:
+                gW, gb = glayers[l]
+                gW += delta.T @ cache.acts[l]
+                gb += delta.sum(axis=0)
                 if l == 0:
                     return None
-            delta = delta @ tensors[2 * l]
+            delta = delta @ self._layers[l][0]
             if l > 0:
                 delta *= cache.primes[l - 1]
         return delta

@@ -258,13 +258,16 @@ def mc_loss_gradient(net, spec: ObjectiveSpec, sched, base_mixture: GaussianMixt
     else:
         noise_blocks = (eps,)
 
+    slices = [slice(s, min(s + batch, m)) for s in range(0, m, batch)]
+    # iw_dsm's t=0 weights depend on x0 alone: one evaluation per slice
+    # serves every noise block
+    iw = [_iw_weights(spec, x0[sl]) if spec.kind == "iw_dsm" else None for sl in slices]
     total = 0.0
     grads = np.zeros(net.n_params)
     for block in noise_blocks:
-        for s in range(0, m, batch):
-            sl = slice(s, min(s + batch, m))
+        for sl, w in zip(slices, iw):
             losses, outgrad, cache, _, _ = _batch_terms(
-                net, x0[sl], ts[sl], block[sl], sched, spec)
+                net, x0[sl], ts[sl], block[sl], sched, spec, iw_weights=w)
             total += losses.sum()
             grads += net.param_gradient(outgrad, cache)
     scale = (t_hi - t_lo) / (m * len(noise_blocks))

@@ -147,10 +147,10 @@ def reverse_generate(sched: VpSchedule, score_fn, spec: SamplerSpec, n, dim):
     noise = _trajectory_noise(spec.seed, n, spec.steps + 1 if stochastic else 1, dim)
     x = noise[:, 0, :].copy()
 
-    def ode_drift(xx, t):
+    def ode_drift(xx, t, k):
         beta = sched.beta(t)
         s = np.asarray(score_fn(xx, t), dtype=np.float64)
-        _check_finite(s, -1, t)
+        _check_finite(s, k, t)
         return -0.5 * beta * (xx + s)
 
     for k in range(spec.steps):
@@ -163,10 +163,10 @@ def reverse_generate(sched: VpSchedule, score_fn, spec: SamplerSpec, n, dim):
             drift = -0.5 * beta * x - beta * s
             x = x + dt * drift + np.sqrt(-dt * beta) * noise[:, k + 1, :]
         elif spec.integrator == "euler":
-            x = x + dt * ode_drift(x, t)
+            x = x + dt * ode_drift(x, t, k)
         else:  # heun
-            k1 = ode_drift(x, t)
-            k2 = ode_drift(x + dt * k1, t_next)
+            k1 = ode_drift(x, t, k)
+            k2 = ode_drift(x + dt * k1, t_next, k)
             x = x + 0.5 * dt * (k1 + k2)
         _check_finite(x, k, t_next)
     return x

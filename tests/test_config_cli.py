@@ -479,6 +479,14 @@ def test_sweep_alpha_refuses_repeated_run_labels(tiny_config, capsys, alphas):
     assert not out.exists()  # refused before any data or training
 
 
+@pytest.mark.parametrize("alphas", ["nan", "0,inf"])
+def test_sweep_alpha_refuses_nonfinite_alphas_before_any_work(tiny_config, capsys, alphas):
+    config, out = tiny_config()
+    assert main(["sweep-alpha", "--config", str(config), "--alphas", alphas]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (out / "bias.csv").exists()
+
+
 def test_eval_command(tiny_config):
     config, out = tiny_config()
     main(["gen-data", "--config", str(config)])

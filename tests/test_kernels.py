@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tiwlab import kernels
@@ -109,14 +109,17 @@ def _pairwise_mean_dist_reference(A, B, pairs_per_chunk):
 
 
 @settings(max_examples=80, deadline=None)
-@given(m=st.integers(1, 40), n=st.integers(1, 40), d=st.integers(1, 12),
-       seed=st.integers(0, 2**32 - 1))
+@given(m=st.integers(1, 4 * kernels.ROW_BLOCK + 40), n=st.integers(1, 40),
+       d=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+@example(m=3 * kernels.ROW_BLOCK + 17, n=23, d=2, seed=0)
+@example(m=3 * kernels.ROW_BLOCK + 17, n=5, d=9, seed=1)
 def test_pairwise_mean_dist_matches_difference_tensor(m, n, d, seed):
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(m, d)) * rng.uniform(0.1, 10.0)
     B = rng.normal(size=(n, d)) + rng.uniform(-3.0, 3.0)
-    # one chunk, then 3 rows of A per chunk (the last chunk partial when 3 does not divide m)
-    for pairs in (kernels.PAIRS_PER_CHUNK, 3 * n):
+    # one chunk; 3 rows of A per chunk, less than a row block; 100 rows per
+    # chunk, one row block and a partial one (the last chunk partial in both)
+    for pairs in (kernels.PAIRS_PER_CHUNK, 3 * n, 100 * n):
         want = _pairwise_mean_dist_reference(A, B, pairs)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "PAIRS_PER_CHUNK", pairs)
@@ -137,5 +140,5 @@ def test_pairwise_mean_dist_temporary_is_bounded_by_pairs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # squared distances plus one coordinate's term; the (m, n, d) form peaks at 7
-    assert peak < 2.5 * m * n * 8
+    # the distance matrix plus one row block's term; the (m, n, d) form peaks at 7
+    assert peak < 1.25 * m * n * 8

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from tiwlab.errors import ContractError, InputError, IoError
-from tiwlab.net import Mlp, _sigmoid, adam_step, init_optim, load_net, save_net
+from tiwlab.net import (
+    BLOCK_ELEMENTS,
+    Mlp,
+    _sigmoid,
+    adam_step,
+    init_optim,
+    load_net,
+    save_net,
+)
 
 
 def fd_param_gradient(net, x, t, coeffs, indices, h=1e-5):
@@ -89,6 +97,78 @@ def test_inference_forward_gives_the_cached_forward_bytes(activation, time_embed
         for t in np.linspace(0.0, 1.0, 101):
             assert net.forward(X, t).tobytes() == net.forward(X, np.full(50, t)).tobytes()
     assert X.tobytes() == X_before.tobytes() and ts.tobytes() == ts_before.tobytes()
+
+
+def unblocked_forward(net, X, t):
+    """The forward pass on whole-batch fresh arrays: (output, acts, primes)."""
+    feats = np.concatenate([X, net._time_features(t, X.shape[0])], axis=1)
+    views = [net.params[off:off + np.prod(shape, dtype=int)].reshape(shape)
+             for off, shape in net.layout]
+    a, acts, primes = feats, [feats], []
+    n_layers = len(views) // 2
+    for l in range(n_layers):
+        z = a @ views[2 * l].T + views[2 * l + 1]
+        if l == n_layers - 1:
+            return z, acts, primes
+        if net.activation == "tanh":
+            a = np.tanh(z)
+            primes.append(1.0 - a * a)
+        else:
+            s = 0.5 * (1.0 + np.tanh(0.5 * z))
+            primes.append(s * (1.0 + z * (1.0 - s)))
+            a = z * s
+        acts.append(a)
+
+
+@pytest.mark.parametrize("time_embed", ["append-scalar", "sinusoidal"])
+@pytest.mark.parametrize("activation", ["tanh", "silu"])
+def test_blocked_forward_gives_the_unblocked_bytes(activation, time_embed):
+    # three row blocks of the first hidden layer plus a partial one; the
+    # narrower second layer blocks its rows differently
+    rows = 3 * (BLOCK_ELEMENTS // 64) + 37
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(rows, 2)) * 3.0
+    net = Mlp(2, [64, 48], 2, activation=activation, time_embed=time_embed, seed=6)
+    for t in (0.37, rng.uniform(0.0, 1.0, rows)):
+        want, want_acts, want_primes = unblocked_forward(net, X, t)
+        assert net.forward(X, t).tobytes() == want.tobytes()
+        out, cache = net.forward(X, t, want_cache=True)
+        assert out.tobytes() == want.tobytes()
+        assert [a.tobytes() for a in cache.acts] == [a.tobytes() for a in want_acts]
+        assert [p.tobytes() for p in cache.primes] == [p.tobytes() for p in want_primes]
+
+
+def test_inference_output_is_not_overwritten_by_the_next_call():
+    net = Mlp(2, [32, 32, 32], 2, seed=9)
+    rng = np.random.default_rng(13)
+    X = rng.normal(size=(300, 2))
+    out = net.forward(X, 0.4)
+    kept = out.copy()
+    _, cache = net.forward(X, 0.4, want_cache=True)
+    cached_acts = [a.copy() for a in cache.acts]
+    for rows in (300, 300, 17, 300):
+        net.forward(rng.normal(size=(rows, 2)), 0.8)
+        assert out.tobytes() == kept.tobytes()
+        assert all(np.array_equal(a, b) for a, b in zip(cache.acts, cached_acts))
+    assert net.forward(X, 0.4).tobytes() == kept.tobytes()
+
+
+def test_params_are_written_in_place_and_cannot_be_rebound():
+    net = Mlp(2, [8], 2, seed=1)
+    X = np.random.default_rng(14).normal(size=(5, 2))
+    before = net.forward(X, 0.3)
+    out, cache = net.forward(X, 0.3, want_cache=True)
+    adam_step(net.params, net.param_gradient(out, cache),
+              init_optim(net.n_params, learning_rate=0.1))
+    after = net.forward(X, 0.3)
+    assert not np.array_equal(after, before)
+    assert after.tobytes() == Mlp(2, [8], 2, params=net.params).forward(X, 0.3).tobytes()
+    params = net.params
+    net.params += 1.0  # in place: the same array comes back
+    assert net.params is params
+    with pytest.raises(ContractError, match="rebound"):
+        net.params = net.params.copy()
+    assert net.params is params
 
 
 @pytest.mark.parametrize("z", [0.3, -2.5, 40.0, np.array(0.3), np.array(-700.0)])

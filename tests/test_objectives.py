@@ -322,6 +322,43 @@ def test_iw_and_tiw_gradients_agree_crn_1d(sched, oned, oracle_1d):
     assert rel < 2e-2
 
 
+def test_iw_dsm_gradient_evaluates_each_base_weight_once(sched, oned, oracle_1d, monkeypatch):
+    bias, data = oned
+    obs = pooled_mixture(bias, data)
+    net = Mlp(1, [8], 1, seed=5)
+    spec = ObjectiveSpec(kind="iw_dsm", ratio=oracle_1d, stream="obs")
+    n, batch = 2_000, 300
+    # the same estimate with the weights read afresh in every noise block
+    want_loss, want_grad = 0.0, np.zeros(net.n_params)
+    m = n // 2
+    x0 = obs.sample(m, seed=[7, 1])
+    ts = sched.t_eps + (np.arange(m) + np.random.default_rng([7, 2]).uniform(size=m)) \
+        / m * (sched.T - sched.t_eps)
+    eps = np.random.default_rng([7, 3]).standard_normal(x0.shape)
+    eps = eps / np.sqrt((eps * eps).mean())
+    for block in (eps, -eps):
+        for s in range(0, m, batch):
+            sl = slice(s, s + batch)
+            losses, outgrad, cache, _, _ = objectives._batch_terms(
+                net, x0[sl], ts[sl], block[sl], sched, spec)
+            want_loss += losses.sum()
+            want_grad += net.param_gradient(outgrad, cache)
+    scale = (sched.T - sched.t_eps) / n
+
+    rows = []
+    original = RatioModel.weight_and_correction
+
+    def counted(self, x, *args, **kwargs):
+        rows.append(np.atleast_2d(x).shape[0])
+        return original(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(RatioModel, "weight_and_correction", counted)
+    loss, grad = mc_loss_gradient(net, spec, sched, obs, n=n, seed=7, batch=batch)
+    assert sum(rows) == m  # not 2m: the -eps block reuses the +eps weights
+    assert loss == want_loss * scale
+    assert grad.tobytes() == (want_grad * scale).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -170,8 +172,23 @@ def test_generate_step_doubling_convergence(sched, p_data):
 
 def test_generate_rejects_nonfinite_score(sched):
     spec = SamplerSpec(steps=10, seed=0)
-    with pytest.raises(NumericalError, match="step"):
+    with pytest.raises(NumericalError, match=re.escape(f"at step 0, t={sched.T:.6g}")):
         reverse_generate(sched, lambda x, t: x * np.nan, spec, n=4, dim=2)
+
+
+@pytest.mark.parametrize("integrator", ["euler", "heun"])
+def test_generate_reports_the_step_of_a_nonfinite_score(sched, integrator):
+    spec = SamplerSpec(steps=10, integrator=integrator, seed=0)
+    times = np.linspace(sched.T, sched.t_eps, 11)
+    t_cut = 0.5 * (times[6] + times[7])  # the score is NaN from times[7] on
+
+    def score(x, t):
+        return -x * (np.nan if t < t_cut else 1.0)
+
+    # Euler reads the score at t_k in step k; Heun also reads it at t_{k+1}
+    step = 7 if integrator == "euler" else 6
+    with pytest.raises(NumericalError, match=re.escape(f"at step {step}, t={times[7]:.6g}")):
+        reverse_generate(sched, score, spec, n=4, dim=2)
 
 
 def test_sampler_spec_validation():
