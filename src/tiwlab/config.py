@@ -312,9 +312,17 @@ class RunReport:
     metrics: list = field(default_factory=list)    # dict rows
     checkpoints: dict = field(default_factory=dict)
     artifacts: list = field(default_factory=list)  # every emitted file, itself too
+    workers: int = 1  # processes the command ran its stages in, 1 if in-process
 
     def add_artifact(self, path):
         self.artifacts.append(str(path))
+
+    def extend(self, part):
+        """Append what a fragment of this report recorded."""
+        self.stages += part.stages
+        self.metrics += part.metrics
+        self.checkpoints.update(part.checkpoints)
+        self.artifacts += part.artifacts
 
     def write(self, path):
         """Write the report to path, which it lists among the artifacts."""
@@ -326,6 +334,7 @@ class RunReport:
             "metrics": self.metrics,
             "checkpoints": self.checkpoints,
             "artifacts": sorted(self.artifacts),
+            "workers": self.workers,
         }
         artifacts.write_json(path, payload)
 

@@ -38,12 +38,20 @@ def bias_metric(samples_model, samples_ref, classifier: GaussianMixture):
     return float(np.abs(a - b).sum())
 
 
-def energy_distance(a, b):
+def mean_self_distance(X):
+    """E||X-X'|| over every ordered pair of rows, i == j included."""
+    X = _check_samples(X, "samples")
+    return kernels.pairwise_mean_dist(X, X)
+
+
+def energy_distance(a, b, b_self=None):
     """Energy distance 2 E||X-Y|| - E||X-X'|| - E||Y-Y'||.
 
     All expectations are plain means over every ordered pair including
     i == j (the V-statistic convention), so identical matrices give an
-    exact 0 at the cost of a small O(1/n) bias.
+    exact 0 at the cost of a small O(1/n) bias. b_self, if given, is
+    mean_self_distance(b), computed once for a reference set that several
+    evaluations share.
     """
     A = _check_samples(a, "a")
     B = _check_samples(b, "b")
@@ -54,7 +62,7 @@ def energy_distance(a, b):
         else (B, A)
     sxy = kernels.pairwise_mean_dist(first, second)
     sxx = kernels.pairwise_mean_dist(A, A)
-    syy = kernels.pairwise_mean_dist(B, B)
+    syy = kernels.pairwise_mean_dist(B, B) if b_self is None else b_self
     return 2.0 * sxy - (sxx + syy)
 
 
@@ -85,11 +93,14 @@ class EvalReport:
                 self.notes]
 
 
-def evaluate_samples(samples, oracle_samples, classifier, notes=""):
-    """Bundle the three headline statistics against an oracle reference set."""
+def evaluate_samples(samples, oracle_samples, classifier, notes="", oracle_self=None):
+    """Bundle the three headline statistics against an oracle reference set.
+
+    oracle_self is the reference's mean_self_distance, if already known.
+    """
     return EvalReport(
         bias=bias_metric(samples, oracle_samples, classifier),
         proportions=mode_proportions(samples, classifier),
-        energy_distance=energy_distance(samples, oracle_samples),
+        energy_distance=energy_distance(samples, oracle_samples, oracle_self),
         notes=notes,
     )

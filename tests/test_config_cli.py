@@ -1,11 +1,16 @@
 import json
+import multiprocessing
 import os
+import shutil
+import signal
+import time
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tiwlab import cli, kernels
 from tiwlab.cli import _objective_spec, main
 from tiwlab.config import (
     DEFAULT_CONFIG,
@@ -14,7 +19,8 @@ from tiwlab.config import (
     config_hash,
     load_config,
 )
-from tiwlab.errors import ConfigError, InputError
+from tiwlab.errors import ConfigError, InputError, NumericalError
+from tiwlab.kernels import pairwise_mean_dist
 from tiwlab.net import ACTIVATIONS, TIME_EMBEDS, load_net
 from tiwlab.objectives import (
     LR_DECAYS,
@@ -515,3 +521,152 @@ def test_unwritable_json_artifact_exits_5(tiny_config, capsys):
     assert main(["repro-fig2", "--config", str(config)]) == 5
     assert "dre_summary.json" in capsys.readouterr().err
     assert [p.name for p in out.iterdir() if p.name.endswith(".tmp")] == []
+
+
+# ---------------------------------------------------------------------------
+# independent stages in worker processes
+# ---------------------------------------------------------------------------
+
+needs_blas_setter = pytest.mark.skipif(
+    cli._blas_thread_setter() is None,
+    reason="no OpenBLAS thread setter, so every command runs in-process")
+
+
+@needs_blas_setter
+def test_parallel_map_keeps_item_order_and_raises_the_first_error(monkeypatch):
+    monkeypatch.setattr(cli, "_cores", lambda: 2)
+
+    def failing_at_1_and_3(i):
+        if i in (1, 3):
+            raise InputError(f"item {i}")
+        return i * i
+
+    def slow_first(i):
+        time.sleep(0.2 if i == 0 else 0.0)
+        return i * i, os.getpid()
+
+    results, workers = cli._parallel_map(slow_first, range(5))
+    values, pids = zip(*results)
+    assert workers == 2 and values == (0, 1, 4, 9, 16)
+    assert os.getpid() not in pids
+    with pytest.raises(InputError, match="item 1"):
+        cli._parallel_map(failing_at_1_and_3, range(5))
+    assert multiprocessing.active_children() == []
+
+
+@needs_blas_setter
+def test_parallel_map_raises_when_a_worker_dies(monkeypatch):
+    monkeypatch.setattr(cli, "_cores", lambda: 2)
+
+    def killed_at_two(i):
+        if i == 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return i
+
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="worker process died"):
+        cli._parallel_map(killed_at_two, range(4))
+    assert time.perf_counter() - start < 30
+    assert multiprocessing.active_children() == []
+
+
+def test_debias_computes_the_reference_self_distance_once(tiny_config, monkeypatch):
+    config, _ = tiny_config()
+    monkeypatch.setattr(cli, "_cores", lambda: 1)
+    ref = cli._oracle_reference(load_config(config))
+    pairs = []
+
+    def counting(a, b):
+        pairs.append(np.array_equal(a, ref) and np.array_equal(b, ref))
+        return pairwise_mean_dist(a, b)
+
+    monkeypatch.setattr(kernels, "pairwise_mean_dist", counting)
+    assert main(["debias", "--all-baselines", "--config", str(config)]) == 0
+    assert len(pairs) == 1 + 4 * 2  # once (ref, ref); (samples, ref), (samples, samples)
+    assert sum(pairs) == 1
+
+
+def _run_recording_pids(commands, out, capsys, monkeypatch, cores, pid_log):
+    """Run the commands with cores workers; return the files, report, stdout
+    and the pids of the stages."""
+    shutil.rmtree(out, ignore_errors=True)
+    monkeypatch.setattr(cli, "_cores", lambda: cores)
+    for argv in commands:
+        assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    files = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+             if p.is_file() and p.name != "report.json"}
+    report = None
+    if (out / "report.json").exists():
+        report = json.loads((out / "report.json").read_text())
+        for stage in report["stages"]:
+            stage["seconds"] = None
+    pids = {int(v) for v in pid_log.read_text().split()}
+    pid_log.unlink()
+    assert multiprocessing.active_children() == []
+    return files, report, stdout, pids
+
+
+@needs_blas_setter
+@pytest.mark.parametrize("argv", [["debias", "--all-baselines"],
+                                  ["sweep-alpha", "--alphas", "0,1"],
+                                  ["gen-data", "repro-fig2"]],
+                         ids=["debias", "sweep-alpha", "repro-fig2"])
+def test_serial_and_parallel_runs_give_the_same_bytes(tiny_config, capsys, monkeypatch,
+                                                       tmp_path, argv):
+    config, out = tiny_config()
+    # repro-fig2 reads the data gen-data writes
+    commands = ([[c, "--config", str(config)] for c in argv] if argv[0] == "gen-data"
+                else [argv + ["--config", str(config)]])
+    pid_log = tmp_path / "pids"
+
+    def recorded(fn):
+        def run(*args, **kwargs):
+            with open(pid_log, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return fn(*args, **kwargs)
+        return run
+
+    # every stage a command fans out trains a discriminator or a score network
+    monkeypatch.setattr(cli, "_train_disc", recorded(cli._train_disc))
+    monkeypatch.setattr(cli, "train_score", recorded(cli.train_score))
+    files, report, stdout, pids = _run_recording_pids(commands, out, capsys,
+                                                      monkeypatch, 1, pid_log)
+    files2, report2, stdout2, pids2 = _run_recording_pids(commands, out, capsys,
+                                                          monkeypatch, 2, pid_log)
+
+    assert pids == {os.getpid()}
+    assert len(pids2 - {os.getpid()}) >= 2
+    assert files2.keys() == files.keys()
+    assert [name for name in files if files2[name] != files[name]] == []
+    assert stdout2 == stdout
+    if report is not None:
+        assert (report.pop("workers"), report2.pop("workers")) == (1, 2)
+        assert report2 == report
+
+
+@needs_blas_setter
+@pytest.mark.parametrize("cores", [1, 2])
+def test_a_failing_worker_fails_the_command_as_in_process(tiny_config, capsys,
+                                                          monkeypatch, cores):
+    config, out = tiny_config()
+    monkeypatch.setattr(cli, "_cores", lambda: cores)
+    argv = ["debias", "--all-baselines", "--config", str(config)]
+    out.mkdir()
+    (out / "dsm_obs").write_text("a file where a run directory goes\n")
+    assert main(argv) == 5
+    assert f"cannot write {out / 'dsm_obs' / 'telemetry.csv'}" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+    (out / "dsm_obs").unlink()
+    train_score = cli.train_score
+
+    def diverging(split, spec, *args):
+        if spec.kind == "iw_dsm":
+            raise NumericalError("score training diverged")
+        return train_score(split, spec, *args)
+
+    monkeypatch.setattr(cli, "train_score", diverging)
+    assert main(argv) == 4
+    assert "error[numerical]: score training diverged" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
