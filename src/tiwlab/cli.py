@@ -15,29 +15,31 @@ byte. Commands compose through files in the configured output directory:
     sweep-alpha  alpha_sweep.csv, identity_checks.txt
 
 Three commands fan their independent stages out over worker processes,
-one per available core (see _parallel_map): debias its discriminators and
-then its score runs (train, sample, eval), sweep-alpha its alpha runs and
-repro-fig2 its two discriminators. Each worker runs on one BLAS thread:
-the stages are small-batch work that a second BLAS thread does not speed
-up, and on 2 cores a short debias --all-baselines took 4-24 s with two
-workers of two BLAS threads each, against 1.5 s with one thread each.
-Workers return plain data (report fragments, evaluation rows, checkpoint
-paths), which the parent merges in task order, so the outputs and stdout
-are those of an in-process run. Stage seconds are measured inside the
-workers, so their sum can exceed the wall time; report.json records the
-number of processes as "workers". Probes that wrap library functions in
-the parent (tiwbench --trace 1) do not see the work done in workers.
+one per available core (see workers.parallel_map): debias its
+discriminators and then its score runs (train, sample, eval), sweep-alpha
+its alpha runs and repro-fig2 its two discriminators. Each worker runs on
+one BLAS thread: the stages are small-batch work that a second BLAS thread
+does not speed up, and on 2 cores a short debias --all-baselines took
+4-24 s with two workers of two BLAS threads each, against 1.5 s with one
+thread each. Workers return plain data (report fragments, evaluation rows,
+checkpoint paths), which the parent merges in task order, so the outputs
+and stdout are those of an in-process run. Stage seconds are measured
+inside the workers, so their sum can exceed the wall time; report.json
+records the number of stage processes as "workers". Sampling fans its
+trajectories out over the cores in row chunks (sde.reverse_generate)
+unless it already runs in a worker, as the score runs of a multi-run
+debias or sweep-alpha do. Probes that wrap library functions in the
+parent (tiwbench --trace 1) do not see the work done in workers.
 """
 
 import argparse
-import os
 import sys
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, artifacts
+from . import __version__, artifacts, workers
 from .config import (
     ExperimentConfig,
     RunReport,
@@ -189,103 +191,15 @@ def _score_run(cfg, split, spec, sub, label, oracle, report, objective=None):
     return ev
 
 
-# ---------------------------------------------------------------------------
-# independent stages in worker processes
-# ---------------------------------------------------------------------------
-
-_WORKER = None  # in a worker process: the (fn, items) of the map it serves
-
-
-def _cores():
-    """The number of CPUs this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def _blas_thread_setter():
-    """The loaded OpenBLAS's set-number-of-threads function, or None."""
-    import ctypes
-
-    try:
-        with open("/proc/self/maps") as f:
-            libs = sorted({line.split()[-1] for line in f if "blas" in line.lower()
-                           and line.split()[-1].startswith("/")})
-    except OSError:  # not Linux
-        return None
-    for path in libs:
-        lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                       "openblas_set_num_threads"):
-            if hasattr(lib, symbol):
-                fn = getattr(lib, symbol)
-                fn.argtypes, fn.restype = [ctypes.c_int], None
-                return fn
-    return None
-
-
-def _start_worker(set_blas_threads, fn, items):
-    global _WORKER
-    set_blas_threads(1)
-    _WORKER = fn, items
-
-
-def _work(i):
-    fn, items = _WORKER
-    return fn(items[i])
-
-
-def _parallel_map(fn, items):
-    """[fn(item) for item in items] and the number of processes it ran in.
-
-    The calls must be independent and return picklable plain data. They
-    run in a pool of forked workers, one per available core and at most one
-    per item, each with OpenBLAS pinned to one thread. fn and items reach
-    the workers through the fork, so they need not pickle (a pickled Mlp
-    would lose the sharing of its layer views with its parameters), and a
-    worker starts without a fresh import. The only other threads of a
-    tiwlab process are OpenBLAS's, which stops its pool across a fork.
-    With one worker, or no OpenBLAS whose threads can be set, the calls run
-    here, in order. The first error in item order is raised, and a worker
-    that dies (say, killed by a signal) raises RuntimeError; the pool is
-    joined on success and terminated on error, so no worker outlives the
-    call.
-    """
-    n = min(len(items), _cores())
-    set_blas_threads = _blas_thread_setter() if n > 1 else None
-    if set_blas_threads is None:
-        return [fn(item) for item in items], 1
-    import multiprocessing  # here, not at the top: it adds to every command's start
-
-    before = set(multiprocessing.active_children())
-    pool = multiprocessing.get_context("fork").Pool(
-        n, _start_worker, (set_blas_threads, fn, items))
-    workers = set(multiprocessing.active_children()) - before
-    try:
-        results, pending = [], pool.imap(_work, range(len(items)))
-        while len(results) < len(items):
-            try:
-                results.append(pending.next(timeout=1.0))
-            except multiprocessing.TimeoutError:
-                # a pool replaces a dead worker but never returns its task
-                if not workers <= set(multiprocessing.active_children()):
-                    raise RuntimeError("a worker process died") from None
-        pool.close()
-    except BaseException:
-        pool.terminate()
-        raise
-    finally:
-        pool.join()
-    return results, n
-
-
 def _run_stages(report, stages):
-    """Run independent stages, each stage(fragment) -> value, by _parallel_map;
+    """Run independent stages, each stage(fragment) -> value, by parallel_map;
     return the values and extend report with the fragments, in stage order."""
     def run(stage):
         part = RunReport(report.config_hash, report.library_version)
         return part, stage(part)
 
-    results, workers = _parallel_map(run, stages)
-    report.workers = max(report.workers, workers)
+    results, n = workers.parallel_map(run, stages)
+    report.workers = max(report.workers, n)
     for part, _ in results:
         report.extend(part)
     return [value for _, value in results]
@@ -364,7 +278,7 @@ def cmd_repro_fig2(cfg: ExperimentConfig):
     out = cfg.output_dir
     split = _load_split(cfg)
     # the workers return checkpoint paths; a saved net loads back bit for bit
-    paths, _ = _parallel_map(lambda t0: _train_disc(cfg, split, t0)[1], [False, True])
+    paths, _ = workers.parallel_map(lambda t0: _train_disc(cfg, split, t0)[1], [False, True])
     rm_dep, rm_indep = (load_ratio_model(path, cfg.schedule) for path in paths)
     oracle = oracle_ratio_model(cfg.mixture("data"), cfg.mixture("bias"), cfg.schedule)
     scan = integrated_dre_error(rm_dep, rm_indep, oracle,

@@ -165,10 +165,6 @@ def perturbed_score_batch(gm: GaussianMixture, sched, X, t):
     return out[0] if single else out
 
 
-def standard_normal_mixture(dim):
-    return GaussianMixture(weights=[1.0], means=np.zeros((1, dim)), variances=[1.0])
-
-
 def two_mode_bias_mixture():
     """0.9 N((-2,-2), I) + 0.1 N((2,2), I): the skewed two-mode benchmark."""
     return GaussianMixture(

@@ -1,10 +1,12 @@
 """Generation jobs: a score source + sampler settings -> sample matrix.
 
 The score source is either a trained-network checkpoint or an oracle
-mixture (whose exact perturbed score is used). Each run produces a
-provenance record (seed, steps, integrator, kind, source hash, n, dim)
-that fully determines the output; rerunning a job with the same record
-reproduces the matrix bit for bit.
+mixture (whose exact perturbed score is used). Both score functions are
+row-wise, as reverse_generate requires: row i of the score depends only on
+row i of the states, so the trajectories can be split across processes.
+Each run produces a provenance record (seed, steps, integrator, kind,
+source hash, n, dim) that fully determines the output; rerunning a job
+with the same record reproduces the matrix bit for bit.
 """
 
 import hashlib

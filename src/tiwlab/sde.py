@@ -8,19 +8,30 @@ Linear noise schedule beta(t) = beta_min + t * (beta_max - beta_min) on
 
 so alpha^2 + sigma^2 = 1 by construction. Generation integrates either the
 probability-flow ODE (deterministic; Euler or Heun) or the reverse SDE
-(Euler-Maruyama) from t = T down to t = t_eps.
+(Euler-Maruyama) from t = T down to t = t_eps. The score it integrates is
+row-wise (row i of the score depends only on row i of the states), and
+every trajectory has its own noise stream, so the trajectories may be
+integrated in row chunks in worker processes with the same result.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
+from . import workers
 from .errors import InputError, NumericalError
 from .ranges import check_fields
 
 SAMPLER_KINDS = ("probability-flow-ode", "reverse-sde")
 INTEGRATORS = ("euler", "heun")
 LAMBDA_KINDS = ("sigma_squared", "uniform")
+# fewest trajectories per worker for which reverse_generate fans out. At the
+# default 200 Heun steps on 2 cores, a split paid off from about 130 rows per
+# worker with a 3x64 score net and from about 670 with the exact mixture
+# score, the cheapest score here; below that the pool start and the per-step
+# overhead each worker repeats cost more than the split saves
+MIN_ROWS_PER_WORKER = 1000
 
 
 @dataclass(frozen=True)
@@ -116,16 +127,16 @@ class SamplerSpec:
             raise InputError("reverse-sde supports only the euler (Euler-Maruyama) integrator")
 
 
-def _trajectory_noise(seed, n, rows, dim):
-    """Per-trajectory standard-normal blocks, derived from (seed, index).
+def _trajectory_noise(seed, lo, hi, rows, dim):
+    """Standard-normal blocks of trajectories lo..hi-1, derived from (seed, index).
 
     Row 0 of each block seeds the prior draw; later rows are per-step noise.
     Streams depend only on (seed, trajectory index), so the result is
-    independent of evaluation order.
+    independent of evaluation order and of how the trajectories are split.
     """
-    out = np.empty((n, rows, dim))
-    for i in range(n):
-        out[i] = np.random.default_rng([seed, i]).standard_normal((rows, dim))
+    out = np.empty((hi - lo, rows, dim))
+    for i in range(lo, hi):
+        out[i - lo] = np.random.default_rng([seed, i]).standard_normal((rows, dim))
     return out
 
 
@@ -137,14 +148,40 @@ def _check_finite(x, step, t):
 def reverse_generate(sched: VpSchedule, score_fn, spec: SamplerSpec, n, dim):
     """Integrate the reverse dynamics from the N(0, I) prior at t=T to t_eps.
 
-    score_fn(X, t) must return the (n, dim) score at scalar time t for
-    t in [t_eps, T]. Deterministic given spec.seed.
+    score_fn(X, t) must return the (m, dim) score of the m rows of X at
+    scalar time t for t in [t_eps, T], and be row-wise: row i of its output
+    depends only on row i of X. Deterministic given spec.seed.
+
+    When each available core gets at least MIN_ROWS_PER_WORKER trajectories,
+    they are integrated in one contiguous row chunk per core in worker
+    processes (workers.parallel_map) and concatenated in row order. Every
+    trajectory draws its prior and noise from (spec.seed, its index), and
+    the updates and the score are row-wise, so the result equals that of
+    one in-process run bit for bit. A split run that fails (an error in a
+    chunk, or a worker that died) is rerun here, so an error is the one an
+    in-process run raises, at the first step where any row fails, not the
+    error of the first chunk in row order.
     """
     if n < 1:
         raise InputError("n must be >= 1")
+    parts = min(workers.available(), n // MIN_ROWS_PER_WORKER)
+    if parts <= 1:
+        return _integrate(sched, score_fn, spec, dim, (0, n))
+    bounds = [n * j // parts for j in range(parts + 1)]
+    try:
+        chunks, _ = workers.parallel_map(
+            partial(_integrate, sched, score_fn, spec, dim), list(zip(bounds, bounds[1:])))
+    except Exception:
+        return _integrate(sched, score_fn, spec, dim, (0, n))
+    return np.concatenate(chunks)
+
+
+def _integrate(sched, score_fn, spec, dim, rows):
+    """reverse_generate's trajectories lo..hi-1, for rows = (lo, hi)."""
+    lo, hi = rows
     times = np.linspace(sched.T, sched.t_eps, spec.steps + 1)
     stochastic = spec.kind == "reverse-sde"
-    noise = _trajectory_noise(spec.seed, n, spec.steps + 1 if stochastic else 1, dim)
+    noise = _trajectory_noise(spec.seed, lo, hi, spec.steps + 1 if stochastic else 1, dim)
     x = noise[:, 0, :].copy()
 
     def ode_drift(xx, t, k):

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
+from tiwlab import workers
 from tiwlab.mixture import (
     GaussianMixture,
     two_mode_balanced_mixture,
     two_mode_bias_mixture,
 )
 from tiwlab.sde import VpSchedule
+
+needs_blas_setter = pytest.mark.skipif(
+    workers._blas_thread_setter() is None,
+    reason="no OpenBLAS thread setter, so every worker fan-out runs in-process")
 
 
 @pytest.fixture(scope="session")
@@ -30,6 +35,10 @@ def gm_1d_pair():
     bias = GaussianMixture(weights=[0.9, 0.1], means=[[-2.0], [2.0]], variances=[1.0, 1.0])
     data = GaussianMixture(weights=[0.5, 0.5], means=[[-2.0], [2.0]], variances=[1.0, 1.0])
     return bias, data
+
+
+def standard_normal_mixture(dim):
+    return GaussianMixture(weights=[1.0], means=np.zeros((1, dim)), variances=[1.0])
 
 
 def gauss_pdf(x, mean, var):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tiwlab import cli, kernels
+from tiwlab import cli, kernels, sde, workers
 from tiwlab.cli import _objective_spec, main
 from tiwlab.config import (
     DEFAULT_CONFIG,
@@ -32,6 +32,8 @@ from tiwlab.objectives import (
 from tiwlab.ratio import RATIO_KINDS, DiscTrainConfig
 from tiwlab.sampling import read_samples_csv
 from tiwlab.sde import INTEGRATORS, LAMBDA_KINDS, SAMPLER_KINDS, SamplerSpec, VpSchedule
+
+from conftest import needs_blas_setter
 
 TWO_MODE = Path(__file__).resolve().parent.parent / "configs" / "two-mode.yaml"
 
@@ -527,14 +529,9 @@ def test_unwritable_json_artifact_exits_5(tiny_config, capsys):
 # independent stages in worker processes
 # ---------------------------------------------------------------------------
 
-needs_blas_setter = pytest.mark.skipif(
-    cli._blas_thread_setter() is None,
-    reason="no OpenBLAS thread setter, so every command runs in-process")
-
-
 @needs_blas_setter
 def test_parallel_map_keeps_item_order_and_raises_the_first_error(monkeypatch):
-    monkeypatch.setattr(cli, "_cores", lambda: 2)
+    monkeypatch.setattr(workers, "_cores", lambda: 2)
 
     def failing_at_1_and_3(i):
         if i in (1, 3):
@@ -545,18 +542,37 @@ def test_parallel_map_keeps_item_order_and_raises_the_first_error(monkeypatch):
         time.sleep(0.2 if i == 0 else 0.0)
         return i * i, os.getpid()
 
-    results, workers = cli._parallel_map(slow_first, range(5))
+    results, n = workers.parallel_map(slow_first, range(5))
     values, pids = zip(*results)
-    assert workers == 2 and values == (0, 1, 4, 9, 16)
+    assert n == 2 and values == (0, 1, 4, 9, 16)
     assert os.getpid() not in pids
     with pytest.raises(InputError, match="item 1"):
-        cli._parallel_map(failing_at_1_and_3, range(5))
+        workers.parallel_map(failing_at_1_and_3, range(5))
+    assert multiprocessing.active_children() == []
+
+
+@needs_blas_setter
+def test_parallel_map_in_a_worker_runs_in_that_worker(monkeypatch):
+    monkeypatch.setattr(workers, "_cores", lambda: 2)
+
+    def inner(i):
+        return i * i, os.getpid()
+
+    def outer(i):
+        results, n = workers.parallel_map(inner, range(3 * i, 3 * i + 3))
+        return results, n, os.getpid()
+
+    results, n = workers.parallel_map(outer, range(4))
+    assert n == 2
+    for i, (inner_results, inner_n, pid) in enumerate(results):
+        assert inner_n == 1 and pid != os.getpid()
+        assert inner_results == [(j * j, pid) for j in range(3 * i, 3 * i + 3)]
     assert multiprocessing.active_children() == []
 
 
 @needs_blas_setter
 def test_parallel_map_raises_when_a_worker_dies(monkeypatch):
-    monkeypatch.setattr(cli, "_cores", lambda: 2)
+    monkeypatch.setattr(workers, "_cores", lambda: 2)
 
     def killed_at_two(i):
         if i == 2:
@@ -565,14 +581,14 @@ def test_parallel_map_raises_when_a_worker_dies(monkeypatch):
 
     start = time.perf_counter()
     with pytest.raises(RuntimeError, match="worker process died"):
-        cli._parallel_map(killed_at_two, range(4))
+        workers.parallel_map(killed_at_two, range(4))
     assert time.perf_counter() - start < 30
     assert multiprocessing.active_children() == []
 
 
 def test_debias_computes_the_reference_self_distance_once(tiny_config, monkeypatch):
     config, _ = tiny_config()
-    monkeypatch.setattr(cli, "_cores", lambda: 1)
+    monkeypatch.setattr(workers, "_cores", lambda: 1)
     ref = cli._oracle_reference(load_config(config))
     pairs = []
 
@@ -590,7 +606,7 @@ def _run_recording_pids(commands, out, capsys, monkeypatch, cores, pid_log):
     """Run the commands with cores workers; return the files, report, stdout
     and the pids of the stages."""
     shutil.rmtree(out, ignore_errors=True)
-    monkeypatch.setattr(cli, "_cores", lambda: cores)
+    monkeypatch.setattr(workers, "_cores", lambda: cores)
     for argv in commands:
         assert main(argv) == 0
     stdout = capsys.readouterr().out
@@ -608,17 +624,23 @@ def _run_recording_pids(commands, out, capsys, monkeypatch, cores, pid_log):
 
 
 @needs_blas_setter
-@pytest.mark.parametrize("argv", [["debias", "--all-baselines"],
-                                  ["sweep-alpha", "--alphas", "0,1"],
-                                  ["gen-data", "repro-fig2"]],
-                         ids=["debias", "sweep-alpha", "repro-fig2"])
+@pytest.mark.parametrize("commands, stage_workers", [
+    ([["debias", "--all-baselines"]], 2),
+    ([["sweep-alpha", "--alphas", "0,1"]], 2),
+    ([["gen-data"], ["repro-fig2"]], 2),
+    # sample reads the checkpoint of the configured objective
+    ([["gen-data"], ["train-score", "--set", "objective.kind=dsm"],
+      ["sample", "--set", "objective.kind=dsm"]], 1),
+    ([["sample", "--source", "oracle-data", "--kind", "reverse-sde",
+       "--integrator", "euler"]], 1),
+], ids=["debias", "sweep-alpha", "repro-fig2", "sample-checkpoint", "sample-oracle"])
 def test_serial_and_parallel_runs_give_the_same_bytes(tiny_config, capsys, monkeypatch,
-                                                       tmp_path, argv):
+                                                       tmp_path, commands, stage_workers):
     config, out = tiny_config()
-    # repro-fig2 reads the data gen-data writes
-    commands = ([[c, "--config", str(config)] for c in argv] if argv[0] == "gen-data"
-                else [argv + ["--config", str(config)]])
+    commands = [argv + ["--config", str(config)] for argv in commands]
     pid_log = tmp_path / "pids"
+    # the 128 samples of the tiny config split into chunks of 64 or fewer rows
+    monkeypatch.setattr(sde, "MIN_ROWS_PER_WORKER", 16)
 
     def recorded(fn):
         def run(*args, **kwargs):
@@ -628,15 +650,17 @@ def test_serial_and_parallel_runs_give_the_same_bytes(tiny_config, capsys, monke
         return run
 
     # every stage a command fans out trains a discriminator or a score network
+    # or integrates a row chunk of trajectories
     monkeypatch.setattr(cli, "_train_disc", recorded(cli._train_disc))
     monkeypatch.setattr(cli, "train_score", recorded(cli.train_score))
+    monkeypatch.setattr(sde, "_integrate", recorded(sde._integrate))
     files, report, stdout, pids = _run_recording_pids(commands, out, capsys,
                                                       monkeypatch, 1, pid_log)
     files2, report2, stdout2, pids2 = _run_recording_pids(commands, out, capsys,
                                                           monkeypatch, 2, pid_log)
 
     assert pids == {os.getpid()}
-    assert len(pids2 - {os.getpid()}) >= 2
+    assert len(pids2 - {os.getpid()}) >= stage_workers
     assert files2.keys() == files.keys()
     assert [name for name in files if files2[name] != files[name]] == []
     assert stdout2 == stdout
@@ -650,7 +674,7 @@ def test_serial_and_parallel_runs_give_the_same_bytes(tiny_config, capsys, monke
 def test_a_failing_worker_fails_the_command_as_in_process(tiny_config, capsys,
                                                           monkeypatch, cores):
     config, out = tiny_config()
-    monkeypatch.setattr(cli, "_cores", lambda: cores)
+    monkeypatch.setattr(workers, "_cores", lambda: cores)
     argv = ["debias", "--all-baselines", "--config", str(config)]
     out.mkdir()
     (out / "dsm_obs").write_text("a file where a run directory goes\n")

@@ -7,12 +7,11 @@ from tiwlab.errors import InputError
 from tiwlab.mixture import (
     GaussianMixture,
     pooled_mixture,
-    standard_normal_mixture,
 )
 from tiwlab.ratio import oracle_ratio_model
 from tiwlab.sde import VpSchedule
 
-from conftest import mixture_pdf_by_hand
+from conftest import mixture_pdf_by_hand, standard_normal_mixture
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from tiwlab.errors import InputError, NumericalError
 from tiwlab.mixture import (
     GaussianMixture,
     pooled_mixture,
-    standard_normal_mixture,
     two_mode_balanced_mixture,
     two_mode_bias_mixture,
 )
@@ -24,6 +23,8 @@ from tiwlab.objectives import (
     train_score,
 )
 from tiwlab.ratio import DatasetSplit, RatioModel, oracle_ratio_model
+
+from conftest import standard_normal_mixture
 
 
 @pytest.fixture(scope="module")

@@ -1,12 +1,17 @@
+import multiprocessing
+import os
 import re
 
 import numpy as np
 import pytest
 
-from tiwlab.errors import InputError, NumericalError
+from tiwlab import sde, workers
+from tiwlab.errors import EXIT_CODES, InputError, NumericalError
 from tiwlab.metrics import energy_distance
 from tiwlab.mixture import GaussianMixture
 from tiwlab.sde import SamplerSpec, VpSchedule, reverse_generate
+
+from conftest import needs_blas_setter
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +194,78 @@ def test_generate_reports_the_step_of_a_nonfinite_score(sched, integrator):
     step = 7 if integrator == "euler" else 6
     with pytest.raises(NumericalError, match=re.escape(f"at step {step}, t={times[7]:.6g}")):
         reverse_generate(sched, score, spec, n=4, dim=2)
+
+
+PARALLEL_MAP = workers.parallel_map
+
+
+def _split_into(monkeypatch, cores):
+    """Let reverse_generate split 16-row chunks over cores workers; return the
+    list of the chunk counts it passes to parallel_map."""
+    monkeypatch.setattr(sde, "MIN_ROWS_PER_WORKER", 16)
+    monkeypatch.setattr(workers, "_cores", lambda: cores)
+    counts = []
+
+    def counting(fn, items):
+        counts.append(len(items))
+        return PARALLEL_MAP(fn, items)
+
+    monkeypatch.setattr(workers, "parallel_map", counting)
+    return counts
+
+
+@needs_blas_setter
+@pytest.mark.parametrize("kind, integrator", [("probability-flow-ode", "euler"),
+                                              ("probability-flow-ode", "heun"),
+                                              ("reverse-sde", "euler")])
+def test_split_sampling_gives_the_bytes_of_one_process(sched, p_data, monkeypatch,
+                                                       kind, integrator):
+    spec = SamplerSpec(kind=kind, integrator=integrator, steps=20, seed=5)
+    runs = {}
+    for cores in (1, 2, 3):
+        counts = _split_into(monkeypatch, cores)
+        # 101 rows split unevenly: 50/51 and 33/34/34
+        runs[cores] = reverse_generate(sched, oracle_score_fn(p_data, sched), spec,
+                                       n=101, dim=2)
+        assert counts == ([] if cores == 1 else [cores])
+    assert runs[2].tobytes() == runs[1].tobytes()
+    assert runs[3].tobytes() == runs[1].tobytes()
+    assert multiprocessing.active_children() == []
+
+
+@needs_blas_setter
+@pytest.mark.parametrize("integrator", ["euler", "heun"])
+def test_split_sampling_raises_the_error_of_one_process(sched, monkeypatch, tmp_path,
+                                                        integrator):
+    n, seed = 40, 0
+    spec = SamplerSpec(steps=10, integrator=integrator, seed=seed)
+    times = np.linspace(sched.T, sched.t_eps, 11)
+    # with the score -x the flow leaves every state at its prior draw, which
+    # tells the rows of the second chunk (20..39) from those of the first
+    later = [np.random.default_rng([seed, i]).standard_normal(2)[0] for i in range(20, n)]
+    pid_log = tmp_path / "pids"
+
+    def score(x, t):
+        with open(pid_log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        # the second chunk's rows turn NaN at times[3], the first chunk's at times[6]
+        cut = np.where(np.isin(x[:, 0], later), times[3], times[6])
+        return np.where((t <= cut)[:, None], np.nan, -x)
+
+    errors = {}
+    for cores in (1, 2):
+        counts = _split_into(monkeypatch, cores)
+        with pytest.raises(NumericalError) as caught:
+            reverse_generate(sched, score, spec, n=n, dim=2)
+        errors[cores] = str(caught.value)
+        assert EXIT_CODES[caught.value.category] == 4
+        assert counts == ([] if cores == 1 else [2])
+        assert multiprocessing.active_children() == []
+    step = 3 if integrator == "euler" else 2  # Heun also reads the score at t_{k+1}
+    assert errors[1] == f"non-finite state at step {step}, t={times[3]:.6g}"
+    assert errors[2] == errors[1]
+    # the chunks ran in workers (one worker may take both chunks)
+    assert {int(v) for v in pid_log.read_text().split()} - {os.getpid()}
 
 
 def test_sampler_spec_validation():
