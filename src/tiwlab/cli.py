@@ -262,6 +262,10 @@ def cmd_sample(cfg: ExperimentConfig, source=None):
 
 
 def cmd_eval(cfg: ExperimentConfig, samples_path=None, label="run"):
+    # eval.csv cells are written unquoted
+    if any(c in label for c in ',"\r\n'):
+        raise InputError(f"--label {label!r} must not contain a comma, a double "
+                         "quote or a line break")
     out = cfg.output_dir
     samples = read_samples_csv(samples_path or out / "samples.csv")
     report = evaluate_samples(samples, _oracle_reference(cfg),

@@ -11,19 +11,21 @@ at each sample's own time): the component moments broadcast.
 
 Densities are accumulated in the log domain (log-sum-exp), so cross terms
 far in the tails survive. ``pairwise_mean_dist`` is the O(m*n) sum behind
-the energy distance: it fills each chunk's distance matrix in blocks of
-ROW_BLOCK rows, one coordinate at a time, so a block's squared distances
-stay in cache until their square root is taken, and the temporaries are
-one matrix of at most PAIRS_PER_CHUNK entries plus one block.
+the energy distance: it builds the distances of ROW_BLOCK rows at a time,
+one coordinate at a time, and sums each block while it is still in cache,
+so its temporaries are two (ROW_BLOCK, n) buffers, never the m*n matrix.
+The block sums are added with ``math.fsum``, so the total does not depend
+on the block order. A set against itself (equal values) counts each
+unordered pair once and doubles it.
 """
+
+import math
 
 import numpy as np
 
 LOG_2PI = float(np.log(2.0 * np.pi))
-# pairs (rows of A times rows of B) per chunk; each chunk holds one (rows, n)
-# float64 distance matrix, filled ROW_BLOCK rows at a time
-PAIRS_PER_CHUNK = 20_000_000
-# rows of A per block; one (ROW_BLOCK, n) buffer holds a coordinate's term
+# rows of A per block; two (ROW_BLOCK, n) float64 buffers hold the block's
+# squared distances and a coordinate's term
 ROW_BLOCK = 64
 
 
@@ -58,31 +60,38 @@ def gm_score(X, log_w, means, variances):
 
 
 def pairwise_mean_dist(A, B):
-    """mean_{i,j} ||A_i - B_j||.
+    """mean_{i,j} ||A_i - B_j|| over every ordered pair, i == j included.
 
     The squared distance adds the coordinates in order 0..d-1, the order in
     which a (rows, n, d) ``sum(axis=2)`` adds fewer than 8 terms, so for
-    d <= 7 the result equals that form bit for bit.
+    d <= 7 and A, B unequal each block sum, and so the result, equals that
+    form bit for bit. When A and B hold the same values, row block [r, r+k)
+    is measured only against rows r.. of B: its k x k diagonal block counts
+    once, the pairs past it twice. The choice depends on the values alone,
+    so B is A and an equal copy give the same bytes.
     """
     m, n = A.shape[0], B.shape[0]
-    chunk = max(1, PAIRS_PER_CHUNK // max(n, 1))
-    term = np.empty((min(ROW_BLOCK, m), n))
-    total = 0.0
-    for s in range(0, m, chunk):
-        a = A[s:s + chunk]
-        dist = np.empty((a.shape[0], n))
-        for r in range(0, a.shape[0], ROW_BLOCK):
-            ab, sq = a[r:r + ROW_BLOCK], dist[r:r + ROW_BLOCK]
-            np.subtract.outer(ab[:, 0], B[:, 0], out=sq)
-            sq *= sq
-            tb = term[:sq.shape[0]]
-            for j in range(1, A.shape[1]):
-                np.subtract.outer(ab[:, j], B[:, j], out=tb)
-                tb *= tb
-                sq += tb
-            np.sqrt(sq, out=sq)
-        total += dist.sum()
-    return total / (m * n)
+    self_pairs = B is A or np.array_equal(A, B)
+    size = min(ROW_BLOCK, m) * n
+    sq_buf, term_buf = np.empty(size), np.empty(size)
+    block_sums = []
+    for r in range(0, m, ROW_BLOCK):
+        ab = A[r:r + ROW_BLOCK]
+        k = ab.shape[0]
+        b = B[r:] if self_pairs else B
+        cols = b.shape[0]
+        sq = sq_buf[:k * cols].reshape(k, cols)
+        term = term_buf[:k * cols].reshape(k, cols)
+        np.subtract.outer(ab[:, 0], b[:, 0], out=sq)
+        sq *= sq
+        for j in range(1, A.shape[1]):
+            np.subtract.outer(ab[:, j], b[:, j], out=term)
+            term *= term
+            sq += term
+        np.sqrt(sq, out=sq)
+        block_sums.append(2.0 * sq[:, k:].sum() + sq[:, :k].sum() if self_pairs
+                          else sq.sum())
+    return math.fsum(block_sums) / (m * n)
 
 
 def backend_name():

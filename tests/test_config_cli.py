@@ -505,6 +505,26 @@ def test_eval_command(tiny_config):
     assert text[1].endswith("oracle")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_eval_refuses_non_finite_samples(tiny_config, capsys, value):
+    config, out = tiny_config()
+    bad = out.parent / "bad.csv"
+    bad.write_text(f"x0,x1\n0.5,0.25\n0.5,{value}\n")
+    assert main(["eval", "--config", str(config), "--samples", str(bad)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (out / "eval.csv").exists()
+
+
+@pytest.mark.parametrize("label", ["a,b\nc", 'a"b', "a\rb", "a\nb"])
+def test_eval_refuses_a_label_that_breaks_the_csv(tiny_config, capsys, label):
+    config, out = tiny_config()
+    missing = out.parent / "missing.csv"  # reading it would exit 5
+    assert main(["eval", "--config", str(config), "--samples", str(missing),
+                 "--label", label]) == 2
+    assert "--label" in capsys.readouterr().err
+    assert not (out / "eval.csv").exists()
+
+
 @pytest.mark.parametrize("body", ["0.5,0.25\n0.5,oops\n", "0.5,0.25\n0.5\n"],
                          ids=["non-numeric", "ragged"])
 def test_malformed_samples_csv_exits_5(tiny_config, capsys, body):

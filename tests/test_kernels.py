@@ -1,7 +1,10 @@
 """The mixture kernels at a shared time and at per-row times agree with
 building the perturbed mixture one time at a time; the pairwise distance
-sum agrees with the difference-tensor form and keeps its temporary small."""
+sum agrees with the difference-tensor form summed per row block, counts
+each pair of a set against itself once, and keeps its temporary to two
+row blocks."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -86,26 +89,13 @@ def test_pairwise_mean_dist_matches_bruteforce():
     np.testing.assert_allclose(kernels.pairwise_mean_dist(A, B), brute, rtol=1e-12)
 
 
-def test_pairwise_mean_dist_chunking_consistent(monkeypatch):
-    rng = np.random.default_rng(3)
-    A = rng.normal(size=(501, 4))
-    B = rng.normal(size=(499, 4))
-    brute = np.sqrt(((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)).mean()
-    np.testing.assert_allclose(kernels.pairwise_mean_dist(A, B), brute, rtol=1e-12)
-    # 7 rows of A per chunk: 72 chunks, the last one partial
-    monkeypatch.setattr(kernels, "PAIRS_PER_CHUNK", 7 * B.shape[0])
-    np.testing.assert_allclose(kernels.pairwise_mean_dist(A, B), brute, rtol=1e-12)
-
-
-def _pairwise_mean_dist_reference(A, B, pairs_per_chunk):
-    """The (rows, n, d) difference-tensor form, same chunk boundaries."""
-    m, n = A.shape[0], B.shape[0]
-    chunk = max(1, pairs_per_chunk // max(n, 1))
-    total = 0.0
-    for s in range(0, m, chunk):
-        diff = A[s:s + chunk, None, :] - B[None, :, :]
-        total += np.sqrt((diff * diff).sum(axis=2)).sum()
-    return total / (m * n)
+def _pairwise_mean_dist_reference(A, B):
+    """The (rows, n, d) difference-tensor form, summed per ROW_BLOCK rows."""
+    sums = []
+    for r in range(0, A.shape[0], kernels.ROW_BLOCK):
+        diff = A[r:r + kernels.ROW_BLOCK, None, :] - B[None, :, :]
+        sums.append(np.sqrt((diff * diff).sum(axis=2)).sum())
+    return math.fsum(sums) / (A.shape[0] * B.shape[0])
 
 
 @settings(max_examples=80, deadline=None)
@@ -113,32 +103,44 @@ def _pairwise_mean_dist_reference(A, B, pairs_per_chunk):
        d=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
 @example(m=3 * kernels.ROW_BLOCK + 17, n=23, d=2, seed=0)
 @example(m=3 * kernels.ROW_BLOCK + 17, n=5, d=9, seed=1)
-def test_pairwise_mean_dist_matches_difference_tensor(m, n, d, seed):
+def test_pairwise_mean_dist_matches_blocked_difference_tensor(m, n, d, seed):
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(m, d)) * rng.uniform(0.1, 10.0)
     B = rng.normal(size=(n, d)) + rng.uniform(-3.0, 3.0)
-    # one chunk; 3 rows of A per chunk, less than a row block; 100 rows per
-    # chunk, one row block and a partial one (the last chunk partial in both)
-    for pairs in (kernels.PAIRS_PER_CHUNK, 3 * n, 100 * n):
-        want = _pairwise_mean_dist_reference(A, B, pairs)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(kernels, "PAIRS_PER_CHUNK", pairs)
-            got = kernels.pairwise_mean_dist(A, B)
-        if d <= 7:  # sum(axis=2) adds fewer than 8 terms in order, as the kernel does
-            assert got == want
-        else:  # numpy sums 8 or more terms pairwise
-            np.testing.assert_allclose(got, want, rtol=1e-12)
+    got, want = kernels.pairwise_mean_dist(A, B), _pairwise_mean_dist_reference(A, B)
+    if d <= 7:  # sum(axis=2) adds fewer than 8 terms in order, as the kernel does
+        assert got == want
+    else:  # numpy sums 8 or more terms pairwise
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 4 * kernels.ROW_BLOCK + 40), d=st.integers(1, 5),
+       ties=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(m=4 * kernels.ROW_BLOCK + 40, d=2, ties=False, seed=0)
+@example(m=kernels.ROW_BLOCK, d=1, ties=True, seed=1)
+def test_pairwise_mean_dist_self_path_counts_each_pair_once(m, d, ties, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(m, d))
+    if ties:  # repeated rows give zero off-diagonal distances
+        A = A[rng.integers(0, max(1, m // 4), size=m)]
+    brute = np.sqrt(((A[:, None, :] - A[None, :, :]) ** 2).sum(axis=2)).mean()
+    got = kernels.pairwise_mean_dist(A, A)
+    np.testing.assert_allclose(got, brute, rtol=1e-12)
+    # the self path is chosen from the values, not the object
+    assert got.hex() == kernels.pairwise_mean_dist(A, A.copy()).hex()
 
 
 def test_pairwise_mean_dist_temporary_is_bounded_by_pairs():
     m = n = 1000
     rng = np.random.default_rng(5)
     A, B = rng.normal(size=(m, 3)), rng.normal(size=(n, 3))
-    tracemalloc.start()
-    try:
-        kernels.pairwise_mean_dist(A, B)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the distance matrix plus one row block's term; the (m, n, d) form peaks at 7
-    assert peak < 1.25 * m * n * 8
+    for other in (B, A.copy()):  # the cross path and the self path
+        tracemalloc.start()
+        try:
+            kernels.pairwise_mean_dist(A, other)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two (ROW_BLOCK, n) float64 buffers; the m x n distance matrix is 8 MB
+        assert peak < 2.5 * kernels.ROW_BLOCK * n * 8

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,7 @@ def test_mode_proportions_one_hot_at_mode(p_data):
 def test_energy_distance_identical_matrices_is_zero(p_data):
     X = p_data.sample(300, seed=6)
     assert energy_distance(X, X) == 0.0
+    assert energy_distance(X, X.copy()) == 0.0
 
 
 def test_energy_distance_point_masses():
@@ -68,6 +71,28 @@ def test_energy_distance_symmetric(p_data, p_bias):
 def test_energy_distance_dim_mismatch():
     with pytest.raises(InputError):
         energy_distance(np.zeros((3, 2)), np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_samples_are_refused(p_data, bad):
+    X = p_data.sample(50, seed=11)
+    X[7, 1] = bad
+    with pytest.raises(InputError, match="samples holds a non-finite"):
+        mode_proportions(X, p_data)
+    with pytest.raises(InputError, match="b holds a non-finite"):
+        energy_distance(p_data.sample(50, seed=12), X)
+
+
+def test_energy_distance_never_holds_the_distance_matrix(p_data):
+    a = p_data.sample(4000, seed=13)
+    b = p_data.sample(4000, seed=14)
+    tracemalloc.start()
+    try:
+        energy_distance(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6  # one 4000 x 4000 float64 matrix is 128 MB
 
 
 def test_eval_report_validates_proportions():
