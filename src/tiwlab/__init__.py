@@ -22,5 +22,5 @@ from .objectives import (  # noqa: F401
     mc_loss_gradient,
     train_score,
 )
-from .sampling import GenerationJob, generate  # noqa: F401
+from .sampling import generate  # noqa: F401
 from .metrics import bias_metric, energy_distance, mode_proportions  # noqa: F401

@@ -59,7 +59,7 @@ from .ratio import (
     save_ratio_model,
     train_discriminator,
 )
-from .sampling import GenerationJob, generate, read_samples_csv, write_samples_csv
+from .sampling import generate, read_samples_csv, write_samples_csv
 from .sde import INTEGRATORS, SAMPLER_KINDS
 
 # named baseline -> (objective kind, stream); None keeps objective.stream
@@ -151,11 +151,9 @@ def _gen_data_stage(cfg, report):
     return _load_split(cfg)
 
 
-def _generate_samples(cfg, source, out_dir, seed=None):
-    job = GenerationJob(score_source=source, sched=cfg.schedule,
-                        spec=cfg.sampler_spec(seed=seed),
-                        n=cfg.raw["eval"]["n_samples"], output=out_dir)
-    return generate(job)
+def _generate_samples(cfg, source, out_dir):
+    return generate(source, cfg.schedule, cfg.sampler_spec(),
+                    cfg.raw["eval"]["n_samples"], out_dir)
 
 
 def _oracle_reference(cfg):

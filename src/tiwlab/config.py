@@ -224,7 +224,8 @@ class ExperimentConfig:
         _check(self.raw, LAYOUT)
         # the checks across fields: VpSchedule needs beta_min <= beta_max and
         # t_eps < T, SamplerSpec pairs reverse-sde with euler only, each
-        # mixture must build and both must share a dimension
+        # mixture must build and both must share a dimension, and the ratio
+        # error grid must rise strictly within [0, horizon]
         for name, spec in (("schedule", VpSchedule), ("sampler", SamplerSpec)):
             try:
                 spec(**self.section(name))
@@ -234,6 +235,12 @@ class ExperimentConfig:
         if bias.dim != data.dim:
             raise ConfigError(f"config field mixtures: bias is {bias.dim}-D, "
                               f"data is {data.dim}-D")
+        grid, horizon = self.raw["eval"]["dre_grid"], self.raw["schedule"]["horizon"]
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise _invalid("eval.dre_grid", f"{grid!r} is not strictly increasing")
+        if not all(0 <= t <= horizon for t in grid):
+            raise _invalid("eval.dre_grid", f"{grid!r} has a point outside "
+                                            f"[0, schedule.horizon = {horizon!r}]")
 
     # -- typed accessors -----------------------------------------------------
 
@@ -261,9 +268,8 @@ class ExperimentConfig:
     def schedule(self):
         return VpSchedule(**self.section("schedule"))
 
-    def sampler_spec(self, seed=None):
-        return SamplerSpec(**self.section("sampler"),
-                           seed=self.seeds["sample"] if seed is None else seed)
+    def sampler_spec(self):
+        return SamplerSpec(**self.section("sampler"), seed=self.seeds["sample"])
 
     def disc_train_config(self, time_independent=False):
         return DiscTrainConfig(**self.section("disc_net"), **self.section("disc_train"),

@@ -15,14 +15,14 @@ from . import kernels
 from .errors import InputError
 
 
-def _as_batch(x, dim, name="x"):
+def _as_batch(x, dim):
     """Coerce a point or batch of points to (n, dim); report if input was 1-D."""
     arr = np.asarray(x, dtype=np.float64)
     single = arr.ndim == 1
     if single:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != dim:
-        raise InputError(f"{name} must have dimension {dim}, got shape {np.shape(x)}")
+        raise InputError(f"x must have dimension {dim}, got shape {np.shape(x)}")
     return np.ascontiguousarray(arr), single
 
 
@@ -122,14 +122,12 @@ class GaussianMixture:
         return cls(weights=d["weights"], means=d["means"], variances=d["variances"])
 
 
-def pooled_mixture(a: GaussianMixture, b: GaussianMixture, weight_a=0.5):
-    """The mixture weight_a * a + (1 - weight_a) * b as a single GaussianMixture."""
+def pooled_mixture(a: GaussianMixture, b: GaussianMixture):
+    """The half/half pool 0.5 a + 0.5 b as a single GaussianMixture."""
     if a.dim != b.dim:
         raise InputError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if not 0.0 < weight_a < 1.0:
-        raise InputError("pooling weight must lie in (0, 1)")
     return GaussianMixture(
-        weights=np.concatenate([weight_a * a.weights, (1.0 - weight_a) * b.weights]),
+        weights=np.concatenate([0.5 * a.weights, 0.5 * b.weights]),
         means=np.vstack([a.means, b.means]),
         variances=np.concatenate([a.variances, b.variances]),
     )

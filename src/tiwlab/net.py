@@ -44,6 +44,9 @@ TIME_EMBEDS = ("append-scalar", "sinusoidal")
 
 CHECKPOINT_MAGIC = b"TIWNET"
 CHECKPOINT_VERSION = 1
+# Mlp's architecture arguments, as the checkpoint header names them
+ARCH_KEYS = ("input_dim", "hidden", "output_dim", "activation", "time_embed",
+             "n_frequencies")
 
 # float64 entries per row block of the elementwise chain: 128 KB, which is
 # 256 rows at width 64
@@ -98,10 +101,12 @@ class ForwardCache:
     """Activations saved by forward() for the matching backward pass."""
 
     net: "Mlp"
-    feats: np.ndarray          # (B, feature_dim) network input incl. time features
-    primes: list               # activation derivative per hidden layer
-    acts: list                 # input of each layer, acts[0] == feats
-    batch: int
+    primes: list  # activation derivative per hidden layer
+    acts: list    # input of each layer; acts[0] is the network input, time features included
+
+    @property
+    def batch(self):
+        return self.acts[0].shape[0]
 
 
 class Mlp:
@@ -244,8 +249,7 @@ class Mlp:
         a += b
         out = a[0] if single else a
         if want_cache:
-            return out, ForwardCache(net=self, feats=feats, primes=primes, acts=acts,
-                                     batch=feats.shape[0])
+            return out, ForwardCache(net=self, primes=primes, acts=acts)
         return out
 
     def _check_cache(self, cache):
@@ -314,14 +318,7 @@ class Mlp:
     # -- serialization -------------------------------------------------------
 
     def arch_dict(self):
-        return {
-            "input_dim": self.input_dim,
-            "hidden": list(self.hidden),
-            "output_dim": self.output_dim,
-            "activation": self.activation,
-            "time_embed": self.time_embed,
-            "n_frequencies": self.n_frequencies,
-        }
+        return {key: getattr(self, key) for key in ARCH_KEYS}
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +386,7 @@ def load_net(path):
         header = json.loads(raw[12:12 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise IoError(f"corrupt checkpoint {path}: unreadable header ({e})") from e
-    for key in ("input_dim", "hidden", "output_dim", "activation",
-                "time_embed", "n_frequencies", "param_count"):
+    for key in (*ARCH_KEYS, "param_count"):
         if key not in header:
             raise IoError(f"corrupt checkpoint {path}: missing header field {key!r}")
     body = raw[12 + hlen:]
@@ -401,8 +397,9 @@ def load_net(path):
             f"expected {8 * n}"
         )
     params = np.frombuffer(body, dtype="<f8").astype(np.float64)
-    net = Mlp(header["input_dim"], header["hidden"], header["output_dim"],
-              activation=header["activation"], time_embed=header["time_embed"],
-              n_frequencies=header["n_frequencies"], params=params)
+    try:
+        net = Mlp(**{key: header[key] for key in ARCH_KEYS}, params=params)
+    except (InputError, TypeError, ValueError) as e:
+        raise IoError(f"corrupt checkpoint {path}: {e}") from e
     header["sha256"] = hashlib.sha256(raw).hexdigest()
     return net, header

@@ -51,6 +51,8 @@ RATIO_READERS = {"iw_dsm": True, "tiw_dsm": False, "tiw_alpha": False,
                  "weight_only": False, "correction_only": False,
                  "interpolated": False}
 _KIND_DEFAULT_STREAM = {"weight_only": "bias", "correction_only": "bias"}
+# a batch-mean training loss above this counts as divergence
+DIVERGENCE_LOSS = 1e6
 
 
 @dataclass
@@ -87,16 +89,6 @@ class ObjectiveSpec:
         return self.stream == "obs" and self.kind in RATIO_READERS
 
 
-@dataclass
-class LossSample:
-    """One telemetry record: where a loss value came from."""
-
-    step: int
-    t: float
-    loss: float
-    weight: float
-
-
 def _batch_terms(net, X0, ts, eps, sched, spec: ObjectiveSpec, iw_weights=None):
     """Per-sample losses plus what backprop needs (d loss_i / d s_i, cache);
     iw_dsm's t=0 weights come from spec.ratio unless passed in iw_weights."""
@@ -129,7 +121,7 @@ def _batch_terms(net, X0, ts, eps, sched, spec: ObjectiveSpec, iw_weights=None):
     resid = out - target - corr
     losses = 0.5 * lam * weights * (resid * resid).sum(axis=1)
     outgrad = (lam * weights)[:, None] * resid
-    return losses, outgrad, cache, weights, X_t
+    return losses, outgrad, cache, weights
 
 
 def persample_loss(net, spec: ObjectiveSpec, x0, t, noise, sched):
@@ -159,20 +151,12 @@ class QuadratureGrid:
 def _space_nodes(pt: GaussianMixture, nodes, weights, pad_std):
     """Gauss-Legendre nodes and weights on [-1, 1] mapped over pt's support."""
     std = float(np.sqrt(pt.variances.max()))
-    axes = []
-    for c in range(pt.dim):
-        lo = pt.means[:, c].min() - pad_std * std
-        hi = pt.means[:, c].max() + pad_std * std
-        axes.append((0.5 * (hi - lo) * nodes + 0.5 * (hi + lo),
-                     0.5 * (hi - lo) * weights))
-    if pt.dim == 1:
-        X = axes[0][0][:, None]
-        w = axes[0][1]
-    else:
-        xs, ys = np.meshgrid(axes[0][0], axes[1][0], indexing="ij")
-        X = np.column_stack([xs.ravel(), ys.ravel()])
-        w = np.outer(axes[0][1], axes[1][1]).ravel()
-    return X, w
+    bounds = list(zip(pt.means.min(axis=0) - pad_std * std,
+                      pt.means.max(axis=0) + pad_std * std))
+    xs = np.meshgrid(*(0.5 * (hi - lo) * nodes + 0.5 * (hi + lo) for lo, hi in bounds),
+                     indexing="ij")
+    ws = np.meshgrid(*(0.5 * (hi - lo) * weights for lo, hi in bounds), indexing="ij")
+    return np.column_stack([x.ravel() for x in xs]), np.prod(ws, axis=0).ravel()
 
 
 def _sm_quadrature(net, grid, sched, p_data, lambda_kind, want_grad):
@@ -234,29 +218,25 @@ def loss_sm_oracle(net, grid: QuadratureGrid, sched, p_data: GaussianMixture,
 # ---------------------------------------------------------------------------
 
 def mc_loss_gradient(net, spec: ObjectiveSpec, sched, base_mixture: GaussianMixture,
-                     n, seed, batch=8192, variance_reduction=True):
+                     n, seed, batch=8192):
     """Common-random-number MC estimate of the loss and its parameter gradient.
 
-    Draws x0 from base_mixture, one stratified-uniform time per sample and
-    kernel noise; the draws depend only on (seed, n), so two objectives
-    called with the same seed see identical randomness. n counts loss
-    evaluations. With variance_reduction the kernel noise comes in
-    antithetic, second-moment-matched pairs (n//2 base points evaluated at
-    +-eps), which sharpens gradient-equivalence comparisons several-fold.
-    The [t_eps, T] range factor is included, making the result directly
-    comparable with the quadrature loss.
+    Draws n//2 base points x0 from base_mixture, one stratified-uniform
+    time per point and kernel noise eps; the draws depend only on (seed, n),
+    so two objectives called with the same seed see identical randomness.
+    n counts loss evaluations: each base point is evaluated at the
+    antithetic, second-moment-matched pair +-eps, which sharpens
+    gradient-equivalence comparisons several-fold. The [t_eps, T] range
+    factor is included, making the result directly comparable with the
+    quadrature loss.
     """
     t_lo, t_hi = sched.t_eps, sched.T
-    m = n // 2 if variance_reduction else n
+    m = n // 2
     x0 = base_mixture.sample(m, seed=[seed, 1])
     rng_t = np.random.default_rng([seed, 2])
     ts = t_lo + (np.arange(m) + rng_t.uniform(size=m)) / m * (t_hi - t_lo)
     eps = np.random.default_rng([seed, 3]).standard_normal(x0.shape)
-    if variance_reduction:
-        eps = eps / np.sqrt((eps * eps).mean())
-        noise_blocks = (eps, -eps)
-    else:
-        noise_blocks = (eps,)
+    eps = eps / np.sqrt((eps * eps).mean())
 
     slices = [slice(s, min(s + batch, m)) for s in range(0, m, batch)]
     # iw_dsm's t=0 weights depend on x0 alone: one evaluation per slice
@@ -264,13 +244,13 @@ def mc_loss_gradient(net, spec: ObjectiveSpec, sched, base_mixture: GaussianMixt
     iw = [_iw_weights(spec, x0[sl]) if spec.kind == "iw_dsm" else None for sl in slices]
     total = 0.0
     grads = np.zeros(net.n_params)
-    for block in noise_blocks:
+    for block in (eps, -eps):
         for sl, w in zip(slices, iw):
-            losses, outgrad, cache, _, _ = _batch_terms(
+            losses, outgrad, cache, _ = _batch_terms(
                 net, x0[sl], ts[sl], block[sl], sched, spec, iw_weights=w)
             total += losses.sum()
             grads += net.param_gradient(outgrad, cache)
-    scale = (t_hi - t_lo) / (m * len(noise_blocks))
+    scale = (t_hi - t_lo) / (2 * m)
     return total * scale, grads * scale
 
 
@@ -295,7 +275,6 @@ class ScoreTrainConfig(NetSpec):
     # 0 disables telemetry
     telemetry_every: int = field(default=500, metadata={"ge": 0})
     telemetry_path: str = field(default=None, metadata={"config": False})
-    divergence_threshold: float = field(default=1e6, metadata={"config": False})
     lr_decay: str = field(default="cosine", metadata={"choices": LR_DECAYS})
 
     def __post_init__(self):
@@ -318,9 +297,10 @@ def train_score(data: DatasetSplit, spec: ObjectiveSpec, sched: VpSchedule,
     with empirical proportions unless spec.balanced_draw, which picks the
     source set by a fair coin first. iw_dsm's t=0 weights are computed once
     per pool point. Deterministic in cfg.seed.
-    Telemetry LossSamples land on the returned network (.telemetry) and,
-    when telemetry_path is set, in a CSV with columns step,t,weight,loss,
-    written when the loop ends, also when it diverges.
+    Every telemetry_every steps the first sample of the batch gives a
+    telemetry row; when telemetry_path is set the rows go to a CSV with
+    columns step,t,weight,loss, written when the loop ends, also when it
+    diverges.
     """
     cfg = cfg or ScoreTrainConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -336,7 +316,7 @@ def train_score(data: DatasetSplit, spec: ObjectiveSpec, sched: VpSchedule,
               seed=cfg.seed)
     state = init_optim(net.n_params, learning_rate=cfg.learning_rate)
 
-    telemetry = []
+    telemetry = []  # CSV rows
     try:
         for step in range(cfg.steps):
             if spec.balanced_draw:
@@ -351,11 +331,11 @@ def train_score(data: DatasetSplit, spec: ObjectiveSpec, sched: VpSchedule,
             x0 = pool[idx]
             ts = rng.uniform(sched.t_eps, sched.T, cfg.batch_size)
             eps = rng.standard_normal((cfg.batch_size, dim))
-            losses, outgrad, cache, weights, _ = _batch_terms(
+            losses, outgrad, cache, weights = _batch_terms(
                 net, x0, ts, eps, sched, spec,
                 iw_weights=None if iw_cache is None else iw_cache[idx])
             mean_loss = float(losses.mean())
-            if not np.isfinite(mean_loss) or mean_loss > cfg.divergence_threshold:
+            if not np.isfinite(mean_loss) or mean_loss > DIVERGENCE_LOSS:
                 raise NumericalError(f"score training diverged at step {step}: "
                                      f"loss {mean_loss!r}")
             grads = net.param_gradient(outgrad / cfg.batch_size, cache)
@@ -364,13 +344,10 @@ def train_score(data: DatasetSplit, spec: ObjectiveSpec, sched: VpSchedule,
                     1.0 + np.cos(np.pi * step / cfg.steps))
             adam_step(net.params, grads, state)
             if cfg.telemetry_every and step % cfg.telemetry_every == 0:
-                telemetry.append(LossSample(step=step, t=float(ts[0]),
-                                            loss=float(losses[0]),
-                                            weight=float(weights[0])))
+                telemetry.append([str(step), repr(float(ts[0])),
+                                  repr(float(weights[0])), repr(float(losses[0]))])
     finally:
         if cfg.telemetry_path and cfg.telemetry_every:
             artifacts.write_csv(cfg.telemetry_path, ["step", "t", "weight", "loss"],
-                                [[str(r.step), repr(r.t), repr(r.weight), repr(r.loss)]
-                                 for r in telemetry])
-    net.telemetry = telemetry
+                                telemetry)
     return net

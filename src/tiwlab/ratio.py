@@ -248,20 +248,11 @@ def train_discriminator(split: DatasetSplit, sched: VpSchedule,
             ref_train[rng.integers(0, ref_train.shape[0], half)],
             bias_train[rng.integers(0, bias_train.shape[0], half)],
         ])
-        if cfg.time_independent:
-            t = np.zeros(2 * half)
-        else:
-            t = rng.uniform(sched.t_eps, sched.T, 2 * half)
-        x_t = sched.forward_sample(x0, t, rng.standard_normal(x0.shape))
-        out, cache = net.forward(x_t, t, want_cache=True)
-        h = out[:, 0]
-        lam = lambda_weight(sched, t, cfg.lambda_prime)
-        losses = lam * (_softplus(h) - labels * h)
+        losses, dh, cache = _tbce_terms(net, sched, cfg, x0, labels, rng, True)
         last_loss = float(losses.mean())
         if not np.isfinite(last_loss):
             raise NumericalError(f"discriminator loss became non-finite at step {step}")
-        outgrad = (lam * (_sigmoid(h) - labels) / (2 * half))[:, None]
-        grads = net.param_gradient(outgrad, cache)
+        grads = net.param_gradient((dh / (2 * half))[:, None], cache)
         adam_step(net.params, grads, state)
 
     model = RatioModel(sched=sched, kind="learned", net=net,
@@ -269,27 +260,34 @@ def train_discriminator(split: DatasetSplit, sched: VpSchedule,
     model.train_report = {
         "final_train_bce": last_loss,
         "steps": cfg.steps,
-        "heldout_tbce": _heldout_tbce(net, sched, ref_hold, bias_hold, cfg, seed=cfg.seed + 1),
+        "heldout_tbce": _heldout_tbce(net, sched, ref_hold, bias_hold, cfg),
     }
     return model
 
 
-def _heldout_tbce(net, sched, ref_hold, bias_hold, cfg, seed, n_rounds=16):
+def _tbce_terms(net, sched, cfg, x0, labels, rng, want_cache):
+    """Per-point lambda'(t)-weighted BCE of the logit, d loss/dh and the forward
+    cache (None without want_cache); rng draws t (0 if time-independent), then noise."""
+    n = x0.shape[0]
+    t = np.zeros(n) if cfg.time_independent else rng.uniform(sched.t_eps, sched.T, n)
+    x_t = sched.forward_sample(x0, t, rng.standard_normal(x0.shape))
+    if want_cache:
+        out, cache = net.forward(x_t, t, want_cache=True)
+    else:
+        out, cache = net.forward(x_t, t), None
+    h = out[:, 0]
+    lam = lambda_weight(sched, t, cfg.lambda_prime)
+    return lam * (_softplus(h) - labels * h), lam * (_sigmoid(h) - labels), cache
+
+
+def _heldout_tbce(net, sched, ref_hold, bias_hold, cfg):
+    """Mean T-BCE over 16 fresh (t, noise) draws of every held-out point."""
     if ref_hold.shape[0] == 0 or bias_hold.shape[0] == 0:
         return float("nan")
-    rng = np.random.default_rng(seed)
-    vals = []
-    for _ in range(n_rounds):
-        for points, label in ((ref_hold, 1.0), (bias_hold, 0.0)):
-            if cfg.time_independent:
-                t = np.zeros(points.shape[0])
-            else:
-                t = rng.uniform(sched.t_eps, sched.T, points.shape[0])
-            x_t = sched.forward_sample(points, t, rng.standard_normal(points.shape))
-            h = net.forward(x_t, t)[:, 0]
-            lam = lambda_weight(sched, t, cfg.lambda_prime)
-            vals.append(lam * (_softplus(h) - label * h))
-    return float(np.concatenate(vals).mean())
+    rng = np.random.default_rng(cfg.seed + 1)
+    held = ((ref_hold, np.ones(ref_hold.shape[0])), (bias_hold, np.zeros(bias_hold.shape[0])))
+    return float(np.concatenate([_tbce_terms(net, sched, cfg, points, labels, rng, False)[0]
+                                 for _ in range(16) for points, labels in held]).mean())
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,17 @@
-"""Generation jobs: a score source + sampler settings -> sample matrix.
+"""Sample generation: a score source + sampler settings -> sample matrix.
 
-The score source is either a trained-network checkpoint or an oracle
+The score source is either a score-network checkpoint or an oracle
 mixture (whose exact perturbed score is used). Both score functions are
 row-wise, as reverse_generate requires: row i of the score depends only on
 row i of the states, so the trajectories can be split across processes.
 Each run produces a provenance record (seed, steps, integrator, kind,
-source hash, n, dim) that fully determines the output; rerunning a job
-with the same record reproduces the matrix bit for bit.
+source hash, n, dim) that fully determines the output; rerunning with the
+same record reproduces the matrix bit for bit.
 """
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -23,31 +23,20 @@ from .net import load_net
 from .sde import SamplerSpec, VpSchedule, reverse_generate
 
 
-@dataclass
-class GenerationJob:
-    score_source: object  # checkpoint path (str/Path) or GaussianMixture
-    sched: VpSchedule
-    spec: SamplerSpec
-    n: int
-    output: Path = None  # directory for samples.csv + provenance.json
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise InputError("n must be >= 1")
-
-
 def _mixture_hash(gm: GaussianMixture):
     blob = json.dumps(gm.to_dict(), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
-def _resolve_score_fn(job: GenerationJob):
-    src = job.score_source
+def _resolve_score_fn(src, sched: VpSchedule):
     if isinstance(src, GaussianMixture):
         def score_fn(X, t):
-            return src.perturb(job.sched, t).score(X)
+            return src.perturb(sched, t).score(X)
         return score_fn, src.dim, {"source": "oracle", "source_hash": _mixture_hash(src)}
     net, header = load_net(src)
+    if header.get("role") != "score":
+        raise InputError(f"checkpoint {src} is not a score network "
+                         f"(role field {header.get('role')!r})")
     if net.output_dim != net.input_dim:
         raise IoError(f"corrupt checkpoint {src}: output_dim field does not match "
                       "input_dim for a score network")
@@ -58,18 +47,16 @@ def _resolve_score_fn(job: GenerationJob):
                                      "source_hash": header["sha256"]}
 
 
-def generate(job: GenerationJob):
-    """Run the job; returns (samples, provenance dict), writing files if asked."""
-    score_fn, dim, source_info = _resolve_score_fn(job)
-    samples = reverse_generate(job.sched, score_fn, job.spec, job.n, dim)
-    provenance = {
-        "n": job.n,
-        "dim": dim,
-        **asdict(job.spec),
-        **source_info,
-    }
-    if job.output is not None:
-        out = Path(job.output)
+def generate(source, sched: VpSchedule, spec: SamplerSpec, n, output=None):
+    """n samples from source, a score checkpoint path or a GaussianMixture, and
+    their provenance dict; both go to samples.csv and provenance.json in output."""
+    if n < 1:
+        raise InputError("n must be >= 1")
+    score_fn, dim, source_info = _resolve_score_fn(source, sched)
+    samples = reverse_generate(sched, score_fn, spec, n, dim)
+    provenance = {"n": n, "dim": dim, **asdict(spec), **source_info}
+    if output is not None:
+        out = Path(output)
         write_samples_csv(out / "samples.csv", samples)
         artifacts.write_json(out / "provenance.json", provenance)
     return samples, provenance

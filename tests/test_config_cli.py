@@ -21,7 +21,7 @@ from tiwlab.config import (
 )
 from tiwlab.errors import ConfigError, InputError, NumericalError
 from tiwlab.kernels import pairwise_mean_dist
-from tiwlab.net import ACTIVATIONS, TIME_EMBEDS, load_net
+from tiwlab.net import ACTIVATIONS, TIME_EMBEDS, Mlp, load_net, save_net
 from tiwlab.objectives import (
     LR_DECAYS,
     OBJECTIVE_KINDS,
@@ -211,8 +211,7 @@ SECTION_TYPES = {
     "SamplerSpec": (lambda built: SamplerSpec(), lambda cfg: cfg.sampler_spec()),
     "ObjectiveSpec": (lambda built: ObjectiveSpec(ratio=built.ratio), _objective_spec),
 }
-NOT_CONFIG_KEYS = {"seed", "time_independent", "telemetry_path", "divergence_threshold",
-                   "ratio"}
+NOT_CONFIG_KEYS = {"seed", "time_independent", "telemetry_path", "ratio"}
 
 
 @pytest.mark.parametrize("name", SECTION_TYPES)
@@ -274,6 +273,27 @@ def test_exit_codes(tiny_config, capsys):
     # input error: training data missing
     assert main(["train-disc", "--config", str(config)]) == 2
     assert "gen-data" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["[0,0.5,0.4]", "[0,2.0]"], ids=["decreasing", "past-horizon"])
+def test_bad_dre_grid_is_refused_at_load_before_any_training(tiny_config, capsys, grid):
+    config, out = tiny_config()
+    assert main(["gen-data", "--config", str(config)]) == 0
+    assert main(["repro-fig2", "--config", str(config), "--set", f"eval.dre_grid={grid}"]) == 3
+    err = capsys.readouterr().err
+    assert "error[config]" in err and "eval.dre_grid" in err
+    assert not (out / "disc.ckpt").exists()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sample_refuses_a_discriminator_checkpoint(tiny_config, capsys, dim):
+    config, out = tiny_config()
+    disc = out.parent / "disc.ckpt"
+    save_net(Mlp(dim, [8], 1, seed=1), disc, extra={"role": "discriminator"})
+    assert main(["sample", "--config", str(config), "--source", str(disc)]) == 2
+    err = capsys.readouterr().err
+    assert "not a score network" in err and "'discriminator'" in err
+    assert not (out / "samples.csv").exists()
 
 
 def test_reverse_sde_with_heun_is_refused_at_load(tiny_config, capsys):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -336,6 +338,24 @@ def test_checkpoint_truncated_params(tmp_path):
     path.write_bytes(blob[:-8])
     with pytest.raises(IoError, match="params"):
         load_net(path)
+
+
+@pytest.mark.parametrize("change", [{"activation": "relu"}, {"hidden": [9]},
+                                    {"input_dim": 0}, {"hidden": None}, {"hidden": ["a"]}],
+                         ids=["activation", "hidden", "input_dim", "hidden-null",
+                              "hidden-text"])
+def test_checkpoint_with_unbuildable_architecture_is_corrupt(tmp_path, change):
+    # a readable header that names an architecture no Mlp can take
+    path = tmp_path / "net.ckpt"
+    save_net(Mlp(2, [8], 1, seed=1), path)
+    raw = path.read_bytes()
+    hlen = int.from_bytes(raw[8:12], "little")
+    header = json.loads(raw[12:12 + hlen])
+    blob = json.dumps({**header, **change}).encode()
+    path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + hlen:])
+    with pytest.raises(IoError) as info:
+        load_net(path)
+    assert str(info.value).startswith(f"corrupt checkpoint {path}: ")
 
 
 def test_checkpoint_missing_file():

@@ -6,37 +6,27 @@ import pytest
 from tiwlab.errors import IoError
 from tiwlab.metrics import energy_distance
 from tiwlab.net import Mlp, save_net
-from tiwlab.sampling import (
-    GenerationJob,
-    generate,
-    read_samples_csv,
-    write_samples_csv,
-)
+from tiwlab.sampling import generate, read_samples_csv, write_samples_csv
 from tiwlab.sde import SamplerSpec
 
 
 def test_oracle_source_close_to_fresh_draws(sched, p_data):
-    job = GenerationJob(score_source=p_data, sched=sched,
-                        spec=SamplerSpec(steps=200, seed=1), n=10_000)
-    samples, prov = generate(job)
+    samples, prov = generate(p_data, sched, SamplerSpec(steps=200, seed=1), 10_000)
     assert prov["source"] == "oracle"
     fresh = p_data.sample(10_000, seed=2)
     assert energy_distance(samples, fresh) < 0.01
 
 
 def test_single_sample_row(sched, p_data):
-    samples, _ = generate(GenerationJob(score_source=p_data, sched=sched,
-                                        spec=SamplerSpec(steps=20, seed=3), n=1))
+    samples, _ = generate(p_data, sched, SamplerSpec(steps=20, seed=3), 1)
     assert samples.shape == (1, 2)
     assert np.all(np.isfinite(samples))
 
 
 def test_identical_jobs_identical_outputs(sched, p_bias, tmp_path):
     spec = SamplerSpec(steps=50, seed=4)
-    a, prov_a = generate(GenerationJob(score_source=p_bias, sched=sched, spec=spec,
-                                       n=128, output=tmp_path / "a"))
-    b, prov_b = generate(GenerationJob(score_source=p_bias, sched=sched, spec=spec,
-                                       n=128, output=tmp_path / "b"))
+    a, prov_a = generate(p_bias, sched, spec, 128, output=tmp_path / "a")
+    b, prov_b = generate(p_bias, sched, spec, 128, output=tmp_path / "b")
     np.testing.assert_array_equal(a, b)
     assert prov_a == prov_b
     assert (tmp_path / "a" / "samples.csv").read_bytes() == \
@@ -47,10 +37,8 @@ def test_checkpoint_source_and_provenance(sched, tmp_path):
     net = Mlp(2, [8], 2, seed=5)
     path = tmp_path / "score.ckpt"
     save_net(net, path, extra={"role": "score"})
-    job = GenerationJob(score_source=path, sched=sched,
-                        spec=SamplerSpec(steps=30, seed=6), n=16,
-                        output=tmp_path / "run")
-    samples, prov = generate(job)
+    samples, prov = generate(path, sched, SamplerSpec(steps=30, seed=6), 16,
+                             output=tmp_path / "run")
     assert samples.shape == (16, 2)
     assert prov["source_hash"] and prov["steps"] == 30
     assert (tmp_path / "run" / "provenance.json").exists()
@@ -64,8 +52,7 @@ def test_checkpoint_read_once_per_generate(sched, tmp_path, monkeypatch):
     reads = []
     read_bytes = artifacts.read_bytes
     monkeypatch.setattr(artifacts, "read_bytes", lambda p: reads.append(p) or read_bytes(p))
-    _, prov = generate(GenerationJob(score_source=path, sched=sched,
-                                     spec=SamplerSpec(steps=4, seed=6), n=8))
+    _, prov = generate(path, sched, SamplerSpec(steps=4, seed=6), 8)
     assert reads == [path]
     assert prov["source_hash"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -77,9 +64,7 @@ def test_provenance_does_not_depend_on_the_output_directory(sched, tmp_path):
         path = tmp_path / run / "score.ckpt"
         path.parent.mkdir()
         save_net(net, path, extra={"role": "score"})
-        generate(GenerationJob(score_source=path, sched=sched,
-                               spec=SamplerSpec(steps=10, seed=6), n=8,
-                               output=path.parent))
+        generate(path, sched, SamplerSpec(steps=10, seed=6), 8, output=path.parent)
         records.append((path.parent / "provenance.json").read_bytes())
     assert records[0] == records[1]
     assert b'"source": "score.ckpt"' in records[0]
@@ -88,23 +73,19 @@ def test_provenance_does_not_depend_on_the_output_directory(sched, tmp_path):
 def test_corrupt_checkpoint_reports_field(sched, tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"garbage-not-a-checkpoint")
-    job = GenerationJob(score_source=path, sched=sched,
-                        spec=SamplerSpec(steps=10, seed=0), n=4)
     with pytest.raises(IoError, match="magic"):
-        generate(job)
+        generate(path, sched, SamplerSpec(steps=10, seed=0), 4)
 
 
 def test_provenance_record_replays_output(sched, p_data, tmp_path):
     import json
 
     out = tmp_path / "orig"
-    generate(GenerationJob(score_source=p_data, sched=sched,
-                           spec=SamplerSpec(steps=40, seed=13), n=64, output=out))
+    generate(p_data, sched, SamplerSpec(steps=40, seed=13), 64, output=out)
     prov = json.loads((out / "provenance.json").read_text())
     replay_spec = SamplerSpec(kind=prov["kind"], steps=prov["steps"],
                               integrator=prov["integrator"], seed=prov["seed"])
-    replayed, _ = generate(GenerationJob(score_source=p_data, sched=sched,
-                                         spec=replay_spec, n=prov["n"]))
+    replayed, _ = generate(p_data, sched, replay_spec, prov["n"])
     np.testing.assert_array_equal(replayed, read_samples_csv(out / "samples.csv"))
 
 
