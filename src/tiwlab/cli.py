@@ -153,7 +153,7 @@ def _gen_data_stage(cfg, report):
 
 def _generate_samples(cfg, source, out_dir):
     return generate(source, cfg.schedule, cfg.sampler_spec(),
-                    cfg.raw["eval"]["n_samples"], out_dir)
+                    cfg.raw["eval"]["n_samples"], out_dir, dim=cfg.mixture("data").dim)
 
 
 def _oracle_reference(cfg):

@@ -10,16 +10,29 @@ at each sample's own time): the component moments broadcast.
     variances  (k,)   or (n, k)    isotropic component variances
 
 Densities are accumulated in the log domain (log-sum-exp), so cross terms
-far in the tails survive. ``pairwise_mean_dist`` is the O(m*n) sum behind
-the energy distance: it builds the distances of ROW_BLOCK rows at a time,
-one coordinate at a time, and sums each block while it is still in cache,
-so its temporaries are two (ROW_BLOCK, n) buffers, never the m*n matrix.
-The block sums are added with ``math.fsum``, so the total does not depend
-on the block order. A set against itself (equal values) counts each
-unordered pair once and doubles it.
+far in the tails survive. The mixture kernels work component-major: the
+log terms are a (k, n) array and the offsets x_i - mu_j a (k, d, n) one,
+so the squared distance, the max over components, the exp-sum and the
+score's sum over components are a few elementwise calls over n-long rows
+each, in place of numpy reductions over a length-k (or length-d) axis.
+The rows are added in order 0, 1, ..., the order in which numpy's
+reduction adds fewer than 8 terms, so for k < 8 components and d < 8
+coordinates every value equals the (n, k, d) reduction form bit for bit;
+numpy adds 8 or more terms pairwise, which differs by rounding. Every
+result is a C-contiguous (n,) or (n, ·) array. ``gm_logpdf_and_score``
+returns the log-density and the score from one log-term pass.
+
+``pairwise_mean_dist`` is the O(m*n) sum behind the energy distance: it
+builds the distances of ROW_BLOCK rows at a time, one coordinate at a
+time, and sums each block while it is still in cache, so its temporaries
+are two (ROW_BLOCK, n) buffers, never the m*n matrix. The block sums are
+added with ``math.fsum``, so the total does not depend on the block
+order. A set against itself (equal values) counts each unordered pair
+once and doubles it.
 """
 
 import math
+from functools import reduce
 
 import numpy as np
 
@@ -29,34 +42,58 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 ROW_BLOCK = 64
 
 
+def _add_rows(a):
+    """a[0] + a[1] + ... over the first axis, added in index order."""
+    return reduce(np.add, a)
+
+
 def _log_terms(X, log_w, means, variances):
-    """(n, k) log(w_j N(x_i; mu_j, v_j I)) and the (n, k, d) offsets x_i - mu_j."""
-    diff = X[:, None, :] - means
-    sq = (diff**2).sum(axis=2)
-    terms = log_w - 0.5 * X.shape[1] * (LOG_2PI + np.log(variances)) - 0.5 * sq / variances
-    return terms, diff
+    """(k, n) log(w_j N(x_i; mu_j, v_j I)), the (k, d, n) offsets x_i - mu_j
+    and the variances as a (k, 1) or (k, n) array."""
+    k, d = log_w.shape[0], X.shape[1]
+    # the per-component constant is formed in the caller's layout, so its
+    # log and products see the same operands as the (n, k) form
+    const = (log_w - 0.5 * d * (LOG_2PI + np.log(variances))).reshape(-1, k).T
+    var = variances.reshape(-1, k).T
+    diff = X.T - means.reshape(-1, k, d).transpose(1, 2, 0)
+    terms = const - 0.5 * _add_rows((diff**2).transpose(1, 0, 2)) / var
+    return terms, diff, var
 
 
-def _responsibilities(terms):
-    mx = terms.max(axis=1, keepdims=True)
+def _exp_terms(terms):
+    """The per-point max mx over components, e = exp(terms - mx) and sum_j e_j."""
+    mx = reduce(np.maximum, terms)
     e = np.exp(terms - mx)
-    return e / e.sum(axis=1, keepdims=True)
+    return mx, e, _add_rows(e)
+
+
+def _score(e, total, diff, var):
+    """(n, d) sum_j r_j (mu_j - x) / v_j with responsibilities r = e / total."""
+    r = e / total
+    return np.ascontiguousarray(_add_rows(r[:, None, :] * (-diff / var[:, None, :])).T)
 
 
 def gm_logpdf(X, log_w, means, variances):
-    terms, _ = _log_terms(X, log_w, means, variances)
-    mx = terms.max(axis=1)
-    return mx + np.log(np.exp(terms - mx[:, None]).sum(axis=1))
+    mx, _, total = _exp_terms(_log_terms(X, log_w, means, variances)[0])
+    return mx + np.log(total)
 
 
 def gm_posterior(X, log_w, means, variances):
-    return _responsibilities(_log_terms(X, log_w, means, variances)[0])
+    _, e, total = _exp_terms(_log_terms(X, log_w, means, variances)[0])
+    return np.ascontiguousarray((e / total).T)
 
 
 def gm_score(X, log_w, means, variances):
-    terms, diff = _log_terms(X, log_w, means, variances)
-    r = _responsibilities(terms)
-    return (r[:, :, None] * (-diff / variances[..., None])).sum(axis=1)
+    terms, diff, var = _log_terms(X, log_w, means, variances)
+    _, e, total = _exp_terms(terms)
+    return _score(e, total, diff, var)
+
+
+def gm_logpdf_and_score(X, log_w, means, variances):
+    """(gm_logpdf, gm_score) of the same arguments from one log-term pass."""
+    terms, diff, var = _log_terms(X, log_w, means, variances)
+    mx, e, total = _exp_terms(terms)
+    return mx + np.log(total), _score(e, total, diff, var)
 
 
 def pairwise_mean_dist(A, B):

@@ -163,6 +163,15 @@ def perturbed_score_batch(gm: GaussianMixture, sched, X, t):
     return out[0] if single else out
 
 
+def perturbed_log_density_and_score_batch(gm: GaussianMixture, sched, X, t):
+    """(perturbed_log_density_batch, perturbed_score_batch) from one moment
+    build and one log-term pass."""
+    X, single = _as_batch(X, gm.dim)
+    logp, score = kernels.gm_logpdf_and_score(X, gm._log_weights,
+                                              *_perturbed_moments(gm, sched, t))
+    return (logp[0], score[0]) if single else (logp, score)
+
+
 def two_mode_bias_mixture():
     """0.9 N((-2,-2), I) + 0.1 N((2,2), I): the skewed two-mode benchmark."""
     return GaussianMixture(

@@ -32,9 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import artifacts
+from . import artifacts, kernels
 from .errors import InputError, NumericalError
-from .mixture import GaussianMixture
+from .mixture import GaussianMixture, _perturbed_moments
 from .net import Mlp, NetSpec, adam_step, init_optim
 from .ranges import check_fields
 from .ratio import DatasetSplit, RatioModel
@@ -148,11 +148,12 @@ class QuadratureGrid:
     t_panels: int = 8
 
 
-def _space_nodes(pt: GaussianMixture, nodes, weights, pad_std):
-    """Gauss-Legendre nodes and weights on [-1, 1] mapped over pt's support."""
-    std = float(np.sqrt(pt.variances.max()))
-    bounds = list(zip(pt.means.min(axis=0) - pad_std * std,
-                      pt.means.max(axis=0) + pad_std * std))
+def _space_nodes(means, variances, nodes, weights, pad_std):
+    """Gauss-Legendre nodes and weights on [-1, 1] mapped over the support of
+    the mixture with (k, d) means and (k,) variances."""
+    std = float(np.sqrt(variances.max()))
+    bounds = list(zip(means.min(axis=0) - pad_std * std,
+                      means.max(axis=0) + pad_std * std))
     xs = np.meshgrid(*(0.5 * (hi - lo) * nodes + 0.5 * (hi + lo) for lo, hi in bounds),
                      indexing="ij")
     ws = np.meshgrid(*(0.5 * (hi - lo) * weights for lo, hi in bounds), indexing="ij")
@@ -173,11 +174,12 @@ def _sm_quadrature(net, grid, sched, p_data, lambda_kind, want_grad):
     t_weights = np.concatenate(t_weights)
     value = 0.0
     grads = np.zeros(net.n_params) if want_grad else None
+    log_w = np.log(p_data.weights)
     for t, tw in zip(t_nodes, t_weights):
-        pt = p_data.perturb(sched, t)
-        X, xw = _space_nodes(pt, x_nodes, x_weights, grid.pad_std)
-        dens = pt.density(X)
-        score = pt.score(X)
+        means, variances = _perturbed_moments(p_data, sched, t)
+        X, xw = _space_nodes(means, variances, x_nodes, x_weights, grid.pad_std)
+        log_dens, score = kernels.gm_logpdf_and_score(X, log_w, means, variances)
+        dens = np.exp(log_dens)
         lam = float(lambda_weight(sched, t, lambda_kind))
         if want_grad:
             out, cache = net.forward(X, t, want_cache=True)

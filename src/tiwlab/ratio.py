@@ -26,11 +26,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, IoError, NumericalError
 from .mixture import (
     GaussianMixture,
+    perturbed_log_density_and_score_batch,
     perturbed_log_density_batch,
-    perturbed_score_batch,
     pooled_mixture,
 )
 from .net import Mlp, NetSpec, _sigmoid, adam_step, init_optim, load_net, save_net
@@ -117,12 +117,14 @@ class RatioModel:
             else:
                 out, grad = self.net.forward(x, t), None
             return out[..., 0], grad
-        lnum = perturbed_log_density_batch(self.p_num, self.sched, x, t)
-        lden = perturbed_log_density_batch(self.p_den, self.sched, x, t)
-        grad = None
         if want_grad:
-            grad = perturbed_score_batch(self.p_num, self.sched, x, t) - \
-                perturbed_score_batch(self.p_den, self.sched, x, t)
+            lnum, snum = perturbed_log_density_and_score_batch(self.p_num, self.sched, x, t)
+            lden, sden = perturbed_log_density_and_score_batch(self.p_den, self.sched, x, t)
+            grad = snum - sden
+        else:
+            lnum = perturbed_log_density_batch(self.p_num, self.sched, x, t)
+            lden = perturbed_log_density_batch(self.p_den, self.sched, x, t)
+            grad = None
         return np.maximum(lnum, LOG_FLOOR) - np.maximum(lden, LOG_FLOOR), grad
 
     def logit_and_grad(self, x, t, want_grad=True):
@@ -374,6 +376,9 @@ def load_ratio_model(path, sched: VpSchedule) -> RatioModel:
     net, header = load_net(path)
     if header.get("role") != "discriminator":
         raise InputError(f"checkpoint {path} is not a discriminator (role field)")
+    if net.output_dim != 1:
+        raise IoError(f"corrupt checkpoint {path}: output_dim field is {net.output_dim}, "
+                      "a discriminator has 1")
     return RatioModel(sched=sched, kind="learned", net=net,
                       time_independent=bool(header.get("time_independent", False)),
                       logit_clamp=float(header.get("logit_clamp", LOGIT_CLAMP)))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import artifacts
 from .errors import InputError, IoError
-from .mixture import GaussianMixture
+from .mixture import GaussianMixture, perturbed_score_batch
 from .net import load_net
 from .sde import SamplerSpec, VpSchedule, reverse_generate
 
@@ -31,7 +31,7 @@ def _mixture_hash(gm: GaussianMixture):
 def _resolve_score_fn(src, sched: VpSchedule):
     if isinstance(src, GaussianMixture):
         def score_fn(X, t):
-            return src.perturb(sched, t).score(X)
+            return perturbed_score_batch(src, sched, X, t)
         return score_fn, src.dim, {"source": "oracle", "source_hash": _mixture_hash(src)}
     net, header = load_net(src)
     if header.get("role") != "score":
@@ -47,14 +47,18 @@ def _resolve_score_fn(src, sched: VpSchedule):
                                      "source_hash": header["sha256"]}
 
 
-def generate(source, sched: VpSchedule, spec: SamplerSpec, n, output=None):
+def generate(source, sched: VpSchedule, spec: SamplerSpec, n, output=None, dim=None):
     """n samples from source, a score checkpoint path or a GaussianMixture, and
-    their provenance dict; both go to samples.csv and provenance.json in output."""
+    their provenance dict; both go to samples.csv and provenance.json in output.
+    With dim given, a source of another dimension is refused before sampling."""
     if n < 1:
         raise InputError("n must be >= 1")
-    score_fn, dim, source_info = _resolve_score_fn(source, sched)
-    samples = reverse_generate(sched, score_fn, spec, n, dim)
-    provenance = {"n": n, "dim": dim, **asdict(spec), **source_info}
+    score_fn, source_dim, source_info = _resolve_score_fn(source, sched)
+    if dim is not None and source_dim != dim:
+        raise InputError(f"score source {source} is {source_dim}-D, "
+                         f"but {dim}-D samples were asked for")
+    samples = reverse_generate(sched, score_fn, spec, n, source_dim)
+    provenance = {"n": n, "dim": source_dim, **asdict(spec), **source_info}
     if output is not None:
         out = Path(output)
         write_samples_csv(out / "samples.csv", samples)

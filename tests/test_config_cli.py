@@ -296,6 +296,16 @@ def test_sample_refuses_a_discriminator_checkpoint(tiny_config, capsys, dim):
     assert not (out / "samples.csv").exists()
 
 
+def test_sample_refuses_a_score_checkpoint_of_another_dimension(tiny_config, capsys):
+    config, out = tiny_config()
+    ckpt = out.parent / "score_1d.ckpt"
+    save_net(Mlp(1, [8], 1, seed=1), ckpt, extra={"role": "score"})
+    assert main(["sample", "--config", str(config), "--source", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and "1-D" in err and "2-D" in err
+    assert not (out / "samples.csv").exists()
+
+
 def test_reverse_sde_with_heun_is_refused_at_load(tiny_config, capsys):
     config, _ = tiny_config()
     assert main(["gen-data", "--config", str(config),

@@ -1,5 +1,6 @@
 """The mixture kernels at a shared time and at per-row times agree with
-building the perturbed mixture one time at a time; the pairwise distance
+building the perturbed mixture one time at a time and, for fewer than 8
+components, with the (n, k, d) reduction form bit for bit; the pairwise distance
 sum agrees with the difference-tensor form summed per row block, counts
 each pair of a set against itself once, and keeps its temporary to two
 row blocks."""
@@ -79,6 +80,71 @@ def test_posterior_paths_agree(case):
     for fn in (kernels.gm_logpdf, kernels.gm_posterior, kernels.gm_score):
         assert fn(X, log_w, *_per_row_moments(gm, same_t)).tobytes() == \
             fn(X, log_w, pt.means, pt.variances).tobytes()
+
+
+def _reference_mixture_kernels(X, log_w, means, variances):
+    """(logpdf, posterior, score) by the (n, k, d) reduction form, in which
+    numpy sums the components and coordinates along an axis."""
+    diff = X[:, None, :] - means
+    sq = (diff**2).sum(axis=2)
+    terms = log_w - 0.5 * X.shape[1] * (kernels.LOG_2PI + np.log(variances)) - 0.5 * sq / variances
+    mx = terms.max(axis=1)
+    e = np.exp(terms - mx[:, None])
+    total = e.sum(axis=1)
+    r = e / total[:, None]
+    return mx + np.log(total), r, (r[:, :, None] * (-diff / variances[..., None])).sum(axis=1)
+
+
+def _component_major_kernels(X, log_w, means, variances):
+    logpdf, score = kernels.gm_logpdf_and_score(X, log_w, means, variances)
+    return {"gm_logpdf": kernels.gm_logpdf(X, log_w, means, variances),
+            "gm_posterior": kernels.gm_posterior(X, log_w, means, variances),
+            "gm_score": kernels.gm_score(X, log_w, means, variances),
+            "fused logpdf": logpdf, "fused score": score}
+
+
+def _far_case(k, d, n, seed, per_row):
+    """Points out to |x| = 50, where some responsibilities underflow to 0, and
+    the moments of a random mixture noised to a shared or per-row time."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.1, 1.0, k)
+    gm = GaussianMixture(weights=w / w.sum(), means=rng.uniform(-4.0, 4.0, (k, d)),
+                         variances=rng.uniform(0.05, 3.0, k))
+    X = np.vstack([rng.uniform(-50.0, 50.0, (n, d)), np.full((1, d), 50.0)])
+    ts = rng.uniform(0.0, SCHED.T, n + 1)
+    if per_row:
+        return X, np.log(gm.weights), *_per_row_moments(gm, ts)
+    pt = gm.perturb(SCHED, ts[0])
+    return X, np.log(gm.weights), pt.means, pt.variances
+
+
+@settings(max_examples=120, deadline=None)
+@given(k=st.integers(1, 4), d=st.integers(1, 3), n=st.integers(1, 30),
+       seed=st.integers(0, 2**32 - 1), per_row=st.booleans())
+@example(k=3, d=2, n=20, seed=1, per_row=False)  # 17 responsibilities underflow to 0
+@example(k=2, d=1, n=20, seed=5, per_row=True)   # 3 underflow
+def test_component_major_kernels_equal_the_reduction_form_bit_for_bit(k, d, n, seed, per_row):
+    # numpy adds fewer than 8 terms in order, as the component loop does
+    args = _far_case(k, d, n, seed, per_row)
+    logpdf, posterior, score = _reference_mixture_kernels(*args)
+    want = {"gm_logpdf": logpdf, "gm_posterior": posterior, "gm_score": score,
+            "fused logpdf": logpdf, "fused score": score}
+    for name, got in _component_major_kernels(*args).items():
+        assert got.flags.c_contiguous, name
+        assert got.shape == want[name].shape, name
+        assert got.tobytes() == want[name].tobytes(), name
+
+
+def test_component_major_kernels_match_the_reduction_form_with_nine_components():
+    # numpy sums 8 or more terms pairwise, so the component loop rounds differently
+    for per_row in (False, True):
+        args = _far_case(9, 2, 50, 8, per_row)
+        logpdf, posterior, score = _reference_mixture_kernels(*args)
+        want = {"gm_logpdf": logpdf, "gm_posterior": posterior, "gm_score": score,
+                "fused logpdf": logpdf, "fused score": score}
+        for name, got in _component_major_kernels(*args).items():
+            assert got.flags.c_contiguous, name
+            np.testing.assert_allclose(got, want[name], rtol=1e-12, err_msg=name)
 
 
 def test_pairwise_mean_dist_matches_bruteforce():

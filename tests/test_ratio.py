@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiwlab.errors import InputError
-from tiwlab.mixture import GaussianMixture, pooled_mixture
+from tiwlab.errors import InputError, IoError
+from tiwlab.mixture import GaussianMixture, perturbed_score_batch, pooled_mixture
 from tiwlab.net import Mlp
 from tiwlab.ratio import (
     DatasetSplit,
@@ -226,6 +226,19 @@ def test_logit_and_grad_matches_accessors(kind, time_independent, random_disc, o
         np.testing.assert_array_equal(g, g0)
 
 
+def test_oracle_logit_and_grad_share_the_logit_and_difference_the_scores(oracle):
+    rng = np.random.default_rng(19)
+    X = rng.normal(scale=3.0, size=(40, 2))
+    for t in (0.4, rng.uniform(0.0, 1.0, 40)):
+        h, g = oracle.logit_and_grad(X, t)
+        h_only, none = oracle.logit_and_grad(X, t, want_grad=False)
+        assert none is None
+        assert h.tobytes() == h_only.tobytes()
+        want = (perturbed_score_batch(oracle.p_num, oracle.sched, X, t)
+                - perturbed_score_batch(oracle.p_den, oracle.sched, X, t))
+        assert g.tobytes() == want.tobytes()
+
+
 def test_grad_tilde_alpha_zero_is_zero(random_disc, oracle):
     x = np.array([0.7, -1.1])
     for rm in (random_disc, oracle):
@@ -297,6 +310,15 @@ def test_load_rejects_non_discriminator(tmp_path, sched_module):
     save_net(net, tmp_path / "plain.ckpt")
     with pytest.raises(InputError, match="role"):
         load_ratio_model(tmp_path / "plain.ckpt", sched_module)
+
+
+def test_load_rejects_a_discriminator_with_a_vector_output(tmp_path, sched_module):
+    from tiwlab.net import save_net
+
+    path = tmp_path / "wide.ckpt"
+    save_net(Mlp(2, [8], 2, seed=0), path, extra={"role": "discriminator"})
+    with pytest.raises(IoError, match=f"corrupt checkpoint {path}: output_dim"):
+        load_ratio_model(path, sched_module)
 
 
 # ---------------------------------------------------------------------------
