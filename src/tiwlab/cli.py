@@ -104,12 +104,12 @@ def _ratio_for(cfg: ExperimentConfig, kind):
 
 
 def _objective_spec(cfg: ExperimentConfig, baseline=None) -> ObjectiveSpec:
-    """The configured objective, or a named baseline (which takes no alpha or tau)."""
+    """The configured objective, or a named baseline (which takes no alpha)."""
     values = cfg.section("objective")
     del values["ratio"]  # the ratio's kind, which _ratio_for reads
     if baseline is not None:
         kind, stream = BASELINES[baseline]
-        del values["alpha"], values["tau"]
+        del values["alpha"]
         values.update(kind=kind, stream=stream or values["stream"])
     return ObjectiveSpec(**values, ratio=_ratio_for(cfg, values["kind"]))
 

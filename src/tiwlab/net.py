@@ -325,20 +325,21 @@ class Mlp:
 # optimizer
 # ---------------------------------------------------------------------------
 
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class OptimState:
     step: int
     m: np.ndarray
     v: np.ndarray
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    learning_rate: float
 
 
-def init_optim(n_params, **hyper):
-    """Fresh Adam state; hyper overrides OptimState's learning_rate, beta1, beta2, eps."""
-    return OptimState(step=0, m=np.zeros(n_params), v=np.zeros(n_params), **hyper)
+def init_optim(n_params, learning_rate):
+    """Fresh Adam state for n_params parameters."""
+    return OptimState(0, np.zeros(n_params), np.zeros(n_params), learning_rate)
 
 
 def adam_step(params, grads, state: OptimState):
@@ -346,13 +347,13 @@ def adam_step(params, grads, state: OptimState):
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ContractError("params, grads and optimizer moments must share a shape")
     state.step += 1
-    state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * grads
-    state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * grads * grads
-    m_hat = state.m / (1.0 - state.beta1 ** state.step)
-    v_hat = state.v / (1.0 - state.beta2 ** state.step)
-    params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * grads
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * grads * grads
+    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.step)
+    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.step)
+    params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params, state
 
 
@@ -391,6 +392,9 @@ def load_net(path):
             raise IoError(f"corrupt checkpoint {path}: missing header field {key!r}")
     body = raw[12 + hlen:]
     n = header["param_count"]
+    if type(n) is not int or n < 0:
+        raise IoError(f"corrupt checkpoint {path}: param_count field is {n!r}, "
+                      "not a non-negative integer")
     if len(body) != 8 * n:
         raise IoError(
             f"corrupt checkpoint {path}: params field has {len(body)} bytes, "

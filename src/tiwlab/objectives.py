@@ -12,7 +12,6 @@ the variant:
     tiw_dsm/tiw_alpha weight = ratio^a,      c = grad log ratio^a
     weight_only       weight = ratio^a,      c = 0
     correction_only   weight = 1,            c = grad log ratio^a
-    interpolated      dsm for t < tau, tiw for t >= tau
 
 The stream decides which ratio feeds the variant: on the pooled "obs"
 stream the tilde ratio against the half/half pool, which the ratio kinds
@@ -21,13 +20,13 @@ one set, "bias" or "ref", the plain data-vs-bias ratio (the form whose
 weight-only / correction-only fixed points are the biased and unbiased
 scores respectively). The (weight, c) pair itself comes from
 RatioModel.weight_and_correction. tiw_dsm is tiw_alpha at a = 1; only
-tiw_alpha, the two ablations and interpolated read alpha, and only
-interpolated reads tau. An exact-quadrature oracle loss
-is provided for verifying that the reweighted objective's parameter
+tiw_alpha and the two ablations read alpha. An exact-quadrature oracle
+loss is provided for verifying that the reweighted objective's parameter
 gradient coincides with classical score matching against the clean data
 density.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,15 +40,13 @@ from .ratio import DatasetSplit, RatioModel
 from .sde import LAMBDA_KINDS, VpSchedule, lambda_weight
 
 OBJECTIVE_KINDS = ("dsm", "iw_dsm", "tiw_dsm", "tiw_alpha",
-                   "weight_only", "correction_only", "interpolated")
+                   "weight_only", "correction_only")
 STREAMS = ("bias", "ref", "obs")
-LR_DECAYS = ("cosine", "none")
 
 # the ratio each kind reads: the t=0 one (True) or the time-dependent one
 # (False); kinds missing here read none
 RATIO_READERS = {"iw_dsm": True, "tiw_dsm": False, "tiw_alpha": False,
-                 "weight_only": False, "correction_only": False,
-                 "interpolated": False}
+                 "weight_only": False, "correction_only": False}
 _KIND_DEFAULT_STREAM = {"weight_only": "bias", "correction_only": "bias"}
 # a batch-mean training loss above this counts as divergence
 DIVERGENCE_LOSS = 1e6
@@ -61,7 +58,6 @@ class ObjectiveSpec:
 
     kind: str = field(default="tiw_dsm", metadata={"choices": OBJECTIVE_KINDS})
     alpha: float = field(default=1.0, metadata={"ge": 0})
-    tau: float = field(default=0.0, metadata={"ge": 0})
     lambda_kind: str = field(default="sigma_squared", metadata={"choices": LAMBDA_KINDS})
     # "auto" resolves per kind in __post_init__
     stream: str = field(default="auto", metadata={"choices": ("auto", *STREAMS)})
@@ -109,9 +105,6 @@ def _batch_terms(net, X0, ts, eps, sched, spec: ObjectiveSpec, iw_weights=None):
         w, g = spec.ratio.weight_and_correction(X_t, ts, spec.ratio_form, spec.alpha)
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(g))):
             raise NumericalError("non-finite density-ratio term in objective")
-        if kind == "interpolated":
-            tiw_side = ts >= spec.tau
-            w, g = np.where(tiw_side, w, 1.0), np.where(tiw_side[:, None], g, 0.0)
         if kind != "correction_only":
             weights = w
         if kind != "weight_only":
@@ -148,6 +141,14 @@ class QuadratureGrid:
     t_panels: int = 8
 
 
+@functools.cache
+def _leggauss(n):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], once per size."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _space_nodes(means, variances, nodes, weights, pad_std):
     """Gauss-Legendre nodes and weights on [-1, 1] mapped over the support of
     the mixture with (k, d) means and (k,) variances."""
@@ -163,8 +164,8 @@ def _space_nodes(means, variances, nodes, weights, pad_std):
 def _sm_quadrature(net, grid, sched, p_data, lambda_kind, want_grad):
     if p_data.dim > 2:
         raise InputError("quadrature oracle supports 1-D and 2-D mixtures only")
-    base_nodes, base_weights = np.polynomial.legendre.leggauss(grid.n_t)
-    x_nodes, x_weights = np.polynomial.legendre.leggauss(grid.n_x)
+    base_nodes, base_weights = _leggauss(grid.n_t)
+    x_nodes, x_weights = _leggauss(grid.n_x)
     edges = np.linspace(sched.t_eps, sched.T, grid.t_panels + 1)
     t_nodes, t_weights = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -277,7 +278,6 @@ class ScoreTrainConfig(NetSpec):
     # 0 disables telemetry
     telemetry_every: int = field(default=500, metadata={"ge": 0})
     telemetry_path: str = field(default=None, metadata={"config": False})
-    lr_decay: str = field(default="cosine", metadata={"choices": LR_DECAYS})
 
     def __post_init__(self):
         check_fields(self)
@@ -293,7 +293,8 @@ def _stream_points(data: DatasetSplit, stream):
 
 def train_score(data: DatasetSplit, spec: ObjectiveSpec, sched: VpSchedule,
                 cfg: ScoreTrainConfig = None) -> Mlp:
-    """Adam loop over mini-batches of the configured objective.
+    """Adam loop over mini-batches of the configured objective, its learning
+    rate decayed by a half cosine from cfg.learning_rate toward 0.
 
     The data stream follows spec.stream; for "obs" the pooled set is drawn
     with empirical proportions unless spec.balanced_draw, which picks the
@@ -316,7 +317,7 @@ def train_score(data: DatasetSplit, spec: ObjectiveSpec, sched: VpSchedule,
     net = Mlp(dim, list(cfg.hidden), dim, activation=cfg.activation,
               time_embed=cfg.time_embed, n_frequencies=cfg.n_frequencies,
               seed=cfg.seed)
-    state = init_optim(net.n_params, learning_rate=cfg.learning_rate)
+    state = init_optim(net.n_params, cfg.learning_rate)
 
     telemetry = []  # CSV rows
     try:
@@ -341,9 +342,8 @@ def train_score(data: DatasetSplit, spec: ObjectiveSpec, sched: VpSchedule,
                 raise NumericalError(f"score training diverged at step {step}: "
                                      f"loss {mean_loss!r}")
             grads = net.param_gradient(outgrad / cfg.batch_size, cache)
-            if cfg.lr_decay == "cosine":
-                state.learning_rate = cfg.learning_rate * 0.5 * (
-                    1.0 + np.cos(np.pi * step / cfg.steps))
+            state.learning_rate = cfg.learning_rate * 0.5 * (
+                1.0 + np.cos(np.pi * step / cfg.steps))
             adam_step(net.params, grads, state)
             if cfg.telemetry_every and step % cfg.telemetry_every == 0:
                 telemetry.append([str(step), repr(float(ts[0])),

@@ -12,14 +12,15 @@ d = sigmoid(h) satisfies w = d / (1 - d), so
 An oracle variant computes the same quantities from closed-form mixture
 pairs and is used to calibrate everything the learned one does.
 
-Learned ratios clamp the logit to +-ln(1000) before exponentiation, which
-caps w in [1e-3, 1e3]; an overconfident discriminator otherwise produces
-weights that blow up downstream losses. The clamp is applied once, in
-RatioModel.logit_and_grad, so w and w~ share it (the algebraic identity
-w~ = 2w/(1+w) survives it) and so do the gradients: they are derivatives
-of the clamped logit, zero wherever the clamp binds. Every weight and
-correction, objectives' included, comes from RatioModel.weight_and_correction;
-the named accessors are views of it.
+Learned ratios clamp the logit to the constant +-LOGIT_CLAMP = +-ln(1000)
+before exponentiation, which caps w in [1e-3, 1e3]; an overconfident
+discriminator otherwise produces weights that blow up downstream losses.
+The clamp is applied once, in RatioModel.logit_and_grad, so w and w~
+share it (the algebraic identity w~ = 2w/(1+w) survives it) and so do the
+gradients: they are derivatives of the clamped logit, zero wherever the
+clamp binds. A checkpoint's logit_clamp header key, if any, is ignored.
+Every weight and correction, objectives' included, comes from
+RatioModel.weight_and_correction; the named accessors are views of it.
 """
 
 from dataclasses import dataclass, field
@@ -85,7 +86,6 @@ class RatioModel:
     p_num: GaussianMixture = None
     p_den: GaussianMixture = None
     time_independent: bool = False
-    logit_clamp: float = LOGIT_CLAMP
     train_report: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -137,8 +137,8 @@ class RatioModel:
         h, grad = self._raw_logit(x, t, want_grad)
         if self.kind == "learned":
             if want_grad:
-                grad = grad * (np.abs(h) <= self.logit_clamp)[..., None]
-            h = np.clip(h, -self.logit_clamp, self.logit_clamp)
+                grad = grad * (np.abs(h) <= LOGIT_CLAMP)[..., None]
+            h = np.clip(h, -LOGIT_CLAMP, LOGIT_CLAMP)
         return h, grad
 
     def weight_and_correction(self, x, t, form="tilde", alpha=1.0, want_grad=True):
@@ -242,7 +242,7 @@ def train_discriminator(split: DatasetSplit, sched: VpSchedule,
     net = Mlp(split.dim, list(cfg.hidden), 1, activation=cfg.activation,
               time_embed=cfg.time_embed, n_frequencies=cfg.n_frequencies,
               seed=cfg.seed)
-    state = init_optim(net.n_params, learning_rate=cfg.learning_rate)
+    state = init_optim(net.n_params, cfg.learning_rate)
     labels = np.concatenate([np.ones(half), np.zeros(half)])
     last_loss = np.nan
     for step in range(cfg.steps):
@@ -368,7 +368,6 @@ def save_ratio_model(rm: RatioModel, path):
     save_net(rm.net, path, extra={
         "role": "discriminator",
         "time_independent": rm.time_independent,
-        "logit_clamp": rm.logit_clamp,
     })
 
 
@@ -379,6 +378,9 @@ def load_ratio_model(path, sched: VpSchedule) -> RatioModel:
     if net.output_dim != 1:
         raise IoError(f"corrupt checkpoint {path}: output_dim field is {net.output_dim}, "
                       "a discriminator has 1")
+    time_independent = header.get("time_independent", False)
+    if not isinstance(time_independent, bool):
+        raise IoError(f"corrupt checkpoint {path}: time_independent field is "
+                      f"{time_independent!r}, not a bool")
     return RatioModel(sched=sched, kind="learned", net=net,
-                      time_independent=bool(header.get("time_independent", False)),
-                      logit_clamp=float(header.get("logit_clamp", LOGIT_CLAMP)))
+                      time_independent=time_independent)

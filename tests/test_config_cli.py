@@ -14,6 +14,7 @@ from tiwlab import cli, kernels, sde, workers
 from tiwlab.cli import _objective_spec, main
 from tiwlab.config import (
     DEFAULT_CONFIG,
+    LAYOUT,
     ExperimentConfig,
     apply_overrides,
     config_hash,
@@ -23,7 +24,6 @@ from tiwlab.errors import ConfigError, InputError, NumericalError
 from tiwlab.kernels import pairwise_mean_dist
 from tiwlab.net import ACTIVATIONS, TIME_EMBEDS, Mlp, load_net, save_net
 from tiwlab.objectives import (
-    LR_DECAYS,
     OBJECTIVE_KINDS,
     STREAMS,
     ObjectiveSpec,
@@ -89,7 +89,6 @@ ENUM_FIELDS = [
     ("disc_net.activation", ACTIVATIONS),
     ("score_net.time_embed", TIME_EMBEDS),
     ("disc_train.lambda_prime", LAMBDA_KINDS),
-    ("score_train.lr_decay", LR_DECAYS),
     ("objective.kind", OBJECTIVE_KINDS),
     ("objective.lambda_kind", LAMBDA_KINDS),
     ("objective.stream", ("auto", *STREAMS)),
@@ -116,10 +115,11 @@ def test_schema_enums_follow_code_constants(path, values):
 
 def test_overrides_parse_yaml_scalars():
     raw = apply_overrides({}, ["split.n_bias=777", "objective.alpha=0.25",
-                               "score_train.lr_decay=none"])
+                               "objective.stream=ref"])
     cfg = ExperimentConfig(raw=raw)
     assert cfg.raw["split"]["n_bias"] == 777
     assert cfg.raw["objective"]["alpha"] == 0.25
+    assert cfg.raw["objective"]["stream"] == "ref"
     with pytest.raises(ConfigError):
         apply_overrides({}, ["no-equals-sign"])
 
@@ -167,6 +167,9 @@ BAD_OVERRIDES = [
     ("mixtures.data.means=[[-2,-2,0],[2,2,0]]", "mixtures: bias is 2-D, data is 3-D"),
     ("objective.ratio_form=plain", "objective.*ratio_form"),
     ("score_train.obs_stream=balanced", "score_train.*obs_stream"),
+    ("objective.tau=0.3", "objective.*tau"),
+    ("score_train.lr_decay=none", "score_train.*lr_decay"),
+    ("objective.kind=interpolated", "objective.kind"),
     ("output_dir=3", "output_dir"),
     ("disc_net=3", "disc_net"),
 ]
@@ -192,11 +195,28 @@ def test_two_mode_yaml_holds_the_defaults():
     assert raw == {k: v for k, v in DEFAULT_CONFIG.items() if k != "output_dir"}
 
 
+def test_two_mode_yaml_choice_comments_match_the_declared_choices():
+    # a "# a | b | c" comment after a leaf lists the choices its field declares
+    checked, section = {}, None
+    for line in TWO_MODE.read_text().splitlines():
+        body, _, comment = line.partition("#")
+        if not body.strip():
+            continue
+        key = body.split(":")[0].strip()
+        if not line.startswith(" "):
+            section = key
+        if "|" in comment:
+            path = f"{section}.{key}"
+            checked[path] = [c.strip() for c in comment.split("|")]
+            assert checked[path] == list(LAYOUT[section][key].metadata["choices"]), path
+    assert {"objective.kind", "objective.stream", "objective.ratio"} <= set(checked)
+
+
 def test_config_hashes_pinned():
     assert config_hash(ExperimentConfig(raw={})) == \
-        "0719b71a031209655000e53cc90b50b493840a410cd23b97b9c3995567fb7482"
+        "37cfab59fd297fa1949413c79fb304e4ee502afb07dd6e94673e942905899381"
     assert config_hash(load_config(TWO_MODE)) == \
-        "8859b055b06b5b7e293ded50667d7a42a57751d598c311389f32f938b8b032c7"
+        "0e85947226f8b7c0fc4624110b890012a77c0fd1e901ad2fd2fdd2114cab8d49"
 
 
 # each library type a section maps to: its defaults (given what the CLI built,
@@ -231,8 +251,8 @@ def test_library_defaults_equal_config_defaults(name):
     (lambda: ScoreTrainConfig(hidden=(8, 0)), "hidden"),
     (lambda: SamplerSpec(steps=1), "steps"),
     (lambda: VpSchedule(T=0.0), "T"),
-    (lambda: ObjectiveSpec(kind="dsm", tau=-1.0), "tau"),
-], ids=["holdout", "disc-batch", "telemetry", "hidden", "steps", "T", "tau"])
+    (lambda: ObjectiveSpec(kind="dsm", alpha=-1.0), "alpha"),
+], ids=["holdout", "disc-batch", "telemetry", "hidden", "steps", "T", "alpha"])
 def test_library_types_check_the_declared_ranges(make, field):
     with pytest.raises(InputError, match=field):
         make()
@@ -465,7 +485,7 @@ def test_train_score_every_objective_kind(kind, ratio, disc_run):
     config, out = disc_run
     overrides = [f"objective.kind={kind}", f"objective.ratio={ratio}"]
     if kind != "tiw_dsm":
-        overrides += ["objective.alpha=0.5", "objective.tau=0.3"]
+        overrides += ["objective.alpha=0.5"]
     argv = ["train-score", "--config", str(config)]
     assert main(argv + [a for o in overrides for a in ("--set", o)]) == 0
     _, header = load_net(out / f"score_{kind}.ckpt")

@@ -273,7 +273,7 @@ def test_batched_input_gradient_matches_loop():
 
 def test_adam_zero_gradient_keeps_params():
     params = np.array([1.0, -2.0, 3.0])
-    state = init_optim(3)
+    state = init_optim(3, 1e-3)
     out, state = adam_step(params, np.zeros(3), state)
     np.testing.assert_array_equal(out, [1.0, -2.0, 3.0])
     assert state.step == 1
@@ -281,7 +281,7 @@ def test_adam_zero_gradient_keeps_params():
 
 def test_adam_constant_gradient_asymptotic_step():
     params = np.zeros(1)
-    state = init_optim(1, learning_rate=1e-2)
+    state = init_optim(1, 1e-2)
     g = np.array([0.37])
     prev = params.copy()
     for _ in range(2000):
@@ -294,7 +294,7 @@ def test_adam_converges_on_quadratic_bowl():
     rng = np.random.default_rng(17)
     p = rng.normal(size=4)
     p *= 0.9 / np.linalg.norm(p)
-    state = init_optim(4, learning_rate=1e-2)
+    state = init_optim(4, 1e-2)
     for _ in range(5000):
         adam_step(p, p.copy(), state)  # gradient of ||p||^2/2 is p
     assert np.linalg.norm(p) < 1e-4
@@ -302,7 +302,7 @@ def test_adam_converges_on_quadratic_bowl():
 
 def test_adam_shape_mismatch():
     with pytest.raises(ContractError):
-        adam_step(np.zeros(3), np.zeros(2), init_optim(3))
+        adam_step(np.zeros(3), np.zeros(2), init_optim(3, 1e-3))
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +341,12 @@ def test_checkpoint_truncated_params(tmp_path):
 
 
 @pytest.mark.parametrize("change", [{"activation": "relu"}, {"hidden": [9]},
-                                    {"input_dim": 0}, {"hidden": None}, {"hidden": ["a"]}],
+                                    {"input_dim": 0}, {"hidden": None}, {"hidden": ["a"]},
+                                    {"param_count": None}, {"param_count": "abc"},
+                                    {"param_count": -1}, {"param_count": 3.0}],
                          ids=["activation", "hidden", "input_dim", "hidden-null",
-                              "hidden-text"])
+                              "hidden-text", "param_count-null", "param_count-text",
+                              "param_count-negative", "param_count-float"])
 def test_checkpoint_with_unbuildable_architecture_is_corrupt(tmp_path, change):
     # a readable header that names an architecture no Mlp can take
     path = tmp_path / "net.ckpt"
@@ -356,6 +359,8 @@ def test_checkpoint_with_unbuildable_architecture_is_corrupt(tmp_path, change):
     with pytest.raises(IoError) as info:
         load_net(path)
     assert str(info.value).startswith(f"corrupt checkpoint {path}: ")
+    if "param_count" in change:
+        assert "param_count" in str(info.value)
 
 
 def test_checkpoint_missing_file():

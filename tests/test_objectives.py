@@ -180,31 +180,6 @@ def test_ratio_terms_match_accessors(kind, sched, oracle_1d):
                                    rtol=1e-9, atol=1e-15)
 
 
-def test_interpolated_piecewise(sched, oracle_1d):
-    net = Mlp(1, [8], 1, seed=10)
-    tau = 0.5
-    interp = ObjectiveSpec(kind="interpolated", tau=tau, ratio=oracle_1d)
-    tiw_spec = ObjectiveSpec(kind="tiw_dsm", ratio=oracle_1d)
-    for t in (0.2, 0.8):
-        x0, _, eps = random_case(1, int(t * 10))
-        val = persample_loss(net, interp, x0, t, eps, sched)
-        dsm = persample_loss(net, DSM, x0, t, eps, sched)
-        tiw = persample_loss(net, tiw_spec, x0, t, eps, sched)
-        assert val == (dsm if t < tau else tiw)
-
-
-def test_interpolated_endpoints(sched, oracle_1d):
-    net = Mlp(1, [8], 1, seed=11)
-    x0, t, eps = random_case(1, 5)
-
-    def loss(kind, **kw):
-        return persample_loss(net, ObjectiveSpec(kind=kind, ratio=oracle_1d, **kw),
-                              x0, t, eps, sched)
-
-    assert loss("interpolated", tau=0.0) == loss("tiw_dsm")
-    assert loss("interpolated", tau=sched.T) == persample_loss(net, DSM, x0, t, eps, sched)
-
-
 def test_spec_requires_ratio():
     with pytest.raises(InputError):
         ObjectiveSpec(kind="tiw_dsm", ratio=None)

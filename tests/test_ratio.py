@@ -9,6 +9,7 @@ from tiwlab.errors import InputError, IoError
 from tiwlab.mixture import GaussianMixture, perturbed_score_batch, pooled_mixture
 from tiwlab.net import Mlp
 from tiwlab.ratio import (
+    LOGIT_CLAMP,
     DatasetSplit,
     DiscTrainConfig,
     RatioModel,
@@ -106,7 +107,7 @@ def test_learned_log_ratio_is_logit_bitwise(random_disc):
     rng = np.random.default_rng(1)
     X = rng.normal(size=(40, 2))
     h = random_disc.logit(X, 0.4)
-    assert np.all(np.abs(h) < random_disc.logit_clamp)  # random nets are mild
+    assert np.all(np.abs(h) < LOGIT_CLAMP)  # random nets are mild
     np.testing.assert_array_equal(random_disc.log_ratio_w(X, 0.4), h)
     # the exp/log round trip only costs rounding, never a stability chain
     np.testing.assert_allclose(np.log(random_disc.ratio_w(X, 0.4)), h,
@@ -192,7 +193,7 @@ def test_learned_grads_are_derivatives_of_the_clamped_logit(sched_module):
     # a batch on both sides of the clamp: each row matches finite differences
     net.params[-1] = -6.5
     X = np.random.default_rng(0).normal(scale=2.0, size=(12, 2))
-    clamped = np.abs(rm.logit(X, t)) > rm.logit_clamp
+    clamped = np.abs(rm.logit(X, t)) > LOGIT_CLAMP
     assert 0 < clamped.sum() < len(X)
     h = 1e-6
     for grad, f in ((rm.grad_log_w(X, t), lambda Y: rm.log_ratio_w(Y, t)),
@@ -310,6 +311,29 @@ def test_load_rejects_non_discriminator(tmp_path, sched_module):
     save_net(net, tmp_path / "plain.ckpt")
     with pytest.raises(InputError, match="role"):
         load_ratio_model(tmp_path / "plain.ckpt", sched_module)
+
+
+def test_load_refuses_a_time_independent_field_that_is_not_a_bool(tmp_path, sched_module):
+    from tiwlab.net import save_net
+
+    path = tmp_path / "disc.ckpt"
+    save_net(Mlp(2, [8], 1, seed=0), path,
+             extra={"role": "discriminator", "time_independent": "false"})
+    with pytest.raises(IoError, match=f"corrupt checkpoint {path}: time_independent"):
+        load_ratio_model(path, sched_module)
+
+
+def test_load_ignores_a_stored_logit_clamp(tmp_path, sched_module):
+    # checkpoints written before the clamp became a constant carry it in the header
+    from tiwlab.net import save_net
+
+    net = Mlp(2, [8], 1, seed=0)
+    net.params[-1] = -20.0
+    path = tmp_path / "disc.ckpt"
+    save_net(net, path, extra={"role": "discriminator", "time_independent": False,
+                               "logit_clamp": 1.0})
+    rm = load_ratio_model(path, sched_module)
+    assert rm.log_ratio_w(np.zeros(2), 0.5) == -LOGIT_CLAMP
 
 
 def test_load_rejects_a_discriminator_with_a_vector_output(tmp_path, sched_module):
