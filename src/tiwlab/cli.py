@@ -94,8 +94,7 @@ def _ratio_for(cfg: ExperimentConfig, kind):
         return None
     t0 = RATIO_READERS[kind]
     if cfg.raw["objective"]["ratio"] == "oracle":
-        return oracle_ratio_model(cfg.mixture("data"), cfg.mixture("bias"),
-                                  cfg.schedule, time_independent=t0)
+        return oracle_ratio_model(cfg.mixture("data"), cfg.mixture("bias"), cfg.schedule)
     path = cfg.output_dir / DISC_CKPT[t0]
     if not path.exists():
         raise InputError(f"discriminator checkpoint {path} not found "
@@ -142,13 +141,28 @@ def _fresh_report(cfg: ExperimentConfig) -> RunReport:
     return RunReport(config_hash=config_hash(cfg), library_version=__version__)
 
 
+def _gen_split(cfg: ExperimentConfig) -> DatasetSplit:
+    """Sample and write bias.csv and ref.csv; returns the split, which the
+    CSV round-trips (repr of float64) to what _load_split reads back."""
+    out = cfg.output_dir
+    bias = cfg.mixture("bias").sample(cfg.raw["split"]["n_bias"],
+                                      seed=[cfg.seeds["data"], 0])
+    ref = cfg.mixture("data").sample(cfg.raw["split"]["n_ref"],
+                                     seed=[cfg.seeds["data"], 1])
+    write_samples_csv(out / "bias.csv", bias)
+    write_samples_csv(out / "ref.csv", ref)
+    print(f"wrote {out / 'bias.csv'} ({bias.shape[0]} rows) and "
+          f"{out / 'ref.csv'} ({ref.shape[0]} rows)")
+    return DatasetSplit(bias_points=bias, ref_points=ref)
+
+
 def _gen_data_stage(cfg, report):
     """gen-data as a timed pipeline stage; returns the split it wrote."""
     with StageTimer(report, "gen-data"):
-        cmd_gen_data(cfg)
+        split = _gen_split(cfg)
     for name in ("bias.csv", "ref.csv"):
         report.add_artifact(cfg.output_dir / name)
-    return _load_split(cfg)
+    return split
 
 
 def _generate_samples(cfg, source, out_dir):
@@ -208,15 +222,7 @@ def _run_stages(report, stages):
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(cfg: ExperimentConfig):
-    out = cfg.output_dir
-    bias = cfg.mixture("bias").sample(cfg.raw["split"]["n_bias"],
-                                      seed=[cfg.seeds["data"], 0])
-    ref = cfg.mixture("data").sample(cfg.raw["split"]["n_ref"],
-                                     seed=[cfg.seeds["data"], 1])
-    write_samples_csv(out / "bias.csv", bias)
-    write_samples_csv(out / "ref.csv", ref)
-    print(f"wrote {out / 'bias.csv'} ({bias.shape[0]} rows) and "
-          f"{out / 'ref.csv'} ({ref.shape[0]} rows)")
+    _gen_split(cfg)
     return 0
 
 

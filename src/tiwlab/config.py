@@ -160,9 +160,9 @@ def _check(value, node, path=""):
         return
     if not isinstance(value, dict):
         raise _invalid(path, f"{value!r} is not an object")
-    extra = [key for key in value if key not in node]
-    if extra:
-        raise _invalid(path, f"additional keys are not allowed ({', '.join(map(repr, extra))})")
+    for key in value:
+        if key not in node:
+            raise _invalid(f"{path}.{key}" if path else key, "additional key is not allowed")
     for key, sub in node.items():
         _check(value[key], sub, f"{path}.{key}" if path else key)
 

@@ -103,9 +103,11 @@ def evaluate_samples(samples, oracle_samples, classifier, notes="", oracle_self=
 
     oracle_self is the reference's mean_self_distance, if already known.
     """
+    proportions = mode_proportions(samples, classifier)
     return EvalReport(
-        bias=bias_metric(samples, oracle_samples, classifier),
-        proportions=mode_proportions(samples, classifier),
+        # bias_metric, reusing the model's proportions
+        bias=float(np.abs(proportions - mode_proportions(oracle_samples, classifier)).sum()),
+        proportions=proportions,
         energy_distance=energy_distance(samples, oracle_samples, oracle_self),
         notes=notes,
     )

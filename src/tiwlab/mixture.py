@@ -16,14 +16,11 @@ from .errors import InputError
 
 
 def _as_batch(x, dim):
-    """Coerce a point or batch of points to (n, dim); report if input was 1-D."""
+    """x as a C-contiguous float64 (n, dim) batch; any other shape is refused."""
     arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != dim:
-        raise InputError(f"x must have dimension {dim}, got shape {np.shape(x)}")
-    return np.ascontiguousarray(arr), single
+        raise InputError(f"x must have shape (n, {dim}), got {arr.shape}")
+    return np.ascontiguousarray(arr)
 
 
 @dataclass(frozen=True)
@@ -71,24 +68,21 @@ class GaussianMixture:
     # -- densities -----------------------------------------------------------
 
     def log_density(self, x):
-        X, single = _as_batch(x, self.dim)
-        out = kernels.gm_logpdf(X, self._log_weights, self.means, self.variances)
-        return out[0] if single else out
+        return kernels.gm_logpdf(_as_batch(x, self.dim), self._log_weights, self.means,
+                                 self.variances)
 
     def density(self, x):
         return np.exp(self.log_density(x))
 
     def score(self, x):
         """Gradient of log density: sum_i r_i(x) (mean_i - x) / variance_i."""
-        X, single = _as_batch(x, self.dim)
-        out = kernels.gm_score(X, self._log_weights, self.means, self.variances)
-        return out[0] if single else out
+        return kernels.gm_score(_as_batch(x, self.dim), self._log_weights, self.means,
+                                self.variances)
 
     def posterior(self, x):
         """Component responsibilities r_i(x) = w_i N_i(x) / p(x); rows sum to 1."""
-        X, single = _as_batch(x, self.dim)
-        out = kernels.gm_posterior(X, self._log_weights, self.means, self.variances)
-        return out[0] if single else out
+        return kernels.gm_posterior(_as_batch(x, self.dim), self._log_weights, self.means,
+                                    self.variances)
 
     # -- transforms ----------------------------------------------------------
 
@@ -151,25 +145,21 @@ def perturbed_log_density_batch(gm: GaussianMixture, sched, X, t):
     Equals gm.perturb(sched, t_i).log_density(x_i) row by row without
     building a mixture per time.
     """
-    X, single = _as_batch(X, gm.dim)
-    out = kernels.gm_logpdf(X, gm._log_weights, *_perturbed_moments(gm, sched, t))
-    return out[0] if single else out
+    return kernels.gm_logpdf(_as_batch(X, gm.dim), gm._log_weights,
+                             *_perturbed_moments(gm, sched, t))
 
 
 def perturbed_score_batch(gm: GaussianMixture, sched, X, t):
     """Score of the noised mixture at a shared or per-row time t."""
-    X, single = _as_batch(X, gm.dim)
-    out = kernels.gm_score(X, gm._log_weights, *_perturbed_moments(gm, sched, t))
-    return out[0] if single else out
+    return kernels.gm_score(_as_batch(X, gm.dim), gm._log_weights,
+                            *_perturbed_moments(gm, sched, t))
 
 
 def perturbed_log_density_and_score_batch(gm: GaussianMixture, sched, X, t):
     """(perturbed_log_density_batch, perturbed_score_batch) from one moment
     build and one log-term pass."""
-    X, single = _as_batch(X, gm.dim)
-    logp, score = kernels.gm_logpdf_and_score(X, gm._log_weights,
-                                              *_perturbed_moments(gm, sched, t))
-    return (logp[0], score[0]) if single else (logp, score)
+    return kernels.gm_logpdf_and_score(_as_batch(X, gm.dim), gm._log_weights,
+                                       *_perturbed_moments(gm, sched, t))
 
 
 def two_mode_bias_mixture():

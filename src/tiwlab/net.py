@@ -211,16 +211,11 @@ class Mlp:
         return np.broadcast_to(feats, (batch, feats.shape[1]))
 
     def forward(self, x, t, want_cache=False):
-        """Evaluate the network; returns (B, output_dim) for batches.
-
-        Single vectors come back as vectors. With want_cache=True also
-        returns the ForwardCache consumed by param_gradient.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        X = x[None, :] if single else x
+        """(n, output_dim) output of an (n, input_dim) batch x; with want_cache
+        also the ForwardCache that param_gradient consumes."""
+        X = np.asarray(x, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
-            raise InputError(f"x must have dimension {self.input_dim}, got {x.shape}")
+            raise InputError(f"x must have shape (n, {self.input_dim}), got {X.shape}")
         if not np.all(np.isfinite(X)):
             raise InputError("non-finite network input")
         feats = np.concatenate([X, self._time_features(t, X.shape[0])], axis=1)
@@ -247,10 +242,9 @@ class Mlp:
         W, b = self._layers[-1]
         a = a @ W.T
         a += b
-        out = a[0] if single else a
         if want_cache:
-            return out, ForwardCache(net=self, primes=primes, acts=acts)
-        return out
+            return a, ForwardCache(net=self, primes=primes, acts=acts)
+        return a
 
     def _check_cache(self, cache):
         if not isinstance(cache, ForwardCache) or cache.net is not self:
@@ -262,8 +256,6 @@ class Mlp:
         """Exact d(loss)/d(params) given d(loss)/d(output), summed over the batch."""
         self._check_cache(cache)
         g = np.asarray(loss_grad_at_output, dtype=np.float64)
-        if g.ndim == 1:
-            g = g[None, :]
         if g.shape != (cache.batch, self.output_dim):
             raise ContractError(
                 f"output gradient shape {g.shape} does not match cache batch "
@@ -274,17 +266,12 @@ class Mlp:
         return grads
 
     def input_gradient(self, x, t):
-        """Jacobian of the output w.r.t. x (time features excluded).
-
-        Shapes: (output_dim, input_dim) for a single x, squeezed to
-        (input_dim,) when output_dim == 1; batches gain a leading axis.
-        """
+        """(n, output_dim, input_dim) Jacobian of the output w.r.t. x (time
+        features excluded), squeezed to (n, input_dim) when output_dim == 1."""
         return self.value_and_input_gradient(x, t)[1]
 
     def value_and_input_gradient(self, x, t):
         """forward(x, t) and input_gradient(x, t) from one forward pass."""
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
         out, cache = self.forward(x, t, want_cache=True)
         B = cache.batch
         jac = np.empty((B, self.output_dim, self.input_dim))
@@ -294,7 +281,7 @@ class Mlp:
             jac[:, o, :] = self._backprop(delta, cache)[:, :self.input_dim]
         if self.output_dim == 1:
             jac = jac[:, 0, :]
-        return out, (jac[0] if single else jac)
+        return out, jac
 
     def _backprop(self, delta, cache, grads=None):
         """Reverse pass of delta = d(loss)/d(output) through the cached layers.
@@ -390,6 +377,15 @@ def load_net(path):
     for key in (*ARCH_KEYS, "param_count"):
         if key not in header:
             raise IoError(f"corrupt checkpoint {path}: missing header field {key!r}")
+    # a bool or a float would build a net through Mlp's int(), silently
+    for key in ("input_dim", "output_dim", "n_frequencies"):
+        if type(header[key]) is not int:
+            raise IoError(f"corrupt checkpoint {path}: {key} field is {header[key]!r}, "
+                          "not an integer")
+    hidden = header["hidden"]
+    if type(hidden) is not list or any(type(h) is not int for h in hidden):
+        raise IoError(f"corrupt checkpoint {path}: hidden field is {hidden!r}, "
+                      "not a list of integers")
     body = raw[12 + hlen:]
     n = header["param_count"]
     if type(n) is not int or n < 0:

@@ -88,8 +88,6 @@ class ObjectiveSpec:
 def _batch_terms(net, X0, ts, eps, sched, spec: ObjectiveSpec, iw_weights=None):
     """Per-sample losses plus what backprop needs (d loss_i / d s_i, cache);
     iw_dsm's t=0 weights come from spec.ratio unless passed in iw_weights."""
-    X0 = np.atleast_2d(np.asarray(X0, dtype=np.float64))
-    eps = np.atleast_2d(np.asarray(eps, dtype=np.float64))
     ts = np.broadcast_to(np.asarray(ts, dtype=np.float64), (X0.shape[0],))
     X_t = sched.forward_sample(X0, ts, eps)
     target = sched.cond_score(X_t, X0, ts)
@@ -118,8 +116,9 @@ def _batch_terms(net, X0, ts, eps, sched, spec: ObjectiveSpec, iw_weights=None):
 
 
 def persample_loss(net, spec: ObjectiveSpec, x0, t, noise, sched):
-    """Loss of one sample (x0, t, noise) under spec."""
-    losses, *_ = _batch_terms(net, x0, t, noise, sched, spec)
+    """Loss of one sample (x0, t, noise) under spec, taken as a 1-row batch."""
+    losses, *_ = _batch_terms(net, np.reshape(x0, (1, -1)), t, np.reshape(noise, (1, -1)),
+                              sched, spec)
     return float(losses[0])
 
 

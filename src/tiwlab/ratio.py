@@ -18,9 +18,13 @@ discriminator otherwise produces weights that blow up downstream losses.
 The clamp is applied once, in RatioModel.logit_and_grad, so w and w~
 share it (the algebraic identity w~ = 2w/(1+w) survives it) and so do the
 gradients: they are derivatives of the clamped logit, zero wherever the
-clamp binds. A checkpoint's logit_clamp header key, if any, is ignored.
-Every weight and correction, objectives' included, comes from
-RatioModel.weight_and_correction; the named accessors are views of it.
+clamp binds. Every weight and correction, objectives' included, comes
+from RatioModel.weight_and_correction; the named accessors are views of it.
+
+A query is an (n, d) batch at a scalar or per-row t, answered at that t.
+The single-time baseline is a discriminator trained at t = 0 only, and its
+readers (iw_dsm's weights, the ratio-error scan) query it at t = 0. A
+checkpoint's logit_clamp or time_independent header key is ignored.
 """
 
 from dataclasses import dataclass, field
@@ -74,18 +78,13 @@ class DatasetSplit:
 
 @dataclass
 class RatioModel:
-    """Learned (discriminator) or oracle (closed-form) density ratio.
-
-    time_independent models answer every query with their t=0 value, which
-    is how the single-time baseline is held constant across the horizon.
-    """
+    """Learned (discriminator) or oracle (closed-form) density ratio."""
 
     sched: VpSchedule
     kind: str = "learned"  # one of RATIO_KINDS
     net: Mlp = None
     p_num: GaussianMixture = None
     p_den: GaussianMixture = None
-    time_independent: bool = False
     train_report: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -101,16 +100,10 @@ class RatioModel:
             raise InputError(f"ratio model kind must be one of {RATIO_KINDS}, "
                              f"got {self.kind!r}")
 
-    @property
-    def dim(self):
-        return self.net.input_dim if self.kind == "learned" else self.p_num.dim
-
     # -- core ----------------------------------------------------------------
 
     def _raw_logit(self, x, t, want_grad):
         """Unclamped logit and, when asked, its x-gradient (else None)."""
-        if self.time_independent:
-            t = 0.0
         if self.kind == "learned":
             if want_grad:
                 out, grad = self.net.value_and_input_gradient(x, t)
@@ -189,9 +182,8 @@ class RatioModel:
         return self.weight_and_correction(x, t, alpha=alpha)[1]
 
 
-def oracle_ratio_model(p_num, p_den, sched, time_independent=False):
-    return RatioModel(sched=sched, kind="oracle", p_num=p_num, p_den=p_den,
-                      time_independent=time_independent)
+def oracle_ratio_model(p_num, p_den, sched):
+    return RatioModel(sched=sched, kind="oracle", p_num=p_num, p_den=p_den)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +249,7 @@ def train_discriminator(split: DatasetSplit, sched: VpSchedule,
         grads = net.param_gradient((dh / (2 * half))[:, None], cache)
         adam_step(net.params, grads, state)
 
-    model = RatioModel(sched=sched, kind="learned", net=net,
-                       time_independent=cfg.time_independent)
+    model = RatioModel(sched=sched, kind="learned", net=net)
     model.train_report = {
         "final_train_bce": last_loss,
         "steps": cfg.steps,
@@ -330,10 +321,11 @@ def integrated_dre_error(rm_time_dep: RatioModel, rm_time_indep: RatioModel,
                          oracle: RatioModel, grid, n, seed=0) -> DreScan:
     """Trapezoid integral of the ratio error over the time grid, for both models.
 
-    The time-independent model is scored once at t=0 on unperturbed samples
-    and that error is held constant across the grid (its ratio never moves
-    with t). Returns the integral ratio time-dependent / time-independent;
-    when both integrals vanish (< 1e-12) the ratio is 1 by convention.
+    The time-independent model, trained at t=0 only, is scored once at t=0
+    on unperturbed samples and that error is held constant across the grid
+    (the baseline uses its t=0 ratio at every time). Returns the integral
+    ratio time-dependent / time-independent; when both integrals vanish
+    (< 1e-12) the ratio is 1 by convention.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.size < 2 or np.any(np.diff(grid) <= 0):
@@ -365,10 +357,7 @@ def integrated_dre_error(rm_time_dep: RatioModel, rm_time_indep: RatioModel,
 def save_ratio_model(rm: RatioModel, path):
     if rm.kind != "learned":
         raise InputError("only learned ratio models are checkpointed")
-    save_net(rm.net, path, extra={
-        "role": "discriminator",
-        "time_independent": rm.time_independent,
-    })
+    save_net(rm.net, path, extra={"role": "discriminator"})
 
 
 def load_ratio_model(path, sched: VpSchedule) -> RatioModel:
@@ -378,9 +367,4 @@ def load_ratio_model(path, sched: VpSchedule) -> RatioModel:
     if net.output_dim != 1:
         raise IoError(f"corrupt checkpoint {path}: output_dim field is {net.output_dim}, "
                       "a discriminator has 1")
-    time_independent = header.get("time_independent", False)
-    if not isinstance(time_independent, bool):
-        raise IoError(f"corrupt checkpoint {path}: time_independent field is "
-                      f"{time_independent!r}, not a bool")
-    return RatioModel(sched=sched, kind="learned", net=net,
-                      time_independent=time_independent)
+    return RatioModel(sched=sched, kind="learned", net=net)

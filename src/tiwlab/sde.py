@@ -69,23 +69,18 @@ class VpSchedule:
         return alpha, sigma
 
     def forward_sample(self, x0, t, noise):
-        """Draw from the kernel: alpha(t) x0 + sigma(t) noise.
-
-        Accepts single vectors or (n, d) batches; for batches t may be a
-        scalar or a per-row array.
-        """
+        """Draw alpha(t) x0 + sigma(t) noise from the kernel, for (n, d) x0
+        and noise at a scalar or per-row t."""
         x0 = np.asarray(x0, dtype=np.float64)
         noise = np.asarray(noise, dtype=np.float64)
         if x0.shape != noise.shape:
             raise InputError(f"noise shape {noise.shape} != x0 shape {x0.shape}")
         alpha, sigma = self.alpha_sigma(t)
-        if x0.ndim == 2 and np.ndim(alpha) == 1:
-            alpha = alpha[:, None]
-            sigma = sigma[:, None]
-        return alpha * x0 + sigma * noise
+        return alpha[..., None] * x0 + sigma[..., None] * noise
 
     def cond_score(self, x_t, x0, t):
-        """Gradient of the log perturbation kernel: -(x_t - alpha x0) / sigma^2."""
+        """Gradient of the log perturbation kernel: -(x_t - alpha x0) / sigma^2,
+        for (n, d) batches at a scalar or per-row t."""
         x_t = np.asarray(x_t, dtype=np.float64)
         x0 = np.asarray(x0, dtype=np.float64)
         if x_t.shape != x0.shape:
@@ -96,10 +91,7 @@ class VpSchedule:
                 f"cond_score is singular below t_eps={self.t_eps}, got t={t!r}"
             )
         alpha, sigma = self.alpha_sigma(t)
-        if x_t.ndim == 2 and np.ndim(alpha) == 1:
-            alpha = alpha[:, None]
-            sigma = sigma[:, None]
-        return -(x_t - alpha * x0) / (sigma * sigma)
+        return -(x_t - alpha[..., None] * x0) / (sigma * sigma)[..., None]
 
 
 def lambda_weight(sched: VpSchedule, t, kind):

@@ -164,7 +164,7 @@ def test_criterion_4_degeneracy_identities(setup1d):
                     abs(persample_loss(net, alpha0, x0, t, eps, sched) - d),
                     abs(persample_loss(net, unit_tiw, x0, t, eps, sched) - d),
                     abs(persample_loss(net, unit_iw, x0, t, eps, sched) - d))
-        tilde_ok &= oracle.ratio_tilde_alpha(x0, t, 0.0) == 1.0
+        tilde_ok &= oracle.ratio_tilde_alpha(x0[None, :], t, 0.0)[0] == 1.0
     report(4, "bit-level degeneracies (alpha=0, unit ratio, unit weight)",
            worst == 0.0 and tilde_ok,
            f"max |difference| = {worst!r}, tilde(.,0)==1 {tilde_ok}")
@@ -245,18 +245,18 @@ def test_criterion_7_numerical_hygiene(cfg, setup2d):
 
     # parameter gradients vs central differences
     net = Mlp(2, [10, 8], 2, seed=71)
-    x, t = rng.normal(size=2), 0.45
+    x, t = rng.normal(size=(1, 2)), 0.45
     coeffs = rng.normal(size=2)
     out, cache = net.forward(x, t, want_cache=True)
-    grad = net.param_gradient(coeffs, cache)
+    grad = net.param_gradient(coeffs[None, :], cache)
     idx = rng.choice(net.n_params, size=50, replace=False)
     worst_param = 0.0
     for i in idx:
         b = net.params[i]
         net.params[i] = b + 1e-5
-        fp = float(coeffs @ net.forward(x, t))
+        fp = float(coeffs @ net.forward(x, t)[0])
         net.params[i] = b - 1e-5
-        fm = float(coeffs @ net.forward(x, t))
+        fm = float(coeffs @ net.forward(x, t)[0])
         net.params[i] = b
         fd = (fp - fm) / 2e-5
         worst_param = max(worst_param, abs(grad[i] - fd) / max(abs(fd), 1e-8))
@@ -265,12 +265,12 @@ def test_criterion_7_numerical_hygiene(cfg, setup2d):
     worst_input = 0.0
     dnet = Mlp(2, [10, 8], 1, seed=72)
     for _ in range(20):
-        x, t = rng.normal(size=2), float(rng.uniform(0.05, 0.95))
-        jac = dnet.input_gradient(x, t)
+        x, t = rng.normal(size=(1, 2)), float(rng.uniform(0.05, 0.95))
+        jac = dnet.input_gradient(x, t)[0]
         for c in range(2):
             e = np.zeros(2)
             e[c] = 1e-6
-            fd = (dnet.forward(x + e, t)[0] - dnet.forward(x - e, t)[0]) / 2e-6
+            fd = (dnet.forward(x + e, t)[0, 0] - dnet.forward(x - e, t)[0, 0]) / 2e-6
             worst_input = max(worst_input, abs(jac[c] - fd) / max(abs(fd), 1e-8))
 
     # pushforward moments vs Monte-Carlo forward simulation
@@ -289,12 +289,12 @@ def test_criterion_7_numerical_hygiene(cfg, setup2d):
 
     # mixture score vs log-density finite differences
     worst_score = 0.0
-    for x in rng.normal(scale=2.5, size=(100, 2)):
-        s = pb.score(x)
+    for x in rng.normal(scale=2.5, size=(100, 1, 2)):
+        s = pb.score(x)[0]
         for c in range(2):
             e = np.zeros(2)
             e[c] = 1e-5
-            fd = (pb.log_density(x + e) - pb.log_density(x - e)) / 2e-5
+            fd = (pb.log_density(x + e)[0] - pb.log_density(x - e)[0]) / 2e-5
             worst_score = max(worst_score, abs(s[c] - fd) / max(abs(fd), 1e-6))
 
     ok = worst_param < 1e-4 and worst_input < 1e-5 and mean_ok and var_ok \

@@ -47,7 +47,8 @@ def _per_row_moments(gm, ts):
 def test_logpdf_paths_agree(case):
     gm, X, ts = case
     per_row = perturbed_log_density_batch(gm, SCHED, X, ts)
-    by_row = np.array([gm.perturb(SCHED, t).log_density(x) for x, t in zip(X, ts)])
+    by_row = np.concatenate([gm.perturb(SCHED, t).log_density(x[None, :])
+                             for x, t in zip(X, ts)])
     np.testing.assert_allclose(per_row, by_row, rtol=1e-12, atol=1e-12)
     shared = perturbed_log_density_batch(gm, SCHED, X, ts[0])
     assert shared.tobytes() == gm.perturb(SCHED, ts[0]).log_density(X).tobytes()
@@ -58,7 +59,8 @@ def test_logpdf_paths_agree(case):
 def test_score_paths_agree(case):
     gm, X, ts = case
     per_row = perturbed_score_batch(gm, SCHED, X, ts)
-    by_row = np.array([gm.perturb(SCHED, t).score(x) for x, t in zip(X, ts)])
+    by_row = np.concatenate([gm.perturb(SCHED, t).score(x[None, :])
+                             for x, t in zip(X, ts)])
     np.testing.assert_allclose(per_row, by_row, rtol=1e-12, atol=1e-12)
     shared = perturbed_score_batch(gm, SCHED, X, ts[0])
     assert shared.tobytes() == gm.perturb(SCHED, ts[0]).score(X).tobytes()
@@ -71,7 +73,8 @@ def test_posterior_paths_agree(case):
     log_w = np.log(gm.weights)
     means, variances = _per_row_moments(gm, ts)
     per_row = kernels.gm_posterior(X, log_w, means, variances)
-    by_row = np.array([gm.perturb(SCHED, t).posterior(x) for x, t in zip(X, ts)])
+    by_row = np.concatenate([gm.perturb(SCHED, t).posterior(x[None, :])
+                             for x, t in zip(X, ts)])
     np.testing.assert_allclose(per_row, by_row, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(per_row.sum(axis=1), 1.0, atol=1e-12)
     # a shared time spelled out per row gives the same bytes as the shared moments

@@ -108,3 +108,21 @@ def test_evaluate_samples_bundle(p_data):
     assert report.energy_distance < 0.02
     assert report.csv_header()[0] == "bias"
     assert report.csv_row()[-1] == "self"
+
+
+def test_evaluate_samples_runs_one_posterior_pass_per_set(p_data, monkeypatch):
+    from tiwlab import kernels
+
+    model, ref = p_data.sample(300, seed=11), p_data.sample(200, seed=12)
+    bias, proportions = bias_metric(model, ref, p_data), mode_proportions(model, p_data)
+    rows, posterior = [], kernels.gm_posterior
+
+    def counted(X, *args):
+        rows.append(X.shape[0])
+        return posterior(X, *args)
+
+    monkeypatch.setattr(kernels, "gm_posterior", counted)
+    report = evaluate_samples(model, ref, p_data)
+    assert rows == [300, 200]
+    assert report.bias == bias
+    assert report.proportions.tobytes() == proportions.tobytes()

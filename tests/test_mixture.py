@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from tiwlab.errors import InputError
 from tiwlab.mixture import (
     GaussianMixture,
+    perturbed_score_batch,
     pooled_mixture,
 )
+from tiwlab.net import Mlp
 from tiwlab.ratio import oracle_ratio_model
 from tiwlab.sde import VpSchedule
 
@@ -28,9 +30,21 @@ def test_rejects_nonpositive_variance():
         GaussianMixture(weights=[1.0], means=[[0.0]], variances=[0.0])
 
 
+def test_a_single_point_is_refused_with_the_batch_shape():
+    # points are (n, d) batches everywhere; a 1-D point is refused, not promoted
+    gm = GaussianMixture(weights=[0.5, 0.5], means=[[0.0, 0.0], [1.0, 1.0]],
+                         variances=[1.0, 1.0])
+    x = np.array([0.5, -0.5])
+    for f in (gm.score, lambda X: perturbed_score_batch(gm, VpSchedule(), X, 0.3),
+              lambda X: Mlp(2, [4], 2, seed=0).forward(X, 0.3)):
+        with pytest.raises(InputError, match=r"x must have shape \(n, 2\), got \(2,\)"):
+            f(x)
+        assert f(x[None, :]).shape == (1, 2)
+
+
 def test_rejects_dim_mismatch_query(p_data):
-    with pytest.raises(InputError):
-        p_data.density([0.0, 0.0, 0.0])
+    with pytest.raises(InputError, match=r"got \(1, 3\)"):
+        p_data.density([[0.0, 0.0, 0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +53,7 @@ def test_rejects_dim_mismatch_query(p_data):
 
 def test_density_standard_normal_mode():
     gm = standard_normal_mixture(2)
-    assert gm.density([0.0, 0.0]) == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-14)
+    assert gm.density([[0.0, 0.0]])[0] == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-14)
 
 
 def test_density_balanced_origin(p_data):
@@ -48,7 +62,7 @@ def test_density_balanced_origin(p_data):
         np.zeros(2), [0.5, 0.5], [[-2, -2], [2, 2]], [1.0, 1.0]
     )
     assert expected == pytest.approx(np.exp(-4.0) / (2.0 * np.pi), rel=1e-12)
-    assert p_data.density([0.0, 0.0]) == pytest.approx(expected, rel=1e-12)
+    assert p_data.density([[0.0, 0.0]])[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_density_bias_at_heavy_mode(p_bias):
@@ -56,14 +70,14 @@ def test_density_bias_at_heavy_mode(p_bias):
         np.array([-2.0, -2.0]), [0.9, 0.1], [[-2, -2], [2, 2]], [1.0, 1.0]
     )
     assert expected == pytest.approx(0.143240, rel=1e-5)
-    assert p_bias.density([-2.0, -2.0]) == pytest.approx(expected, rel=1e-12)
+    assert p_bias.density([[-2.0, -2.0]])[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_log_density_survives_far_tail(p_data):
     # -700-ish log densities would underflow a naive linear-domain sum
-    x = np.full(2, 40.0)
-    assert np.isfinite(p_data.log_density(x))
-    assert p_data.log_density(x) < -600
+    x = np.full((1, 2), 40.0)
+    assert np.isfinite(p_data.log_density(x)[0])
+    assert p_data.log_density(x)[0] < -600
 
 
 # ---------------------------------------------------------------------------
@@ -72,26 +86,22 @@ def test_log_density_survives_far_tail(p_data):
 
 def test_score_single_gaussian_closed_form():
     gm = GaussianMixture(weights=[1.0], means=[[1.0, -1.0]], variances=[4.0])
-    x = np.array([0.5, 0.5])
+    x = np.array([[0.5, 0.5]])
     np.testing.assert_allclose(gm.score(x), (np.array([1.0, -1.0]) - x) / 4.0)
-    np.testing.assert_array_equal(gm.score(np.array([1.0, -1.0])), np.zeros(2))
+    np.testing.assert_array_equal(gm.score(np.array([[1.0, -1.0]])), np.zeros((1, 2)))
 
 
 def test_score_cancels_at_symmetric_origin(p_data):
-    np.testing.assert_allclose(p_data.score([0.0, 0.0]), np.zeros(2), atol=1e-15)
+    np.testing.assert_allclose(p_data.score([[0.0, 0.0]]), np.zeros((1, 2)), atol=1e-15)
 
 
 def test_score_matches_log_density_finite_difference(p_bias):
     rng = np.random.default_rng(0)
     h = 1e-5
-    for x in rng.normal(scale=2.5, size=(100, 2)):
-        s = p_bias.score(x)
-        fd = np.empty(2)
-        for c in range(2):
-            e = np.zeros(2)
-            e[c] = h
-            fd[c] = (p_bias.log_density(x + e) - p_bias.log_density(x - e)) / (2 * h)
-        np.testing.assert_allclose(s, fd, rtol=1e-6, atol=1e-9)
+    X = rng.normal(scale=2.5, size=(100, 2))
+    fd = np.column_stack([(p_bias.log_density(X + e) - p_bias.log_density(X - e)) / (2 * h)
+                          for e in h * np.eye(2)])
+    np.testing.assert_allclose(p_bias.score(X), fd, rtol=1e-6, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +156,15 @@ def test_perturb_agrees_with_kernel_quadrature_1d(sched):
         )
         p0 = gm.density(x0[:, None])
         integral = float(np.sum(w * p0 * kernel))
-        assert gm.perturb(sched, t).density([x]) == pytest.approx(integral, rel=1e-8)
+        assert gm.perturb(sched, t).density([[x]])[0] == pytest.approx(integral, rel=1e-8)
 
 
 # ---------------------------------------------------------------------------
 # ratios: the oracle ratio at t=0 is the density quotient of the mixtures
 # ---------------------------------------------------------------------------
 
-def ratio_t0(p_num, p_den, x):
-    return oracle_ratio_model(p_num, p_den, VpSchedule()).ratio_w(x, 0.0)
+def ratio_t0(p_num, p_den, X):
+    return oracle_ratio_model(p_num, p_den, VpSchedule()).ratio_w(X, 0.0)
 
 
 def test_ratio_of_identical_mixtures(p_data):
@@ -166,9 +176,10 @@ def test_ratio_of_identical_mixtures(p_data):
 def test_ratio_two_mode_values(p_data, p_bias):
     num = mixture_pdf_by_hand([-2.0, -2.0], [0.5, 0.5], [[-2, -2], [2, 2]], [1, 1])
     den = mixture_pdf_by_hand([-2.0, -2.0], [0.9, 0.1], [[-2, -2], [2, 2]], [1, 1])
-    assert ratio_t0(p_data, p_bias, [-2.0, -2.0]) == pytest.approx(num / den, rel=1e-12)
+    w = ratio_t0(p_data, p_bias, [[-2.0, -2.0], [2.0, 2.0]])
+    assert w[0] == pytest.approx(num / den, rel=1e-12)
     assert num / den == pytest.approx(0.55556, rel=1e-4)
-    assert ratio_t0(p_data, p_bias, [2.0, 2.0]) == pytest.approx(5.0, rel=1e-5)
+    assert w[1] == pytest.approx(5.0, rel=1e-5)
 
 
 @settings(max_examples=30, deadline=None)
@@ -176,7 +187,7 @@ def test_ratio_two_mode_values(p_data, p_bias):
 def test_ratio_reciprocal_identity(x):
     p = GaussianMixture(weights=[0.5, 0.5], means=[[-2, -2], [2, 2]], variances=[1, 1])
     q = GaussianMixture(weights=[0.9, 0.1], means=[[-2, -2], [2, 2]], variances=[1, 1])
-    prod = ratio_t0(p, q, np.array(x)) * ratio_t0(q, p, np.array(x))
+    prod = ratio_t0(p, q, np.array([x])) * ratio_t0(q, p, np.array([x]))
     assert prod == pytest.approx(1.0, rel=1e-10)
 
 
@@ -209,12 +220,12 @@ def test_sample_deterministic(p_data):
 # ---------------------------------------------------------------------------
 
 def test_posterior_hand_value(p_data):
-    post = p_data.posterior([2.0, 2.0])
+    post = p_data.posterior([[2.0, 2.0]])[0]
     assert post[1] == pytest.approx(1.0 / (1.0 + np.exp(-16.0)), rel=1e-12)
 
 
 def test_posterior_symmetric_point(p_data):
-    np.testing.assert_allclose(p_data.posterior([0.0, 0.0]), [0.5, 0.5], atol=1e-15)
+    np.testing.assert_allclose(p_data.posterior([[0.0, 0.0]]), [[0.5, 0.5]], atol=1e-15)
 
 
 @settings(max_examples=30, deadline=None)
@@ -225,7 +236,7 @@ def test_posterior_normalized(x):
         means=[[-2, -2], [2, 2], [0, 3]],
         variances=[1.0, 0.5, 2.0],
     )
-    post = gm.posterior(np.array(x))
+    post = gm.posterior(np.array([x]))[0]
     assert np.all(post >= 0.0) and np.all(post <= 1.0)
     assert abs(post.sum() - 1.0) < 1e-12
 
@@ -236,9 +247,9 @@ def test_posterior_normalized(x):
 
 def test_pooled_mixture_density(p_data, p_bias):
     pool = pooled_mixture(p_data, p_bias)
-    x = np.array([0.3, -1.2])
-    assert pool.density(x) == pytest.approx(
-        0.5 * p_data.density(x) + 0.5 * p_bias.density(x), rel=1e-12
+    x = np.array([[0.3, -1.2]])
+    assert pool.density(x)[0] == pytest.approx(
+        0.5 * p_data.density(x)[0] + 0.5 * p_bias.density(x)[0], rel=1e-12
     )
 
 

@@ -16,14 +16,14 @@ from tiwlab.net import (
 
 
 def fd_param_gradient(net, x, t, coeffs, indices, h=1e-5):
-    """Central finite differences of loss = coeffs . forward(x, t)."""
+    """Central finite differences of loss = coeffs . forward(x, t) for one row x."""
     out = np.empty(len(indices))
     base = net.params.copy()
     for k, i in enumerate(indices):
         net.params[i] = base[i] + h
-        f_plus = float(coeffs @ net.forward(x, t))
+        f_plus = float(coeffs @ net.forward(x, t)[0])
         net.params[i] = base[i] - h
-        f_minus = float(coeffs @ net.forward(x, t))
+        f_minus = float(coeffs @ net.forward(x, t)[0])
         net.params[i] = base[i]
         out[k] = (f_plus - f_minus) / (2 * h)
     net.params[:] = base
@@ -45,7 +45,7 @@ def test_sigmoid_matches_exact_logistic_without_fp_warnings():
 
 def test_zero_params_give_zero_output():
     net = Mlp(2, [8], 2, params=np.zeros(Mlp(2, [8], 2).n_params))
-    np.testing.assert_array_equal(net.forward([0.7, -0.3], 0.2), np.zeros(2))
+    np.testing.assert_array_equal(net.forward([[0.7, -0.3]], 0.2), np.zeros((1, 2)))
 
 
 def test_single_linear_layer_with_identity_block():
@@ -53,24 +53,24 @@ def test_single_linear_layer_with_identity_block():
     W = np.zeros((2, 3))
     W[0, 0] = W[1, 1] = 1.0
     net.params[:] = np.concatenate([W.ravel(), np.zeros(2)])
-    np.testing.assert_array_equal(net.forward([1.0, 2.0], 0.5), [1.0, 2.0])
+    np.testing.assert_array_equal(net.forward([[1.0, 2.0]], 0.5), [[1.0, 2.0]])
     # picking up the time column instead reproduces t
     W2 = np.zeros((2, 3))
     W2[0, 2] = 1.0
     net.params[:] = np.concatenate([W2.ravel(), np.zeros(2)])
-    np.testing.assert_array_equal(net.forward([1.0, 2.0], 0.5), [0.5, 0.0])
+    np.testing.assert_array_equal(net.forward([[1.0, 2.0]], 0.5), [[0.5, 0.0]])
 
 
 def test_forward_is_pure():
     net = Mlp(2, [16, 16], 1, seed=3)
-    x, t = np.array([0.1, 0.2]), 0.7
+    x, t = np.array([[0.1, 0.2]]), 0.7
     np.testing.assert_array_equal(net.forward(x, t), net.forward(x, t))
 
 
 def test_forward_rejects_nonfinite():
     net = Mlp(2, [4], 1)
-    with pytest.raises(InputError):
-        net.forward([np.nan, 0.0], 0.5)
+    with pytest.raises(InputError, match="non-finite"):
+        net.forward([[np.nan, 0.0]], 0.5)
 
 
 def test_batch_matches_single_rows():
@@ -79,7 +79,7 @@ def test_batch_matches_single_rows():
     ts = np.linspace(0.1, 0.9, 6)
     batch = net.forward(X, ts)
     for i in range(6):
-        np.testing.assert_allclose(batch[i], net.forward(X[i], ts[i]), rtol=1e-15)
+        np.testing.assert_allclose(batch[i], net.forward(X[i:i + 1], ts[i])[0], rtol=1e-15)
 
 
 @pytest.mark.parametrize("time_embed", ["append-scalar", "sinusoidal"])
@@ -188,10 +188,10 @@ def test_sigmoid_of_a_scalar_is_the_logistic_formula(z):
 def test_param_gradient_matches_finite_differences(activation):
     net = Mlp(2, [8, 6], 2, activation=activation, seed=11)
     rng = np.random.default_rng(2)
-    x, t = rng.normal(size=2), 0.4
+    x, t = rng.normal(size=(1, 2)), 0.4
     coeffs = rng.normal(size=2)
     out, cache = net.forward(x, t, want_cache=True)
-    grad = net.param_gradient(coeffs, cache)
+    grad = net.param_gradient(coeffs[None, :], cache)
     idx = rng.choice(net.n_params, size=50, replace=False)
     fd = fd_param_gradient(net, x, t, coeffs, idx)
     rel = np.abs(grad[idx] - fd) / np.maximum(np.abs(fd), 1e-8)
@@ -200,29 +200,29 @@ def test_param_gradient_matches_finite_differences(activation):
 
 def test_zero_output_gradient_gives_zero_param_gradient():
     net = Mlp(2, [8], 1, seed=1)
-    _, cache = net.forward([0.2, 0.3], 0.5, want_cache=True)
-    np.testing.assert_array_equal(net.param_gradient(np.zeros(1), cache),
+    _, cache = net.forward([[0.2, 0.3]], 0.5, want_cache=True)
+    np.testing.assert_array_equal(net.param_gradient(np.zeros((1, 1)), cache),
                                   np.zeros(net.n_params))
 
 
 def test_linear_net_gradient_is_outer_product():
     # loss = ||W f||^2 / 2 has dW = (W f) f^T
     net = Mlp(2, [], 2, time_embed="append-scalar", seed=7)
-    x, t = np.array([0.8, -0.5]), 0.25
+    x, t = np.array([[0.8, -0.5]]), 0.25
     out, cache = net.forward(x, t, want_cache=True)
     grad = net.param_gradient(out, cache)
     feats = np.array([0.8, -0.5, 0.25])
-    expected_W = np.outer(out, feats)
+    expected_W = np.outer(out[0], feats)
     np.testing.assert_allclose(grad[:6].reshape(2, 3), expected_W, rtol=1e-12)
-    np.testing.assert_allclose(grad[6:], out, rtol=1e-12)  # bias part
+    np.testing.assert_allclose(grad[6:], out[0], rtol=1e-12)  # bias part
 
 
 def test_cache_mismatch_rejected():
     net_a = Mlp(2, [4], 1, seed=0)
     net_b = Mlp(2, [4], 1, seed=1)
-    _, cache = net_a.forward([0.1, 0.1], 0.5, want_cache=True)
+    _, cache = net_a.forward([[0.1, 0.1]], 0.5, want_cache=True)
     with pytest.raises(ContractError):
-        net_b.param_gradient(np.ones(1), cache)
+        net_b.param_gradient(np.ones((1, 1)), cache)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +232,8 @@ def test_cache_mismatch_rejected():
 def test_input_gradient_linear_net_is_weight_block():
     net = Mlp(2, [], 2, time_embed="append-scalar", seed=9)
     W = net.params[:6].reshape(2, 3)
-    jac = net.input_gradient([0.3, 0.4], 0.6)
-    np.testing.assert_allclose(jac, W[:, :2], rtol=1e-14)
+    jac = net.input_gradient([[0.3, 0.4]], 0.6)
+    np.testing.assert_allclose(jac, W[None, :, :2], rtol=1e-14)
 
 
 @pytest.mark.parametrize("activation", ["tanh", "silu"])
@@ -242,21 +242,18 @@ def test_input_gradient_matches_finite_differences(activation):
     rng = np.random.default_rng(4)
     h = 1e-6
     for _ in range(20):
-        x, t = rng.normal(size=3), rng.uniform(0.05, 0.95)
+        x, t = rng.normal(size=(1, 3)), rng.uniform(0.05, 0.95)
         g = net.input_gradient(x, t)
-        fd = np.empty(3)
-        for c in range(3):
-            e = np.zeros(3)
-            e[c] = h
-            fd[c] = (net.forward(x + e, t)[0] - net.forward(x - e, t)[0]) / (2 * h)
+        fd = np.column_stack([(net.forward(x + e, t) - net.forward(x - e, t)) / (2 * h)
+                              for e in h * np.eye(3)])
         np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-10)
 
 
 def test_zero_params_zero_jacobian():
     proto = Mlp(2, [4], 2)
     net = Mlp(2, [4], 2, params=np.zeros(proto.n_params))
-    np.testing.assert_array_equal(net.input_gradient([1.0, 1.0], 0.5),
-                                  np.zeros((2, 2)))
+    np.testing.assert_array_equal(net.input_gradient([[1.0, 1.0]], 0.5),
+                                  np.zeros((1, 2, 2)))
 
 
 def test_batched_input_gradient_matches_loop():
@@ -264,7 +261,7 @@ def test_batched_input_gradient_matches_loop():
     X = np.random.default_rng(1).normal(size=(5, 2))
     jac = net.input_gradient(X, 0.3)
     for i in range(5):
-        np.testing.assert_allclose(jac[i], net.input_gradient(X[i], 0.3), rtol=1e-14)
+        np.testing.assert_allclose(jac[i], net.input_gradient(X[i:i + 1], 0.3)[0], rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +337,28 @@ def test_checkpoint_truncated_params(tmp_path):
         load_net(path)
 
 
-@pytest.mark.parametrize("change", [{"activation": "relu"}, {"hidden": [9]},
-                                    {"input_dim": 0}, {"hidden": None}, {"hidden": ["a"]},
-                                    {"param_count": None}, {"param_count": "abc"},
-                                    {"param_count": -1}, {"param_count": 3.0}],
-                         ids=["activation", "hidden", "input_dim", "hidden-null",
-                              "hidden-text", "param_count-null", "param_count-text",
-                              "param_count-negative", "param_count-float"])
-def test_checkpoint_with_unbuildable_architecture_is_corrupt(tmp_path, change):
+# (id, header change, the field the message must name or None)
+UNBUILDABLE = [
+    ("activation", {"activation": "relu"}, None),
+    ("hidden", {"hidden": [9]}, None),
+    ("input_dim", {"input_dim": 0}, None),
+    ("hidden-null", {"hidden": None}, None),
+    ("hidden-text", {"hidden": ["a"]}, None),
+    ("param_count-null", {"param_count": None}, "param_count"),
+    ("param_count-text", {"param_count": "abc"}, "param_count"),
+    ("param_count-negative", {"param_count": -1}, "param_count"),
+    ("param_count-float", {"param_count": 3.0}, "param_count"),
+    # each of these once built a net through int(): 1, 1, [8] and 8
+    ("input_dim-bool", {"input_dim": True}, "input_dim"),
+    ("output_dim-bool", {"output_dim": True}, "output_dim"),
+    ("hidden-float", {"hidden": [8.0]}, "hidden"),
+    ("n_frequencies-float", {"n_frequencies": 8.9}, "n_frequencies"),
+]
+
+
+@pytest.mark.parametrize("change,named", [case[1:] for case in UNBUILDABLE],
+                         ids=[case[0] for case in UNBUILDABLE])
+def test_checkpoint_with_unbuildable_architecture_is_corrupt(tmp_path, change, named):
     # a readable header that names an architecture no Mlp can take
     path = tmp_path / "net.ckpt"
     save_net(Mlp(2, [8], 1, seed=1), path)
@@ -359,8 +370,8 @@ def test_checkpoint_with_unbuildable_architecture_is_corrupt(tmp_path, change):
     with pytest.raises(IoError) as info:
         load_net(path)
     assert str(info.value).startswith(f"corrupt checkpoint {path}: ")
-    if "param_count" in change:
-        assert "param_count" in str(info.value)
+    if named:
+        assert str(info.value).startswith(f"corrupt checkpoint {path}: {named} field is ")
 
 
 def test_checkpoint_missing_file():

@@ -125,7 +125,7 @@ def test_iw_weight_scaling(sched):
     x0, t, eps = random_case(2, 3)
     dsm = persample_loss(net, DSM, x0, t, eps, sched)
     iw = persample_loss(net, ObjectiveSpec(kind="iw_dsm", ratio=oracle), x0, t, eps, sched)
-    assert iw == pytest.approx(oracle.ratio_tilde(x0, 0.0) * dsm, rel=1e-15)
+    assert iw == pytest.approx(oracle.ratio_tilde(x0[None, :], 0.0)[0] * dsm, rel=1e-15)
 
 
 def test_iw_weights_average_to_one_on_pooled_stream(sched, oned, oracle_1d):

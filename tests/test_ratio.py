@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +5,7 @@ from hypothesis import strategies as st
 
 from tiwlab.errors import InputError, IoError
 from tiwlab.mixture import GaussianMixture, perturbed_score_batch, pooled_mixture
-from tiwlab.net import Mlp
+from tiwlab.net import Mlp, load_net
 from tiwlab.ratio import (
     LOGIT_CLAMP,
     DatasetSplit,
@@ -56,9 +54,9 @@ def random_disc(sched_module):
 def test_zero_logit_gives_unit_ratio(sched_module):
     net = Mlp(2, [8], 1, params=np.zeros(Mlp(2, [8], 1).n_params))
     rm = RatioModel(sched=sched_module, kind="learned", net=net)
-    x = np.array([0.4, -0.1])
-    assert rm.ratio_w(x, 0.5) == 1.0
-    assert rm.ratio_tilde(x, 0.5) == 1.0
+    x = np.array([[0.4, -0.1]])
+    assert rm.ratio_w(x, 0.5)[0] == 1.0
+    assert rm.ratio_tilde(x, 0.5)[0] == 1.0
 
 
 def test_oracle_identical_mixtures_unit_ratio(sched_module, p_data_module):
@@ -71,24 +69,24 @@ def test_oracle_identical_mixtures_unit_ratio(sched_module, p_data_module):
 
 
 def test_oracle_two_mode_ratio_near_zero_time(oracle):
-    assert oracle.ratio_w(np.array([2.0, 2.0]), 0.0) == pytest.approx(5.0, rel=1e-5)
+    assert oracle.ratio_w(np.array([[2.0, 2.0]]), 0.0)[0] == pytest.approx(5.0, rel=1e-5)
 
 
 def test_tilde_against_direct_pooled_density(oracle, p_data_module, p_bias_module):
     # independent oracle: p_data / (half p_bias + half p_data), evaluated directly
     pool = pooled_mixture(p_bias_module, p_data_module)
-    x = np.array([2.0, 2.0])
-    direct = p_data_module.density(x) / pool.density(x)
+    x = np.array([[2.0, 2.0]])
+    direct = p_data_module.density(x)[0] / pool.density(x)[0]
     assert direct == pytest.approx(2.0 * 5.0 / 6.0, rel=1e-4)
-    assert oracle.ratio_tilde(x, 0.0) == pytest.approx(direct, rel=1e-12)
+    assert oracle.ratio_tilde(x, 0.0)[0] == pytest.approx(direct, rel=1e-12)
 
 
 def test_tilde_alpha_values(oracle):
-    x = np.array([2.0, 2.0])
-    assert oracle.ratio_tilde_alpha(x, 0.0, 0.0) == 1.0
-    assert oracle.ratio_tilde_alpha(x, 0.0, 1.0) == oracle.ratio_tilde(x, 0.0)
-    w = oracle.ratio_w(x, 0.0)
-    assert oracle.ratio_tilde_alpha(x, 0.0, 0.5) == pytest.approx(
+    x = np.array([[2.0, 2.0]])
+    assert oracle.ratio_tilde_alpha(x, 0.0, 0.0)[0] == 1.0
+    assert oracle.ratio_tilde_alpha(x, 0.0, 1.0)[0] == oracle.ratio_tilde(x, 0.0)[0]
+    w = oracle.ratio_w(x, 0.0)[0]
+    assert oracle.ratio_tilde_alpha(x, 0.0, 0.5)[0] == pytest.approx(
         2.0 * np.sqrt(w) / (1.0 + np.sqrt(w)), rel=1e-12
     )
     assert 2.0 * np.sqrt(5.0) / (1.0 + np.sqrt(5.0)) == pytest.approx(1.38197, rel=1e-5)
@@ -130,10 +128,10 @@ def test_clamp_caps_learned_ratio(sched_module):
     net.params[:] = 0.0
     net.params[-1] = 50.0  # output bias pins the logit to 50
     rm = RatioModel(sched=sched_module, kind="learned", net=net)
-    x = np.zeros(2)
-    assert rm.logit(x, 0.5) == pytest.approx(50.0)
-    assert rm.ratio_w(x, 0.5) == pytest.approx(1000.0)
-    assert rm.ratio_tilde(x, 0.5) == pytest.approx(2000.0 / 1001.0, rel=1e-12)
+    x = np.zeros((1, 2))
+    assert rm.logit(x, 0.5)[0] == pytest.approx(50.0)
+    assert rm.ratio_w(x, 0.5)[0] == pytest.approx(1000.0)
+    assert rm.ratio_tilde(x, 0.5)[0] == pytest.approx(2000.0 / 1001.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -153,15 +151,12 @@ def test_oracle_grad_matches_finite_difference(oracle):
     rng = np.random.default_rng(4)
     h = 1e-6
     for _ in range(20):
-        x = rng.normal(scale=2.0, size=2)
+        x = rng.normal(scale=2.0, size=(1, 2))
         t = rng.uniform(0.05, 0.95)
         g = oracle.grad_log_w(x, t)
-        fd = np.empty(2)
-        for c in range(2):
-            e = np.zeros(2)
-            e[c] = h
-            fd[c] = (np.log(oracle.ratio_w(x + e, t)) -
-                     np.log(oracle.ratio_w(x - e, t))) / (2 * h)
+        fd = np.column_stack([(np.log(oracle.ratio_w(x + e, t)) -
+                               np.log(oracle.ratio_w(x - e, t))) / (2 * h)
+                              for e in h * np.eye(2)])
         np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-9)
 
 
@@ -169,15 +164,12 @@ def test_learned_grad_tilde_matches_finite_difference(random_disc):
     rng = np.random.default_rng(5)
     h = 1e-6
     for _ in range(20):
-        x = rng.normal(size=2)
+        x = rng.normal(size=(1, 2))
         t = rng.uniform(0.05, 0.95)
         g = random_disc.grad_log_tilde(x, t, alpha=1.0)
-        fd = np.empty(2)
-        for c in range(2):
-            e = np.zeros(2)
-            e[c] = h
-            fd[c] = (np.log(random_disc.ratio_tilde(x + e, t)) -
-                     np.log(random_disc.ratio_tilde(x - e, t))) / (2 * h)
+        fd = np.column_stack([(np.log(random_disc.ratio_tilde(x + e, t)) -
+                               np.log(random_disc.ratio_tilde(x - e, t))) / (2 * h)
+                              for e in h * np.eye(2)])
         np.testing.assert_allclose(g, fd, rtol=1e-4, atol=1e-10)
 
 
@@ -185,10 +177,10 @@ def test_learned_grads_are_derivatives_of_the_clamped_logit(sched_module):
     net = Mlp(2, [4], 1, seed=3)
     net.params[-1] = -20.0  # the logit sits far below -ln(1000) near the origin
     rm = RatioModel(sched=sched_module, kind="learned", net=net)
-    x, t = np.array([0.3, -0.2]), 0.5
-    assert rm.logit(x, t) == pytest.approx(-20.27, abs=0.01)
-    np.testing.assert_array_equal(rm.grad_log_w(x, t), np.zeros(2))
-    np.testing.assert_array_equal(rm.grad_log_tilde(x, t), np.zeros(2))
+    x, t = np.array([[0.3, -0.2]]), 0.5
+    assert rm.logit(x, t)[0] == pytest.approx(-20.27, abs=0.01)
+    np.testing.assert_array_equal(rm.grad_log_w(x, t), np.zeros((1, 2)))
+    np.testing.assert_array_equal(rm.grad_log_tilde(x, t), np.zeros((1, 2)))
 
     # a batch on both sides of the clamp: each row matches finite differences
     net.params[-1] = -6.5
@@ -204,10 +196,8 @@ def test_learned_grads_are_derivatives_of_the_clamped_logit(sched_module):
 
 
 @pytest.mark.parametrize("kind", ["learned", "oracle"])
-@pytest.mark.parametrize("time_independent", [False, True])
-def test_logit_and_grad_matches_accessors(kind, time_independent, random_disc, oracle):
-    rm = replace(random_disc if kind == "learned" else oracle,
-                 time_independent=time_independent)
+def test_logit_and_grad_matches_accessors(kind, random_disc, oracle):
+    rm = random_disc if kind == "learned" else oracle
     rng = np.random.default_rng(7)
     X = rng.normal(scale=2.0, size=(15, 2))
     ts = rng.uniform(0.05, 0.95, 15)
@@ -217,14 +207,9 @@ def test_logit_and_grad_matches_accessors(kind, time_independent, random_disc, o
         np.testing.assert_array_equal(g, rm.grad_log_w(X, t))
         # the batch (per-row t) paths agree with one row at a time
         for i, t_i in enumerate(np.broadcast_to(t, (15,))):
-            h_i, g_i = rm.logit_and_grad(X[i], t_i)
-            assert h_i == pytest.approx(h[i], rel=1e-12, abs=1e-12)
-            np.testing.assert_allclose(g_i, g[i], rtol=1e-12, atol=1e-12)
-    if time_independent:
-        h0, g0 = replace(rm, time_independent=False).logit_and_grad(X, 0.0)
-        h, g = rm.logit_and_grad(X, ts)
-        np.testing.assert_array_equal(h, h0)
-        np.testing.assert_array_equal(g, g0)
+            h_i, g_i = rm.logit_and_grad(X[i:i + 1], t_i)
+            assert h_i[0] == pytest.approx(h[i], rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(g_i[0], g[i], rtol=1e-12, atol=1e-12)
 
 
 def test_oracle_logit_and_grad_share_the_logit_and_difference_the_scores(oracle):
@@ -241,14 +226,14 @@ def test_oracle_logit_and_grad_share_the_logit_and_difference_the_scores(oracle)
 
 
 def test_grad_tilde_alpha_zero_is_zero(random_disc, oracle):
-    x = np.array([0.7, -1.1])
+    x = np.array([[0.7, -1.1]])
     for rm in (random_disc, oracle):
-        np.testing.assert_array_equal(rm.grad_log_tilde(x, 0.4, alpha=0.0), np.zeros(2))
-        assert rm.ratio_tilde_alpha(x, 0.4, 0.0) == 1.0
+        np.testing.assert_array_equal(rm.grad_log_tilde(x, 0.4, alpha=0.0), np.zeros((1, 2)))
+        assert rm.ratio_tilde_alpha(x, 0.4, 0.0)[0] == 1.0
 
 
 def test_weight_and_correction_rejects_bad_alpha_and_form(random_disc, oracle):
-    x = np.array([0.7, -1.1])
+    x = np.array([[0.7, -1.1]])
     for rm in (random_disc, oracle):
         with pytest.raises(InputError, match="alpha"):
             rm.weight_and_correction(x, 0.4, alpha=-0.5)
@@ -299,8 +284,8 @@ def test_checkpoint_role_round_trip(tmp_path, sched_module, p_data_module, p_bia
     path = tmp_path / "disc.ckpt"
     save_ratio_model(rm, path)
     clone = load_ratio_model(path, sched_module)
-    assert clone.time_independent is True
-    x = np.array([0.1, 0.2])
+    assert "time_independent" not in load_net(path)[1]
+    x = np.array([[0.1, 0.2]])
     assert clone.ratio_w(x, 0.7) == rm.ratio_w(x, 0.7)
 
 
@@ -313,27 +298,20 @@ def test_load_rejects_non_discriminator(tmp_path, sched_module):
         load_ratio_model(tmp_path / "plain.ckpt", sched_module)
 
 
-def test_load_refuses_a_time_independent_field_that_is_not_a_bool(tmp_path, sched_module):
-    from tiwlab.net import save_net
-
-    path = tmp_path / "disc.ckpt"
-    save_net(Mlp(2, [8], 1, seed=0), path,
-             extra={"role": "discriminator", "time_independent": "false"})
-    with pytest.raises(IoError, match=f"corrupt checkpoint {path}: time_independent"):
-        load_ratio_model(path, sched_module)
-
-
 def test_load_ignores_a_stored_logit_clamp(tmp_path, sched_module):
-    # checkpoints written before the clamp became a constant carry it in the header
+    # older checkpoints carry the clamp and a time_independent flag in the
+    # header; the model clamps at LOGIT_CLAMP and answers at the time asked
     from tiwlab.net import save_net
 
     net = Mlp(2, [8], 1, seed=0)
     net.params[-1] = -20.0
     path = tmp_path / "disc.ckpt"
-    save_net(net, path, extra={"role": "discriminator", "time_independent": False,
+    save_net(net, path, extra={"role": "discriminator", "time_independent": True,
                                "logit_clamp": 1.0})
     rm = load_ratio_model(path, sched_module)
-    assert rm.log_ratio_w(np.zeros(2), 0.5) == -LOGIT_CLAMP
+    X = np.zeros((1, 2))
+    assert rm.log_ratio_w(X, 0.5)[0] == -LOGIT_CLAMP
+    assert rm.logit(X, 0.9).tobytes() == net.forward(X, 0.9)[:, 0].tobytes()
 
 
 def test_load_rejects_a_discriminator_with_a_vector_output(tmp_path, sched_module):
@@ -364,14 +342,6 @@ def test_integrated_error_oracle_vs_oracle_convention(oracle):
 def test_integrated_error_grid_validation(oracle):
     with pytest.raises(InputError):
         integrated_dre_error(oracle, oracle, oracle, [0.5, 0.5], n=100)
-
-
-def test_time_independent_model_ignores_query_time(sched_module, p_data_module, p_bias_module):
-    rm = oracle_ratio_model(p_data_module, p_bias_module, sched_module,
-                            time_independent=True)
-    x = np.array([1.0, 1.0])
-    assert rm.ratio_w(x, 0.9) == rm.ratio_w(x, 0.0)
-    np.testing.assert_array_equal(rm.grad_log_w(x, 0.9), rm.grad_log_w(x, 0.0))
 
 
 def test_dre_curve_decreases_up_to_one_inversion(sched_module, p_data_module,

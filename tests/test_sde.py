@@ -98,11 +98,11 @@ def test_cond_score_zero_at_kernel_mode(sched):
 def test_cond_score_matches_single_gaussian_score(sched):
     rng = np.random.default_rng(2)
     for _ in range(20):
-        x0 = rng.normal(size=2)
+        x0 = rng.normal(size=(1, 2))
         t = rng.uniform(sched.t_eps, 1.0)
-        x_t = rng.normal(size=2)
+        x_t = rng.normal(size=(1, 2))
         alpha, sigma = sched.alpha_sigma(t)
-        gm = GaussianMixture(weights=[1.0], means=[alpha * x0], variances=[sigma**2])
+        gm = GaussianMixture(weights=[1.0], means=alpha * x0, variances=[sigma**2])
         np.testing.assert_allclose(
             sched.cond_score(x_t, x0, t), gm.score(x_t), rtol=1e-12
         )

@@ -31,3 +31,23 @@ def _unused_imports(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_uses_every_name_it_imports(path):
     assert _unused_imports(path) == []
+
+
+def test_every_private_function_has_a_caller():
+    """A private module-level function that no code in the library names is
+    dead: deleting its callers left it behind."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    orphans = [f"{module}: {node.name}" for module, tree in trees.items()
+               for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+               and not node.name.startswith("__") and node.name not in named]
+    assert orphans == []
