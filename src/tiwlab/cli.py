@@ -99,7 +99,11 @@ def _ratio_for(cfg: ExperimentConfig, kind):
     if not path.exists():
         raise InputError(f"discriminator checkpoint {path} not found "
                          f"(run train-disc{' --time-independent' if t0 else ''} first)")
-    return load_ratio_model(path, cfg.schedule)
+    rm, dim = load_ratio_model(path, cfg.schedule), cfg.mixture("data").dim
+    if rm.net.input_dim != dim:
+        raise InputError(f"discriminator checkpoint {path} is {rm.net.input_dim}-D, "
+                         f"but the config's mixtures are {dim}-D")
+    return rm
 
 
 def _objective_spec(cfg: ExperimentConfig, baseline=None) -> ObjectiveSpec:

@@ -34,10 +34,12 @@ class GaussianMixture:
 
     def __post_init__(self):
         w = np.ascontiguousarray(np.asarray(self.weights, dtype=np.float64))
-        m = np.ascontiguousarray(np.atleast_2d(np.asarray(self.means, dtype=np.float64)))
+        m = np.ascontiguousarray(np.asarray(self.means, dtype=np.float64))
         v = np.ascontiguousarray(np.asarray(self.variances, dtype=np.float64))
         if w.ndim != 1 or w.size == 0:
             raise InputError("mixture needs at least one component")
+        if m.ndim != 2:
+            raise InputError(f"means must have shape (k, d), got {m.shape}")
         if m.shape[0] != w.size or v.shape != w.shape:
             raise InputError("weights, means, variances must agree in component count")
         if np.any(w <= 0.0):

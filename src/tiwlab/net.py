@@ -1,4 +1,4 @@
-"""Small fully connected network with a time input, trained by Adam.
+"""Small fully connected SiLU network with a time input, trained by Adam.
 
 The same class serves as the score network s(x, t) and as the
 discriminator logit h(x, t). Parameters live in one flat float64 vector
@@ -8,15 +8,15 @@ reverse-mode numpy; gradients are exact, which the test suite checks
 against central finite differences.
 
 Each layer is one matmul over the whole batch, followed by an elementwise
-chain (bias add, activation, and its derivative when a cache is wanted)
+chain (bias add, SiLU, and its derivative when a cache is wanted)
 run over row blocks of about BLOCK_ELEMENTS entries, so a block stays in
-cache from the bias add to the activation's last pass. The blocking
+cache from the bias add to the SiLU's last pass. The blocking
 changes no value: the elementwise work is the same per entry and every
 matmul keeps its shape.
 
 forward(want_cache=True) keeps what the reverse pass needs: the input of
-each layer and each hidden layer's activation derivative, written by the
-activation straight into the cache from the sigmoid/tanh it evaluated.
+each layer and each hidden layer's SiLU derivative, written straight into
+the cache from the sigmoid the SiLU evaluated.
 One backprop routine serves both the parameter gradient and the input
 gradient. Without a cache, the hidden activations go into two buffers the
 network keeps while the row count stays the same; the returned output is
@@ -25,7 +25,8 @@ once, so ``params`` can be written in place but not rebound.
 
 Checkpoint format (little-endian): magic ``TIWNET``, u16 format version,
 u32 header length, JSON header (architecture + arbitrary extra fields),
-then the parameter vector as raw float64. Round-trips are bit-exact.
+then the parameter vector as raw float64. Round-trips are bit-exact. A
+header's activation field, written by older versions, must be "silu".
 """
 
 import hashlib
@@ -39,14 +40,12 @@ import numpy as np
 from . import artifacts
 from .errors import ContractError, InputError, IoError
 
-ACTIVATIONS = ("tanh", "silu")
 TIME_EMBEDS = ("append-scalar", "sinusoidal")
 
 CHECKPOINT_MAGIC = b"TIWNET"
 CHECKPOINT_VERSION = 1
 # Mlp's architecture arguments, as the checkpoint header names them
-ARCH_KEYS = ("input_dim", "hidden", "output_dim", "activation", "time_embed",
-             "n_frequencies")
+ARCH_KEYS = ("input_dim", "hidden", "output_dim", "time_embed", "n_frequencies")
 
 # float64 entries per row block of the elementwise chain: 128 KB, which is
 # 256 rows at width 64
@@ -63,16 +62,9 @@ def _sigmoid(z):
     return s if s.ndim else s[()]
 
 
-# activation(z, prime) writes its value over z; given a prime array, it
-# first writes the derivative there, from the sigmoid/tanh it evaluated
-def _tanh(z, prime):
-    np.tanh(z, out=z)
-    if prime is not None:
-        np.multiply(z, z, out=prime)
-        np.subtract(1.0, prime, out=prime)
-
-
 def _silu(z, prime):
+    # writes z * sigmoid(z) over z; given a prime array, first writes the
+    # derivative there, from the same sigmoid
     s = _sigmoid(z)
     if prime is not None:
         # s * (1 + z * (1 - s))
@@ -83,15 +75,11 @@ def _silu(z, prime):
     z *= s
 
 
-_ACT = {"tanh": _tanh, "silu": _silu}
-
-
 @dataclass
 class NetSpec:
     """Hidden architecture of an Mlp; the two training configs extend it."""
 
     hidden: tuple[int, ...] = field(default=(64, 64, 64), metadata={"ge": 1})
-    activation: str = field(default="silu", metadata={"choices": ACTIVATIONS})
     time_embed: str = field(default="sinusoidal", metadata={"choices": TIME_EMBEDS})
     n_frequencies: int = field(default=8, metadata={"ge": 1})
 
@@ -101,7 +89,7 @@ class ForwardCache:
     """Activations saved by forward() for the matching backward pass."""
 
     net: "Mlp"
-    primes: list  # activation derivative per hidden layer
+    primes: list  # SiLU derivative per hidden layer
     acts: list    # input of each layer; acts[0] is the network input, time features included
 
     @property
@@ -110,11 +98,8 @@ class ForwardCache:
 
 
 class Mlp:
-    def __init__(self, input_dim, hidden, output_dim, activation=NetSpec.activation,
-                 time_embed=NetSpec.time_embed, n_frequencies=NetSpec.n_frequencies,
-                 params=None, seed=0):
-        if activation not in ACTIVATIONS:
-            raise InputError(f"activation must be one of {ACTIVATIONS}")
+    def __init__(self, input_dim, hidden, output_dim, time_embed=NetSpec.time_embed,
+                 n_frequencies=NetSpec.n_frequencies, params=None, seed=0):
         if time_embed not in TIME_EMBEDS:
             raise InputError(f"time_embed must be one of {TIME_EMBEDS}")
         if input_dim < 1 or output_dim < 1:
@@ -124,7 +109,6 @@ class Mlp:
         self.input_dim = int(input_dim)
         self.hidden = [int(h) for h in hidden]
         self.output_dim = int(output_dim)
-        self.activation = activation
         self.time_embed = time_embed
         self.n_frequencies = int(n_frequencies)
 
@@ -181,7 +165,7 @@ class Mlp:
         return list(zip(views[0::2], views[1::2]))
 
     def _buffer(self, rows, layer):
-        """(rows, width) inference buffer for a hidden layer's activation.
+        """(rows, width) inference buffer for a hidden layer's output.
 
         Two buffers alternate, so a layer never writes the one it reads;
         they are kept while the row count stays the same.
@@ -220,7 +204,6 @@ class Mlp:
             raise InputError("non-finite network input")
         feats = np.concatenate([X, self._time_features(t, X.shape[0])], axis=1)
 
-        act = _ACT[self.activation]
         B = feats.shape[0]
         a = feats
         primes, acts = [], [feats]
@@ -237,7 +220,7 @@ class Mlp:
             for r in range(0, B, rows):
                 zb = z[r:r + rows]
                 zb += b
-                act(zb, None if prime is None else prime[r:r + rows])
+                _silu(zb, None if prime is None else prime[r:r + rows])
             a = z
         W, b = self._layers[-1]
         a = a @ W.T
@@ -377,6 +360,9 @@ def load_net(path):
     for key in (*ARCH_KEYS, "param_count"):
         if key not in header:
             raise IoError(f"corrupt checkpoint {path}: missing header field {key!r}")
+    if header.get("activation", "silu") != "silu":
+        raise IoError(f"corrupt checkpoint {path}: activation field is "
+                      f"{header['activation']!r}, not 'silu'")
     # a bool or a float would build a net through Mlp's int(), silently
     for key in ("input_dim", "output_dim", "n_frequencies"):
         if type(header[key]) is not int:

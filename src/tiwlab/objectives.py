@@ -126,9 +126,13 @@ def persample_loss(net, spec: ObjectiveSpec, x0, t, noise, sched):
 # exact-quadrature score-matching loss (theorem verification)
 # ---------------------------------------------------------------------------
 
+# the space grid covers the mixture's means +- PAD_STD of its widest component
+PAD_STD = 6.0
+
+
 @dataclass
 class QuadratureGrid:
-    """Tensor-product Gauss-Legendre grid: time x space, +-pad_std coverage.
+    """Tensor-product Gauss-Legendre grid: time x space, +-PAD_STD coverage.
 
     The time axis is composite (t_panels panels of n_t nodes each) because
     sinusoidal time embeddings make the integrand oscillatory in t.
@@ -136,7 +140,6 @@ class QuadratureGrid:
 
     n_t: int = 16
     n_x: int = 160
-    pad_std: float = 6.0
     t_panels: int = 8
 
 
@@ -148,12 +151,12 @@ def _leggauss(n):
     return nodes, weights
 
 
-def _space_nodes(means, variances, nodes, weights, pad_std):
+def _space_nodes(means, variances, nodes, weights):
     """Gauss-Legendre nodes and weights on [-1, 1] mapped over the support of
     the mixture with (k, d) means and (k,) variances."""
     std = float(np.sqrt(variances.max()))
-    bounds = list(zip(means.min(axis=0) - pad_std * std,
-                      means.max(axis=0) + pad_std * std))
+    bounds = list(zip(means.min(axis=0) - PAD_STD * std,
+                      means.max(axis=0) + PAD_STD * std))
     xs = np.meshgrid(*(0.5 * (hi - lo) * nodes + 0.5 * (hi + lo) for lo, hi in bounds),
                      indexing="ij")
     ws = np.meshgrid(*(0.5 * (hi - lo) * weights for lo, hi in bounds), indexing="ij")
@@ -177,7 +180,7 @@ def _sm_quadrature(net, grid, sched, p_data, lambda_kind, want_grad):
     log_w = np.log(p_data.weights)
     for t, tw in zip(t_nodes, t_weights):
         means, variances = _perturbed_moments(p_data, sched, t)
-        X, xw = _space_nodes(means, variances, x_nodes, x_weights, grid.pad_std)
+        X, xw = _space_nodes(means, variances, x_nodes, x_weights)
         log_dens, score = kernels.gm_logpdf_and_score(X, log_w, means, variances)
         dens = np.exp(log_dens)
         lam = float(lambda_weight(sched, t, lambda_kind))
@@ -205,8 +208,7 @@ def loss_sm_oracle(net, grid: QuadratureGrid, sched, p_data: GaussianMixture,
     """
     value, grads = _sm_quadrature(net, grid, sched, p_data, lambda_kind, want_grad)
     if refine_check:
-        fine = QuadratureGrid(n_t=grid.n_t, n_x=2 * grid.n_x, pad_std=grid.pad_std,
-                              t_panels=2 * grid.t_panels)
+        fine = QuadratureGrid(n_t=grid.n_t, n_x=2 * grid.n_x, t_panels=2 * grid.t_panels)
         ref, _ = _sm_quadrature(net, fine, sched, p_data, lambda_kind, False)
         if abs(value - ref) > 1e-4 * max(abs(ref), 1e-12):
             raise NumericalError(
@@ -313,9 +315,8 @@ def train_score(data: DatasetSplit, spec: ObjectiveSpec, sched: VpSchedule,
 
     iw_cache = _iw_weights(spec, pool) if spec.kind == "iw_dsm" else None
 
-    net = Mlp(dim, list(cfg.hidden), dim, activation=cfg.activation,
-              time_embed=cfg.time_embed, n_frequencies=cfg.n_frequencies,
-              seed=cfg.seed)
+    net = Mlp(dim, list(cfg.hidden), dim, time_embed=cfg.time_embed,
+              n_frequencies=cfg.n_frequencies, seed=cfg.seed)
     state = init_optim(net.n_params, cfg.learning_rate)
 
     telemetry = []  # CSV rows

@@ -60,8 +60,11 @@ class DatasetSplit:
     ref_points: np.ndarray
 
     def __post_init__(self):
-        self.bias_points = np.atleast_2d(np.asarray(self.bias_points, dtype=np.float64))
-        self.ref_points = np.atleast_2d(np.asarray(self.ref_points, dtype=np.float64))
+        for name in ("bias_points", "ref_points"):
+            points = np.asarray(getattr(self, name), dtype=np.float64)
+            if points.ndim != 2:
+                raise InputError(f"{name} must have shape (n, d), got {points.shape}")
+            setattr(self, name, points)
         if self.bias_points.shape[0] == 0 or self.ref_points.shape[0] == 0:
             raise InputError("both bias and reference sets must be non-empty")
         if self.bias_points.shape[1] != self.ref_points.shape[1]:
@@ -211,16 +214,16 @@ def train_discriminator(split: DatasetSplit, sched: VpSchedule,
                         cfg: DiscTrainConfig = None) -> RatioModel:
     """Fit the time-dependent discriminator by temporally weighted BCE.
 
-    Each step takes half a batch of reference points (label 1) and half of
-    biased points (label 0), draws a per-sample time uniformly on
-    [t_eps, T] (or pins it to 0 for the time-independent baseline), pushes
-    the points through the forward kernel and descends the weighted BCE of
-    the logit. Deterministic in cfg.seed; a held-out BCE estimate is
-    recorded in the returned model's train_report.
+    Each step of batch_size B takes floor(B/2) reference points (label 1)
+    and ceil(B/2) biased points (label 0), draws a per-sample time uniformly
+    on [t_eps, T] (or pins it to 0 for the time-independent baseline),
+    pushes the points through the forward kernel and descends the weighted
+    BCE of the logit, averaged over the B points. Deterministic in cfg.seed;
+    a held-out BCE estimate is recorded in the returned model's train_report.
     """
     cfg = cfg or DiscTrainConfig()
     rng = np.random.default_rng(cfg.seed)
-    half = cfg.batch_size // 2
+    n_ref = cfg.batch_size // 2
 
     def carve(points):
         n_hold = int(round(cfg.holdout_fraction * points.shape[0]))
@@ -231,22 +234,21 @@ def train_discriminator(split: DatasetSplit, sched: VpSchedule,
     ref_train, ref_hold = carve(split.ref_points)
     bias_train, bias_hold = carve(split.bias_points)
 
-    net = Mlp(split.dim, list(cfg.hidden), 1, activation=cfg.activation,
-              time_embed=cfg.time_embed, n_frequencies=cfg.n_frequencies,
-              seed=cfg.seed)
+    net = Mlp(split.dim, list(cfg.hidden), 1, time_embed=cfg.time_embed,
+              n_frequencies=cfg.n_frequencies, seed=cfg.seed)
     state = init_optim(net.n_params, cfg.learning_rate)
-    labels = np.concatenate([np.ones(half), np.zeros(half)])
+    labels = np.concatenate([np.ones(n_ref), np.zeros(cfg.batch_size - n_ref)])
     last_loss = np.nan
     for step in range(cfg.steps):
         x0 = np.vstack([
-            ref_train[rng.integers(0, ref_train.shape[0], half)],
-            bias_train[rng.integers(0, bias_train.shape[0], half)],
+            ref_train[rng.integers(0, ref_train.shape[0], n_ref)],
+            bias_train[rng.integers(0, bias_train.shape[0], cfg.batch_size - n_ref)],
         ])
         losses, dh, cache = _tbce_terms(net, sched, cfg, x0, labels, rng, True)
         last_loss = float(losses.mean())
         if not np.isfinite(last_loss):
             raise NumericalError(f"discriminator loss became non-finite at step {step}")
-        grads = net.param_gradient((dh / (2 * half))[:, None], cache)
+        grads = net.param_gradient((dh / cfg.batch_size)[:, None], cache)
         adam_step(net.params, grads, state)
 
     model = RatioModel(sched=sched, kind="learned", net=net)
@@ -260,7 +262,8 @@ def train_discriminator(split: DatasetSplit, sched: VpSchedule,
 
 def _tbce_terms(net, sched, cfg, x0, labels, rng, want_cache):
     """Per-point lambda'(t)-weighted BCE of the logit, d loss/dh and the forward
-    cache (None without want_cache); rng draws t (0 if time-independent), then noise."""
+    cache (None without want_cache); rng draws t (0 if time-independent), then noise.
+    At the one time t = 0 a weighting is a constant factor, so the weight is 1 there."""
     n = x0.shape[0]
     t = np.zeros(n) if cfg.time_independent else rng.uniform(sched.t_eps, sched.T, n)
     x_t = sched.forward_sample(x0, t, rng.standard_normal(x0.shape))
@@ -269,7 +272,7 @@ def _tbce_terms(net, sched, cfg, x0, labels, rng, want_cache):
     else:
         out, cache = net.forward(x_t, t), None
     h = out[:, 0]
-    lam = lambda_weight(sched, t, cfg.lambda_prime)
+    lam = 1.0 if cfg.time_independent else lambda_weight(sched, t, cfg.lambda_prime)
     return lam * (_softplus(h) - labels * h), lam * (_sigmoid(h) - labels), cache
 
 

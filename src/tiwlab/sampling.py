@@ -67,7 +67,9 @@ def generate(source, sched: VpSchedule, spec: SamplerSpec, n, output=None, dim=N
 
 
 def write_samples_csv(path, samples):
-    samples = np.atleast_2d(samples)
+    samples = np.asarray(samples)
+    if samples.ndim != 2:
+        raise InputError(f"samples must have shape (n, d), got {samples.shape}")
     artifacts.write_csv(path, [f"x{i}" for i in range(samples.shape[1])],
                         ([repr(float(v)) for v in row] for row in samples))
 

@@ -73,8 +73,9 @@ class VpSchedule:
         and noise at a scalar or per-row t."""
         x0 = np.asarray(x0, dtype=np.float64)
         noise = np.asarray(noise, dtype=np.float64)
-        if x0.shape != noise.shape:
-            raise InputError(f"noise shape {noise.shape} != x0 shape {x0.shape}")
+        if x0.ndim != 2 or x0.shape != noise.shape:
+            raise InputError(f"x0 and noise must be (n, d) batches of one shape, "
+                             f"got {x0.shape} and {noise.shape}")
         alpha, sigma = self.alpha_sigma(t)
         return alpha[..., None] * x0 + sigma[..., None] * noise
 
@@ -83,8 +84,9 @@ class VpSchedule:
         for (n, d) batches at a scalar or per-row t."""
         x_t = np.asarray(x_t, dtype=np.float64)
         x0 = np.asarray(x0, dtype=np.float64)
-        if x_t.shape != x0.shape:
-            raise InputError(f"x_t shape {x_t.shape} != x0 shape {x0.shape}")
+        if x0.ndim != 2 or x_t.shape != x0.shape:
+            raise InputError(f"x_t and x0 must be (n, d) batches of one shape, "
+                             f"got {x_t.shape} and {x0.shape}")
         t_arr = np.asarray(t, dtype=np.float64)
         if np.any(t_arr < self.t_eps):
             raise NumericalError(

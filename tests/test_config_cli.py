@@ -22,7 +22,7 @@ from tiwlab.config import (
 )
 from tiwlab.errors import ConfigError, InputError, NumericalError
 from tiwlab.kernels import pairwise_mean_dist
-from tiwlab.net import ACTIVATIONS, TIME_EMBEDS, Mlp, load_net, save_net
+from tiwlab.net import TIME_EMBEDS, Mlp, load_net, save_net
 from tiwlab.objectives import (
     OBJECTIVE_KINDS,
     STREAMS,
@@ -86,7 +86,7 @@ def test_bad_value_rejected():
 
 
 ENUM_FIELDS = [
-    ("disc_net.activation", ACTIVATIONS),
+    ("disc_net.time_embed", TIME_EMBEDS),
     ("score_net.time_embed", TIME_EMBEDS),
     ("disc_train.lambda_prime", LAMBDA_KINDS),
     ("objective.kind", OBJECTIVE_KINDS),
@@ -215,9 +215,9 @@ def test_two_mode_yaml_choice_comments_match_the_declared_choices():
 
 def test_config_hashes_pinned():
     assert config_hash(ExperimentConfig(raw={})) == \
-        "37cfab59fd297fa1949413c79fb304e4ee502afb07dd6e94673e942905899381"
+        "6a57681f2bd49d53b39d78cb66351bedf624b3c64e188c9733d83caf71cb78cc"
     assert config_hash(load_config(TWO_MODE)) == \
-        "0e85947226f8b7c0fc4624110b890012a77c0fd1e901ad2fd2fdd2114cab8d49"
+        "e2e6b96dafd29a7807705b634b9e9f6e40f258076e7163f21e5974997e9f9a69"
 
 
 # each library type a section maps to: its defaults (given what the CLI built,
@@ -324,6 +324,26 @@ def test_sample_refuses_a_score_checkpoint_of_another_dimension(tiny_config, cap
     assert main(["sample", "--config", str(config), "--source", str(ckpt)]) == 2
     err = capsys.readouterr().err
     assert str(ckpt) in err and "1-D" in err and "2-D" in err
+    assert not (out / "samples.csv").exists()
+
+
+def test_train_score_refuses_a_discriminator_of_another_dimension(tiny_config, capsys):
+    config, out = tiny_config()
+    assert main(["gen-data", "--config", str(config)]) == 0
+    disc = out / "disc.ckpt"
+    save_net(Mlp(1, [8], 1, seed=1), disc, extra={"role": "discriminator"})
+    assert main(["train-score", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert str(disc) in err and "1-D" in err and "2-D" in err
+    assert sorted(p.name for p in out.iterdir()) == ["bias.csv", "disc.ckpt", "ref.csv"]
+
+
+def test_a_checkpoint_of_another_activation_is_corrupt(tiny_config, capsys):
+    config, out = tiny_config()
+    ckpt = out.parent / "score_tanh.ckpt"
+    save_net(Mlp(2, [8], 2, seed=1), ckpt, extra={"role": "score", "activation": "tanh"})
+    assert main(["sample", "--config", str(config), "--source", str(ckpt)]) == 5
+    assert f"corrupt checkpoint {ckpt}: activation field is 'tanh'" in capsys.readouterr().err
     assert not (out / "samples.csv").exists()
 
 

@@ -6,11 +6,14 @@ from hypothesis import strategies as st
 from tiwlab.errors import InputError
 from tiwlab.mixture import (
     GaussianMixture,
+    perturbed_log_density_and_score_batch,
+    perturbed_log_density_batch,
     perturbed_score_batch,
     pooled_mixture,
 )
 from tiwlab.net import Mlp
-from tiwlab.ratio import oracle_ratio_model
+from tiwlab.ratio import DatasetSplit, RatioModel, oracle_ratio_model
+from tiwlab.sampling import write_samples_csv
 from tiwlab.sde import VpSchedule
 
 from conftest import mixture_pdf_by_hand, standard_normal_mixture
@@ -30,16 +33,48 @@ def test_rejects_nonpositive_variance():
         GaussianMixture(weights=[1.0], means=[[0.0]], variances=[0.0])
 
 
-def test_a_single_point_is_refused_with_the_batch_shape():
-    # points are (n, d) batches everywhere; a 1-D point is refused, not promoted
-    gm = GaussianMixture(weights=[0.5, 0.5], means=[[0.0, 0.0], [1.0, 1.0]],
-                         variances=[1.0, 1.0])
+GM = GaussianMixture(weights=[0.5, 0.5], means=[[0.0, 0.0], [1.0, 1.0]],
+                     variances=[1.0, 1.0])
+SCHED = VpSchedule()
+ORACLE = oracle_ratio_model(GM, pooled_mixture(GM, GM), SCHED)
+# every entry point that takes a point set, called on X (one point per row);
+# the per-row times make a 1-D X of n points look like n rows to numpy
+POINT_SETS = {
+    "Mlp.forward": lambda X, tmp: Mlp(2, [4], 2, seed=0).forward(X, 0.3),
+    "Mlp.value_and_input_gradient":
+        lambda X, tmp: Mlp(2, [4], 2, seed=0).value_and_input_gradient(X, 0.3),
+    "GaussianMixture.log_density": lambda X, tmp: GM.log_density(X),
+    "GaussianMixture.score": lambda X, tmp: GM.score(X),
+    "GaussianMixture.posterior": lambda X, tmp: GM.posterior(X),
+    "GaussianMixture.means":
+        lambda X, tmp: GaussianMixture(weights=[1.0], means=X, variances=[1.0]),
+    "perturbed_log_density_batch":
+        lambda X, tmp: perturbed_log_density_batch(GM, SCHED, X, np.full(len(X), 0.3)),
+    "perturbed_score_batch":
+        lambda X, tmp: perturbed_score_batch(GM, SCHED, X, np.full(len(X), 0.3)),
+    "perturbed_log_density_and_score_batch":
+        lambda X, tmp: perturbed_log_density_and_score_batch(GM, SCHED, X, 0.3),
+    "VpSchedule.forward_sample":
+        lambda X, tmp: SCHED.forward_sample(X, np.full(len(X), 0.3), np.zeros_like(X)),
+    "VpSchedule.cond_score":
+        lambda X, tmp: SCHED.cond_score(np.zeros_like(X), X, np.full(len(X), 0.3)),
+    "RatioModel.weight_and_correction[learned]":
+        lambda X, tmp: RatioModel(SCHED, net=Mlp(2, [4], 1, seed=0)).weight_and_correction(X, 0.3),
+    "RatioModel.weight_and_correction[oracle]":
+        lambda X, tmp: ORACLE.weight_and_correction(X, np.full(len(X), 0.3)),
+    "DatasetSplit": lambda X, tmp: DatasetSplit(bias_points=X, ref_points=X),
+    "write_samples_csv": lambda X, tmp: write_samples_csv(tmp / "samples.csv", X),
+}
+
+
+@pytest.mark.parametrize("entry", POINT_SETS)
+def test_a_single_point_is_refused_with_the_batch_shape(entry, tmp_path):
+    # points are (n, d) batches everywhere; a 1-D array is refused, not promoted
+    f = POINT_SETS[entry]
     x = np.array([0.5, -0.5])
-    for f in (gm.score, lambda X: perturbed_score_batch(gm, VpSchedule(), X, 0.3),
-              lambda X: Mlp(2, [4], 2, seed=0).forward(X, 0.3)):
-        with pytest.raises(InputError, match=r"x must have shape \(n, 2\), got \(2,\)"):
-            f(x)
-        assert f(x[None, :]).shape == (1, 2)
+    with pytest.raises(InputError, match=r"(shape|be) \([nk], [2d]\).*got \(2,\)"):
+        f(x, tmp_path)
+    f(x[None, :], tmp_path)
 
 
 def test_rejects_dim_mismatch_query(p_data):

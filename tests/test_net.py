@@ -83,15 +83,14 @@ def test_batch_matches_single_rows():
 
 
 @pytest.mark.parametrize("time_embed", ["append-scalar", "sinusoidal"])
-@pytest.mark.parametrize("activation", ["tanh", "silu"])
-def test_inference_forward_gives_the_cached_forward_bytes(activation, time_embed):
+def test_inference_forward_gives_the_cached_forward_bytes(time_embed):
     rng = np.random.default_rng(8)
     X = rng.normal(size=(50, 2)) * 3.0
     ts = rng.uniform(0.0, 1.0, 50)
     X_before, ts_before = X.copy(), ts.copy()
     for n_frequencies in (3, 8):
-        net = Mlp(2, [16, 16], 2, activation=activation, time_embed=time_embed,
-                  n_frequencies=n_frequencies, seed=4)
+        net = Mlp(2, [16, 16], 2, time_embed=time_embed, n_frequencies=n_frequencies,
+                  seed=4)
         for t in (ts, 0.37, 1e-3, 1.0):
             assert net.forward(X, t).tobytes() == \
                 net.forward(X, t, want_cache=True)[0].tobytes()
@@ -112,25 +111,20 @@ def unblocked_forward(net, X, t):
         z = a @ views[2 * l].T + views[2 * l + 1]
         if l == n_layers - 1:
             return z, acts, primes
-        if net.activation == "tanh":
-            a = np.tanh(z)
-            primes.append(1.0 - a * a)
-        else:
-            s = 0.5 * (1.0 + np.tanh(0.5 * z))
-            primes.append(s * (1.0 + z * (1.0 - s)))
-            a = z * s
+        s = 0.5 * (1.0 + np.tanh(0.5 * z))
+        primes.append(s * (1.0 + z * (1.0 - s)))
+        a = z * s
         acts.append(a)
 
 
 @pytest.mark.parametrize("time_embed", ["append-scalar", "sinusoidal"])
-@pytest.mark.parametrize("activation", ["tanh", "silu"])
-def test_blocked_forward_gives_the_unblocked_bytes(activation, time_embed):
+def test_blocked_forward_gives_the_unblocked_bytes(time_embed):
     # three row blocks of the first hidden layer plus a partial one; the
     # narrower second layer blocks its rows differently
     rows = 3 * (BLOCK_ELEMENTS // 64) + 37
     rng = np.random.default_rng(12)
     X = rng.normal(size=(rows, 2)) * 3.0
-    net = Mlp(2, [64, 48], 2, activation=activation, time_embed=time_embed, seed=6)
+    net = Mlp(2, [64, 48], 2, time_embed=time_embed, seed=6)
     for t in (0.37, rng.uniform(0.0, 1.0, rows)):
         want, want_acts, want_primes = unblocked_forward(net, X, t)
         assert net.forward(X, t).tobytes() == want.tobytes()
@@ -184,9 +178,8 @@ def test_sigmoid_of_a_scalar_is_the_logistic_formula(z):
 # parameter gradient
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("activation", ["tanh", "silu"])
-def test_param_gradient_matches_finite_differences(activation):
-    net = Mlp(2, [8, 6], 2, activation=activation, seed=11)
+def test_param_gradient_matches_finite_differences():
+    net = Mlp(2, [8, 6], 2, seed=11)
     rng = np.random.default_rng(2)
     x, t = rng.normal(size=(1, 2)), 0.4
     coeffs = rng.normal(size=2)
@@ -236,9 +229,8 @@ def test_input_gradient_linear_net_is_weight_block():
     np.testing.assert_allclose(jac, W[None, :, :2], rtol=1e-14)
 
 
-@pytest.mark.parametrize("activation", ["tanh", "silu"])
-def test_input_gradient_matches_finite_differences(activation):
-    net = Mlp(3, [10, 10], 1, activation=activation, seed=13)
+def test_input_gradient_matches_finite_differences():
+    net = Mlp(3, [10, 10], 1, seed=13)
     rng = np.random.default_rng(4)
     h = 1e-6
     for _ in range(20):
@@ -307,7 +299,7 @@ def test_adam_shape_mismatch():
 # ---------------------------------------------------------------------------
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
-    net = Mlp(2, [8, 8], 1, activation="tanh", time_embed="append-scalar", seed=23)
+    net = Mlp(2, [8, 8], 1, time_embed="append-scalar", seed=23)
     path = tmp_path / "net.ckpt"
     save_net(net, path, extra={"role": "discriminator"})
     clone, header = load_net(path)
@@ -337,9 +329,20 @@ def test_checkpoint_truncated_params(tmp_path):
         load_net(path)
 
 
+def change_header(path, change):
+    """Rewrite the checkpoint at path with its JSON header updated by change."""
+    raw = path.read_bytes()
+    hlen = int.from_bytes(raw[8:12], "little")
+    header = json.loads(raw[12:12 + hlen])
+    blob = json.dumps({**header, **change}).encode()
+    path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + hlen:])
+
+
 # (id, header change, the field the message must name or None)
 UNBUILDABLE = [
-    ("activation", {"activation": "relu"}, None),
+    # the activation field of older checkpoints: only the SiLU they all used
+    ("activation", {"activation": "relu"}, "activation"),
+    ("activation-tanh", {"activation": "tanh"}, "activation"),
     ("hidden", {"hidden": [9]}, None),
     ("input_dim", {"input_dim": 0}, None),
     ("hidden-null", {"hidden": None}, None),
@@ -362,16 +365,26 @@ def test_checkpoint_with_unbuildable_architecture_is_corrupt(tmp_path, change, n
     # a readable header that names an architecture no Mlp can take
     path = tmp_path / "net.ckpt"
     save_net(Mlp(2, [8], 1, seed=1), path)
-    raw = path.read_bytes()
-    hlen = int.from_bytes(raw[8:12], "little")
-    header = json.loads(raw[12:12 + hlen])
-    blob = json.dumps({**header, **change}).encode()
-    path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + hlen:])
+    change_header(path, change)
     with pytest.raises(IoError) as info:
         load_net(path)
     assert str(info.value).startswith(f"corrupt checkpoint {path}: ")
     if named:
         assert str(info.value).startswith(f"corrupt checkpoint {path}: {named} field is ")
+
+
+def test_checkpoint_with_the_silu_activation_field_loads(tmp_path):
+    # checkpoints written before SiLU became the only activation carry the
+    # field; it is read and ignored
+    net = Mlp(2, [8], 1, seed=1)
+    path = tmp_path / "net.ckpt"
+    save_net(net, path)
+    assert "activation" not in load_net(path)[1]
+    change_header(path, {"activation": "silu"})
+    clone, header = load_net(path)
+    assert header["activation"] == "silu"
+    assert clone.arch_dict() == net.arch_dict()
+    assert clone.params.tobytes() == net.params.tobytes()
 
 
 def test_checkpoint_missing_file():

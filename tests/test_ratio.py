@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tiwlab import ratio
 from tiwlab.errors import InputError, IoError
 from tiwlab.mixture import GaussianMixture, perturbed_score_batch, pooled_mixture
 from tiwlab.net import Mlp, load_net
@@ -18,6 +19,7 @@ from tiwlab.ratio import (
     save_ratio_model,
     train_discriminator,
 )
+from tiwlab.sde import LAMBDA_KINDS
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +270,52 @@ def test_training_deterministic(tmp_path, sched_module, p_data_module, p_bias_mo
     save_ratio_model(a, tmp_path / "a.ckpt")
     save_ratio_model(b, tmp_path / "b.ckpt")
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+def test_t0_discriminator_trains_under_every_temporal_weighting(sched_module, p_data_module,
+                                                               p_bias_module):
+    # at the one time t = 0 a weighting is a constant factor; sigma(0)^2 = 0
+    # once zeroed the whole BCE and left the network at its initial values
+    split = DatasetSplit(bias_points=p_bias_module.sample(100, seed=1),
+                         ref_points=p_data_module.sample(40, seed=2))
+    params = {}
+    for kind in LAMBDA_KINDS:
+        rm = train_discriminator(split, sched_module, DiscTrainConfig(
+            steps=20, seed=5, hidden=(8,), batch_size=32, time_independent=True,
+            lambda_prime=kind))
+        assert rm.train_report["final_train_bce"] > 0.1
+        params[kind] = rm.net.params
+    assert not np.array_equal(params["sigma_squared"], Mlp(2, [8], 1, seed=5).params)
+    assert params["sigma_squared"].tobytes() == params["uniform"].tobytes()
+
+
+@pytest.mark.parametrize("batch_size", [3, 5, 8])
+def test_every_row_of_a_discriminator_batch_is_trained(monkeypatch, sched_module, p_data_module,
+                                                       p_bias_module, batch_size):
+    # floor(B/2) reference rows, ceil(B/2) biased rows, and the BCE gradient
+    # averaged over all B
+    terms, output_grads = [], []
+    tbce_terms, param_gradient = ratio._tbce_terms, Mlp.param_gradient
+
+    def spy_terms(net, sched, cfg, x0, labels, rng, want_cache):
+        out = tbce_terms(net, sched, cfg, x0, labels, rng, want_cache)
+        terms.append((x0.shape[0], labels.sum(), out[1]))
+        return out
+
+    def spy_gradient(net, g, cache):
+        output_grads.append(g.copy())
+        return param_gradient(net, g, cache)
+
+    monkeypatch.setattr(ratio, "_tbce_terms", spy_terms)
+    monkeypatch.setattr(Mlp, "param_gradient", spy_gradient)
+    split = DatasetSplit(bias_points=p_bias_module.sample(100, seed=1),
+                         ref_points=p_data_module.sample(40, seed=2))
+    train_discriminator(split, sched_module,
+                        DiscTrainConfig(steps=2, seed=1, hidden=(8,), batch_size=batch_size))
+    assert len(terms) == len(output_grads) == 2
+    for (rows, n_ref, dh), g in zip(terms, output_grads):
+        assert rows == batch_size and n_ref == batch_size // 2
+        assert g[:, 0].tobytes() == (dh / batch_size).tobytes()
 
 
 def test_empty_split_rejected():

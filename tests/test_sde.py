@@ -61,14 +61,14 @@ def test_schedule_validation():
 # ---------------------------------------------------------------------------
 
 def test_forward_sample_identity_at_zero(sched):
-    x0 = np.array([1.0, -2.0])
-    np.testing.assert_array_equal(sched.forward_sample(x0, 0.0, np.zeros(2)), x0)
+    x0 = np.array([[1.0, -2.0]])
+    np.testing.assert_array_equal(sched.forward_sample(x0, 0.0, np.zeros((1, 2))), x0)
 
 
 def test_forward_sample_zero_noise_deterministic(sched):
-    x0 = np.array([1.0, -2.0])
+    x0 = np.array([[1.0, -2.0]])
     alpha, _ = sched.alpha_sigma(0.7)
-    np.testing.assert_allclose(sched.forward_sample(x0, 0.7, np.zeros(2)), alpha * x0)
+    np.testing.assert_allclose(sched.forward_sample(x0, 0.7, np.zeros((1, 2))), alpha * x0)
 
 
 def test_forward_sample_monte_carlo_mean(sched):
@@ -82,7 +82,7 @@ def test_forward_sample_monte_carlo_mean(sched):
 
 def test_forward_sample_shape_mismatch(sched):
     with pytest.raises(InputError):
-        sched.forward_sample(np.zeros(2), 0.5, np.zeros(3))
+        sched.forward_sample(np.zeros((1, 2)), 0.5, np.zeros((1, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +90,9 @@ def test_forward_sample_shape_mismatch(sched):
 # ---------------------------------------------------------------------------
 
 def test_cond_score_zero_at_kernel_mode(sched):
-    x0 = np.array([0.4, 0.8])
+    x0 = np.array([[0.4, 0.8]])
     alpha, _ = sched.alpha_sigma(0.3)
-    np.testing.assert_allclose(sched.cond_score(alpha * x0, x0, 0.3), np.zeros(2))
+    np.testing.assert_allclose(sched.cond_score(alpha * x0, x0, 0.3), np.zeros((1, 2)))
 
 
 def test_cond_score_matches_single_gaussian_score(sched):
@@ -110,7 +110,7 @@ def test_cond_score_matches_single_gaussian_score(sched):
 
 def test_cond_score_noise_identity(sched):
     rng = np.random.default_rng(3)
-    x0, eps = rng.normal(size=2), rng.normal(size=2)
+    x0, eps = rng.normal(size=(1, 2)), rng.normal(size=(1, 2))
     t = 0.6
     alpha, sigma = sched.alpha_sigma(t)
     x_t = alpha * x0 + sigma * eps
@@ -119,7 +119,7 @@ def test_cond_score_noise_identity(sched):
 
 def test_cond_score_singular_below_floor(sched):
     with pytest.raises(NumericalError):
-        sched.cond_score(np.zeros(2), np.zeros(2), sched.t_eps / 2)
+        sched.cond_score(np.zeros((1, 2)), np.zeros((1, 2)), sched.t_eps / 2)
 
 
 # ---------------------------------------------------------------------------
