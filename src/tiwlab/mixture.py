@@ -13,6 +13,7 @@ import numpy as np
 
 from . import kernels
 from .errors import InputError
+from .sde import _row_times
 
 
 def _as_batch(x, dim):
@@ -141,27 +142,32 @@ def _perturbed_moments(gm: GaussianMixture, sched, t):
     return means, variances
 
 
+def _batch_moments(gm: GaussianMixture, sched, X, t):
+    """The kernel arguments (X, log weights, means, variances) of gm noised
+    to a shared or per-row time t, for an (n, d) batch X."""
+    X = _as_batch(X, gm.dim)
+    return (X, gm._log_weights,
+            *_perturbed_moments(gm, sched, _row_times(t, X.shape[0])))
+
+
 def perturbed_log_density_batch(gm: GaussianMixture, sched, X, t):
     """log density of the noised mixture at a shared or per-row time t.
 
     Equals gm.perturb(sched, t_i).log_density(x_i) row by row without
     building a mixture per time.
     """
-    return kernels.gm_logpdf(_as_batch(X, gm.dim), gm._log_weights,
-                             *_perturbed_moments(gm, sched, t))
+    return kernels.gm_logpdf(*_batch_moments(gm, sched, X, t))
 
 
 def perturbed_score_batch(gm: GaussianMixture, sched, X, t):
     """Score of the noised mixture at a shared or per-row time t."""
-    return kernels.gm_score(_as_batch(X, gm.dim), gm._log_weights,
-                            *_perturbed_moments(gm, sched, t))
+    return kernels.gm_score(*_batch_moments(gm, sched, X, t))
 
 
 def perturbed_log_density_and_score_batch(gm: GaussianMixture, sched, X, t):
     """(perturbed_log_density_batch, perturbed_score_batch) from one moment
     build and one log-term pass."""
-    return kernels.gm_logpdf_and_score(_as_batch(X, gm.dim), gm._log_weights,
-                                       *_perturbed_moments(gm, sched, t))
+    return kernels.gm_logpdf_and_score(*_batch_moments(gm, sched, X, t))
 
 
 def two_mode_bias_mixture():

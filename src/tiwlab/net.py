@@ -21,7 +21,10 @@ One backprop routine serves both the parameter gradient and the input
 gradient. Without a cache, the hidden activations go into two buffers the
 network keeps while the row count stays the same; the returned output is
 always a fresh array. The (W, b) views into the parameter vector are built
-once, so ``params`` can be written in place but not rebound.
+once, so ``params`` can be written in place but not rebound. The time
+features of the last per-row t are kept with a copy of that t, so a call
+at the same times (the two noise blocks of an antithetic pair) reuses
+them; a scalar t gives one broadcast row and is never kept.
 
 Checkpoint format (little-endian): magic ``TIWNET``, u16 format version,
 u32 header length, JSON header (architecture + arbitrary extra fields),
@@ -39,6 +42,7 @@ import numpy as np
 
 from . import artifacts
 from .errors import ContractError, InputError, IoError
+from .sde import _row_times
 
 TIME_EMBEDS = ("append-scalar", "sinusoidal")
 
@@ -135,6 +139,7 @@ class Mlp:
             self._params = params.copy()
         self._layers = self._views(self._params)
         self._buffer_rows, self._buffers = None, ()
+        self._times_key, self._times_feats = None, None
 
     @property
     def params(self):
@@ -180,9 +185,20 @@ class Mlp:
     # -- evaluation ----------------------------------------------------------
 
     def _time_features(self, t, batch):
-        t = np.asarray(t, dtype=np.float64)
-        if t.ndim != 0 and t.shape != (batch,):
-            raise InputError(f"t must be scalar or shape ({batch},), got {t.shape}")
+        """(batch, embed_dim) read-only time features. Those of the last
+        per-row t are kept with its bytes, and a t of the same bytes gets the
+        same array back; a scalar t gives one broadcast row and is never kept."""
+        t = _row_times(t, batch)
+        if t.ndim == 0:
+            return self._embed(t, batch)
+        # bytes, not values: -0.0 == 0.0, but their features differ in sign
+        key = t.tobytes()
+        if key != self._times_key:
+            # a copy: append-scalar features view t, which the caller may change
+            self._times_key, self._times_feats = key, self._embed(t.copy(), batch)
+        return self._times_feats
+
+    def _embed(self, t, batch):
         # a scalar t gives one row of features, broadcast over the batch
         rows = t.reshape(-1, 1)
         if self.time_embed == "append-scalar":

@@ -24,10 +24,21 @@ tiw_alpha and the two ablations read alpha. An exact-quadrature oracle
 loss is provided for verifying that the reweighted objective's parameter
 gradient coincides with classical score matching against the clean data
 density.
+
+The quadrature sets up its t-nodes in chunks of about QUAD_ROW_BUDGET
+space-node rows (a 2-D node larger than that is a chunk of its own): the
+noised moments, the space nodes and weights, lambda(t) and the exact
+log-density and score of a chunk are one array pass each, and only the
+net's forward at the node's scalar t, the residual sum and the parameter
+gradient stay per node, added in node order. The Monte Carlo gradient
+evaluates the +eps and -eps blocks of a slice back to back, so the net's
+time features (kept for the last per-row t, see Mlp) and iw_dsm's t=0
+weights serve both, and adds the block sums in block-major order. Both
+give the bytes of the one-node-at-a-time and block-major forms.
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -128,6 +139,9 @@ def persample_loss(net, spec: ObjectiveSpec, x0, t, noise, sched):
 
 # the space grid covers the mixture's means +- PAD_STD of its widest component
 PAD_STD = 6.0
+# space-node rows set up at once: a chunk holds as many consecutive t-nodes
+# as fit in this many rows, and at least one
+QUAD_ROW_BUDGET = 8192
 
 
 @dataclass
@@ -138,9 +152,16 @@ class QuadratureGrid:
     sinusoidal time embeddings make the integrand oscillatory in t.
     """
 
-    n_t: int = 16
-    n_x: int = 160
-    t_panels: int = 8
+    n_t: int = field(default=16, metadata={"ge": 1})
+    n_x: int = field(default=160, metadata={"ge": 1})
+    t_panels: int = field(default=8, metadata={"ge": 1})
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not int:
+                raise InputError(f"QuadratureGrid.{f.name}: {value!r} is not an integer")
+        check_fields(self)
 
 
 @functools.cache
@@ -153,14 +174,25 @@ def _leggauss(n):
 
 def _space_nodes(means, variances, nodes, weights):
     """Gauss-Legendre nodes and weights on [-1, 1] mapped over the support of
-    the mixture with (k, d) means and (k,) variances."""
-    std = float(np.sqrt(variances.max()))
-    bounds = list(zip(means.min(axis=0) - PAD_STD * std,
-                      means.max(axis=0) + PAD_STD * std))
-    xs = np.meshgrid(*(0.5 * (hi - lo) * nodes + 0.5 * (hi + lo) for lo, hi in bounds),
-                     indexing="ij")
-    ws = np.meshgrid(*(0.5 * (hi - lo) * weights for lo, hi in bounds), indexing="ij")
-    return np.column_stack([x.ravel() for x in xs]), np.prod(ws, axis=0).ravel()
+    each of c mixtures with (c, k, d) means and (c, k) variances.
+
+    Returns (c, n^d, d) points and their (c, n^d) weights, the points of
+    each mixture in meshgrid "ij" order.
+    """
+    std = PAD_STD * np.sqrt(variances.max(axis=1))[:, None]
+    lo = means.min(axis=1) - std
+    hi = means.max(axis=1) + std
+    half = (0.5 * (hi - lo))[..., None]
+    xs = half * nodes + (0.5 * (hi + lo))[..., None]  # (c, d, n)
+    ws = half * weights
+    c, d, n = xs.shape
+    X = np.empty((c,) + (n,) * d + (d,))
+    w = np.ones((c,) + (n,) * d)
+    for j in range(d):
+        axis = (c,) + (1,) * j + (n,) + (1,) * (d - j - 1)
+        X[..., j] = xs[:, j].reshape(axis)
+        w *= ws[:, j].reshape(axis)
+    return X.reshape(c, -1, d), w.reshape(c, -1)
 
 
 def _sm_quadrature(net, grid, sched, p_data, lambda_kind, want_grad):
@@ -178,22 +210,33 @@ def _sm_quadrature(net, grid, sched, p_data, lambda_kind, want_grad):
     value = 0.0
     grads = np.zeros(net.n_params) if want_grad else None
     log_w = np.log(p_data.weights)
-    for t, tw in zip(t_nodes, t_weights):
-        means, variances = _perturbed_moments(p_data, sched, t)
+    d = p_data.dim
+    rows = grid.n_x ** d
+    per_chunk = max(1, QUAD_ROW_BUDGET // rows)
+    for start in range(0, t_nodes.size, per_chunk):
+        ts = t_nodes[start:start + per_chunk]
+        means, variances = _perturbed_moments(p_data, sched, ts)
         X, xw = _space_nodes(means, variances, x_nodes, x_weights)
-        log_dens, score = kernels.gm_logpdf_and_score(X, log_w, means, variances)
-        dens = np.exp(log_dens)
-        lam = float(lambda_weight(sched, t, lambda_kind))
-        if want_grad:
-            out, cache = net.forward(X, t, want_cache=True)
+        if ts.size == 1:  # a lone node's rows share its moments: no per-row copies
+            means, variances = means[0], variances[0]
         else:
-            out = net.forward(X, t)
-        resid = out - score
-        cell = xw * dens
-        value += tw * 0.5 * lam * float(cell @ (resid * resid).sum(axis=1))
-        if want_grad:
-            outgrad = (tw * lam * cell)[:, None] * resid
-            grads += net.param_gradient(outgrad, cache)
+            means = np.repeat(means, rows, axis=0)
+            variances = np.repeat(variances, rows, axis=0)
+        log_dens, score = kernels.gm_logpdf_and_score(X.reshape(-1, d), log_w, means, variances)
+        cells = xw * np.exp(log_dens).reshape(xw.shape)
+        lams = lambda_weight(sched, ts, lambda_kind)
+        for t, tw, lam, X_j, cell, score_j in zip(
+                ts, t_weights[start:start + per_chunk], lams, X, cells,
+                score.reshape(X.shape)):
+            if want_grad:
+                out, cache = net.forward(X_j, t, want_cache=True)
+            else:
+                out = net.forward(X_j, t)
+            resid = out - score_j
+            value += tw * 0.5 * lam * float(cell @ (resid * resid).sum(axis=1))
+            if want_grad:
+                outgrad = (tw * lam * cell)[:, None] * resid
+                grads += net.param_gradient(outgrad, cache)
     return value, grads
 
 
@@ -234,6 +277,10 @@ def mc_loss_gradient(net, spec: ObjectiveSpec, sched, base_mixture: GaussianMixt
     factor is included, making the result directly comparable with the
     quadrature loss.
     """
+    if n < 2:
+        raise InputError(f"n must be >= 2 (one antithetic pair), got {n!r}")
+    if batch < 1:
+        raise InputError(f"batch must be >= 1, got {batch!r}")
     t_lo, t_hi = sched.t_eps, sched.T
     m = n // 2
     x0 = base_mixture.sample(m, seed=[seed, 1])
@@ -242,18 +289,23 @@ def mc_loss_gradient(net, spec: ObjectiveSpec, sched, base_mixture: GaussianMixt
     eps = np.random.default_rng([seed, 3]).standard_normal(x0.shape)
     eps = eps / np.sqrt((eps * eps).mean())
 
-    slices = [slice(s, min(s + batch, m)) for s in range(0, m, batch)]
-    # iw_dsm's t=0 weights depend on x0 alone: one evaluation per slice
-    # serves every noise block
-    iw = [_iw_weights(spec, x0[sl]) if spec.kind == "iw_dsm" else None for sl in slices]
+    # the two blocks of a slice run back to back, so the second reuses the
+    # net's time features (and iw_dsm's t=0 weights, which depend on x0
+    # alone); the sums keep the block-major order: every +eps slice, then
+    # every -eps slice
+    parts = []
+    for s in range(0, m, batch):
+        sl = slice(s, s + batch)
+        iw = _iw_weights(spec, x0[sl]) if spec.kind == "iw_dsm" else None
+        for noise in (eps[sl], -eps[sl]):
+            losses, outgrad, cache, _ = _batch_terms(net, x0[sl], ts[sl], noise, sched, spec,
+                                                     iw_weights=iw)
+            parts.append((losses.sum(), net.param_gradient(outgrad, cache)))
     total = 0.0
     grads = np.zeros(net.n_params)
-    for block in (eps, -eps):
-        for sl, w in zip(slices, iw):
-            losses, outgrad, cache, _ = _batch_terms(
-                net, x0[sl], ts[sl], block[sl], sched, spec, iw_weights=w)
-            total += losses.sum()
-            grads += net.param_gradient(outgrad, cache)
+    for loss, grad in parts[0::2] + parts[1::2]:
+        total += loss
+        grads += grad
     scale = (t_hi - t_lo) / (2 * m)
     return total * scale, grads * scale
 

@@ -76,7 +76,7 @@ class VpSchedule:
         if x0.ndim != 2 or x0.shape != noise.shape:
             raise InputError(f"x0 and noise must be (n, d) batches of one shape, "
                              f"got {x0.shape} and {noise.shape}")
-        alpha, sigma = self.alpha_sigma(t)
+        alpha, sigma = self.alpha_sigma(_row_times(t, x0.shape[0]))
         return alpha[..., None] * x0 + sigma[..., None] * noise
 
     def cond_score(self, x_t, x0, t):
@@ -87,13 +87,21 @@ class VpSchedule:
         if x0.ndim != 2 or x_t.shape != x0.shape:
             raise InputError(f"x_t and x0 must be (n, d) batches of one shape, "
                              f"got {x_t.shape} and {x0.shape}")
-        t_arr = np.asarray(t, dtype=np.float64)
+        t_arr = _row_times(t, x0.shape[0])
         if np.any(t_arr < self.t_eps):
             raise NumericalError(
                 f"cond_score is singular below t_eps={self.t_eps}, got t={t!r}"
             )
-        alpha, sigma = self.alpha_sigma(t)
+        alpha, sigma = self.alpha_sigma(t_arr)
         return -(x_t - alpha[..., None] * x0) / (sigma * sigma)[..., None]
+
+
+def _row_times(t, n):
+    """t as a float64 array: a scalar, or one time per row of an n-row batch."""
+    t = np.asarray(t, dtype=np.float64)
+    if t.ndim != 0 and t.shape != (n,):
+        raise InputError(f"t must be scalar or shape ({n},), got {t.shape}")
+    return t
 
 
 def lambda_weight(sched: VpSchedule, t, kind):

@@ -77,6 +77,34 @@ def test_a_single_point_is_refused_with_the_batch_shape(entry, tmp_path):
     f(x[None, :], tmp_path)
 
 
+# every entry point that takes a shared or per-row time t with an (n, d) batch
+PER_ROW_TIMES = {
+    "Mlp.forward": lambda X, t: Mlp(2, [4], 2, seed=0).forward(X, t),
+    "perturbed_log_density_batch": lambda X, t: perturbed_log_density_batch(GM, SCHED, X, t),
+    "perturbed_score_batch": lambda X, t: perturbed_score_batch(GM, SCHED, X, t),
+    "perturbed_log_density_and_score_batch":
+        lambda X, t: perturbed_log_density_and_score_batch(GM, SCHED, X, t),
+    "VpSchedule.forward_sample": lambda X, t: SCHED.forward_sample(X, t, np.ones_like(X)),
+    "VpSchedule.cond_score": lambda X, t: SCHED.cond_score(np.ones_like(X), X, t),
+    "RatioModel.weight_and_correction[oracle]":
+        lambda X, t: ORACLE.weight_and_correction(X, t),
+}
+
+
+@pytest.mark.parametrize("entry", PER_ROW_TIMES)
+def test_a_per_row_time_must_have_one_entry_per_row(entry):
+    # numpy would broadcast a 1-row batch against 3 times into 3 rows
+    f = PER_ROW_TIMES[entry]
+    X = np.zeros((1, 2))
+    with pytest.raises(InputError, match=r"t must be scalar or shape \(1,\), got \(3,\)"):
+        f(X, np.full(3, 0.3))
+    with pytest.raises(InputError, match=r"t must be scalar or shape \(1,\), got \(1, 1\)"):
+        f(X, np.full((1, 1), 0.3))
+    for t in (np.full(1, 0.3), 0.3):
+        out = f(X, t)
+        assert (out[0] if isinstance(out, tuple) else out).shape[0] == 1
+
+
 def test_rejects_dim_mismatch_query(p_data):
     with pytest.raises(InputError, match=r"got \(1, 3\)"):
         p_data.density([[0.0, 0.0, 0.0]])

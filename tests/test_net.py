@@ -100,6 +100,34 @@ def test_inference_forward_gives_the_cached_forward_bytes(time_embed):
     assert X.tobytes() == X_before.tobytes() and ts.tobytes() == ts_before.tobytes()
 
 
+@pytest.mark.parametrize("time_embed", ["append-scalar", "sinusoidal"])
+def test_time_features_of_the_last_per_row_time_are_kept(time_embed):
+    net = Mlp(1, [4], 1, time_embed=time_embed, seed=1)
+
+    def fresh(t):
+        return Mlp(1, [4], 1, time_embed=time_embed)._time_features(t.copy(), t.size)
+
+    t = np.linspace(0.1, 0.9, 7)
+    first = net._time_features(t, 7)
+    assert net._time_features(t.copy(), 7) is first  # same shape and values
+    assert not first.flags.writeable
+    # a scalar time is never kept, so it does not evict the per-row one
+    assert net._time_features(0.5, 7).tobytes() == fresh(np.full(7, 0.5)).tobytes()
+    assert net._time_features(t, 7) is first
+    # new values in the same array recompute; the kept copy did not follow them
+    old = t.copy()
+    t[3] = 0.25
+    second = net._time_features(t, 7)
+    assert second is not first and second.tobytes() == fresh(t).tobytes()
+    assert net._time_features(old, 7).tobytes() == fresh(old).tobytes()
+    # a new batch size misses
+    third = net._time_features(t[:5], 5)
+    assert third.shape[0] == 5 and third.tobytes() == fresh(t[:5]).tobytes()
+    # -0.0 == 0.0, but its features differ in sign
+    zeros = net._time_features(np.zeros(3), 3)
+    assert net._time_features(-np.zeros(3), 3) is not zeros
+
+
 def unblocked_forward(net, X, t):
     """The forward pass on whole-batch fresh arrays: (output, acts, primes)."""
     feats = np.concatenate([X, net._time_features(t, X.shape[0])], axis=1)

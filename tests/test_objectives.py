@@ -261,6 +261,79 @@ def test_sm_oracle_flags_coarse_grid(sched, oned):
                        want_grad=False)
 
 
+def per_node_quadrature(net, grid, sched, p_data, lambda_kind, want_grad):
+    """The quadrature sum with its set-up done one t-node at a time: a
+    perturbed mixture, a meshgrid of space nodes and the mixture's own
+    density and score per node."""
+    def gauss(n, lo, hi):
+        nodes, weights = np.polynomial.legendre.leggauss(n)
+        return 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo), 0.5 * (hi - lo) * weights
+
+    edges = np.linspace(sched.t_eps, sched.T, grid.t_panels + 1)
+    panels = [gauss(grid.n_t, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    value, grads = 0.0, np.zeros(net.n_params) if want_grad else None
+    for t, tw in zip(*(np.concatenate(a) for a in zip(*panels))):
+        gm = p_data.perturb(sched, t)
+        std = float(np.sqrt(gm.variances.max()))
+        axes = [gauss(grid.n_x, lo, hi) for lo, hi in
+                zip(gm.means.min(axis=0) - objectives.PAD_STD * std,
+                    gm.means.max(axis=0) + objectives.PAD_STD * std)]
+        X = np.column_stack([x.ravel() for x in
+                             np.meshgrid(*(x for x, _ in axes), indexing="ij")])
+        xw = np.prod(np.meshgrid(*(w for _, w in axes), indexing="ij"), axis=0).ravel()
+        lam = float(objectives.lambda_weight(sched, t, lambda_kind))
+        out, cache = net.forward(X, t, want_cache=True)
+        resid = out - gm.score(X)
+        cell = xw * gm.density(X)
+        value += tw * 0.5 * lam * float(cell @ (resid * resid).sum(axis=1))
+        if want_grad:
+            grads += net.param_gradient((tw * lam * cell)[:, None] * resid, cache)
+    return value, grads
+
+
+QUAD_CASES = {
+    # 64 nodes of 160 rows: chunks of 51 nodes, the last one partial
+    "1d": (1, QuadratureGrid(n_t=8, n_x=160, t_panels=8), None),
+    # chunks of 3 nodes of 97 rows, a budget no node count divides
+    "1d-small-budget": (1, QuadratureGrid(n_t=5, n_x=97, t_panels=4), 3 * 97 + 50),
+    "2d": (2, QuadratureGrid(n_t=4, n_x=24, t_panels=3), None),
+    # one 10,000-row node per chunk
+    "2d-node-over-budget": (2, QuadratureGrid(n_t=3, n_x=100, t_panels=2), None),
+}
+
+
+@pytest.mark.parametrize("want_grad", [True, False])
+@pytest.mark.parametrize("lambda_kind", ["sigma_squared", "uniform"])
+@pytest.mark.parametrize("case", QUAD_CASES)
+def test_chunked_quadrature_gives_the_per_node_bytes(case, lambda_kind, want_grad, sched,
+                                                     monkeypatch):
+    dim, grid, budget = QUAD_CASES[case]
+    if budget is not None:
+        monkeypatch.setattr(objectives, "QUAD_ROW_BUDGET", budget)
+    # unequal variances, so the widest component sets the space bounds
+    data = GaussianMixture(weights=[0.3, 0.7], means=[[-2.0, -1.0][:dim], [2.0, 2.5][:dim]],
+                           variances=[1.0, 0.45])
+    net = Mlp(dim, [8], dim, time_embed="sinusoidal" if dim == 1 else "append-scalar",
+              seed=21)
+    net.params[-1] += 1.5
+    value, grads = objectives._sm_quadrature(net, grid, sched, data, lambda_kind, want_grad)
+    want_value, want_grads = per_node_quadrature(net, grid, sched, data, lambda_kind,
+                                                 want_grad)
+    assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
+    if want_grad:
+        assert grads.tobytes() == want_grads.tobytes()
+    else:
+        assert grads is None
+
+
+@pytest.mark.parametrize("field, value", [("n_t", 0), ("n_x", 0), ("t_panels", 0),
+                                          ("n_x", -3), ("n_t", 2.5), ("t_panels", True),
+                                          ("n_x", "160")])
+def test_quadrature_grid_refuses_bad_sizes(field, value):
+    with pytest.raises(InputError, match=rf"QuadratureGrid\.{field}: {re.escape(repr(value))}"):
+        QuadratureGrid(**{field: value})
+
+
 # ---------------------------------------------------------------------------
 # gradient equivalences (the headline identities)
 # ---------------------------------------------------------------------------
@@ -297,19 +370,16 @@ def test_iw_and_tiw_gradients_agree_crn_1d(sched, oned, oracle_1d):
     assert rel < 2e-2
 
 
-def test_iw_dsm_gradient_evaluates_each_base_weight_once(sched, oned, oracle_1d, monkeypatch):
-    bias, data = oned
-    obs = pooled_mixture(bias, data)
-    net = Mlp(1, [8], 1, seed=5)
-    spec = ObjectiveSpec(kind="iw_dsm", ratio=oracle_1d, stream="obs")
-    n, batch = 2_000, 300
-    # the same estimate with the weights read afresh in every noise block
+def block_major_mc(net, spec, sched, base_mixture, n, seed, batch):
+    """mc_loss_gradient written block-major: every slice of the +eps block,
+    then every slice of the -eps block, each slice's ratio terms (iw_dsm's
+    t=0 weights too) and time features computed afresh."""
     want_loss, want_grad = 0.0, np.zeros(net.n_params)
     m = n // 2
-    x0 = obs.sample(m, seed=[7, 1])
-    ts = sched.t_eps + (np.arange(m) + np.random.default_rng([7, 2]).uniform(size=m)) \
+    x0 = base_mixture.sample(m, seed=[seed, 1])
+    ts = sched.t_eps + (np.arange(m) + np.random.default_rng([seed, 2]).uniform(size=m)) \
         / m * (sched.T - sched.t_eps)
-    eps = np.random.default_rng([7, 3]).standard_normal(x0.shape)
+    eps = np.random.default_rng([seed, 3]).standard_normal(x0.shape)
     eps = eps / np.sqrt((eps * eps).mean())
     for block in (eps, -eps):
         for s in range(0, m, batch):
@@ -319,6 +389,16 @@ def test_iw_dsm_gradient_evaluates_each_base_weight_once(sched, oned, oracle_1d,
             want_loss += losses.sum()
             want_grad += net.param_gradient(outgrad, cache)
     scale = (sched.T - sched.t_eps) / n
+    return want_loss * scale, want_grad * scale
+
+
+def test_iw_dsm_gradient_evaluates_each_base_weight_once(sched, oned, oracle_1d, monkeypatch):
+    bias, data = oned
+    obs = pooled_mixture(bias, data)
+    net = Mlp(1, [8], 1, seed=5)
+    spec = ObjectiveSpec(kind="iw_dsm", ratio=oracle_1d, stream="obs")
+    n, batch = 2_000, 300
+    want_loss, want_grad = block_major_mc(net, spec, sched, obs, n, 7, batch)
 
     rows = []
     original = RatioModel.weight_and_correction
@@ -329,9 +409,48 @@ def test_iw_dsm_gradient_evaluates_each_base_weight_once(sched, oned, oracle_1d,
 
     monkeypatch.setattr(RatioModel, "weight_and_correction", counted)
     loss, grad = mc_loss_gradient(net, spec, sched, obs, n=n, seed=7, batch=batch)
-    assert sum(rows) == m  # not 2m: the -eps block reuses the +eps weights
-    assert loss == want_loss * scale
-    assert grad.tobytes() == (want_grad * scale).tobytes()
+    assert sum(rows) == n // 2  # not n: the -eps block reuses the +eps weights
+    assert loss == want_loss
+    assert grad.tobytes() == want_grad.tobytes()
+
+
+@pytest.mark.parametrize("time_embed", ["sinusoidal", "append-scalar"])
+def test_tiw_mc_gradient_equals_the_block_major_sum(time_embed, sched, oned, oracle_1d,
+                                                    monkeypatch):
+    bias, data = oned
+    obs = pooled_mixture(bias, data)
+    net = Mlp(1, [8], 1, time_embed=time_embed, seed=5)
+    net.params[-1] += 2.0
+    spec = ObjectiveSpec(kind="tiw_dsm", ratio=oracle_1d, stream="obs")
+    n, batch = 2_000, 300  # four slices, the last one partial
+    want_loss, want_grad = block_major_mc(net, spec, sched, obs, n, 8, batch)
+
+    embeds = []
+    original = Mlp._embed
+
+    def counted(self, t, rows):
+        embeds.append(rows)
+        return original(self, t, rows)
+
+    monkeypatch.setattr(Mlp, "_embed", counted)
+    loss, grad = mc_loss_gradient(net, spec, sched, obs, n=n, seed=8, batch=batch)
+    assert embeds == [300, 300, 300, 100]  # once per slice, shared by +eps and -eps
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert grad.tobytes() == want_grad.tobytes()
+
+
+class NoDraws(GaussianMixture):
+    def sample(self, n, seed):
+        raise AssertionError("drew before checking the sizes")
+
+
+@pytest.mark.parametrize("n, batch, name", [(1, 8192, "n"), (0, 8192, "n"), (-4, 8192, "n"),
+                                            (2_000, 0, "batch"), (2_000, -5, "batch")])
+def test_mc_gradient_refuses_sizes_it_cannot_use(n, batch, name, sched, oned):
+    _, data = oned
+    mix = NoDraws(weights=data.weights, means=data.means, variances=data.variances)
+    with pytest.raises(InputError, match=rf"^{name} must be >= "):
+        mc_loss_gradient(Mlp(1, [4], 1), DSM, sched, mix, n=n, seed=0, batch=batch)
 
 
 # ---------------------------------------------------------------------------
