@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .mixture import GaussianMixture, pooled_mixture  # noqa: F401
 from .sde import SamplerSpec, VpSchedule, reverse_generate  # noqa: F401
-from .net import Mlp, adam_step, init_optim, load_net, save_net  # noqa: F401
+from .net import Mlp, init_optim, load_net, save_net, train_step  # noqa: F401
 from .ratio import (  # noqa: F401
     DatasetSplit,
     RatioModel,

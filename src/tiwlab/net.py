@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import artifacts
-from .errors import ContractError, InputError, IoError
+from .errors import ContractError, InputError, IoError, NumericalError
 from .sde import _row_times
 
 TIME_EMBEDS = ("append-scalar", "sinusoidal")
@@ -313,6 +313,8 @@ class Mlp:
 
 # Adam's moment decay rates and denominator guard
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# a batch-mean training loss above this counts as divergence
+DIVERGENCE_LOSS = 1e6
 
 
 @dataclass
@@ -341,6 +343,17 @@ def adam_step(params, grads, state: OptimState):
     v_hat = state.v / (1.0 - ADAM_BETA2 ** state.step)
     params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params, state
+
+
+def train_step(net: Mlp, state: OptimState, losses, outgrad, cache, name, step):
+    """Adam step of net on the batch mean of per-sample losses, whose output
+    gradients are outgrad; returns the mean. A mean that is non-finite or above
+    DIVERGENCE_LOSS raises NumericalError naming the network and the step."""
+    mean = float(losses.mean())
+    if not np.isfinite(mean) or mean > DIVERGENCE_LOSS:
+        raise NumericalError(f"{name} training diverged at step {step}: loss {mean!r}")
+    adam_step(net.params, net.param_gradient(outgrad / losses.shape[0], cache), state)
+    return mean
 
 
 # ---------------------------------------------------------------------------

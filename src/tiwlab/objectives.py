@@ -45,7 +45,7 @@ import numpy as np
 from . import artifacts, kernels
 from .errors import InputError, NumericalError
 from .mixture import GaussianMixture, _perturbed_moments
-from .net import Mlp, NetSpec, adam_step, init_optim
+from .net import Mlp, NetSpec, init_optim, train_step
 from .ranges import check_fields
 from .ratio import DatasetSplit, RatioModel
 from .sde import LAMBDA_KINDS, VpSchedule, lambda_weight
@@ -59,8 +59,6 @@ STREAMS = ("bias", "ref", "obs")
 RATIO_READERS = {"iw_dsm": True, "tiw_dsm": False, "tiw_alpha": False,
                  "weight_only": False, "correction_only": False}
 _KIND_DEFAULT_STREAM = {"weight_only": "bias", "correction_only": "bias"}
-# a batch-mean training loss above this counts as divergence
-DIVERGENCE_LOSS = 1e6
 
 
 @dataclass
@@ -347,7 +345,8 @@ def _stream_points(data: DatasetSplit, stream):
 def train_score(data: DatasetSplit, spec: ObjectiveSpec, sched: VpSchedule,
                 cfg: ScoreTrainConfig = None) -> Mlp:
     """Adam loop over mini-batches of the configured objective, its learning
-    rate decayed by a half cosine from cfg.learning_rate toward 0.
+    rate decayed by a half cosine from cfg.learning_rate toward 0; each step
+    is net.train_step, the discriminator's too, which raises on divergence.
 
     The data stream follows spec.stream; for "obs" the pooled set is drawn
     with empirical proportions unless spec.balanced_draw, which picks the
@@ -389,14 +388,9 @@ def train_score(data: DatasetSplit, spec: ObjectiveSpec, sched: VpSchedule,
             losses, outgrad, cache, weights = _batch_terms(
                 net, x0, ts, eps, sched, spec,
                 iw_weights=None if iw_cache is None else iw_cache[idx])
-            mean_loss = float(losses.mean())
-            if not np.isfinite(mean_loss) or mean_loss > DIVERGENCE_LOSS:
-                raise NumericalError(f"score training diverged at step {step}: "
-                                     f"loss {mean_loss!r}")
-            grads = net.param_gradient(outgrad / cfg.batch_size, cache)
             state.learning_rate = cfg.learning_rate * 0.5 * (
                 1.0 + np.cos(np.pi * step / cfg.steps))
-            adam_step(net.params, grads, state)
+            train_step(net, state, losses, outgrad, cache, "score", step)
             if cfg.telemetry_every and step % cfg.telemetry_every == 0:
                 telemetry.append([str(step), repr(float(ts[0])),
                                   repr(float(weights[0])), repr(float(losses[0]))])

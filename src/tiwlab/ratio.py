@@ -31,14 +31,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, IoError, NumericalError
+from .errors import InputError, IoError
 from .mixture import (
     GaussianMixture,
     perturbed_log_density_and_score_batch,
     perturbed_log_density_batch,
     pooled_mixture,
 )
-from .net import Mlp, NetSpec, _sigmoid, adam_step, init_optim, load_net, save_net
+from .net import Mlp, NetSpec, _sigmoid, init_optim, load_net, save_net, train_step
 from .ranges import check_fields
 from .sde import LAMBDA_KINDS, VpSchedule, lambda_weight
 
@@ -218,8 +218,10 @@ def train_discriminator(split: DatasetSplit, sched: VpSchedule,
     and ceil(B/2) biased points (label 0), draws a per-sample time uniformly
     on [t_eps, T] (or pins it to 0 for the time-independent baseline),
     pushes the points through the forward kernel and descends the weighted
-    BCE of the logit, averaged over the B points. Deterministic in cfg.seed;
-    a held-out BCE estimate is recorded in the returned model's train_report.
+    BCE of the logit, averaged over the B points, by net.train_step (which
+    raises on divergence) at the constant cfg.learning_rate. Deterministic in
+    cfg.seed; a held-out BCE estimate is recorded in the returned model's
+    train_report.
     """
     cfg = cfg or DiscTrainConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -238,18 +240,13 @@ def train_discriminator(split: DatasetSplit, sched: VpSchedule,
               n_frequencies=cfg.n_frequencies, seed=cfg.seed)
     state = init_optim(net.n_params, cfg.learning_rate)
     labels = np.concatenate([np.ones(n_ref), np.zeros(cfg.batch_size - n_ref)])
-    last_loss = np.nan
     for step in range(cfg.steps):
         x0 = np.vstack([
             ref_train[rng.integers(0, ref_train.shape[0], n_ref)],
             bias_train[rng.integers(0, bias_train.shape[0], cfg.batch_size - n_ref)],
         ])
         losses, dh, cache = _tbce_terms(net, sched, cfg, x0, labels, rng, True)
-        last_loss = float(losses.mean())
-        if not np.isfinite(last_loss):
-            raise NumericalError(f"discriminator loss became non-finite at step {step}")
-        grads = net.param_gradient((dh / cfg.batch_size)[:, None], cache)
-        adam_step(net.params, grads, state)
+        last_loss = train_step(net, state, losses, dh[:, None], cache, "discriminator", step)
 
     model = RatioModel(sched=sched, kind="learned", net=net)
     model.train_report = {

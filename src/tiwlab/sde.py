@@ -52,7 +52,8 @@ class VpSchedule:
 
     def _check_t(self, t):
         t = np.asarray(t, dtype=np.float64)
-        if np.any(t < 0.0) or np.any(t > self.T):
+        # NaN fails both comparisons, so it is refused too
+        if not ((t >= 0.0) & (t <= self.T)).all():
             raise InputError(f"time must lie in [0, {self.T}], got {t!r}")
         return t
 
@@ -97,10 +98,12 @@ class VpSchedule:
 
 
 def _row_times(t, n):
-    """t as a float64 array: a scalar, or one time per row of an n-row batch."""
+    """t as a finite float64 array: a scalar, or one time per row of an n-row batch."""
     t = np.asarray(t, dtype=np.float64)
     if t.ndim != 0 and t.shape != (n,):
         raise InputError(f"t must be scalar or shape ({n},), got {t.shape}")
+    if not np.isfinite(t).all():
+        raise InputError(f"t must be finite, got {t!r}")
     return t
 
 

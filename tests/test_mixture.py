@@ -105,6 +105,15 @@ def test_a_per_row_time_must_have_one_entry_per_row(entry):
         assert (out[0] if isinstance(out, tuple) else out).shape[0] == 1
 
 
+@pytest.mark.parametrize("entry", PER_ROW_TIMES)
+def test_a_non_finite_time_is_refused(entry):
+    f = PER_ROW_TIMES[entry]
+    X = np.zeros((2, 2))
+    for t in (np.array([0.3, np.nan]), np.array([0.3, np.inf]), np.nan):
+        with pytest.raises(InputError, match="t must be finite"):
+            f(X, t)
+
+
 def test_rejects_dim_mismatch_query(p_data):
     with pytest.raises(InputError, match=r"got \(1, 3\)"):
         p_data.density([[0.0, 0.0, 0.0]])

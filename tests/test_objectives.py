@@ -21,7 +21,13 @@ from tiwlab.objectives import (
     persample_loss,
     train_score,
 )
-from tiwlab.ratio import DatasetSplit, RatioModel, oracle_ratio_model
+from tiwlab.ratio import (
+    DatasetSplit,
+    DiscTrainConfig,
+    RatioModel,
+    oracle_ratio_model,
+    train_discriminator,
+)
 
 from conftest import standard_normal_mixture
 
@@ -514,12 +520,19 @@ def test_train_deterministic(sched, oned):
 
 
 def test_train_divergence_reported(sched, oned):
+    # both networks take their steps through net.train_step, whose check
+    # raises at a mean loss above DIVERGENCE_LOSS, not only a non-finite one
     bias, data = oned
     split = DatasetSplit(bias_points=bias.sample(100, seed=26),
                          ref_points=data.sample(20, seed=27))
     cfg = ScoreTrainConfig(steps=50, learning_rate=1e6, seed=28)
-    with pytest.raises(NumericalError, match="step"):
+    with pytest.raises(NumericalError, match=r"score training diverged at step (\d+)"):
         train_score(split, ObjectiveSpec(kind="dsm", stream="obs"), sched, cfg)
+    disc_cfg = DiscTrainConfig(hidden=(8,), steps=50, batch_size=32, learning_rate=1e6,
+                               seed=28)
+    with pytest.raises(NumericalError,
+                       match=r"discriminator training diverged at step (\d+)"):
+        train_discriminator(split, sched, disc_cfg)
 
 
 def test_train_telemetry_csv(tmp_path, sched, oned):

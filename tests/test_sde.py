@@ -47,6 +47,12 @@ def test_time_range_checked(sched):
         sched.alpha_sigma(-0.1)
     with pytest.raises(InputError):
         sched.beta(1.5)
+    # NaN fails t < 0 and t > T alike, so a range test written that way passed it
+    for t in (np.nan, np.array([0.3, np.nan])):
+        with pytest.raises(InputError, match="time must lie in"):
+            sched.alpha_sigma(t)
+        with pytest.raises(InputError, match="time must lie in"):
+            sched.beta(t)
 
 
 def test_schedule_validation():

@@ -51,3 +51,22 @@ def test_every_private_function_has_a_caller():
                if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
                and not node.name.startswith("__") and node.name not in named]
     assert orphans == []
+
+
+def _names(tree):
+    """Every name a module reads, binds, imports or defines."""
+    for node in ast.walk(tree):
+        for attr in ("id", "attr", "name"):
+            value = getattr(node, attr, None)
+            if isinstance(value, str):
+                yield value
+
+
+def test_only_net_holds_the_training_step_policy():
+    """The Adam update and the divergence bound live in net.train_step, which
+    both trainers call; a module that names either again has a second copy
+    of the step policy."""
+    held = {"adam_step", "DIVERGENCE_LOSS"}
+    found = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py")) if path.name != "net.py"
+             for name in _names(ast.parse(path.read_text())) if name in held]
+    assert found == []

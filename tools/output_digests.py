@@ -6,10 +6,15 @@ Runs, in process and from the src/ tree next to this script, a short
 `debias --all-baselines`, a `sweep-alpha`, two `sample` runs (from the
 tiw_dsm checkpoint and from the exact data score), and the two oracle
 functions, `loss_sm_oracle` and `mc_loss_gradient`, on 1-D and 2-D
-mixtures. Prints one "<sha256>  <name>" line for every CSV (samples
-included), checkpoint and identity_checks.txt the runs write, and for the
-loss value and gradient bytes of each oracle call. Two checkouts whose
-arithmetic is the same print the same lines:
+mixtures. In one more output directory it runs the training branches
+those skip: `gen-data`, both discriminators under the sigma_squared BCE
+weight with a held-out fifth, `train-score` for weight_only,
+correction_only and iw_dsm on the bias stream, and one `train-score` that
+diverges (exit code 4) and keeps its telemetry. Prints one
+"<sha256>  <name>" line for every CSV (samples and telemetry included),
+checkpoint and identity_checks.txt the runs write, and for the loss value
+and gradient bytes of each oracle call. Two checkouts whose arithmetic is
+the same print the same lines:
 
     (cd parent && python3 tools/output_digests.py) > parent.txt
     (cd change && python3 tools/output_digests.py) > change.txt
@@ -45,11 +50,11 @@ def digest(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def tiwlab(*argv):
-    with contextlib.redirect_stdout(io.StringIO()):
+def tiwlab(*argv, expect=0):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(list(argv))
-    if code != 0:
-        raise SystemExit(f"tiwlab {' '.join(argv)} exited {code}")
+    if code != expect:
+        raise SystemExit(f"tiwlab {' '.join(argv)} exited {code}, expected {expect}")
 
 
 def cli_runs(out):
@@ -63,6 +68,20 @@ def cli_runs(out):
                           ("oracle", "oracle-data")):
         tiwlab("sample", "--config", config, *sets, "--output-dir",
                str(out / f"sample_{label}"), "--source", source)
+    steps = ("--output-dir", str(out / "steps"))
+    tiwlab("gen-data", "--config", config, *sets, *steps)
+    disc = [*sets, "--set", "disc_train.lambda_prime=sigma_squared",
+            "--set", "disc_train.holdout_fraction=0.2"]
+    tiwlab("train-disc", "--config", config, *disc, *steps)
+    tiwlab("train-disc", "--config", config, *disc, *steps, "--time-independent")
+    for kind in ("weight_only", "correction_only", "iw_dsm"):
+        stream = ["--set", "objective.stream=bias"] if kind == "iw_dsm" else []
+        tiwlab("train-score", "--config", config, *sets, *stream, *steps,
+               "--set", f"objective.kind={kind}")
+    # exit code 4: the loss diverges at step 1, after one telemetry row
+    tiwlab("train-score", "--config", config, *sets, *steps, "--set", "objective.kind=dsm",
+           "--set", "score_train.learning_rate=1000000.0",
+           "--set", "score_train.telemetry_every=1", expect=4)
     for pattern in HASHED:
         for path in sorted(out.rglob(pattern)):
             yield str(path.relative_to(out)), path.read_bytes()
