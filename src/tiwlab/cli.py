@@ -12,7 +12,11 @@ byte. Commands compose through files in the configured output directory:
     repro-fig2   dre_curve.csv, dre_summary.json
     repro-fig3   field_*.csv lattices
     debias       per-baseline subruns, eval_rows.csv, report.json
-    sweep-alpha  alpha_sweep.csv, identity_checks.txt
+    sweep-alpha  per-alpha subruns, alpha_sweep.csv, identity_checks.txt
+
+A score run is a value (Run); debias and sweep-alpha are lists of runs
+through one pipeline (_score_runs), so a sweep-alpha run takes the
+configured stream and lambda (_objective_spec), as a debias run does.
 
 Three commands fan their independent stages out over worker processes,
 one per available core (see workers.parallel_map): debias its
@@ -34,6 +38,8 @@ parent (tiwbench --trace 1) do not see the work done in workers.
 
 import argparse
 import sys
+from collections import namedtuple
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -62,12 +68,18 @@ from .ratio import (
 from .sampling import generate, read_samples_csv, write_samples_csv
 from .sde import INTEGRATORS, SAMPLER_KINDS
 
-# named baseline -> (objective kind, stream); None keeps objective.stream
-BASELINES = {"dsm_ref": ("dsm", "ref"), "dsm_obs": ("dsm", "obs"),
-             "iw_dsm": ("iw_dsm", None), "tiw_dsm": ("tiw_dsm", None)}
+# named baseline -> the objective fields it sets: no baseline takes
+# objective.alpha, and iw_dsm and tiw_dsm keep objective.stream
+BASELINES = {"dsm_ref": dict(kind="dsm", stream="ref", alpha=1.0),
+             "dsm_obs": dict(kind="dsm", stream="obs", alpha=1.0),
+             "iw_dsm": dict(kind="iw_dsm", alpha=1.0), "tiw_dsm": dict(kind="tiw_dsm", alpha=1.0)}
 # discriminator checkpoint, keyed by time independence
 DISC_CKPT = {False: "disc.ckpt", True: "disc_t0.ckpt"}
 SCORE_CKPT = "score_{}.ckpt"  # per objective name, for train-score and sample
+# a score run: its label (stage names, metrics, stdout), its subdirectory of
+# output_dir, the objective name its checkpoint records and the objective
+# fields it sets over the configured section (see _objective_spec)
+Run = namedtuple("Run", "label sub objective fields")
 
 
 # ---------------------------------------------------------------------------
@@ -106,14 +118,11 @@ def _ratio_for(cfg: ExperimentConfig, kind):
     return rm
 
 
-def _objective_spec(cfg: ExperimentConfig, baseline=None) -> ObjectiveSpec:
-    """The configured objective, or a named baseline (which takes no alpha)."""
-    values = cfg.section("objective")
+def _objective_spec(cfg: ExperimentConfig, **fields) -> ObjectiveSpec:
+    """The configured objective section with fields replaced, and the ratio
+    model its kind reads."""
+    values = {**cfg.section("objective"), **fields}
     del values["ratio"]  # the ratio's kind, which _ratio_for reads
-    if baseline is not None:
-        kind, stream = BASELINES[baseline]
-        del values["alpha"]
-        values.update(kind=kind, stream=stream or values["stream"])
     return ObjectiveSpec(**values, ratio=_ratio_for(cfg, values["kind"]))
 
 
@@ -139,10 +148,6 @@ def _train_ratios(cfg: ExperimentConfig, split, kinds, report):
         return
     t0s = sorted({RATIO_READERS[k] for k in kinds if k in RATIO_READERS})
     _run_stages(report, [partial(_disc_stage, cfg, split, t0) for t0 in t0s])
-
-
-def _fresh_report(cfg: ExperimentConfig) -> RunReport:
-    return RunReport(config_hash=config_hash(cfg), library_version=__version__)
 
 
 def _gen_split(cfg: ExperimentConfig) -> DatasetSplit:
@@ -185,13 +190,14 @@ def _shared_reference(cfg):
     return ref, mean_self_distance(ref)
 
 
-def _score_run(cfg, split, spec, sub, label, oracle, report, objective=None):
-    """Train a score network into sub/, sample from it, evaluate the samples
-    against oracle, a _shared_reference."""
+def _score_run(cfg, split, run, spec, oracle, report):
+    """Train run's score network on spec into its subdirectory, sample from
+    it, evaluate the samples against oracle, a _shared_reference."""
+    label, sub = run.label, cfg.output_dir / run.sub
     telemetry, ckpt = sub / "telemetry.csv", sub / "score.ckpt"
     with StageTimer(report, f"train-score[{label}]"):
         net = train_score(split, spec, cfg.schedule, cfg.score_train_config(telemetry))
-    save_net(net, ckpt, extra={"role": "score", "objective": objective or label})
+    save_net(net, ckpt, extra={"role": "score", "objective": run.objective})
     with StageTimer(report, f"sample[{label}]"):
         samples, _ = _generate_samples(cfg, ckpt, sub)
     with StageTimer(report, f"eval[{label}]"):
@@ -221,6 +227,20 @@ def _run_stages(report, stages):
     return [value for _, value in results]
 
 
+def _score_runs(cfg: ExperimentConfig, runs):
+    """gen-data, the discriminators the runs read, then each run's
+    _score_run; returns the report (unwritten), split, specs and rows."""
+    report = RunReport(config_hash=config_hash(cfg), library_version=__version__)
+    split = _gen_data_stage(cfg, report)
+    kind = cfg.raw["objective"]["kind"]
+    _train_ratios(cfg, split, [run.fields.get("kind", kind) for run in runs], report)
+    specs = [_objective_spec(cfg, **run.fields) for run in runs]
+    oracle = _shared_reference(cfg)
+    rows = _run_stages(report, [partial(_score_run, cfg, split, run, spec, oracle)
+                                for run, spec in zip(runs, specs)])
+    return report, split, specs, rows
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -240,7 +260,7 @@ def cmd_train_disc(cfg: ExperimentConfig, time_independent=False):
 
 def cmd_train_score(cfg: ExperimentConfig, baseline=None):
     split = _load_split(cfg)
-    spec = _objective_spec(cfg, baseline)
+    spec = _objective_spec(cfg, **BASELINES.get(baseline, {}))
     name = baseline or spec.kind
     out = cfg.output_dir
     telemetry = out / f"telemetry_{name}.csv"
@@ -344,20 +364,11 @@ def cmd_repro_fig3(cfg: ExperimentConfig):
 def cmd_debias(cfg: ExperimentConfig, all_baselines=False):
     """Full pipeline: data -> discriminators -> score training -> evaluation."""
     out = cfg.output_dir
-    report = _fresh_report(cfg)
-    split = _gen_data_stage(cfg, report)
-
-    baselines = list(BASELINES) if all_baselines else [None]
-    kinds = [BASELINES[b][0] if b else cfg.raw["objective"]["kind"] for b in baselines]
-    _train_ratios(cfg, split, kinds, report)
-    oracle = _shared_reference(cfg)
-    labels = [baseline or kind for baseline, kind in zip(baselines, kinds)]
-    rows = _run_stages(report, [
-        partial(_score_run, cfg, split, _objective_spec(cfg, baseline), out / label,
-                label, oracle)
-        for baseline, label in zip(baselines, labels)])
-    for label, ev in zip(labels, rows):
-        print(f"{label}: bias {ev.bias:.4f}, minority proportion "
+    fields = BASELINES if all_baselines else {cfg.raw["objective"]["kind"]: {}}
+    runs = [Run(name, name, name, f) for name, f in fields.items()]
+    report, _, _, rows = _score_runs(cfg, runs)
+    for run, ev in zip(runs, rows):
+        print(f"{run.label}: bias {ev.bias:.4f}, minority proportion "
               f"{ev.proportions[-1]:.4f}, energy distance {ev.energy_distance:.5f}")
 
     header = ["label"] + rows[0].csv_header()
@@ -378,23 +389,12 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, alphas):
         raise InputError(f"alpha values repeat a run label ({', '.join(labels)}); "
                          "give each once, distinct at 6 significant digits")
     out = cfg.output_dir
-    report = _fresh_report(cfg)
-    split = _gen_data_stage(cfg, report)
-    _train_ratios(cfg, split, ["tiw_alpha"], report)
-    rm = _ratio_for(cfg, "tiw_alpha")
-
+    runs = [Run(f"alpha={a:g}", label, f"tiw_alpha@{a:g}", dict(kind="tiw_alpha", alpha=a))
+            for a, label in zip(alphas, labels)]
+    report, split, specs, rows = _score_runs(cfg, runs)
     artifacts.write_text(out / "identity_checks.txt",
-                         _endpoint_identity_checks(cfg, split, rm))
+                         _endpoint_identity_checks(cfg, split, specs[0]))
     report.add_artifact(out / "identity_checks.txt")
-
-    oracle = _shared_reference(cfg)
-    lam = cfg.raw["objective"]["lambda_kind"]
-    rows = _run_stages(report, [
-        partial(_score_run, cfg, split,
-                ObjectiveSpec(kind="tiw_alpha", alpha=alpha, lambda_kind=lam, ratio=rm),
-                out / f"alpha_{alpha:g}", f"alpha={alpha:g}", oracle,
-                objective=f"tiw_alpha@{alpha:g}")
-        for alpha in alphas])
     for alpha, ev in zip(alphas, rows):
         print(f"alpha {alpha:g}: bias {ev.bias:.4f}, energy distance "
               f"{ev.energy_distance:.5f}")
@@ -407,22 +407,21 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, alphas):
     return 0
 
 
-def _endpoint_identity_checks(cfg, split, rm):
-    """Per-sample identities at the sweep endpoints, logged for the record."""
-    sched, lam = cfg.schedule, cfg.raw["objective"]["lambda_kind"]
+def _endpoint_identity_checks(cfg, split, spec):
+    """Per-sample identities at the endpoints of a sweep run's spec, logged."""
+    sched = cfg.schedule
     rng = np.random.default_rng(cfg.seeds["score"])
     pool = split.pooled
     idx = rng.integers(0, pool.shape[0], 16)
     probe_net = Mlp(split.dim, [8], split.dim, seed=cfg.seeds["score"])
     # each endpoint alpha of tiw_alpha and the objective it must equal there
-    ends = ((0.0, ObjectiveSpec(kind="dsm", lambda_kind=lam)),
-            (1.0, ObjectiveSpec(kind="tiw_dsm", lambda_kind=lam, ratio=rm)))
+    ends = ((0.0, replace(spec, kind="dsm")), (1.0, replace(spec, kind="tiw_dsm", alpha=1.0)))
     worst = [0.0, 0.0]
     for x0 in pool[idx]:
         t = float(rng.uniform(sched.t_eps, sched.T))
         sample = (x0, t, rng.standard_normal(split.dim), sched)
         for i, (alpha, same) in enumerate(ends):
-            scaled = ObjectiveSpec(kind="tiw_alpha", alpha=alpha, lambda_kind=lam, ratio=rm)
+            scaled = replace(spec, alpha=alpha)
             worst[i] = max(worst[i], abs(persample_loss(probe_net, scaled, *sample)
                                          - persample_loss(probe_net, same, *sample)))
     return "".join(f"alpha={alpha:g} per-sample loss == {same.kind} on shared batch: "

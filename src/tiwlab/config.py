@@ -20,6 +20,7 @@ canonical JSON form, defaults filled in) identifies a run completely.
 import copy
 import hashlib
 import json
+import re
 import time
 from dataclasses import MISSING, Field, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -194,6 +195,17 @@ def _deep_merge(base, override):
     return out
 
 
+class _Loader(yaml.SafeLoader):
+    """yaml.safe_load that also reads YAML 1.2 floats: the YAML 1.1 pattern
+    wants a dot and a signed exponent, so it reads 1e-3 and 1e6 as strings."""
+
+
+_Loader.add_implicit_resolver(  # after int and the 1.1 float, which it keeps
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    list("-+.0123456789"))
+
+
 def apply_overrides(raw, overrides):
     """Apply 'dotted.key=value' strings; values parse as YAML scalars."""
     out = copy.deepcopy(raw)
@@ -202,7 +214,7 @@ def apply_overrides(raw, overrides):
             raise ConfigError(f"override {item!r} is not of the form key.path=value")
         dotted, text = item.split("=", 1)
         try:
-            value = yaml.safe_load(text)
+            value = yaml.load(text, Loader=_Loader)
         except yaml.YAMLError as e:
             raise ConfigError(f"cannot parse override value {text!r}: {e}") from e
         node = out
@@ -295,7 +307,7 @@ def load_config(path=None, overrides=None):
     if path is not None:
         text = artifacts.read_text(path)
         try:
-            raw = yaml.safe_load(text) or {}
+            raw = yaml.load(text, Loader=_Loader) or {}
         except yaml.YAMLError as e:
             raise ConfigError(f"config {path} is not valid YAML: {e}") from e
         if not isinstance(raw, dict):

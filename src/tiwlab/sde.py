@@ -110,7 +110,7 @@ def _row_times(t, n):
 def lambda_weight(sched: VpSchedule, t, kind):
     """Temporal weight lambda(t) of a time-integrated loss: 1 or sigma(t)^2."""
     if kind == "uniform":
-        return np.ones_like(np.asarray(t, dtype=np.float64))
+        return np.ones_like(sched._check_t(t))
     if kind == "sigma_squared":
         _, sigma = sched.alpha_sigma(t)
         return sigma * sigma

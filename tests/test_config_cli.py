@@ -124,6 +124,23 @@ def test_overrides_parse_yaml_scalars():
         apply_overrides({}, ["no-equals-sign"])
 
 
+@pytest.mark.parametrize("text,value", [("1e-3", 1e-3), ("1e6", 1e6), ("-2.5E+3", -2500.0)])
+def test_exponent_floats_parse_as_floats(tmp_path, text, value):
+    """YAML 1.1 wants a dot and a signed exponent in a float, so it reads
+    1e-3 and 1e6 as strings; a config file and --set read YAML 1.2 floats."""
+    means = f"[[{text}, 0.0], [2.0, 2.0]]"
+    path = tmp_path / "config.yaml"
+    path.write_text(f"mixtures:\n  bias:\n    means: {means}\n")
+    for cfg in (load_config(path), load_config(overrides=[f"mixtures.bias.means={means}"])):
+        parsed = cfg.raw["mixtures"]["bias"]["means"][0][0]
+        assert type(parsed) is float and parsed == value
+    rate = load_config(overrides=[f"score_train.learning_rate={text.lstrip('-')}"])
+    assert rate.score_train_config().learning_rate == abs(value)
+    # a float is never an integer, in exponent notation too
+    with pytest.raises(ConfigError, match="disc_train.steps"):
+        load_config(overrides=["disc_train.steps=1e3"])
+
+
 def test_config_round_trip_lossless():
     cfg = ExperimentConfig(raw={"split": {"n_bias": 42, "n_ref": 7}})
     clone = ExperimentConfig(raw=cfg.to_dict())
@@ -552,10 +569,14 @@ def test_sweep_alpha_identities_and_ordering(tiny_config):
     assert rows[1, 1] <= rows[0, 1]
 
 
-def test_sweep_alpha_one_matches_tiw_checkpoint(tiny_config):
-    config, out = tiny_config()
-    main(["debias", "--config", str(config)])
-    main(["sweep-alpha", "--config", str(config), "--alphas", "1"])
+@pytest.mark.parametrize("stream", ["auto", "bias"])
+def test_sweep_alpha_one_matches_tiw_checkpoint(tiny_config, stream):
+    """A sweep run's objective is the configured one with kind and alpha
+    replaced, so it trains on the configured stream as debias does."""
+    config, out = tiny_config(objective={"stream": stream})
+    assert main(["debias", "--config", str(config)]) == 0
+    assert main(["sweep-alpha", "--config", str(config), "--alphas", "1"]) == 0
+    assert (out / "identity_checks.txt").read_text().count("max |diff| = 0.0") == 2
     tiw = (out / "tiw_dsm" / "score.ckpt").read_bytes()
     alpha1 = (out / "alpha_1" / "score.ckpt").read_bytes()
     # parameter payloads coincide bit for bit (headers differ by objective label)

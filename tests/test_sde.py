@@ -9,7 +9,7 @@ from tiwlab import sde, workers
 from tiwlab.errors import EXIT_CODES, InputError, NumericalError
 from tiwlab.metrics import energy_distance
 from tiwlab.mixture import GaussianMixture
-from tiwlab.sde import SamplerSpec, VpSchedule, reverse_generate
+from tiwlab.sde import LAMBDA_KINDS, SamplerSpec, VpSchedule, lambda_weight, reverse_generate
 
 from conftest import needs_blas_setter
 
@@ -53,6 +53,15 @@ def test_time_range_checked(sched):
             sched.alpha_sigma(t)
         with pytest.raises(InputError, match="time must lie in"):
             sched.beta(t)
+
+
+@pytest.mark.parametrize("kind", LAMBDA_KINDS)
+@pytest.mark.parametrize("t", [np.array([0.3, np.nan]), np.array([0.3, 5.0]), np.array([-0.1])],
+                         ids=["nan", "above-T", "negative"])
+def test_lambda_weight_checks_the_time_range(sched, kind, t):
+    # uniform does not read t, but it accepts only the times sigma_squared accepts
+    with pytest.raises(InputError, match="time must lie in"):
+        lambda_weight(sched, t, kind)
 
 
 def test_schedule_validation():

@@ -70,3 +70,15 @@ def test_only_net_holds_the_training_step_policy():
     found = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py")) if path.name != "net.py"
              for name in _names(ast.parse(path.read_text())) if name in held]
     assert found == []
+
+
+def test_only_objective_spec_builds_objective_specs_in_cli():
+    """Every cli run's objective is the configured section with the run's
+    fields replaced, built in _objective_spec; a second ObjectiveSpec call
+    is a second path that can drift from it, for one by not reading
+    objective.stream."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    builders = [getattr(top, "name", "<module level>") for top in tree.body
+                for node in ast.walk(top)
+                if isinstance(node, ast.Call) and "ObjectiveSpec" in set(_names(node.func))]
+    assert builders == ["_objective_spec"]

@@ -9,8 +9,10 @@ functions, `loss_sm_oracle` and `mc_loss_gradient`, on 1-D and 2-D
 mixtures. In one more output directory it runs the training branches
 those skip: `gen-data`, both discriminators under the sigma_squared BCE
 weight with a held-out fifth, `train-score` for weight_only,
-correction_only and iw_dsm on the bias stream, and one `train-score` that
-diverges (exit code 4) and keeps its telemetry. Prints one
+correction_only and iw_dsm on the bias stream, the named baselines dsm_ref
+and tiw_dsm (the latter on the exact ratio, under an objective.alpha it
+must ignore), and one `train-score` that diverges (exit code 4) and keeps
+its telemetry. Prints one
 "<sha256>  <name>" line for every CSV (samples and telemetry included),
 checkpoint and identity_checks.txt the runs write, and for the loss value
 and gradient bytes of each oracle call. Two checkouts whose arithmetic is
@@ -78,6 +80,9 @@ def cli_runs(out):
         stream = ["--set", "objective.stream=bias"] if kind == "iw_dsm" else []
         tiwlab("train-score", "--config", config, *sets, *stream, *steps,
                "--set", f"objective.kind={kind}")
+    tiwlab("train-score", "--config", config, *sets, *steps, "--baseline", "dsm_ref")
+    tiwlab("train-score", "--config", config, *sets, *steps, "--baseline", "tiw_dsm",
+           "--set", "objective.alpha=0.5", "--set", "objective.ratio=oracle")
     # exit code 4: the loss diverges at step 1, after one telemetry row
     tiwlab("train-score", "--config", config, *sets, *steps, "--set", "objective.kind=dsm",
            "--set", "score_train.learning_rate=1000000.0",
