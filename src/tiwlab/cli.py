@@ -205,7 +205,9 @@ def _score_run(cfg, split, run, spec, oracle, report):
         ev = evaluate_samples(samples, ref, cfg.mixture("data"), notes=label,
                               oracle_self=ref_self)
     report.checkpoints[label] = str(ckpt)
-    for path in (ckpt, telemetry, sub / "samples.csv", sub / "provenance.json"):
+    # train_score writes the telemetry only when its rows are on
+    written = [telemetry] if cfg.raw["score_train"]["telemetry_every"] else []
+    for path in (ckpt, *written, sub / "samples.csv", sub / "provenance.json"):
         report.add_artifact(path)
     report.metrics.append({"label": label, "bias": ev.bias,
                            "proportions": ev.proportions.tolist(),

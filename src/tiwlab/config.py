@@ -6,8 +6,8 @@ sections: VpSchedule is schedule, NetSpec is disc_net and score_net,
 DiscTrainConfig and ScoreTrainConfig are disc_train and score_train, and
 ObjectiveSpec and SamplerSpec are objective and sampler. The sections with
 no library type are declared below; ranges.py explains the field
-metadata. This module derives DEFAULT_CONFIG, the validator and the
-construction of the library objects from these fields.
+metadata and checks each leaf. This module derives DEFAULT_CONFIG, the
+validator and the construction of the library objects from these fields.
 
 Configs are strict: unknown keys anywhere are rejected, so typos fail
 loudly instead of silently falling back to defaults. A bool is never a
@@ -24,7 +24,7 @@ import re
 import time
 from dataclasses import MISSING, Field, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import get_args, get_origin
+from typing import get_origin
 
 import yaml
 
@@ -33,7 +33,7 @@ from .errors import ConfigError, InputError
 from .mixture import GaussianMixture, two_mode_balanced_mixture, two_mode_bias_mixture
 from .net import NetSpec
 from .objectives import ObjectiveSpec, ScoreTrainConfig
-from .ranges import range_error
+from .ranges import check_value
 from .ratio import RATIO_KINDS, DiscTrainConfig
 from .sde import SamplerSpec, VpSchedule
 
@@ -49,11 +49,12 @@ class _Run:
 
 @dataclass
 class _Seeds:
-    data: int = 101
-    disc: int = 202
-    score: int = 303
-    sample: int = 404
-    eval: int = 505
+    # numpy's SeedSequence takes no negative seed
+    data: int = field(default=101, metadata={"ge": 0})
+    disc: int = field(default=202, metadata={"ge": 0})
+    score: int = field(default=303, metadata={"ge": 0})
+    sample: int = field(default=404, metadata={"ge": 0})
+    eval: int = field(default=505, metadata={"ge": 0})
 
 
 @dataclass
@@ -157,8 +158,7 @@ def _check(value, node, path=""):
     if isinstance(node, Field) and is_dataclass(node.type):
         node = _leaves(node.type)
     if not isinstance(node, dict):
-        _check_leaf(value, node.type, node.metadata, path)
-        return
+        return check_value(value, node.type, node.metadata, f"config field {path}", ConfigError)
     if not isinstance(value, dict):
         raise _invalid(path, f"{value!r} is not an object")
     for key in value:
@@ -166,23 +166,6 @@ def _check(value, node, path=""):
             raise _invalid(f"{path}.{key}" if path else key, "additional key is not allowed")
     for key, sub in node.items():
         _check(value[key], sub, f"{path}.{key}" if path else key)
-
-
-def _check_leaf(value, kind, meta, path):
-    if get_origin(kind) in (list, tuple):
-        if not isinstance(value, list):
-            raise _invalid(path, f"{value!r} is not a list")
-        if len(value) < meta.get("min_len", 0):
-            raise _invalid(path, f"{value!r} has fewer than {meta['min_len']} items")
-        for i, item in enumerate(value):
-            _check_leaf(item, get_args(kind)[0], {**meta, "min_len": 0}, f"{path}.{i}")
-        return
-    # exact types: bool is not int, 1.0 is not int; an int is a float
-    if not (type(value) is kind or (kind is float and type(value) is int)):
-        raise _invalid(path, f"{value!r} is not of type {kind.__name__}")
-    problem = range_error(value, meta)
-    if problem:
-        raise _invalid(path, problem)
 
 
 def _deep_merge(base, override):

@@ -36,20 +36,19 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import artifacts
 from .errors import ContractError, InputError, IoError, NumericalError
+from .ranges import check_value, check_values
 from .sde import _row_times
 
 TIME_EMBEDS = ("append-scalar", "sinusoidal")
 
 CHECKPOINT_MAGIC = b"TIWNET"
 CHECKPOINT_VERSION = 1
-# Mlp's architecture arguments, as the checkpoint header names them
-ARCH_KEYS = ("input_dim", "hidden", "output_dim", "time_embed", "n_frequencies")
 
 # float64 entries per row block of the elementwise chain: 128 KB, which is
 # 256 rows at width 64
@@ -88,6 +87,22 @@ class NetSpec:
     n_frequencies: int = field(default=8, metadata={"ge": 1})
 
 
+@dataclass(kw_only=True)
+class NetArch(NetSpec):
+    """Mlp's architecture arguments, as Mlp and the checkpoint header name them."""
+
+    input_dim: int = field(metadata={"ge": 1})
+    output_dim: int = field(metadata={"ge": 1})
+
+
+ARCH_KEYS = tuple(f.name for f in fields(NetArch))
+
+
+@dataclass(kw_only=True)
+class _Header(NetArch):  # the header fields load_net checks; it keeps others as read
+    param_count: int = field(metadata={"ge": 0})
+
+
 @dataclass
 class ForwardCache:
     """Activations saved by forward() for the matching backward pass."""
@@ -104,17 +119,9 @@ class ForwardCache:
 class Mlp:
     def __init__(self, input_dim, hidden, output_dim, time_embed=NetSpec.time_embed,
                  n_frequencies=NetSpec.n_frequencies, params=None, seed=0):
-        if time_embed not in TIME_EMBEDS:
-            raise InputError(f"time_embed must be one of {TIME_EMBEDS}")
-        if input_dim < 1 or output_dim < 1:
-            raise InputError("input_dim and output_dim must be >= 1")
-        if time_embed == "sinusoidal" and n_frequencies < 1:
-            raise InputError("sinusoidal embedding needs n_frequencies >= 1")
-        self.input_dim = int(input_dim)
-        self.hidden = [int(h) for h in hidden]
-        self.output_dim = int(output_dim)
-        self.time_embed = time_embed
-        self.n_frequencies = int(n_frequencies)
+        check_values(locals(), NetArch, "Mlp")  # the arguments NetArch declares
+        self.input_dim, self.hidden, self.output_dim = input_dim, list(hidden), output_dim
+        self.time_embed, self.n_frequencies = time_embed, n_frequencies
 
         self.embed_dim = 1 if time_embed == "append-scalar" else 2 * self.n_frequencies
         self.widths = [self.input_dim + self.embed_dim] + self.hidden + [self.output_dim]
@@ -386,26 +393,18 @@ def load_net(path):
         header = json.loads(raw[12:12 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise IoError(f"corrupt checkpoint {path}: unreadable header ({e})") from e
-    for key in (*ARCH_KEYS, "param_count"):
-        if key not in header:
-            raise IoError(f"corrupt checkpoint {path}: missing header field {key!r}")
+    if not isinstance(header, dict):
+        raise IoError(f"corrupt checkpoint {path}: header is {header!r}, not an object")
     if header.get("activation", "silu") != "silu":
         raise IoError(f"corrupt checkpoint {path}: activation field is "
                       f"{header['activation']!r}, not 'silu'")
-    # a bool or a float would build a net through Mlp's int(), silently
-    for key in ("input_dim", "output_dim", "n_frequencies"):
-        if type(header[key]) is not int:
-            raise IoError(f"corrupt checkpoint {path}: {key} field is {header[key]!r}, "
-                          "not an integer")
-    hidden = header["hidden"]
-    if type(hidden) is not list or any(type(h) is not int for h in hidden):
-        raise IoError(f"corrupt checkpoint {path}: hidden field is {hidden!r}, "
-                      "not a list of integers")
+    for f in fields(_Header):
+        if f.name not in header:
+            raise IoError(f"corrupt checkpoint {path}: missing header field {f.name!r}")
+        check_value(header[f.name], f.type, f.metadata, f"corrupt checkpoint {path}: "
+                    f"{f.name} field is {header[f.name]!r}; {f.name}", IoError)
     body = raw[12 + hlen:]
     n = header["param_count"]
-    if type(n) is not int or n < 0:
-        raise IoError(f"corrupt checkpoint {path}: param_count field is {n!r}, "
-                      "not a non-negative integer")
     if len(body) != 8 * n:
         raise IoError(
             f"corrupt checkpoint {path}: params field has {len(body)} bytes, "
@@ -414,7 +413,7 @@ def load_net(path):
     params = np.frombuffer(body, dtype="<f8").astype(np.float64)
     try:
         net = Mlp(**{key: header[key] for key in ARCH_KEYS}, params=params)
-    except (InputError, TypeError, ValueError) as e:
+    except InputError as e:
         raise IoError(f"corrupt checkpoint {path}: {e}") from e
     header["sha256"] = hashlib.sha256(raw).hexdigest()
     return net, header

@@ -38,7 +38,7 @@ give the bytes of the one-node-at-a-time and block-major forms.
 """
 
 import functools
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from . import artifacts, kernels
 from .errors import InputError, NumericalError
 from .mixture import GaussianMixture, _perturbed_moments
 from .net import Mlp, NetSpec, init_optim, train_step
-from .ranges import check_fields
+from .ranges import check_fields, check_values
 from .ratio import DatasetSplit, RatioModel
 from .sde import LAMBDA_KINDS, VpSchedule, lambda_weight
 
@@ -155,11 +155,7 @@ class QuadratureGrid:
     t_panels: int = field(default=8, metadata={"ge": 1})
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if type(value) is not int:
-                raise InputError(f"QuadratureGrid.{f.name}: {value!r} is not an integer")
-        check_fields(self)
+        check_values(vars(self), QuadratureGrid, "QuadratureGrid")
 
 
 @functools.cache

@@ -1,4 +1,4 @@
-"""The range a dataclass field declares in its metadata, and its check.
+"""The one check of a value against the type and range its field declares.
 
 "ge", "gt" and "le" bound a number (each item of a list), "choices" lists
 the allowed values, "min_len" bounds a list's length, "key" names the config
@@ -8,6 +8,7 @@ that the code sets, not the config (see config.py).
 
 import operator
 from dataclasses import fields
+from typing import get_args, get_origin
 
 from .errors import InputError
 
@@ -22,6 +23,29 @@ def range_error(value, meta):
         if name in meta and not holds(value, meta[name]):
             return f"{value!r} is not {sign} {meta[name]!r}"
     return None
+
+
+def check_value(value, kind, meta, path, error=InputError):
+    """Raise error("<path>: <problem>") unless value fits a field of type kind
+    and metadata meta; item i of a list is path.i. Types are exact: a bool is
+    not an int and 1.0 is not an int, but an int is a float."""
+    if get_origin(kind) in (list, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise error(f"{path}: {value!r} is not a list")
+        if len(value) < meta.get("min_len", 0):
+            raise error(f"{path}: {value!r} has fewer than {meta['min_len']} items")
+        for i, item in enumerate(value):
+            check_value(item, get_args(kind)[0], {**meta, "min_len": 0}, f"{path}.{i}", error)
+    elif not (type(value) is kind or (kind is float and type(value) is int)):
+        raise error(f"{path}: {value!r} is not of type {kind.__name__}")
+    elif problem := range_error(value, meta):
+        raise error(f"{path}: {problem}")
+
+
+def check_values(values, cls, name):
+    """Raise InputError unless values[f] fits each field f of the dataclass cls."""
+    for f in fields(cls):
+        check_value(values[f.name], f.type, f.metadata, f"{name}.{f.name}")
 
 
 def check_fields(obj):

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -52,3 +55,13 @@ def gauss_pdf(x, mean, var):
 
 def mixture_pdf_by_hand(x, weights, means, variances):
     return sum(w * gauss_pdf(x, m, v) for w, m, v in zip(weights, means, variances))
+
+
+def zero_width_checkpoint(path, dim=2):
+    """Write a score checkpoint whose header is self-consistent but names a
+    hidden layer of width 0: its param_count is the output layer's bias."""
+    header = {"input_dim": dim, "hidden": [0], "output_dim": dim, "n_frequencies": 8,
+              "time_embed": "sinusoidal", "param_count": dim, "role": "score"}
+    blob = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(b"TIWNET" + struct.pack("<HI", 1, len(blob)) + blob
+                     + np.zeros(dim, dtype="<f8").tobytes())

@@ -33,7 +33,7 @@ from tiwlab.ratio import RATIO_KINDS, DiscTrainConfig
 from tiwlab.sampling import read_samples_csv
 from tiwlab.sde import INTEGRATORS, LAMBDA_KINDS, SAMPLER_KINDS, SamplerSpec, VpSchedule
 
-from conftest import needs_blas_setter
+from conftest import needs_blas_setter, zero_width_checkpoint
 
 TWO_MODE = Path(__file__).resolve().parent.parent / "configs" / "two-mode.yaml"
 
@@ -160,6 +160,12 @@ BAD_OVERRIDES = [
     ("split.n_bias=1.5", "split.n_bias"),
     ("split.n_bias=true", "split.n_bias"),
     ("seeds.data=x", "seeds.data"),
+    # numpy's SeedSequence takes no negative seed
+    ("seeds.data=-1", r"seeds\.data: -1 is not >= 0"),
+    ("seeds.disc=-1", r"seeds\.disc: -1 is not >= 0"),
+    ("seeds.score=-1", r"seeds\.score: -1 is not >= 0"),
+    ("seeds.sample=-1", r"seeds\.sample: -1 is not >= 0"),
+    ("seeds.eval=-1", r"seeds\.eval: -1 is not >= 0"),
     ("schedule.t_eps=0", "schedule.t_eps"),
     ("schedule.horizon=0", "schedule.horizon"),
     ("schedule.t_eps=2", "schedule: need t_eps < T"),
@@ -364,6 +370,15 @@ def test_a_checkpoint_of_another_activation_is_corrupt(tiny_config, capsys):
     assert not (out / "samples.csv").exists()
 
 
+def test_a_checkpoint_with_a_zero_width_layer_is_corrupt(tiny_config, capsys):
+    config, out = tiny_config()
+    ckpt = out.parent / "score_zero_width.ckpt"
+    zero_width_checkpoint(ckpt)
+    assert main(["sample", "--config", str(config), "--source", str(ckpt)]) == 5
+    assert f"corrupt checkpoint {ckpt}: hidden field is [0]" in capsys.readouterr().err
+    assert not (out / "samples.csv").exists()
+
+
 def test_reverse_sde_with_heun_is_refused_at_load(tiny_config, capsys):
     config, _ = tiny_config()
     assert main(["gen-data", "--config", str(config),
@@ -449,9 +464,7 @@ def test_debias_report_lists_artifacts(tiny_config):
     assert report["config_hash"]
     assert report["library_version"]
     for artifact in report["artifacts"]:
-        if artifact.endswith("report.json"):
-            continue
-        assert (out / artifact).exists() or artifact.startswith(str(out))
+        assert Path(artifact).is_file(), artifact
     labels = [m["label"] for m in report["metrics"]]
     assert labels == ["tiw_dsm"]
     assert (out / "tiw_dsm" / "samples.csv").exists()
@@ -473,8 +486,10 @@ def test_pipelines_keep_the_split_they_wrote(tiny_config, monkeypatch, argv):
 
 
 @pytest.mark.parametrize("argv", [["debias", "--all-baselines"],
+                                  ["debias", "--all-baselines",
+                                   "--set", "score_train.telemetry_every=0"],
                                   ["sweep-alpha", "--alphas", "0,1"]],
-                         ids=["debias", "sweep-alpha"])
+                         ids=["debias", "debias-no-telemetry", "sweep-alpha"])
 def test_report_lists_every_file_written(tiny_config, argv):
     config, out = tiny_config()
     assert main(argv + ["--config", str(config)]) == 0

@@ -1,4 +1,7 @@
 import json
+import struct
+from dataclasses import fields
+from typing import get_origin
 
 import numpy as np
 import pytest
@@ -7,12 +10,15 @@ from tiwlab.errors import ContractError, InputError, IoError
 from tiwlab.net import (
     BLOCK_ELEMENTS,
     Mlp,
+    NetArch,
     _sigmoid,
     adam_step,
     init_optim,
     load_net,
     save_net,
 )
+
+from conftest import zero_width_checkpoint
 
 
 def fd_param_gradient(net, x, t, coeffs, indices, h=1e-5):
@@ -401,6 +407,24 @@ def test_checkpoint_with_unbuildable_architecture_is_corrupt(tmp_path, change, n
         assert str(info.value).startswith(f"corrupt checkpoint {path}: {named} field is ")
 
 
+def test_checkpoint_with_a_zero_width_layer_is_corrupt(tmp_path):
+    # NetArch declares hidden widths >= 1; a zero width once loaded and then
+    # divided by zero in the first forward pass
+    path = tmp_path / "net.ckpt"
+    zero_width_checkpoint(path)
+    with pytest.raises(IoError) as info:
+        load_net(path)
+    assert str(info.value).startswith(f"corrupt checkpoint {path}: hidden field is [0]")
+
+
+@pytest.mark.parametrize("blob", [b"5", b"[1]", b"null", b'"net"'])
+def test_checkpoint_whose_header_is_not_an_object_is_corrupt(tmp_path, blob):
+    path = tmp_path / "net.ckpt"
+    path.write_bytes(b"TIWNET" + struct.pack("<HI", 1, len(blob)) + blob)
+    with pytest.raises(IoError, match=f"corrupt checkpoint {path}: header is "):
+        load_net(path)
+
+
 def test_checkpoint_with_the_silu_activation_field_loads(tmp_path):
     # checkpoints written before SiLU became the only activation carry the
     # field; it is read and ignored
@@ -418,3 +442,36 @@ def test_checkpoint_with_the_silu_activation_field_loads(tmp_path):
 def test_checkpoint_missing_file():
     with pytest.raises(IoError):
         load_net("/nonexistent/net.ckpt")
+
+
+VALID_ARCH = dict(input_dim=2, hidden=[8], output_dim=1, time_embed="sinusoidal",
+                  n_frequencies=8)
+
+
+def _outside(f):
+    """A value just outside the bound or choices field f declares."""
+    meta = f.metadata
+    bad = f"no-such-{f.name}" if "choices" in meta else meta["ge"] - 1
+    return [bad] if get_origin(f.type) is tuple else bad
+
+
+@pytest.mark.parametrize("f", fields(NetArch), ids=lambda f: f.name)
+def test_mlp_enforces_each_declared_bound_and_choice(f):
+    # the hidden case is Mlp(2, [0], 1), which once overflowed in rng.uniform
+    with pytest.raises(InputError, match=rf"^Mlp\.{f.name}"):
+        Mlp(**{**VALID_ARCH, f.name: _outside(f)})
+
+
+@pytest.mark.parametrize("name,value", [("input_dim", True), ("output_dim", 1.0),
+                                        ("hidden", [8.0]), ("hidden", 8),
+                                        ("n_frequencies", 8.5), ("time_embed", None)])
+def test_mlp_takes_only_exact_types(name, value):
+    # no int() coercion: a bool or a float is refused, not truncated
+    with pytest.raises(InputError, match=rf"^Mlp\.{name}"):
+        Mlp(**{**VALID_ARCH, name: value})
+
+
+def test_append_scalar_takes_no_zero_frequencies():
+    # the config refuses n_frequencies 0 under every embedding, and so does Mlp
+    with pytest.raises(InputError, match="n_frequencies"):
+        Mlp(2, [8], 1, time_embed="append-scalar", n_frequencies=0)

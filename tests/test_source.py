@@ -82,3 +82,26 @@ def test_only_objective_spec_builds_objective_specs_in_cli():
                 for node in ast.walk(top)
                 if isinstance(node, ast.Call) and "ObjectiveSpec" in set(_names(node.func))]
     assert builders == ["_objective_spec"]
+
+
+def _exact_type_checks(tree):
+    """Line of each `type(...) is` or `type(...) is not` comparison."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and any(isinstance(op, (ast.Is, ast.IsNot))
+                                                 for op in node.ops):
+            for side in (node.left, *node.comparators):
+                if (isinstance(side, ast.Call) and isinstance(side.func, ast.Name)
+                        and side.func.id == "type"):
+                    yield node.lineno
+
+
+def test_only_ranges_compares_exact_types():
+    """The exact-type rule (a bool is not an int, 8.0 is not an int) lives in
+    ranges.check_value, which checks config leaves, checkpoint headers and
+    Mlp's arguments; a module that compares type(...) again has a second
+    copy of it."""
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "ranges.py"
+             for line in _exact_type_checks(ast.parse(path.read_text()))]
+    assert found == []
+    assert list(_exact_type_checks(ast.parse((SRC / "ranges.py").read_text())))

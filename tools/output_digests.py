@@ -4,7 +4,9 @@
 
 Runs, in process and from the src/ tree next to this script, a short
 `debias --all-baselines`, a `sweep-alpha`, two `sample` runs (from the
-tiw_dsm checkpoint and from the exact data score), and the two oracle
+tiw_dsm checkpoint and from the exact data score) with an `eval` of the
+first, `gen-data`, `repro-fig2` (which reloads both discriminators it
+trains) and `repro-fig3` in a directory of their own, and the two oracle
 functions, `loss_sm_oracle` and `mc_loss_gradient`, on 1-D and 2-D
 mixtures. In one more output directory it runs the training branches
 those skip: `gen-data`, both discriminators under the sigma_squared BCE
@@ -14,7 +16,8 @@ and tiw_dsm (the latter on the exact ratio, under an objective.alpha it
 must ignore), and one `train-score` that diverges (exit code 4) and keeps
 its telemetry. Prints one
 "<sha256>  <name>" line for every CSV (samples and telemetry included),
-checkpoint and identity_checks.txt the runs write, and for the loss value
+checkpoint and identity_checks.txt the runs write (dre_curve.csv, the four
+field_*.csv lattices and eval.csv among them), and for the loss value
 and gradient bytes of each oracle call. Two checkouts whose arithmetic is
 the same print the same lines:
 
@@ -70,6 +73,10 @@ def cli_runs(out):
                           ("oracle", "oracle-data")):
         tiwlab("sample", "--config", config, *sets, "--output-dir",
                str(out / f"sample_{label}"), "--source", source)
+    tiwlab("eval", "--config", config, *sets, "--output-dir", str(out / "sample_ckpt"))
+    figs = ("--output-dir", str(out / "figs"))
+    for command in ("gen-data", "repro-fig2", "repro-fig3"):
+        tiwlab(command, "--config", config, *sets, *figs)
     steps = ("--output-dir", str(out / "steps"))
     tiwlab("gen-data", "--config", config, *sets, *steps)
     disc = [*sets, "--set", "disc_train.lambda_prime=sigma_squared",
