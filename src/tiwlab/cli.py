@@ -66,7 +66,6 @@ from .ratio import (
     train_discriminator,
 )
 from .sampling import generate, read_samples_csv, write_samples_csv
-from .sde import INTEGRATORS, SAMPLER_KINDS
 
 # named baseline -> the objective fields it sets: no baseline takes
 # objective.alpha, and iw_dsm and tiw_dsm keep objective.stream
@@ -439,7 +438,8 @@ def _add_common(p):
     p.add_argument("--config", help="YAML config file")
     p.add_argument("--set", dest="overrides", action="append", metavar="KEY=VALUE",
                    help="override a config field (dotted path, repeatable)")
-    p.add_argument("--output-dir", help="shortcut for --set output_dir=...")
+    p.add_argument("--output-dir", help="output directory, taken as given "
+                                        "(a --set output_dir=... value parses as YAML)")
 
 
 def build_parser():
@@ -470,13 +470,9 @@ def build_parser():
     _add_common(p)
     p.add_argument("--source", help="checkpoint path, 'oracle-data' or 'oracle-bias' "
                                     "(default: the configured objective's checkpoint)")
-    # a flag whose dest is a dotted config path is one more --set
-    p.add_argument("--kind", dest="sampler.kind", choices=SAMPLER_KINDS,
-                   help="sampler kind override")
+    # a flag whose dest is a dotted config path sets that leaf (see main)
     p.add_argument("--steps", dest="sampler.steps", type=int,
                    help="integration steps override")
-    p.add_argument("--integrator", dest="sampler.integrator", choices=INTEGRATORS,
-                   help="integrator override")
     p.add_argument("--seed", dest="seeds.sample", type=int, help="sampling seed override")
     p.set_defaults(func=lambda cfg, args: cmd_sample(cfg, args.source))
 
@@ -523,10 +519,12 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # --output-dir and the flags whose dest is a dotted config path set
+        # their values as given, after the --set strings, which parse as YAML
         overrides = list(args.overrides or [])
         if args.output_dir:
-            overrides.append(f"output_dir={args.output_dir}")
-        overrides += [f"{k}={v}" for k, v in vars(args).items() if "." in k and v is not None]
+            overrides.append(("output_dir", args.output_dir))
+        overrides += [(k, v) for k, v in vars(args).items() if "." in k and v is not None]
         cfg = load_config(args.config, overrides)
         return args.func(cfg, args)
     except TiwlabError as e:

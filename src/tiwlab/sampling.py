@@ -4,7 +4,8 @@ The score source is either a score-network checkpoint or an oracle
 mixture (whose exact perturbed score is used). Both score functions are
 row-wise, as reverse_generate requires: row i of the score depends only on
 row i of the states, so the trajectories can be split across processes.
-Each run produces a provenance record (seed, steps, integrator, kind,
+Samples come from Heun's method on the probability-flow ODE. Each run
+produces a provenance record (seed, steps, the schedule's four values,
 source hash, n, dim) that fully determines the output; rerunning with the
 same record reproduces the matrix bit for bit.
 """
@@ -58,7 +59,8 @@ def generate(source, sched: VpSchedule, spec: SamplerSpec, n, output=None, dim=N
         raise InputError(f"score source {source} is {source_dim}-D, "
                          f"but {dim}-D samples were asked for")
     samples = reverse_generate(sched, score_fn, spec, n, source_dim)
-    provenance = {"n": n, "dim": source_dim, **asdict(spec), **source_info}
+    provenance = {"n": n, "dim": source_dim, **asdict(spec), "schedule": asdict(sched),
+                  **source_info}
     if output is not None:
         out = Path(output)
         write_samples_csv(out / "samples.csv", samples)

@@ -6,12 +6,12 @@ Linear noise schedule beta(t) = beta_min + t * (beta_max - beta_min) on
     alpha(t) = exp(-0.5 * (beta_min t + 0.5 (beta_max - beta_min) t^2))
     sigma(t) = sqrt(1 - alpha(t)^2)
 
-so alpha^2 + sigma^2 = 1 by construction. Generation integrates either the
-probability-flow ODE (deterministic; Euler or Heun) or the reverse SDE
-(Euler-Maruyama) from t = T down to t = t_eps. The score it integrates is
-row-wise (row i of the score depends only on row i of the states), and
-every trajectory has its own noise stream, so the trajectories may be
-integrated in row chunks in worker processes with the same result.
+so alpha^2 + sigma^2 = 1 by construction. Generation integrates the
+probability-flow ODE with Heun's method (deterministic, second order) from
+t = T down to t = t_eps. The score it integrates is row-wise (row i of the
+score depends only on row i of the states), and every trajectory draws its
+prior from its own stream, so the trajectories may be integrated in row
+chunks in worker processes with the same result.
 """
 
 from dataclasses import dataclass, field
@@ -23,8 +23,6 @@ from . import workers
 from .errors import InputError, NumericalError
 from .ranges import check_fields
 
-SAMPLER_KINDS = ("probability-flow-ode", "reverse-sde")
-INTEGRATORS = ("euler", "heun")
 LAMBDA_KINDS = ("sigma_squared", "uniform")
 # fewest trajectories per worker for which reverse_generate fans out. At the
 # default 200 Heun steps on 2 cores, a split paid off from about 130 rows per
@@ -119,30 +117,20 @@ def lambda_weight(sched: VpSchedule, t, kind):
 
 @dataclass(frozen=True)
 class SamplerSpec:
-    """The sampler config section; the seed comes from seeds.sample."""
+    """The sampler config section (Heun steps); the seed comes from seeds.sample."""
 
-    kind: str = field(default="probability-flow-ode", metadata={"choices": SAMPLER_KINDS})
     steps: int = field(default=200, metadata={"ge": 2})
-    integrator: str = field(default="heun", metadata={"choices": INTEGRATORS})
     seed: int = field(default=0, metadata={"config": False})
 
     def __post_init__(self):
         check_fields(self)
-        if self.kind == "reverse-sde" and self.integrator != "euler":
-            raise InputError("reverse-sde supports only the euler (Euler-Maruyama) integrator")
 
 
-def _trajectory_noise(seed, lo, hi, rows, dim):
-    """Standard-normal blocks of trajectories lo..hi-1, derived from (seed, index).
-
-    Row 0 of each block seeds the prior draw; later rows are per-step noise.
-    Streams depend only on (seed, trajectory index), so the result is
-    independent of evaluation order and of how the trajectories are split.
-    """
-    out = np.empty((hi - lo, rows, dim))
-    for i in range(lo, hi):
-        out[i - lo] = np.random.default_rng([seed, i]).standard_normal((rows, dim))
-    return out
+def _prior_draws(seed, lo, hi, dim):
+    """The N(0, I) prior draws of trajectories lo..hi-1, each from the stream of
+    (seed, its index), so they do not depend on how the trajectories are split."""
+    return np.array([np.random.default_rng([seed, i]).standard_normal(dim)
+                     for i in range(lo, hi)])
 
 
 def _check_finite(x, step, t):
@@ -151,7 +139,8 @@ def _check_finite(x, step, t):
 
 
 def reverse_generate(sched: VpSchedule, score_fn, spec: SamplerSpec, n, dim):
-    """Integrate the reverse dynamics from the N(0, I) prior at t=T to t_eps.
+    """Integrate the probability-flow ODE with Heun's method from the N(0, I)
+    prior at t=T to t_eps.
 
     score_fn(X, t) must return the (m, dim) score of the m rows of X at
     scalar time t for t in [t_eps, T], and be row-wise: row i of its output
@@ -160,8 +149,8 @@ def reverse_generate(sched: VpSchedule, score_fn, spec: SamplerSpec, n, dim):
     When each available core gets at least MIN_ROWS_PER_WORKER trajectories,
     they are integrated in one contiguous row chunk per core in worker
     processes (workers.parallel_map) and concatenated in row order. Every
-    trajectory draws its prior and noise from (spec.seed, its index), and
-    the updates and the score are row-wise, so the result equals that of
+    trajectory draws its prior from (spec.seed, its index), and the updates
+    and the score are row-wise, so the result equals that of
     one in-process run bit for bit. A split run that fails (an error in a
     chunk, or a worker that died) is rerun here, so an error is the one an
     in-process run raises, at the first step where any row fails, not the
@@ -185,9 +174,7 @@ def _integrate(sched, score_fn, spec, dim, rows):
     """reverse_generate's trajectories lo..hi-1, for rows = (lo, hi)."""
     lo, hi = rows
     times = np.linspace(sched.T, sched.t_eps, spec.steps + 1)
-    stochastic = spec.kind == "reverse-sde"
-    noise = _trajectory_noise(spec.seed, lo, hi, spec.steps + 1 if stochastic else 1, dim)
-    x = noise[:, 0, :].copy()
+    x = _prior_draws(spec.seed, lo, hi, dim)
 
     def ode_drift(xx, t, k):
         beta = sched.beta(t)
@@ -198,17 +185,8 @@ def _integrate(sched, score_fn, spec, dim, rows):
     for k in range(spec.steps):
         t, t_next = times[k], times[k + 1]
         dt = t_next - t  # negative
-        if stochastic:
-            beta = sched.beta(t)
-            s = np.asarray(score_fn(x, t), dtype=np.float64)
-            _check_finite(s, k, t)
-            drift = -0.5 * beta * x - beta * s
-            x = x + dt * drift + np.sqrt(-dt * beta) * noise[:, k + 1, :]
-        elif spec.integrator == "euler":
-            x = x + dt * ode_drift(x, t, k)
-        else:  # heun
-            k1 = ode_drift(x, t, k)
-            k2 = ode_drift(x + dt * k1, t_next, k)
-            x = x + 0.5 * dt * (k1 + k2)
+        k1 = ode_drift(x, t, k)
+        k2 = ode_drift(x + dt * k1, t_next, k)
+        x = x + 0.5 * dt * (k1 + k2)
         _check_finite(x, k, t_next)
     return x

@@ -214,9 +214,7 @@ def test_criterion_6_end_to_end_debias(cfg, setup2d, discriminators):
                        seed=cfg.seeds["score"])
     spec_tiw = ObjectiveSpec(kind="tiw_dsm", ratio=rm)
     spec_obs = ObjectiveSpec(kind="dsm", stream="obs")
-    sampler = SamplerSpec(kind="probability-flow-ode",
-                          steps=cfg.raw["sampler"]["steps"],
-                          integrator="heun", seed=cfg.seeds["sample"])
+    sampler = SamplerSpec(steps=cfg.raw["sampler"]["steps"], seed=cfg.seeds["sample"])
     oracle_draw = pd.sample(cfg.raw["eval"]["n_oracle"], seed=cfg.seeds["eval"])
     stats = {}
     for name, spec in (("tiw", spec_tiw), ("dsm_obs", spec_obs)):

@@ -31,7 +31,7 @@ from tiwlab.objectives import (
 )
 from tiwlab.ratio import RATIO_KINDS, DiscTrainConfig
 from tiwlab.sampling import read_samples_csv
-from tiwlab.sde import INTEGRATORS, LAMBDA_KINDS, SAMPLER_KINDS, SamplerSpec, VpSchedule
+from tiwlab.sde import LAMBDA_KINDS, SamplerSpec, VpSchedule
 
 from conftest import needs_blas_setter, zero_width_checkpoint
 
@@ -93,21 +93,14 @@ ENUM_FIELDS = [
     ("objective.lambda_kind", LAMBDA_KINDS),
     ("objective.stream", ("auto", *STREAMS)),
     ("objective.ratio", RATIO_KINDS),
-    ("sampler.kind", SAMPLER_KINDS),
-    ("sampler.integrator", INTEGRATORS),
 ]
-
-
-# an enum value that is valid only together with another setting
-COMPANIONS = {"sampler.kind=reverse-sde": ["sampler.integrator=euler"]}
 
 
 @pytest.mark.parametrize("path,values", ENUM_FIELDS, ids=[p for p, _ in ENUM_FIELDS])
 def test_schema_enums_follow_code_constants(path, values):
     section, key = path.split(".")
     for value in values:
-        override = f"{path}={value}"
-        cfg = load_config(overrides=[override, *COMPANIONS.get(override, [])])
+        cfg = load_config(overrides=[f"{path}={value}"])
         assert cfg.raw[section][key] == value
     with pytest.raises(ConfigError, match=path):
         load_config(overrides=[f"{path}=no-such-{key}"])
@@ -193,6 +186,9 @@ BAD_OVERRIDES = [
     ("objective.tau=0.3", r"objective\.tau: additional"),
     ("score_train.lr_decay=none", r"score_train\.lr_decay: additional"),
     ("objective.kind=interpolated", "objective.kind"),
+    # Heun on the probability-flow ODE is the only sampler
+    ("sampler.kind=reverse-sde", r"sampler\.kind: additional"),
+    ("sampler.integrator=euler", r"sampler\.integrator: additional"),
     ("scheduel.beta_min=0.2", "field scheduel: additional"),
     ("output_dir=3", "output_dir"),
     ("disc_net=3", "disc_net"),
@@ -238,9 +234,9 @@ def test_two_mode_yaml_choice_comments_match_the_declared_choices():
 
 def test_config_hashes_pinned():
     assert config_hash(ExperimentConfig(raw={})) == \
-        "6a57681f2bd49d53b39d78cb66351bedf624b3c64e188c9733d83caf71cb78cc"
+        "1b1db872988af7e3ba01094a4d74dc6fc1e81bf3345d1fe7d6dd4491b4390d2d"
     assert config_hash(load_config(TWO_MODE)) == \
-        "e2e6b96dafd29a7807705b634b9e9f6e40f258076e7163f21e5974997e9f9a69"
+        "fbb313ba8873e2d466548d1131c63e41fdef13b2c37e35b0c86b3361989b122f"
 
 
 # each library type a section maps to: its defaults (given what the CLI built,
@@ -379,12 +375,27 @@ def test_a_checkpoint_with_a_zero_width_layer_is_corrupt(tiny_config, capsys):
     assert not (out / "samples.csv").exists()
 
 
-def test_reverse_sde_with_heun_is_refused_at_load(tiny_config, capsys):
-    config, _ = tiny_config()
-    assert main(["gen-data", "--config", str(config),
-                 "--set", "sampler.kind=reverse-sde"]) == 3
-    err = capsys.readouterr().err
-    assert "error[config]" in err and "sampler" in err and "euler" in err
+@pytest.mark.parametrize("flag", [["--kind", "reverse-sde"], ["--integrator", "euler"],
+                                  ["--integrator", "heun"]], ids=" ".join)
+def test_sample_has_no_sampler_choice_flags(tiny_config, capsys, flag):
+    # Heun on the probability-flow ODE is the only sampler
+    config, out = tiny_config()
+    with pytest.raises(SystemExit) as caught:
+        main(["sample", "--config", str(config), "--source", "oracle-data", *flag])
+    assert caught.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["2024", "on", "a: b", "null"])
+def test_output_dir_flag_is_taken_verbatim(tmp_path, monkeypatch, capsys, name):
+    monkeypatch.chdir(tmp_path)
+    args = ["gen-data", "--set", "split.n_bias=20", "--set", "split.n_ref=5"]
+    assert main([*args, "--output-dir", name]) == 0
+    assert sorted(p.name for p in (tmp_path / name).iterdir()) == ["bias.csv", "ref.csv"]
+    # a --set value parses as YAML, as an int, a bool, a mapping or None here
+    assert main([*args, "--set", f"output_dir={name}"]) == 3
+    assert "config field output_dir" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("exc", [FloatingPointError("overflow encountered"),
@@ -776,8 +787,7 @@ def _run_recording_pids(commands, out, capsys, monkeypatch, cores, pid_log):
     # sample reads the checkpoint of the configured objective
     ([["gen-data"], ["train-score", "--set", "objective.kind=dsm"],
       ["sample", "--set", "objective.kind=dsm"]], 1),
-    ([["sample", "--source", "oracle-data", "--kind", "reverse-sde",
-       "--integrator", "euler"]], 1),
+    ([["sample", "--source", "oracle-data"]], 1),
 ], ids=["debias", "sweep-alpha", "repro-fig2", "sample-checkpoint", "sample-oracle"])
 def test_serial_and_parallel_runs_give_the_same_bytes(tiny_config, capsys, monkeypatch,
                                                        tmp_path, commands, stage_workers):

@@ -7,7 +7,7 @@ from tiwlab.errors import IoError
 from tiwlab.metrics import energy_distance
 from tiwlab.net import Mlp, save_net
 from tiwlab.sampling import generate, read_samples_csv, write_samples_csv
-from tiwlab.sde import SamplerSpec
+from tiwlab.sde import SamplerSpec, VpSchedule
 
 
 def test_oracle_source_close_to_fresh_draws(sched, p_data):
@@ -77,16 +77,21 @@ def test_corrupt_checkpoint_reports_field(sched, tmp_path):
         generate(path, sched, SamplerSpec(steps=10, seed=0), 4)
 
 
-def test_provenance_record_replays_output(sched, p_data, tmp_path):
+def test_provenance_record_replays_output(p_data, tmp_path):
     import json
 
+    # a schedule with no default value, so that a replay on the default one differs
+    sched = VpSchedule(beta_min=0.2, beta_max=15.0, T=0.9, t_eps=0.01)
     out = tmp_path / "orig"
     generate(p_data, sched, SamplerSpec(steps=40, seed=13), 64, output=out)
     prov = json.loads((out / "provenance.json").read_text())
-    replay_spec = SamplerSpec(kind=prov["kind"], steps=prov["steps"],
-                              integrator=prov["integrator"], seed=prov["seed"])
-    replayed, _ = generate(p_data, sched, replay_spec, prov["n"])
+    replay_sched = VpSchedule(**prov["schedule"])
+    replay_spec = SamplerSpec(steps=prov["steps"], seed=prov["seed"])
+    replayed, replay_prov = generate(p_data, replay_sched, replay_spec, prov["n"])
     np.testing.assert_array_equal(replayed, read_samples_csv(out / "samples.csv"))
+    assert replay_prov == prov
+    on_default, _ = generate(p_data, VpSchedule(), replay_spec, prov["n"])
+    assert not np.array_equal(on_default, replayed)
 
 
 def test_samples_csv_round_trip(tmp_path):

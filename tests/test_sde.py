@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -153,14 +154,14 @@ def test_generate_standard_normal_fixed_point(sched):
 
 
 def test_generate_recovers_balanced_weights(sched, p_data):
-    spec = SamplerSpec(steps=200, integrator="heun", seed=11)
+    spec = SamplerSpec(steps=200, seed=11)
     X = reverse_generate(sched, oracle_score_fn(p_data, sched), spec, n=10_000, dim=2)
     props = p_data.posterior(X).mean(axis=0)
     assert 0.47 <= props[1] <= 0.53
 
 
 def test_generate_recovers_bias_weights(sched, p_bias):
-    spec = SamplerSpec(steps=200, integrator="heun", seed=12)
+    spec = SamplerSpec(steps=200, seed=12)
     X = reverse_generate(sched, oracle_score_fn(p_bias, sched), spec, n=10_000, dim=2)
     props = p_bias.posterior(X).mean(axis=0)
     assert 0.08 <= props[1] <= 0.12
@@ -173,18 +174,11 @@ def test_generate_deterministic(sched, p_data):
     np.testing.assert_array_equal(a, b)
 
 
-def test_generate_reverse_sde(sched, p_data):
-    spec = SamplerSpec(kind="reverse-sde", steps=400, integrator="euler", seed=4)
-    X = reverse_generate(sched, oracle_score_fn(p_data, sched), spec, n=4000, dim=2)
-    props = p_data.posterior(X).mean(axis=0)
-    assert 0.45 <= props[1] <= 0.55
-
-
 def test_generate_step_doubling_convergence(sched, p_data):
     target = p_data.sample(4000, seed=101)
     out = {}
     for steps in (100, 200):
-        spec = SamplerSpec(steps=steps, integrator="heun", seed=31)
+        spec = SamplerSpec(steps=steps, seed=31)
         X = reverse_generate(sched, oracle_score_fn(p_data, sched), spec, n=2000, dim=2)
         out[steps] = energy_distance(X, target)
     assert abs(out[200] - out[100]) < 0.2 * max(out[100], out[200])
@@ -196,18 +190,16 @@ def test_generate_rejects_nonfinite_score(sched):
         reverse_generate(sched, lambda x, t: x * np.nan, spec, n=4, dim=2)
 
 
-@pytest.mark.parametrize("integrator", ["euler", "heun"])
-def test_generate_reports_the_step_of_a_nonfinite_score(sched, integrator):
-    spec = SamplerSpec(steps=10, integrator=integrator, seed=0)
+def test_generate_reports_the_step_of_a_nonfinite_score(sched):
+    spec = SamplerSpec(steps=10, seed=0)
     times = np.linspace(sched.T, sched.t_eps, 11)
     t_cut = 0.5 * (times[6] + times[7])  # the score is NaN from times[7] on
 
     def score(x, t):
         return -x * (np.nan if t < t_cut else 1.0)
 
-    # Euler reads the score at t_k in step k; Heun also reads it at t_{k+1}
-    step = 7 if integrator == "euler" else 6
-    with pytest.raises(NumericalError, match=re.escape(f"at step {step}, t={times[7]:.6g}")):
+    # Heun reads the score at t_k and at t_{k+1} in step k
+    with pytest.raises(NumericalError, match=re.escape(f"at step 6, t={times[7]:.6g}")):
         reverse_generate(sched, score, spec, n=4, dim=2)
 
 
@@ -230,12 +222,8 @@ def _split_into(monkeypatch, cores):
 
 
 @needs_blas_setter
-@pytest.mark.parametrize("kind, integrator", [("probability-flow-ode", "euler"),
-                                              ("probability-flow-ode", "heun"),
-                                              ("reverse-sde", "euler")])
-def test_split_sampling_gives_the_bytes_of_one_process(sched, p_data, monkeypatch,
-                                                       kind, integrator):
-    spec = SamplerSpec(kind=kind, integrator=integrator, steps=20, seed=5)
+def test_split_sampling_gives_the_bytes_of_one_process(sched, p_data, monkeypatch):
+    spec = SamplerSpec(steps=20, seed=5)
     runs = {}
     for cores in (1, 2, 3):
         counts = _split_into(monkeypatch, cores)
@@ -249,11 +237,9 @@ def test_split_sampling_gives_the_bytes_of_one_process(sched, p_data, monkeypatc
 
 
 @needs_blas_setter
-@pytest.mark.parametrize("integrator", ["euler", "heun"])
-def test_split_sampling_raises_the_error_of_one_process(sched, monkeypatch, tmp_path,
-                                                        integrator):
+def test_split_sampling_raises_the_error_of_one_process(sched, monkeypatch, tmp_path):
     n, seed = 40, 0
-    spec = SamplerSpec(steps=10, integrator=integrator, seed=seed)
+    spec = SamplerSpec(steps=10, seed=seed)
     times = np.linspace(sched.T, sched.t_eps, 11)
     # with the score -x the flow leaves every state at its prior draw, which
     # tells the rows of the second chunk (20..39) from those of the first
@@ -276,8 +262,8 @@ def test_split_sampling_raises_the_error_of_one_process(sched, monkeypatch, tmp_
         assert EXIT_CODES[caught.value.category] == 4
         assert counts == ([] if cores == 1 else [2])
         assert multiprocessing.active_children() == []
-    step = 3 if integrator == "euler" else 2  # Heun also reads the score at t_{k+1}
-    assert errors[1] == f"non-finite state at step {step}, t={times[3]:.6g}"
+    # Heun reads the score at t_{k+1} in step k, so the NaN from times[3] is step 2's
+    assert errors[1] == f"non-finite state at step 2, t={times[3]:.6g}"
     assert errors[2] == errors[1]
     # the chunks ran in workers (one worker may take both chunks)
     assert {int(v) for v in pid_log.read_text().split()} - {os.getpid()}
@@ -285,8 +271,6 @@ def test_split_sampling_raises_the_error_of_one_process(sched, monkeypatch, tmp_
 
 def test_sampler_spec_validation():
     with pytest.raises(InputError):
-        SamplerSpec(kind="reverse-sde", integrator="heun")
-    with pytest.raises(InputError):
         SamplerSpec(steps=1)
-    with pytest.raises(InputError):
-        SamplerSpec(kind="ode")
+    # Heun on the probability-flow ODE is the only sampler
+    assert [f.name for f in fields(SamplerSpec)] == ["steps", "seed"]

@@ -3,10 +3,12 @@
     python3 tools/output_digests.py [--keep DIR]
 
 Runs, in process and from the src/ tree next to this script, a short
-`debias --all-baselines`, a `sweep-alpha`, two `sample` runs (from the
-tiw_dsm checkpoint and from the exact data score) with an `eval` of the
-first, `gen-data`, `repro-fig2` (which reloads both discriminators it
-trains) and `repro-fig3` in a directory of their own, and the two oracle
+`debias --all-baselines`, a `sweep-alpha`, three `sample` runs (from the
+tiw_dsm checkpoint, and from the exact data score at 128 and at 2000
+rows; 2000 rows split into one row chunk per worker when two or more
+cores are available) with an `eval` of the first, `gen-data`,
+`repro-fig2` (which reloads both discriminators it trains) and
+`repro-fig3` in a directory of their own, and the two oracle
 functions, `loss_sm_oracle` and `mc_loss_gradient`, on 1-D and 2-D
 mixtures. In one more output directory it runs the training branches
 those skip: `gen-data`, both discriminators under the sigma_squared BCE
@@ -73,6 +75,8 @@ def cli_runs(out):
                           ("oracle", "oracle-data")):
         tiwlab("sample", "--config", config, *sets, "--output-dir",
                str(out / f"sample_{label}"), "--source", source)
+    tiwlab("sample", "--config", config, *sets, "--set", "eval.n_samples=2000",
+           "--output-dir", str(out / "sample_split"), "--source", "oracle-data")
     tiwlab("eval", "--config", config, *sets, "--output-dir", str(out / "sample_ckpt"))
     figs = ("--output-dir", str(out / "figs"))
     for command in ("gen-data", "repro-fig2", "repro-fig3"):
