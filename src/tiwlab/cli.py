@@ -18,22 +18,27 @@ A score run is a value (Run); debias and sweep-alpha are lists of runs
 through one pipeline (_score_runs), so a sweep-alpha run takes the
 configured stream and lambda (_objective_spec), as a debias run does.
 
-Three commands fan their independent stages out over worker processes,
-one per available core (see workers.parallel_map): debias its
-discriminators and then its score runs (train, sample, eval), sweep-alpha
-its alpha runs and repro-fig2 its two discriminators. Each worker runs on
-one BLAS thread: the stages are small-batch work that a second BLAS thread
-does not speed up, and on 2 cores a short debias --all-baselines took
-4-24 s with two workers of two BLAS threads each, against 1.5 s with one
-thread each. Workers return plain data (report fragments, evaluation rows,
-checkpoint paths), which the parent merges in task order, so the outputs
-and stdout are those of an in-process run. Stage seconds are measured
-inside the workers, so their sum can exceed the wall time; report.json
-records the number of stage processes as "workers". Sampling fans its
-trajectories out over the cores in row chunks (sde.reverse_generate)
-unless it already runs in a worker, as the score runs of a multi-run
-debias or sweep-alpha do. Probes that wrap library functions in the
-parent (tiwbench --trace 1) do not see the work done in workers.
+Three commands fan their stages out over worker processes, one per
+available core (see workers.parallel_map). debias and sweep-alpha run one
+pool, discriminators and their readers first: the learned discriminators,
+then the score runs (train, sample, eval) that wait on the one they read,
+then the runs that read none, each starting as soon as a worker is free
+and what it reads is saved. repro-fig2 fans out its two discriminators.
+Each worker runs on one BLAS thread: the stages are small-batch work that
+a second BLAS thread does not speed up, and on 2 cores a short debias
+--all-baselines took 4-24 s with two workers of two BLAS threads each,
+against 1.5 s with one thread each. Workers return plain data (report
+fragments, evaluation rows, checkpoint paths), never specs or nets; the
+parent merges the fragments in table order, so the outputs and stdout are
+those of an in-process run. Stage seconds are measured inside the workers,
+so their sum can exceed the wall time; report.json records the number of
+stage processes as "workers". Sampling fans its trajectories out over the
+cores in row chunks (sde.reverse_generate) unless it already runs in a
+worker, as the score runs of a multi-run debias or sweep-alpha do; stages
+that can only run one after another (a single-baseline debias: its
+discriminator, then its run) run in-process, so they fan out their
+sampling. Probes that wrap library functions in the parent (tiwbench
+--trace 1) do not see the work done in workers.
 """
 
 import argparse
@@ -141,14 +146,6 @@ def _disc_stage(cfg: ExperimentConfig, split, time_independent, report):
     report.add_artifact(path)
 
 
-def _train_ratios(cfg: ExperimentConfig, split, kinds, report):
-    """Train and save every learned discriminator the objective kinds read."""
-    if cfg.raw["objective"]["ratio"] != "learned":
-        return
-    t0s = sorted({RATIO_READERS[k] for k in kinds if k in RATIO_READERS})
-    _run_stages(report, [partial(_disc_stage, cfg, split, t0) for t0 in t0s])
-
-
 def _gen_split(cfg: ExperimentConfig) -> DatasetSplit:
     """Sample and write bias.csv and ref.csv; returns the split, which the
     CSV round-trips (repr of float64) to what _load_split reads back."""
@@ -189,11 +186,12 @@ def _shared_reference(cfg):
     return ref, mean_self_distance(ref)
 
 
-def _score_run(cfg, split, run, spec, oracle, report):
-    """Train run's score network on spec into its subdirectory, sample from
-    it, evaluate the samples against oracle, a _shared_reference."""
+def _score_run(cfg, split, run, oracle, report):
+    """Train run's score network on its objective into its subdirectory,
+    sample from it, evaluate the samples against oracle, a _shared_reference."""
     label, sub = run.label, cfg.output_dir / run.sub
     telemetry, ckpt = sub / "telemetry.csv", sub / "score.ckpt"
+    spec = _objective_spec(cfg, **run.fields)  # loads the discriminator it reads
     with StageTimer(report, f"train-score[{label}]"):
         net = train_score(split, spec, cfg.schedule, cfg.score_train_config(telemetry))
     save_net(net, ckpt, extra={"role": "score", "objective": run.objective})
@@ -214,32 +212,36 @@ def _score_run(cfg, split, run, spec, oracle, report):
     return ev
 
 
-def _run_stages(report, stages):
-    """Run independent stages, each stage(fragment) -> value, by parallel_map;
-    return the values and extend report with the fragments, in stage order."""
-    def run(stage):
-        part = RunReport(report.config_hash, report.library_version)
-        return part, stage(part)
-
-    results, n = workers.parallel_map(run, stages)
-    report.workers = max(report.workers, n)
-    for part, _ in results:
-        report.extend(part)
-    return [value for _, value in results]
-
-
 def _score_runs(cfg: ExperimentConfig, runs):
-    """gen-data, the discriminators the runs read, then each run's
-    _score_run; returns the report (unwritten), split, specs and rows."""
+    """gen-data, then one parallel_map over the learned discriminators the
+    runs read and each run's _score_run: the discriminators, the runs that
+    wait on one, then the runs that read none. Returns the report
+    (unwritten), with its fragments in table order, the split and the rows."""
     report = RunReport(config_hash=config_hash(cfg), library_version=__version__)
     split = _gen_data_stage(cfg, report)
     kind = cfg.raw["objective"]["kind"]
-    _train_ratios(cfg, split, [run.fields.get("kind", kind) for run in runs], report)
-    specs = [_objective_spec(cfg, **run.fields) for run in runs]
+    learned = cfg.raw["objective"]["ratio"] == "learned"
+    # the discriminator each run reads (see RATIO_READERS), or None
+    reads = [RATIO_READERS.get(run.fields.get("kind", kind)) if learned else None
+             for run in runs]
+    t0s = sorted({t0 for t0 in reads if t0 is not None})
+    order = sorted(range(len(runs)), key=lambda i: reads[i] is None)
     oracle = _shared_reference(cfg)
-    rows = _run_stages(report, [partial(_score_run, cfg, split, run, spec, oracle)
-                                for run, spec in zip(runs, specs)])
-    return report, split, specs, rows
+    stages = ([partial(_disc_stage, cfg, split, t0) for t0 in t0s]
+              + [partial(_score_run, cfg, split, runs[i], oracle) for i in order])
+    after = {len(t0s) + k: [t0s.index(reads[i])]
+             for k, i in enumerate(order) if reads[i] is not None}
+
+    def run(stage):  # stages return plain data: a report fragment and a value
+        part = RunReport(report.config_hash, report.library_version)
+        return part, stage(part)
+
+    results, report.workers = workers.parallel_map(run, stages, after)
+    ran = dict(zip(order, results[len(t0s):]))  # back to table order
+    results[len(t0s):] = [ran[i] for i in range(len(runs))]
+    for part, _ in results:
+        report.extend(part)
+    return report, split, [value for _, value in results[len(t0s):]]
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +369,7 @@ def cmd_debias(cfg: ExperimentConfig, all_baselines=False):
     out = cfg.output_dir
     fields = BASELINES if all_baselines else {cfg.raw["objective"]["kind"]: {}}
     runs = [Run(name, name, name, f) for name, f in fields.items()]
-    report, _, _, rows = _score_runs(cfg, runs)
+    report, _, rows = _score_runs(cfg, runs)
     for run, ev in zip(runs, rows):
         print(f"{run.label}: bias {ev.bias:.4f}, minority proportion "
               f"{ev.proportions[-1]:.4f}, energy distance {ev.energy_distance:.5f}")
@@ -392,9 +394,9 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, alphas):
     out = cfg.output_dir
     runs = [Run(f"alpha={a:g}", label, f"tiw_alpha@{a:g}", dict(kind="tiw_alpha", alpha=a))
             for a, label in zip(alphas, labels)]
-    report, split, specs, rows = _score_runs(cfg, runs)
-    artifacts.write_text(out / "identity_checks.txt",
-                         _endpoint_identity_checks(cfg, split, specs[0]))
+    report, split, rows = _score_runs(cfg, runs)
+    artifacts.write_text(out / "identity_checks.txt", _endpoint_identity_checks(
+        cfg, split, _objective_spec(cfg, **runs[0].fields)))
     report.add_artifact(out / "identity_checks.txt")
     for alpha, ev in zip(alphas, rows):
         print(f"alpha {alpha:g}: bias {ev.bias:.4f}, energy distance "

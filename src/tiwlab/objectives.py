@@ -46,7 +46,7 @@ from . import artifacts, kernels
 from .errors import InputError, NumericalError
 from .mixture import GaussianMixture, _perturbed_moments
 from .net import Mlp, NetSpec, init_optim, train_step
-from .ranges import check_fields, check_values
+from .ranges import check_fields
 from .ratio import DatasetSplit, RatioModel
 from .sde import LAMBDA_KINDS, VpSchedule, lambda_weight
 
@@ -155,7 +155,7 @@ class QuadratureGrid:
     t_panels: int = field(default=8, metadata={"ge": 1})
 
     def __post_init__(self):
-        check_values(vars(self), QuadratureGrid, "QuadratureGrid")
+        check_fields(self)
 
 
 @functools.cache

@@ -49,10 +49,10 @@ def check_values(values, cls, name):
 
 
 def check_fields(obj):
-    """Raise InputError unless every field of obj lies in its declared range."""
+    """Raise InputError unless every field of obj fits its declared type and
+    range, as check_value checks it; a field whose default is None (an
+    optional object or path) is left to its reader."""
     for f in fields(obj):
-        value = getattr(obj, f.name)
-        for item in value if isinstance(value, (list, tuple)) else [value]:
-            problem = range_error(item, f.metadata)
-            if problem:
-                raise InputError(f"{type(obj).__name__}.{f.name}: {problem}")
+        if f.default is not None:
+            check_value(getattr(obj, f.name), f.type, f.metadata,
+                        f"{type(obj).__name__}.{f.name}")

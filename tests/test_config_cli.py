@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import signal
 import time
@@ -20,7 +21,7 @@ from tiwlab.config import (
     config_hash,
     load_config,
 )
-from tiwlab.errors import ConfigError, InputError, NumericalError
+from tiwlab.errors import ConfigError, ContractError, InputError, NumericalError
 from tiwlab.kernels import pairwise_mean_dist
 from tiwlab.net import TIME_EMBEDS, Mlp, load_net, save_net
 from tiwlab.objectives import (
@@ -276,6 +277,23 @@ def test_library_defaults_equal_config_defaults(name):
 def test_library_types_check_the_declared_ranges(make, field):
     with pytest.raises(InputError, match=field):
         make()
+
+
+@pytest.mark.parametrize("make,message", [
+    # 2.5 steps used to construct and fail later in np.linspace with a TypeError
+    (lambda: SamplerSpec(steps=2.5), "SamplerSpec.steps: 2.5 is not of type int"),
+    (lambda: ScoreTrainConfig(steps=3.0), "ScoreTrainConfig.steps: 3.0 is not of type int"),
+    (lambda: DiscTrainConfig(time_independent=1),
+     "DiscTrainConfig.time_independent: 1 is not of type bool"),
+    (lambda: ScoreTrainConfig(hidden=(8, True)), "ScoreTrainConfig.hidden.1: True is not"),
+    (lambda: ObjectiveSpec(kind=None), "ObjectiveSpec.kind: None is not of type str"),
+], ids=["sampler-steps", "score-steps", "time-independent", "hidden", "kind"])
+def test_library_types_check_the_declared_types(make, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        make()
+    # an int is a float, and a field whose default is None is left to its reader
+    assert VpSchedule(beta_max=20).beta_max == 20
+    assert ScoreTrainConfig(telemetry_path=Path("t.csv")).telemetry_path == Path("t.csv")
 
 
 def test_load_config_missing_file(tmp_path):
@@ -742,6 +760,81 @@ def test_parallel_map_raises_when_a_worker_dies(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def _log_lines(log):
+    """The whitespace-split lines of a log that worker processes appended to."""
+    return [line.split() for line in log.read_text().splitlines()]
+
+
+@needs_blas_setter
+def test_parallel_map_starts_an_item_once_what_it_waits_on_returned(monkeypatch, tmp_path):
+    monkeypatch.setattr(workers, "_cores", lambda: 2)
+    log = tmp_path / "log"
+
+    def timed(i):
+        start = time.monotonic()
+        time.sleep((0.4, 0.0, 0.1)[i])
+        with open(log, "a") as f:
+            f.write(f"{i} {os.getpid()} {start} {time.monotonic()}\n")
+        return i * i
+
+    # item 1 waits on item 0; item 2 waits on none
+    assert workers.parallel_map(timed, [0, 1, 2], after={1: [0]}) == ([0, 1, 4], 2)
+    runs = {int(i): (int(pid), float(start), float(end))
+            for i, pid, start, end in _log_lines(log)}
+    assert os.getpid() not in {pid for pid, _, _ in runs.values()}
+    assert runs[1][1] >= runs[0][2]  # after item 0 returned
+    assert runs[2][1] < runs[0][2]   # while item 0 ran
+    assert multiprocessing.active_children() == []
+
+
+@needs_blas_setter
+def test_parallel_map_never_starts_what_waits_on_a_failed_item(monkeypatch, tmp_path):
+    monkeypatch.setattr(workers, "_cores", lambda: 2)
+    log = tmp_path / "log"
+
+    def failing_at_0_and_3(i):
+        with open(log, "a") as f:
+            f.write(f"{i}\n")
+        time.sleep(0.3 if i == 0 else 0.0)
+        if i in (0, 3):
+            raise InputError(f"item {i}")
+        return i
+
+    # items 1 and 2 wait on item 0; item 3 waits on none and fails first
+    for cores in (2, 1):
+        monkeypatch.setattr(workers, "_cores", lambda: cores)
+        with pytest.raises(InputError, match="item 0"):
+            workers.parallel_map(failing_at_0_and_3, range(4), after={1: [0], 2: [0, 1]})
+        started = sorted(int(i) for i, in _log_lines(log))
+        assert started == ([0, 3] if cores == 2 else [0])
+        log.unlink()
+        assert multiprocessing.active_children() == []
+
+
+@needs_blas_setter
+def test_parallel_map_runs_a_chain_of_items_here(monkeypatch):
+    monkeypatch.setattr(workers, "_cores", lambda: 2)
+
+    def pid(i):
+        return i, os.getpid()
+
+    # each item waits, directly or not, on the one before it
+    results, n = workers.parallel_map(pid, range(3), after={1: [0], 2: [0, 1]})
+    assert (results, n) == ([(i, os.getpid()) for i in range(3)], 1)
+    results, n = workers.parallel_map(pid, range(3), after={2: [0, 1]})
+    assert n == 2 and os.getpid() not in {p for _, p in results}
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("after", [{0: [1]}, {1: [1]}, {1: [-1]}, {2: [0]}])
+def test_parallel_map_refuses_an_item_waiting_on_a_later_one(monkeypatch, after):
+    monkeypatch.setattr(workers, "_cores", lambda: 1)
+    ran = []
+    with pytest.raises(ContractError, match="may only wait on an earlier item"):
+        workers.parallel_map(ran.append, [0, 1], after=after)
+    assert ran == []
+
+
 def test_debias_computes_the_reference_self_distance_once(tiny_config, monkeypatch):
     config, _ = tiny_config()
     monkeypatch.setattr(workers, "_cores", lambda: 1)
@@ -782,13 +875,16 @@ def _run_recording_pids(commands, out, capsys, monkeypatch, cores, pid_log):
 @needs_blas_setter
 @pytest.mark.parametrize("commands, stage_workers", [
     ([["debias", "--all-baselines"]], 2),
+    # no discriminator stages: the four runs wait on none
+    ([["debias", "--set", "objective.ratio=oracle", "--all-baselines"]], 2),
     ([["sweep-alpha", "--alphas", "0,1"]], 2),
     ([["gen-data"], ["repro-fig2"]], 2),
     # sample reads the checkpoint of the configured objective
     ([["gen-data"], ["train-score", "--set", "objective.kind=dsm"],
       ["sample", "--set", "objective.kind=dsm"]], 1),
     ([["sample", "--source", "oracle-data"]], 1),
-], ids=["debias", "sweep-alpha", "repro-fig2", "sample-checkpoint", "sample-oracle"])
+], ids=["debias", "debias-oracle", "sweep-alpha", "repro-fig2", "sample-checkpoint",
+        "sample-oracle"])
 def test_serial_and_parallel_runs_give_the_same_bytes(tiny_config, capsys, monkeypatch,
                                                        tmp_path, commands, stage_workers):
     config, out = tiny_config()
@@ -822,6 +918,32 @@ def test_serial_and_parallel_runs_give_the_same_bytes(tiny_config, capsys, monke
     if report is not None:
         assert (report.pop("workers"), report2.pop("workers")) == (1, 2)
         assert report2 == report
+
+
+@needs_blas_setter
+def test_a_single_baseline_debias_fans_out_its_sampling(tiny_config, monkeypatch, tmp_path):
+    """Its discriminator and its score run can only run one after another, so
+    they run in-process, and its sampling splits into row chunks in workers."""
+    config, out = tiny_config()
+    monkeypatch.setattr(workers, "_cores", lambda: 2)
+    monkeypatch.setattr(sde, "MIN_ROWS_PER_WORKER", 16)
+    pid_log = tmp_path / "pids"
+    integrate = sde._integrate
+
+    def recorded(*args):
+        with open(pid_log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        time.sleep(0.2)  # long enough that each worker takes a chunk
+        return integrate(*args)
+
+    monkeypatch.setattr(sde, "_integrate", recorded)
+    assert main(["debias", "--config", str(config)]) == 0
+    assert len({int(pid) for pid, in _log_lines(pid_log)} - {os.getpid()}) >= 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["workers"] == 1
+    assert [s["name"] for s in report["stages"]] == [
+        "gen-data", "train-disc", "train-score[tiw_dsm]", "sample[tiw_dsm]", "eval[tiw_dsm]"]
+    assert multiprocessing.active_children() == []
 
 
 @needs_blas_setter
