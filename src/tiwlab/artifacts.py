@@ -43,9 +43,14 @@ def write_text(path, text):
     write_bytes(path, text.encode("utf-8"))
 
 
+def _cell(value):
+    return value if isinstance(value, str) else repr(float(value))
+
+
 def write_csv(path, header, rows):
-    """header and every row are sequences of formatted cells."""
-    write_text(path, "".join(",".join(cells) + "\n" for cells in [header, *rows]))
+    """header and every row are sequences of cells: a str as it is, any other
+    cell as the repr of its float, which reads back to the same float64."""
+    write_text(path, "".join(",".join(map(_cell, cells)) + "\n" for cells in [header, *rows]))
 
 
 def write_json(path, payload):

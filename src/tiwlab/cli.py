@@ -17,6 +17,8 @@ byte. Commands compose through files in the configured output directory:
 A score run is a value (Run); debias and sweep-alpha are lists of runs
 through one pipeline (_score_runs), so a sweep-alpha run takes the
 configured stream and lambda (_objective_spec), as a debias run does.
+_disc_read alone decides which discriminator a run reads; a score source is
+a value (sampling.checkpoint_score or mixture_score), picked in cmd_sample.
 
 Three commands fan their stages out over worker processes, one per
 available core (see workers.parallel_map). debias and sweep-alpha run one
@@ -70,7 +72,7 @@ from .ratio import (
     save_ratio_model,
     train_discriminator,
 )
-from .sampling import generate, read_samples_csv, write_samples_csv
+from .sampling import checkpoint_score, generate, mixture_score, read_samples_csv, write_samples_csv
 
 # named baseline -> the objective fields it sets: no baseline takes
 # objective.alpha, and iw_dsm and tiw_dsm keep objective.stream
@@ -90,10 +92,6 @@ Run = namedtuple("Run", "label sub objective fields")
 # shared plumbing
 # ---------------------------------------------------------------------------
 
-def _fmt(value):
-    return repr(float(value))
-
-
 def _load_split(cfg: ExperimentConfig) -> DatasetSplit:
     out = cfg.output_dir
     bias_path, ref_path = out / "bias.csv", out / "ref.csv"
@@ -104,22 +102,25 @@ def _load_split(cfg: ExperimentConfig) -> DatasetSplit:
                         ref_points=read_samples_csv(ref_path))
 
 
+def _disc_read(cfg: ExperimentConfig, kind):
+    """The time independence (see RATIO_READERS) of the learned discriminator
+    an objective kind reads, or None: it reads no ratio, or the oracle's."""
+    return None if cfg.raw["objective"]["ratio"] == "oracle" else RATIO_READERS.get(kind)
+
+
 def _ratio_for(cfg: ExperimentConfig, kind):
-    """Resolve the ratio model an objective kind needs, or None."""
+    """The ratio model an objective kind reads: the discriminator _disc_read
+    names, else the oracle, or None if it reads none."""
     if kind not in RATIO_READERS:
         return None
-    t0 = RATIO_READERS[kind]
-    if cfg.raw["objective"]["ratio"] == "oracle":
+    t0 = _disc_read(cfg, kind)
+    if t0 is None:
         return oracle_ratio_model(cfg.mixture("data"), cfg.mixture("bias"), cfg.schedule)
     path = cfg.output_dir / DISC_CKPT[t0]
     if not path.exists():
         raise InputError(f"discriminator checkpoint {path} not found "
                          f"(run train-disc{' --time-independent' if t0 else ''} first)")
-    rm, dim = load_ratio_model(path, cfg.schedule), cfg.mixture("data").dim
-    if rm.net.input_dim != dim:
-        raise InputError(f"discriminator checkpoint {path} is {rm.net.input_dim}-D, "
-                         f"but the config's mixtures are {dim}-D")
-    return rm
+    return load_ratio_model(path, cfg.schedule, cfg.mixture("data").dim)
 
 
 def _objective_spec(cfg: ExperimentConfig, **fields) -> ObjectiveSpec:
@@ -171,8 +172,8 @@ def _gen_data_stage(cfg, report):
 
 
 def _generate_samples(cfg, source, out_dir):
-    return generate(source, cfg.schedule, cfg.sampler_spec(),
-                    cfg.raw["eval"]["n_samples"], out_dir, dim=cfg.mixture("data").dim)
+    return generate(source, cfg.schedule, cfg.sampler_spec(), cfg.raw["eval"]["n_samples"],
+                    out_dir)
 
 
 def _oracle_reference(cfg):
@@ -196,7 +197,7 @@ def _score_run(cfg, split, run, oracle, report):
         net = train_score(split, spec, cfg.schedule, cfg.score_train_config(telemetry))
     save_net(net, ckpt, extra={"role": "score", "objective": run.objective})
     with StageTimer(report, f"sample[{label}]"):
-        samples, _ = _generate_samples(cfg, ckpt, sub)
+        samples, _ = _generate_samples(cfg, checkpoint_score(ckpt), sub)
     with StageTimer(report, f"eval[{label}]"):
         ref, ref_self = oracle
         ev = evaluate_samples(samples, ref, cfg.mixture("data"), notes=label,
@@ -220,10 +221,7 @@ def _score_runs(cfg: ExperimentConfig, runs):
     report = RunReport(config_hash=config_hash(cfg), library_version=__version__)
     split = _gen_data_stage(cfg, report)
     kind = cfg.raw["objective"]["kind"]
-    learned = cfg.raw["objective"]["ratio"] == "learned"
-    # the discriminator each run reads (see RATIO_READERS), or None
-    reads = [RATIO_READERS.get(run.fields.get("kind", kind)) if learned else None
-             for run in runs]
+    reads = [_disc_read(cfg, run.fields.get("kind", kind)) for run in runs]
     t0s = sorted({t0 for t0 in reads if t0 is not None})
     order = sorted(range(len(runs)), key=lambda i: reads[i] is None)
     oracle = _shared_reference(cfg)
@@ -275,18 +273,16 @@ def cmd_train_score(cfg: ExperimentConfig, baseline=None):
 
 
 def cmd_sample(cfg: ExperimentConfig, source=None):
-    out = cfg.output_dir
+    out, dim = cfg.output_dir, cfg.mixture("data").dim
     if source in (None, "score"):
-        name = cfg.raw["objective"]["kind"]
-        src = out / SCORE_CKPT.format(name)
-        if not src.exists():
-            raise InputError(f"score checkpoint {src} not found (run train-score)")
-    elif source == "oracle-data":
-        src = cfg.mixture("data")
-    elif source == "oracle-bias":
-        src = cfg.mixture("bias")
+        path = out / SCORE_CKPT.format(cfg.raw["objective"]["kind"])
+        if not path.exists():
+            raise InputError(f"score checkpoint {path} not found (run train-score)")
+        src = checkpoint_score(path, dim)
+    elif source in ("oracle-data", "oracle-bias"):
+        src = mixture_score(cfg.mixture(source.removeprefix("oracle-")), cfg.schedule)
     else:
-        src = Path(source)
+        src = checkpoint_score(source, dim)
     _, prov = _generate_samples(cfg, src, out)
     print(f"wrote {out / 'samples.csv'} (source hash {prov['source_hash'][:12]})")
     return 0
@@ -321,7 +317,7 @@ def cmd_repro_fig2(cfg: ExperimentConfig):
                                 n=cfg.raw["eval"]["dre_n"],
                                 seed=cfg.seeds["eval"])
     artifacts.write_csv(out / "dre_curve.csv", ["t", "mse_time_dep", "mse_time_indep"],
-                        [[_fmt(t), _fmt(a), _fmt(b)] for t, a, b in scan.per_t])
+                        scan.per_t)
     summary = {
         "integrated_ratio": scan.ratio,
         "integral_time_dep": scan.integral_time_dep,
@@ -351,8 +347,7 @@ def cmd_repro_fig3(cfg: ExperimentConfig):
     w = oracle.ratio_w(lattice, 0.0)
 
     def field_rows(values):
-        return [[_fmt(x[0]), _fmt(x[1])] + [_fmt(v) for v in np.atleast_1d(val)]
-                for x, val in zip(lattice, values)]
+        return [[*x, *np.atleast_1d(val)] for x, val in zip(lattice, values)]
 
     vector = ["x0", "x1", "v0", "v1"]
     for name, header, values in (("field_score_bias", vector, score_bias),
@@ -402,8 +397,7 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, alphas):
         print(f"alpha {alpha:g}: bias {ev.bias:.4f}, energy distance "
               f"{ev.energy_distance:.5f}")
     artifacts.write_csv(out / "alpha_sweep.csv", ["alpha", "bias", "energy_distance"],
-                        [[_fmt(a), _fmt(e.bias), _fmt(e.energy_distance)]
-                         for a, e in zip(alphas, rows)])
+                        [[a, e.bias, e.energy_distance] for a, e in zip(alphas, rows)])
     report.add_artifact(out / "alpha_sweep.csv")
     report.write(out / "report.json")
     print(f"wrote {out / 'alpha_sweep.csv'}")

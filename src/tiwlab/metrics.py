@@ -92,10 +92,7 @@ class EvalReport:
         return ["bias", *props, "energy_distance", "notes"]
 
     def csv_row(self):
-        return [repr(float(self.bias)),
-                *[repr(float(p)) for p in self.proportions],
-                repr(float(self.energy_distance)),
-                self.notes]
+        return [self.bias, *self.proportions, self.energy_distance, self.notes]
 
 
 def evaluate_samples(samples, oracle_samples, classifier, notes="", oracle_self=None):

@@ -43,7 +43,7 @@ class GaussianMixture:
             raise InputError(f"means must have shape (k, d), got {m.shape}")
         if m.shape[0] != w.size or v.shape != w.shape:
             raise InputError("weights, means, variances must agree in component count")
-        if np.any(w <= 0.0):
+        if not np.all(w > 0.0):  # also refuses nan
             raise InputError("component weights must be positive")
         if abs(w.sum() - 1.0) > 1e-12:
             raise InputError(f"weights must sum to 1 within 1e-12, got {w.sum()!r}")

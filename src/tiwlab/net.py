@@ -49,6 +49,8 @@ TIME_EMBEDS = ("append-scalar", "sinusoidal")
 
 CHECKPOINT_MAGIC = b"TIWNET"
 CHECKPOINT_VERSION = 1
+# header role -> its name; a score net outputs input_dim entries, a discriminator 1
+ROLES = {"score": "a score network", "discriminator": "a discriminator"}
 
 # float64 entries per row block of the elementwise chain: 128 KB, which is
 # 256 rows at width 64
@@ -378,8 +380,10 @@ def save_net(net: Mlp, path, extra=None):
                           + blob + net.params.astype("<f8").tobytes())
 
 
-def load_net(path):
-    """Read a checkpoint; returns (net, header + "sha256" of the bytes read)."""
+def load_net(path, role=None, dim=None):
+    """Read a checkpoint; returns (net, header + "sha256" of the bytes read).
+    Refuses another role (InputError) or an output unfit for role (IoError),
+    and given dim, another input dimension (InputError)."""
     raw = artifacts.read_bytes(path)
     if raw[:6] != CHECKPOINT_MAGIC:
         raise IoError(f"corrupt checkpoint {path}: bad magic field")
@@ -415,5 +419,15 @@ def load_net(path):
         net = Mlp(**{key: header[key] for key in ARCH_KEYS}, params=params)
     except InputError as e:
         raise IoError(f"corrupt checkpoint {path}: {e}") from e
+    if role is not None:
+        noun, output_dim = ROLES[role], net.input_dim if role == "score" else 1
+        if header.get("role") != role:
+            raise InputError(f"checkpoint {path} is not {noun} "
+                             f"(role field {header.get('role')!r})")
+        if net.output_dim != output_dim:
+            raise IoError(f"corrupt checkpoint {path}: output_dim field is "
+                          f"{net.output_dim}, {noun} has {output_dim}")
+    if dim is not None and net.input_dim != dim:
+        raise InputError(f"checkpoint {path} is {net.input_dim}-D, but {dim}-D was asked for")
     header["sha256"] = hashlib.sha256(raw).hexdigest()
     return net, header

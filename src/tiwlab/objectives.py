@@ -388,8 +388,7 @@ def train_score(data: DatasetSplit, spec: ObjectiveSpec, sched: VpSchedule,
                 1.0 + np.cos(np.pi * step / cfg.steps))
             train_step(net, state, losses, outgrad, cache, "score", step)
             if cfg.telemetry_every and step % cfg.telemetry_every == 0:
-                telemetry.append([str(step), repr(float(ts[0])),
-                                  repr(float(weights[0])), repr(float(losses[0]))])
+                telemetry.append([str(step), ts[0], weights[0], losses[0]])
     finally:
         if cfg.telemetry_path and cfg.telemetry_every:
             artifacts.write_csv(cfg.telemetry_path, ["step", "t", "weight", "loss"],

@@ -6,6 +6,7 @@ key where it differs from the field name, and "config": False marks a field
 that the code sets, not the config (see config.py).
 """
 
+import math
 import operator
 from dataclasses import fields
 from typing import get_args, get_origin
@@ -28,7 +29,7 @@ def range_error(value, meta):
 def check_value(value, kind, meta, path, error=InputError):
     """Raise error("<path>: <problem>") unless value fits a field of type kind
     and metadata meta; item i of a list is path.i. Types are exact: a bool is
-    not an int and 1.0 is not an int, but an int is a float."""
+    not an int and 1.0 is not an int, but an int is a float. A float is finite."""
     if get_origin(kind) in (list, tuple):
         if not isinstance(value, (list, tuple)):
             raise error(f"{path}: {value!r} is not a list")
@@ -38,6 +39,8 @@ def check_value(value, kind, meta, path, error=InputError):
             check_value(item, get_args(kind)[0], {**meta, "min_len": 0}, f"{path}.{i}", error)
     elif not (type(value) is kind or (kind is float and type(value) is int)):
         raise error(f"{path}: {value!r} is not of type {kind.__name__}")
+    elif kind is float and not math.isfinite(value):
+        raise error(f"{path}: {value!r} is not finite")
     elif problem := range_error(value, meta):
         raise error(f"{path}: {problem}")
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, IoError
+from .errors import InputError
 from .mixture import (
     GaussianMixture,
     perturbed_log_density_and_score_batch,
@@ -144,8 +144,8 @@ class RatioModel:
         form "plain": w^a = exp(a h), gradient a grad h. Both read the clamped
         logit h of logit_and_grad; the gradient is None without want_grad.
         """
-        if alpha < 0.0:
-            raise InputError("alpha must be >= 0")
+        if not 0.0 <= alpha < np.inf:  # also refuses nan
+            raise InputError(f"alpha must be finite and >= 0, got {alpha!r}")
         if form not in RATIO_FORMS:
             raise InputError(f"ratio form must be one of {RATIO_FORMS}")
         h, grad = self.logit_and_grad(x, t, want_grad)
@@ -360,11 +360,7 @@ def save_ratio_model(rm: RatioModel, path):
     save_net(rm.net, path, extra={"role": "discriminator"})
 
 
-def load_ratio_model(path, sched: VpSchedule) -> RatioModel:
-    net, header = load_net(path)
-    if header.get("role") != "discriminator":
-        raise InputError(f"checkpoint {path} is not a discriminator (role field)")
-    if net.output_dim != 1:
-        raise IoError(f"corrupt checkpoint {path}: output_dim field is {net.output_dim}, "
-                      "a discriminator has 1")
+def load_ratio_model(path, sched: VpSchedule, dim=None) -> RatioModel:
+    """The learned ratio of a discriminator checkpoint (see net.load_net)."""
+    net, _ = load_net(path, "discriminator", dim)
     return RatioModel(sched=sched, kind="learned", net=net)

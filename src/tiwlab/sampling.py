@@ -1,18 +1,22 @@
 """Sample generation: a score source + sampler settings -> sample matrix.
 
-The score source is either a score-network checkpoint or an oracle
-mixture (whose exact perturbed score is used). Both score functions are
-row-wise, as reverse_generate requires: row i of the score depends only on
-row i of the states, so the trajectories can be split across processes.
-Samples come from Heun's method on the probability-flow ODE. Each run
-produces a provenance record (seed, steps, the schedule's four values,
-source hash, n, dim) that fully determines the output; rerunning with the
-same record reproduces the matrix bit for bit.
+A score source is a plain (score_fn, dim, entry) value: a row-wise score
+function, its dimension and its provenance entry ("source", "source_hash").
+checkpoint_score builds one from a score-network checkpoint, which
+net.load_net checks, and mixture_score from an oracle mixture's exact
+perturbed score. Row-wise, as reverse_generate requires: row i of the
+score depends only on row i of the states, so the trajectories can be
+split across processes. Samples come from Heun's method on the
+probability-flow ODE. Each run produces a provenance record (seed, steps,
+the schedule's four values, the source's entry, n, dim) that fully
+determines the output; rerunning with the same record reproduces the
+matrix bit for bit.
 """
 
 import hashlib
 import json
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,43 +28,29 @@ from .net import load_net
 from .sde import SamplerSpec, VpSchedule, reverse_generate
 
 
-def _mixture_hash(gm: GaussianMixture):
+def checkpoint_score(path, dim=None):
+    """The score source of a score-network checkpoint, named by its file name and
+    the sha256 of its bytes; given dim, a network of another dimension is refused."""
+    net, header = load_net(path, "score", dim)
+    entry = {"source": Path(path).name, "source_hash": header["sha256"]}
+    return net.forward, net.input_dim, entry
+
+
+def mixture_score(gm: GaussianMixture, sched: VpSchedule):
+    """The exact perturbed score of gm, named "oracle" and the sha256 of gm."""
     blob = json.dumps(gm.to_dict(), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    entry = {"source": "oracle", "source_hash": hashlib.sha256(blob).hexdigest()}
+    return partial(perturbed_score_batch, gm, sched), gm.dim, entry
 
 
-def _resolve_score_fn(src, sched: VpSchedule):
-    if isinstance(src, GaussianMixture):
-        def score_fn(X, t):
-            return perturbed_score_batch(src, sched, X, t)
-        return score_fn, src.dim, {"source": "oracle", "source_hash": _mixture_hash(src)}
-    net, header = load_net(src)
-    if header.get("role") != "score":
-        raise InputError(f"checkpoint {src} is not a score network "
-                         f"(role field {header.get('role')!r})")
-    if net.output_dim != net.input_dim:
-        raise IoError(f"corrupt checkpoint {src}: output_dim field does not match "
-                      "input_dim for a score network")
-
-    def score_fn(X, t):
-        return net.forward(X, t)
-    return score_fn, net.input_dim, {"source": Path(src).name,
-                                     "source_hash": header["sha256"]}
-
-
-def generate(source, sched: VpSchedule, spec: SamplerSpec, n, output=None, dim=None):
-    """n samples from source, a score checkpoint path or a GaussianMixture, and
-    their provenance dict; both go to samples.csv and provenance.json in output.
-    With dim given, a source of another dimension is refused before sampling."""
+def generate(source, sched: VpSchedule, spec: SamplerSpec, n, output=None):
+    """n samples from a score source (checkpoint_score, mixture_score) and their
+    provenance dict; both go to samples.csv and provenance.json in output."""
     if n < 1:
         raise InputError("n must be >= 1")
-    score_fn, source_dim, source_info = _resolve_score_fn(source, sched)
-    if dim is not None and source_dim != dim:
-        raise InputError(f"score source {source} is {source_dim}-D, "
-                         f"but {dim}-D samples were asked for")
-    samples = reverse_generate(sched, score_fn, spec, n, source_dim)
-    provenance = {"n": n, "dim": source_dim, **asdict(spec), "schedule": asdict(sched),
-                  **source_info}
+    score_fn, dim, entry = source
+    samples = reverse_generate(sched, score_fn, spec, n, dim)
+    provenance = {"n": n, "dim": dim, **asdict(spec), "schedule": asdict(sched), **entry}
     if output is not None:
         out = Path(output)
         write_samples_csv(out / "samples.csv", samples)
@@ -69,11 +59,10 @@ def generate(source, sched: VpSchedule, spec: SamplerSpec, n, output=None, dim=N
 
 
 def write_samples_csv(path, samples):
-    samples = np.asarray(samples)
+    samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2:
         raise InputError(f"samples must have shape (n, d), got {samples.shape}")
-    artifacts.write_csv(path, [f"x{i}" for i in range(samples.shape[1])],
-                        ([repr(float(v)) for v in row] for row in samples))
+    artifacts.write_csv(path, [f"x{i}" for i in range(samples.shape[1])], samples)
 
 
 def read_samples_csv(path):

@@ -30,6 +30,7 @@ from tiwlab.objectives import (
     ObjectiveSpec,
     ScoreTrainConfig,
 )
+from tiwlab.ranges import check_value
 from tiwlab.ratio import RATIO_KINDS, DiscTrainConfig
 from tiwlab.sampling import read_samples_csv
 from tiwlab.sde import LAMBDA_KINDS, SamplerSpec, VpSchedule
@@ -208,6 +209,40 @@ def test_integral_float_is_not_an_integer(tiny_config, capsys, override):
     config, _ = tiny_config()
     assert main(["gen-data", "--config", str(config), "--set", override]) == 3
     assert override.split("=")[0] in capsys.readouterr().err
+
+
+# (command, a non-finite override of a float leaf, or list item, it reads)
+NON_FINITE = [
+    ("repro-fig3", "field_grid.extent=.inf"),
+    ("gen-data", "mixtures.data.weights=[.nan,.nan]"),
+    ("sample", "schedule.beta_max=.nan"),
+    ("sample", "schedule.horizon=.inf"),
+    ("train-disc", "disc_train.learning_rate=.inf"),
+    ("gen-data", "objective.alpha=.inf"),
+    ("gen-data", "eval.dre_grid=[0.0,-.inf]"),
+    ("gen-data", "mixtures.bias.means=[[-2,-2],[2,.nan]]"),
+]
+
+
+@pytest.mark.parametrize("command,override", NON_FINITE, ids=[o for _, o in NON_FINITE])
+def test_a_non_finite_float_is_refused_before_any_work(tiny_config, capsys, command,
+                                                       override):
+    config, out = tiny_config()
+    source = ["--source", "oracle-data"] if command == "sample" else []
+    assert main([command, "--config", str(config), "--set", override, *source]) == 3
+    err = capsys.readouterr().err
+    assert f"config field {override.split('=')[0]}" in err and " is not finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_library_types_refuse_a_non_finite_float(value):
+    with pytest.raises(InputError, match=rf"VpSchedule\.beta_max: {value!r} is not finite"):
+        VpSchedule(beta_max=value)
+    with pytest.raises(InputError, match=rf"ObjectiveSpec\.alpha: {value!r} is not finite"):
+        ObjectiveSpec(alpha=value)
+    with pytest.raises(InputError, match=rf"x\.1: {value!r} is not finite"):
+        check_value([1.0, value], list[float], {}, "x")
 
 
 def test_two_mode_yaml_holds_the_defaults():

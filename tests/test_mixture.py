@@ -28,6 +28,13 @@ def test_rejects_bad_weights():
         GaussianMixture(weights=[0.6, 0.6], means=[[0.0], [1.0]], variances=[1.0, 1.0])
 
 
+@pytest.mark.parametrize("weights", [[0.5, np.nan], [np.nan, np.nan], [np.inf, 0.5]])
+def test_rejects_non_finite_weights(weights):
+    # a nan weight passes both w <= 0 and the sum check it makes nan
+    with pytest.raises(InputError, match="weights"):
+        GaussianMixture(weights=weights, means=[[0.0], [1.0]], variances=[1.0, 1.0])
+
+
 def test_rejects_nonpositive_variance():
     with pytest.raises(InputError):
         GaussianMixture(weights=[1.0], means=[[0.0]], variances=[0.0])

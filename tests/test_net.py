@@ -6,7 +6,7 @@ from typing import get_origin
 import numpy as np
 import pytest
 
-from tiwlab.errors import ContractError, InputError, IoError
+from tiwlab.errors import EXIT_CODES, ContractError, InputError, IoError
 from tiwlab.net import (
     BLOCK_ELEMENTS,
     Mlp,
@@ -442,6 +442,36 @@ def test_checkpoint_with_the_silu_activation_field_loads(tmp_path):
 def test_checkpoint_missing_file():
     with pytest.raises(IoError):
         load_net("/nonexistent/net.ckpt")
+
+
+# (id, saved input_dim, output_dim and role, the role and dim read, the error,
+# its exit code and what its message holds)
+ROLE_REFUSALS = [
+    ("another-role", (2, 1, "discriminator"), ("score", None), InputError, 2,
+     "is not a score network (role field 'discriminator')"),
+    ("no-role", (2, 1, None), ("discriminator", None), InputError, 2,
+     "is not a discriminator (role field None)"),
+    ("score-output", (2, 1, "score"), ("score", None), IoError, 5,
+     "output_dim field is 1, a score network has 2"),
+    ("discriminator-output", (2, 2, "discriminator"), ("discriminator", None), IoError, 5,
+     "output_dim field is 2, a discriminator has 1"),
+    ("dimension", (1, 1, "score"), ("score", 2), InputError, 2, "is 1-D, but 2-D"),
+]
+
+
+@pytest.mark.parametrize("saved,read,error,code,message",
+                         [case[1:] for case in ROLE_REFUSALS],
+                         ids=[case[0] for case in ROLE_REFUSALS])
+def test_load_net_refuses_a_checkpoint_unfit_for_its_role(tmp_path, saved, read, error,
+                                                          code, message):
+    input_dim, output_dim, role = saved
+    path = tmp_path / "net.ckpt"
+    save_net(Mlp(input_dim, [8], output_dim, seed=1), path,
+             extra=None if role is None else {"role": role})
+    with pytest.raises(error) as info:
+        load_net(path, *read)
+    assert EXIT_CODES[info.value.category] == code
+    assert str(path) in str(info.value) and message in str(info.value)
 
 
 VALID_ARCH = dict(input_dim=2, hidden=[8], output_dim=1, time_embed="sinusoidal",

@@ -244,6 +244,15 @@ def test_weight_and_correction_rejects_bad_alpha_and_form(random_disc, oracle):
         assert rm.weight_and_correction(x, 0.4, want_grad=False)[1] is None
 
 
+@pytest.mark.parametrize("alpha", [np.nan, np.inf])
+def test_weight_and_correction_refuses_a_non_finite_alpha(random_disc, oracle, alpha):
+    # either would make every weight nan
+    x = np.array([[0.7, -1.1]])
+    for rm in (random_disc, oracle):
+        with pytest.raises(InputError, match=f"alpha must be finite and >= 0, got {alpha!r}"):
+            rm.weight_and_correction(x, 0.4, alpha=alpha)
+
+
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------

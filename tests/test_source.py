@@ -105,3 +105,28 @@ def test_only_ranges_compares_exact_types():
              for line in _exact_type_checks(ast.parse(path.read_text()))]
     assert found == []
     assert list(_exact_type_checks(ast.parse((SRC / "ranges.py").read_text())))
+
+
+def _role_reads(tree):
+    """Line of each read of a "role" key: x["role"] or x.get("role", ...)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+            key = node.slice
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get" and node.args):
+            key = node.args[0]
+        else:
+            continue
+        if isinstance(key, ast.Constant) and key.value == "role":
+            yield node.lineno
+
+
+def test_only_net_reads_a_checkpoints_role():
+    """net.load_net checks the role a reader names, and the output width that
+    role needs; a module that reads the role field again has a second copy
+    of that check."""
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "net.py"
+             for line in _role_reads(ast.parse(path.read_text()))]
+    assert found == []
+    assert list(_role_reads(ast.parse((SRC / "net.py").read_text())))

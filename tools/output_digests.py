@@ -15,13 +15,15 @@ those skip: `gen-data`, both discriminators under the sigma_squared BCE
 weight with a held-out fifth, `train-score` for weight_only,
 correction_only and iw_dsm on the bias stream, the named baselines dsm_ref
 and tiw_dsm (the latter on the exact ratio, under an objective.alpha it
-must ignore), and one `train-score` that diverges (exit code 4) and keeps
-its telemetry. Prints one
-"<sha256>  <name>" line for every CSV (samples and telemetry included),
-checkpoint and identity_checks.txt the runs write (dre_curve.csv, the four
-field_*.csv lattices and eval.csv among them), and for the loss value
-and gradient bytes of each oracle call. Two checkouts whose arithmetic is
-the same print the same lines:
+must ignore), a `sample` from the default source (the configured
+objective's checkpoint, score_tiw_dsm.ckpt), and one `train-score` that
+diverges (exit code 4) and keeps its telemetry; one more `sample` reads
+`--source oracle-bias`. Prints one "<sha256>  <name>" line for every CSV
+(samples and telemetry included), checkpoint, provenance.json (which
+names each sample's score source) and identity_checks.txt the runs write
+(dre_curve.csv, the four field_*.csv lattices and eval.csv among them),
+and for the loss value and gradient bytes of each oracle call. Two
+checkouts whose arithmetic is the same print the same lines:
 
     (cd parent && python3 tools/output_digests.py) > parent.txt
     (cd change && python3 tools/output_digests.py) > change.txt
@@ -50,7 +52,7 @@ from tiwlab.sde import VpSchedule  # noqa: E402
 SHORT = ["disc_train.steps=40", "score_train.steps=40", "score_train.telemetry_every=10",
          "eval.n_samples=128", "eval.n_oracle=256", "eval.dre_n=200",
          "sampler.steps=20"]
-HASHED = ("*.csv", "*.ckpt", "identity_checks.txt")
+HASHED = ("*.csv", "*.ckpt", "provenance.json", "identity_checks.txt")
 
 
 def digest(data):
@@ -94,6 +96,9 @@ def cli_runs(out):
     tiwlab("train-score", "--config", config, *sets, *steps, "--baseline", "dsm_ref")
     tiwlab("train-score", "--config", config, *sets, *steps, "--baseline", "tiw_dsm",
            "--set", "objective.alpha=0.5", "--set", "objective.ratio=oracle")
+    tiwlab("sample", "--config", config, *sets, *steps)
+    tiwlab("sample", "--config", config, *sets, "--output-dir", str(out / "sample_bias"),
+           "--source", "oracle-bias")
     # exit code 4: the loss diverges at step 1, after one telemetry row
     tiwlab("train-score", "--config", config, *sets, *steps, "--set", "objective.kind=dsm",
            "--set", "score_train.learning_rate=1000000.0",
