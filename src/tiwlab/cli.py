@@ -197,7 +197,8 @@ def _score_run(cfg, split, run, oracle, report):
         net = train_score(split, spec, cfg.schedule, cfg.score_train_config(telemetry))
     save_net(net, ckpt, extra={"role": "score", "objective": run.objective})
     with StageTimer(report, f"sample[{label}]"):
-        samples, _ = _generate_samples(cfg, checkpoint_score(ckpt), sub)
+        samples, _ = _generate_samples(cfg, checkpoint_score(ckpt, f"{run.sub}/score.ckpt"),
+                                       sub)
     with StageTimer(report, f"eval[{label}]"):
         ref, ref_self = oracle
         ev = evaluate_samples(samples, ref, cfg.mixture("data"), notes=label,
@@ -275,14 +276,14 @@ def cmd_train_score(cfg: ExperimentConfig, baseline=None):
 def cmd_sample(cfg: ExperimentConfig, source=None):
     out, dim = cfg.output_dir, cfg.mixture("data").dim
     if source in (None, "score"):
-        path = out / SCORE_CKPT.format(cfg.raw["objective"]["kind"])
-        if not path.exists():
-            raise InputError(f"score checkpoint {path} not found (run train-score)")
-        src = checkpoint_score(path, dim)
+        name = SCORE_CKPT.format(cfg.raw["objective"]["kind"])
+        if not (out / name).exists():
+            raise InputError(f"score checkpoint {out / name} not found (run train-score)")
+        src = checkpoint_score(out / name, name, dim)
     elif source in ("oracle-data", "oracle-bias"):
-        src = mixture_score(cfg.mixture(source.removeprefix("oracle-")), cfg.schedule)
+        src = mixture_score(cfg.mixture(source.removeprefix("oracle-")), cfg.schedule, source)
     else:
-        src = checkpoint_score(source, dim)
+        src = checkpoint_score(source, source, dim)
     _, prov = _generate_samples(cfg, src, out)
     print(f"wrote {out / 'samples.csv'} (source hash {prov['source_hash'][:12]})")
     return 0

@@ -20,11 +20,15 @@ the cache from the sigmoid the SiLU evaluated.
 One backprop routine serves both the parameter gradient and the input
 gradient. Without a cache, the hidden activations go into two buffers the
 network keeps while the row count stays the same; the returned output is
-always a fresh array. The (W, b) views into the parameter vector are built
-once, so ``params`` can be written in place but not rebound. The time
-features of the last per-row t are kept with a copy of that t, so a call
-at the same times (the two noise blocks of an antithetic pair) reuses
-them; a scalar t gives one broadcast row and is never kept.
+always a fresh array; with a cache, the cache's arrays are views of one
+fresh allocation. The (W, b) views into the parameter vector, and into
+the buffer param_gradient sums into before returning a copy, are built
+once, so ``params`` can be written in place but not rebound. forward
+checks x and t once. The time features of the last per-row t are kept with
+a copy of that t, so a call at the same times (the two noise blocks of an
+antithetic pair) reuses them; those of the last scalar t are kept apart,
+so the sampler's two drifts at one t share them. adam_step writes through
+two scratch vectors in OptimState, in the textbook update's order.
 
 Checkpoint format (little-endian): magic ``TIWNET``, u16 format version,
 u32 header length, JSON header (architecture + arbitrary extra fields),
@@ -147,8 +151,17 @@ class Mlp:
                 )
             self._params = params.copy()
         self._layers = self._views(self._params)
+        self._grads = np.empty(self.n_params)
+        self._grad_layers = self._views(self._grads)
         self._buffer_rows, self._buffers = None, ()
+        # column spans of a cache's arrays in its one allocation: the input,
+        # then each hidden layer's output and SiLU derivative
+        cols = np.cumsum([0, self.widths[0], *np.repeat(self.hidden, 2)]).tolist()
+        self._cache_spans = list(zip(cols[:-1], cols[1:]))
+        # harmonics 1..k of the unit horizon; keeps the t-dependence band-limited
+        self._freqs = np.arange(1, self.n_frequencies + 1, dtype=np.float64)
         self._times_key, self._times_feats = None, None
+        self._scalar_key, self._scalar_feats = None, None
 
     @property
     def params(self):
@@ -196,14 +209,17 @@ class Mlp:
     def _time_features(self, t, batch):
         """(batch, embed_dim) read-only time features. Those of the last
         per-row t are kept with its bytes, and a t of the same bytes gets the
-        same array back; a scalar t gives one broadcast row and is never kept."""
+        same array back; those of the last scalar t and batch are kept apart,
+        one row broadcast over the batch."""
         t = _row_times(t, batch)
-        if t.ndim == 0:
-            return self._embed(t, batch)
-        # bytes, not values: -0.0 == 0.0, but their features differ in sign
+        # bytes, not values: -0.0 == 0.0, but their features differ in sign;
+        # a copy of t: append-scalar features view it, and the caller may change it
         key = t.tobytes()
+        if t.ndim == 0:
+            if (key, batch) != self._scalar_key:
+                self._scalar_key, self._scalar_feats = (key, batch), self._embed(t.copy(), batch)
+            return self._scalar_feats
         if key != self._times_key:
-            # a copy: append-scalar features view t, which the caller may change
             self._times_key, self._times_feats = key, self._embed(t.copy(), batch)
         return self._times_feats
 
@@ -213,9 +229,7 @@ class Mlp:
         if self.time_embed == "append-scalar":
             feats = rows
         else:
-            # harmonics 1..k of the unit horizon; keeps the t-dependence band-limited
-            freqs = np.arange(1, self.n_frequencies + 1, dtype=np.float64)
-            ang = 2.0 * np.pi * rows * freqs[None, :]
+            ang = 2.0 * np.pi * rows * self._freqs[None, :]
             feats = np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
         return np.broadcast_to(feats, (batch, feats.shape[1]))
 
@@ -225,17 +239,25 @@ class Mlp:
         X = np.asarray(x, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise InputError(f"x must have shape (n, {self.input_dim}), got {X.shape}")
-        if not np.all(np.isfinite(X)):
+        if not np.isfinite(X).all():
             raise InputError("non-finite network input")
-        feats = np.concatenate([X, self._time_features(t, X.shape[0])], axis=1)
+        B = X.shape[0]
+        time_feats = self._time_features(t, B)
+        if want_cache:
+            block = np.empty(B * self._cache_spans[-1][1])
+            views = [block[B * lo:B * hi].reshape(B, hi - lo) for lo, hi in self._cache_spans]
+            feats = views[0]
+        else:
+            feats = np.empty((B, self.widths[0]))
+        feats[:, :self.input_dim] = X
+        feats[:, self.input_dim:] = time_feats
 
-        B = feats.shape[0]
         a = feats
         primes, acts = [], [feats]
         for l, (W, b) in enumerate(self._layers[:-1]):
             if want_cache:
-                z = a @ W.T
-                prime = np.empty_like(z)
+                z = np.matmul(a, W.T, out=views[2 * l + 1])
+                prime = views[2 * l + 2]
                 primes.append(prime)
                 acts.append(z)
             else:
@@ -269,9 +291,9 @@ class Mlp:
                 f"output gradient shape {g.shape} does not match cache batch "
                 f"{cache.batch} x output_dim {self.output_dim}"
             )
-        grads = np.zeros(self.n_params)
-        self._backprop(g, cache, grads)
-        return grads
+        self._grads.fill(0.0)
+        self._backprop(g, cache, self._grad_layers)
+        return self._grads.copy()
 
     def input_gradient(self, x, t):
         """(n, output_dim, input_dim) Jacobian of the output w.r.t. x (time
@@ -291,13 +313,13 @@ class Mlp:
             jac = jac[:, 0, :]
         return out, jac
 
-    def _backprop(self, delta, cache, grads=None):
+    def _backprop(self, delta, cache, glayers=None):
         """Reverse pass of delta = d(loss)/d(output) through the cached layers.
 
-        With a grads vector, adds d(loss)/d(params) into it and stops at the
-        first layer; without one, returns d(loss)/d(feats).
+        With (gW, gb) views of a vector laid out like params, adds
+        d(loss)/d(params) into it and stops at the first layer; without
+        them, returns d(loss)/d(feats).
         """
-        glayers = None if grads is None else self._views(grads)
         for l in range(len(self._layers) - 1, -1, -1):
             if glayers is not None:
                 gW, gb = glayers[l]
@@ -332,6 +354,7 @@ class OptimState:
     m: np.ndarray
     v: np.ndarray
     learning_rate: float
+    scratch: tuple = field(default=(), repr=False)  # adam_step's; no state
 
 
 def init_optim(n_params, learning_rate):
@@ -343,14 +366,21 @@ def adam_step(params, grads, state: OptimState):
     """One bias-corrected Adam update, in place. Returns (params, state)."""
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ContractError("params, grads and optimizer moments must share a shape")
+    if not state.scratch:
+        state.scratch = (np.empty(params.shape), np.empty(params.shape))
+    a, b = state.scratch
     state.step += 1
     state.m *= ADAM_BETA1
-    state.m += (1.0 - ADAM_BETA1) * grads
+    state.m += np.multiply(1.0 - ADAM_BETA1, grads, out=a)
     state.v *= ADAM_BETA2
-    state.v += (1.0 - ADAM_BETA2) * grads * grads
-    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.step)
-    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.step)
-    params -= state.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    np.multiply(1.0 - ADAM_BETA2, grads, out=a)
+    state.v += np.multiply(a, grads, out=a)
+    np.divide(state.m, 1.0 - ADAM_BETA1 ** state.step, out=a)  # m_hat
+    np.divide(state.v, 1.0 - ADAM_BETA2 ** state.step, out=b)  # v_hat
+    np.sqrt(b, out=b)
+    b += ADAM_EPS
+    np.multiply(state.learning_rate, a, out=a)
+    params -= np.divide(a, b, out=a)
     return params, state
 
 

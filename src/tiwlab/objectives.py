@@ -35,6 +35,10 @@ evaluates the +eps and -eps blocks of a slice back to back, so the net's
 time features (kept for the last per-row t, see Mlp) and iw_dsm's t=0
 weights serve both, and adds the block sums in block-major order. Both
 give the bytes of the one-node-at-a-time and block-major forms.
+
+persample_loss and mc_loss_gradient check their times once (InputError
+above T or NaN, NumericalError below t_eps); train_score draws its times
+inside [t_eps, T]. The batch terms take alpha(t) and sigma(t) once (see sde).
 """
 
 import functools
@@ -48,7 +52,8 @@ from .mixture import GaussianMixture, _perturbed_moments
 from .net import Mlp, NetSpec, init_optim, train_step
 from .ranges import check_fields
 from .ratio import DatasetSplit, RatioModel
-from .sde import LAMBDA_KINDS, VpSchedule, lambda_weight
+from .sde import (LAMBDA_KINDS, VpSchedule, _kernel_sample, _kernel_score, _lambda_factor,
+                  lambda_weight)
 
 OBJECTIVE_KINDS = ("dsm", "iw_dsm", "tiw_dsm", "tiw_alpha",
                    "weight_only", "correction_only")
@@ -95,22 +100,23 @@ class ObjectiveSpec:
 
 
 def _batch_terms(net, X0, ts, eps, sched, spec: ObjectiveSpec, iw_weights=None):
-    """Per-sample losses plus what backprop needs (d loss_i / d s_i, cache);
-    iw_dsm's t=0 weights come from spec.ratio unless passed in iw_weights."""
-    ts = np.broadcast_to(np.asarray(ts, dtype=np.float64), (X0.shape[0],))
-    X_t = sched.forward_sample(X0, ts, eps)
-    target = sched.cond_score(X_t, X0, ts)
-    lam = lambda_weight(sched, ts, spec.lambda_kind)
+    """Per-sample losses plus what backprop needs (d loss_i / d s_i, cache)
+    and the weights (None for the kinds that read none), at (B,) times ts
+    in [t_eps, T]; iw_dsm's t=0 weights come from spec.ratio unless passed
+    in iw_weights. A weight or lambda of 1 and a correction of 0 are left
+    out (x * 1 and x - 0 are x), every other operation kept in its order."""
+    alpha, sigma = sched._alpha_sigma(ts)
+    X_t = _kernel_sample(alpha, sigma, X0, eps)
+    target = _kernel_score(alpha, sigma, X_t, X0)
+    lam = _lambda_factor(sigma, spec.lambda_kind)
 
-    B, d = X_t.shape
-    weights = np.ones(B)
-    corr = np.zeros((B, d))
+    weights = corr = None
     kind = spec.kind
     if kind == "iw_dsm":
         weights = _iw_weights(spec, X0) if iw_weights is None else iw_weights
     elif kind in RATIO_READERS:
         w, g = spec.ratio.weight_and_correction(X_t, ts, spec.ratio_form, spec.alpha)
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(g))):
+        if not (np.isfinite(w).all() and np.isfinite(g).all()):
             raise NumericalError("non-finite density-ratio term in objective")
         if kind != "correction_only":
             weights = w
@@ -118,16 +124,27 @@ def _batch_terms(net, X0, ts, eps, sched, spec: ObjectiveSpec, iw_weights=None):
             corr = g
 
     out, cache = net.forward(X_t, ts, want_cache=True)
-    resid = out - target - corr
-    losses = 0.5 * lam * weights * (resid * resid).sum(axis=1)
-    outgrad = (lam * weights)[:, None] * resid
+    resid = out - target
+    if corr is not None:
+        resid -= corr
+    half = 0.5 if lam is None else 0.5 * lam  # 0.5 * lam * weight
+    scale = lam  # lam * weight
+    if weights is not None:
+        half = half * weights
+        scale = weights if lam is None else lam * weights
+    losses = half * (resid * resid).sum(axis=1)
+    outgrad = resid if scale is None else scale[:, None] * resid
     return losses, outgrad, cache, weights
 
 
 def persample_loss(net, spec: ObjectiveSpec, x0, t, noise, sched):
-    """Loss of one sample (x0, t, noise) under spec, taken as a 1-row batch."""
-    losses, *_ = _batch_terms(net, np.reshape(x0, (1, -1)), t, np.reshape(noise, (1, -1)),
-                              sched, spec)
+    """Loss of one sample (x0, t, noise) under spec, taken as a 1-row batch;
+    t must lie in [t_eps, T] (InputError above T, NumericalError below t_eps)."""
+    x0, noise = (np.asarray(a, dtype=np.float64).reshape(1, -1) for a in (x0, noise))
+    if x0.shape != noise.shape:
+        raise InputError(f"x0 and noise must have one size, got {x0.size} and {noise.size}")
+    ts = sched._kernel_times(t, 1, sched.t_eps).reshape(1)
+    losses, *_ = _batch_terms(net, x0, ts, noise, sched, spec)
     return float(losses[0])
 
 
@@ -282,6 +299,7 @@ def mc_loss_gradient(net, spec: ObjectiveSpec, sched, base_mixture: GaussianMixt
     ts = t_lo + (np.arange(m) + rng_t.uniform(size=m)) / m * (t_hi - t_lo)
     eps = np.random.default_rng([seed, 3]).standard_normal(x0.shape)
     eps = eps / np.sqrt((eps * eps).mean())
+    sched._kernel_times(ts, m, sched.t_eps)  # the one check of every time
 
     # the two blocks of a slice run back to back, so the second reuses the
     # net's time features (and iw_dsm's t=0 weights, which depend on x0
@@ -388,7 +406,8 @@ def train_score(data: DatasetSplit, spec: ObjectiveSpec, sched: VpSchedule,
                 1.0 + np.cos(np.pi * step / cfg.steps))
             train_step(net, state, losses, outgrad, cache, "score", step)
             if cfg.telemetry_every and step % cfg.telemetry_every == 0:
-                telemetry.append([str(step), ts[0], weights[0], losses[0]])
+                weight = 1.0 if weights is None else weights[0]
+                telemetry.append([str(step), ts[0], weight, losses[0]])
     finally:
         if cfg.telemetry_path and cfg.telemetry_every:
             artifacts.write_csv(cfg.telemetry_path, ["step", "t", "weight", "loss"],

@@ -40,7 +40,7 @@ from .mixture import (
 )
 from .net import Mlp, NetSpec, _sigmoid, init_optim, load_net, save_net, train_step
 from .ranges import check_fields
-from .sde import LAMBDA_KINDS, VpSchedule, lambda_weight
+from .sde import LAMBDA_KINDS, VpSchedule, _kernel_sample, _lambda_factor
 
 RATIO_KINDS = ("learned", "oracle")
 RATIO_FORMS = ("tilde", "plain")
@@ -263,14 +263,19 @@ def _tbce_terms(net, sched, cfg, x0, labels, rng, want_cache):
     At the one time t = 0 a weighting is a constant factor, so the weight is 1 there."""
     n = x0.shape[0]
     t = np.zeros(n) if cfg.time_independent else rng.uniform(sched.t_eps, sched.T, n)
-    x_t = sched.forward_sample(x0, t, rng.standard_normal(x0.shape))
+    alpha, sigma = sched._alpha_sigma(t)
+    x_t = _kernel_sample(alpha, sigma, x0, rng.standard_normal(x0.shape))
     if want_cache:
         out, cache = net.forward(x_t, t, want_cache=True)
     else:
         out, cache = net.forward(x_t, t), None
     h = out[:, 0]
-    lam = 1.0 if cfg.time_independent else lambda_weight(sched, t, cfg.lambda_prime)
-    return lam * (_softplus(h) - labels * h), lam * (_sigmoid(h) - labels), cache
+    losses, dh = _softplus(h) - labels * h, _sigmoid(h) - labels
+    # a weight of 1 (t = 0, or the uniform weighting) is left out: x * 1 is x
+    lam = None if cfg.time_independent else _lambda_factor(sigma, cfg.lambda_prime)
+    if lam is None:
+        return losses, dh, cache
+    return lam * losses, lam * dh, cache
 
 
 def _heldout_tbce(net, sched, ref_hold, bias_hold, cfg):

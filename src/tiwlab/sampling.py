@@ -1,7 +1,8 @@
 """Sample generation: a score source + sampler settings -> sample matrix.
 
 A score source is a plain (score_fn, dim, entry) value: a row-wise score
-function, its dimension and its provenance entry ("source", "source_hash").
+function, its dimension and its provenance entry ("source", "source_hash"),
+whose "source" is the name its caller gives it.
 checkpoint_score builds one from a score-network checkpoint, which
 net.load_net checks, and mixture_score from an oracle mixture's exact
 perturbed score. Row-wise, as reverse_generate requires: row i of the
@@ -28,18 +29,18 @@ from .net import load_net
 from .sde import SamplerSpec, VpSchedule, reverse_generate
 
 
-def checkpoint_score(path, dim=None):
-    """The score source of a score-network checkpoint, named by its file name and
-    the sha256 of its bytes; given dim, a network of another dimension is refused."""
+def checkpoint_score(path, name, dim=None):
+    """The score source of a score-network checkpoint, recorded as name and the
+    sha256 of its bytes; given dim, a network of another dimension is refused."""
     net, header = load_net(path, "score", dim)
-    entry = {"source": Path(path).name, "source_hash": header["sha256"]}
+    entry = {"source": name, "source_hash": header["sha256"]}
     return net.forward, net.input_dim, entry
 
 
-def mixture_score(gm: GaussianMixture, sched: VpSchedule):
-    """The exact perturbed score of gm, named "oracle" and the sha256 of gm."""
+def mixture_score(gm: GaussianMixture, sched: VpSchedule, name):
+    """The exact perturbed score of gm, recorded as name and the sha256 of gm."""
     blob = json.dumps(gm.to_dict(), sort_keys=True).encode()
-    entry = {"source": "oracle", "source_hash": hashlib.sha256(blob).hexdigest()}
+    entry = {"source": name, "source_hash": hashlib.sha256(blob).hexdigest()}
     return partial(perturbed_score_batch, gm, sched), gm.dim, entry
 
 

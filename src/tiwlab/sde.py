@@ -12,6 +12,12 @@ t = T down to t = t_eps. The score it integrates is row-wise (row i of the
 score depends only on row i of the states), and every trajectory draws its
 prior from its own stream, so the trajectories may be integrated in row
 chunks in worker processes with the same result.
+
+Each public entry point checks its times once. The training loops draw
+theirs inside [t_eps, T] and take alpha(t) and sigma(t) once per step from
+_alpha_sigma, for _kernel_sample, _kernel_score and _lambda_factor, the
+unchecked arithmetic of forward_sample, cond_score and lambda_weight. The
+sampler computes beta over its time grid once.
 """
 
 from dataclasses import dataclass, field
@@ -61,11 +67,24 @@ class VpSchedule:
 
     def alpha_sigma(self, t):
         """Perturbation-kernel coefficients (alpha(t), sigma(t))."""
-        t = self._check_t(t)
+        return self._alpha_sigma(self._check_t(t))
+
+    def _alpha_sigma(self, t):
+        # alpha_sigma of a float64 t already known to lie in [0, T]
         integral = self.beta_min * t + 0.5 * (self.beta_max - self.beta_min) * t * t
         alpha = np.exp(-0.5 * integral)
         sigma = np.sqrt(1.0 - alpha * alpha)
         return alpha, sigma
+
+    def _kernel_times(self, t, n, floor=0.0):
+        """t as float64, checked once: a scalar or one time per row of an n-row
+        batch, finite and in [0, T] (InputError), and not below floor
+        (NumericalError: the kernel score is singular below t_eps)."""
+        t = self._check_t(_row_times(t, n))
+        if np.any(t < floor):
+            raise NumericalError(f"the kernel score is singular below t_eps={floor}, "
+                                 f"got t={t!r}")
+        return t
 
     def forward_sample(self, x0, t, noise):
         """Draw alpha(t) x0 + sigma(t) noise from the kernel, for (n, d) x0
@@ -75,8 +94,8 @@ class VpSchedule:
         if x0.ndim != 2 or x0.shape != noise.shape:
             raise InputError(f"x0 and noise must be (n, d) batches of one shape, "
                              f"got {x0.shape} and {noise.shape}")
-        alpha, sigma = self.alpha_sigma(_row_times(t, x0.shape[0]))
-        return alpha[..., None] * x0 + sigma[..., None] * noise
+        alpha, sigma = self._alpha_sigma(self._kernel_times(t, x0.shape[0]))
+        return _kernel_sample(alpha, sigma, x0, noise)
 
     def cond_score(self, x_t, x0, t):
         """Gradient of the log perturbation kernel: -(x_t - alpha x0) / sigma^2,
@@ -86,13 +105,18 @@ class VpSchedule:
         if x0.ndim != 2 or x_t.shape != x0.shape:
             raise InputError(f"x_t and x0 must be (n, d) batches of one shape, "
                              f"got {x_t.shape} and {x0.shape}")
-        t_arr = _row_times(t, x0.shape[0])
-        if np.any(t_arr < self.t_eps):
-            raise NumericalError(
-                f"cond_score is singular below t_eps={self.t_eps}, got t={t!r}"
-            )
-        alpha, sigma = self.alpha_sigma(t_arr)
-        return -(x_t - alpha[..., None] * x0) / (sigma * sigma)[..., None]
+        alpha, sigma = self._alpha_sigma(self._kernel_times(t, x0.shape[0], self.t_eps))
+        return _kernel_score(alpha, sigma, x_t, x0)
+
+
+def _kernel_sample(alpha, sigma, x0, noise):
+    """forward_sample's arithmetic, given alpha(t) and sigma(t)."""
+    return alpha[..., None] * x0 + sigma[..., None] * noise
+
+
+def _kernel_score(alpha, sigma, x_t, x0):
+    """cond_score's arithmetic, given alpha(t) and sigma(t)."""
+    return -(x_t - alpha[..., None] * x0) / (sigma * sigma)[..., None]
 
 
 def _row_times(t, n):
@@ -107,10 +131,17 @@ def _row_times(t, n):
 
 def lambda_weight(sched: VpSchedule, t, kind):
     """Temporal weight lambda(t) of a time-integrated loss: 1 or sigma(t)^2."""
+    _, sigma = sched.alpha_sigma(t)
+    lam = _lambda_factor(sigma, kind)
+    return np.ones_like(sigma) if lam is None else lam
+
+
+def _lambda_factor(sigma, kind):
+    """lambda_weight's arithmetic, given sigma(t): sigma^2, or None for the
+    uniform weight, a factor of 1 that its callers leave out."""
     if kind == "uniform":
-        return np.ones_like(sched._check_t(t))
+        return None
     if kind == "sigma_squared":
-        _, sigma = sched.alpha_sigma(t)
         return sigma * sigma
     raise InputError(f"unknown temporal weighting {kind!r}")
 
@@ -174,19 +205,18 @@ def _integrate(sched, score_fn, spec, dim, rows):
     """reverse_generate's trajectories lo..hi-1, for rows = (lo, hi)."""
     lo, hi = rows
     times = np.linspace(sched.T, sched.t_eps, spec.steps + 1)
+    betas = sched.beta(times)
     x = _prior_draws(spec.seed, lo, hi, dim)
 
-    def ode_drift(xx, t, k):
-        beta = sched.beta(t)
-        s = np.asarray(score_fn(xx, t), dtype=np.float64)
-        _check_finite(s, k, t)
-        return -0.5 * beta * (xx + s)
+    def ode_drift(xx, j, k):  # the drift at times[j], in step k
+        s = np.asarray(score_fn(xx, times[j]), dtype=np.float64)
+        _check_finite(s, k, times[j])
+        return -0.5 * betas[j] * (xx + s)
 
     for k in range(spec.steps):
-        t, t_next = times[k], times[k + 1]
-        dt = t_next - t  # negative
-        k1 = ode_drift(x, t, k)
-        k2 = ode_drift(x + dt * k1, t_next, k)
+        dt = times[k + 1] - times[k]  # negative
+        k1 = ode_drift(x, k, k)
+        k2 = ode_drift(x + dt * k1, k + 1, k)
         x = x + 0.5 * dt * (k1 + k2)
-        _check_finite(x, k, t_next)
+        _check_finite(x, k, times[k + 1])
     return x

@@ -323,6 +323,24 @@ def test_adam_converges_on_quadratic_bowl():
     assert np.linalg.norm(p) < 1e-4
 
 
+def test_adam_step_gives_the_bytes_of_the_textbook_update():
+    # the update writes through scratch vectors; each product, sum and
+    # quotient stays the one of the written-out expressions, in their order
+    rng = np.random.default_rng(18)
+    params, state = rng.normal(size=257), init_optim(257, 3e-3)
+    want, m, v = params.copy(), np.zeros(257), np.zeros(257)
+    for step in range(1, 6):
+        g = rng.normal(size=257) * 10.0 ** rng.integers(-6, 2, 257)
+        state.learning_rate = want_lr = 3e-3 * (1.0 + 0.1 * step)
+        adam_step(params, g, state)
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * g * g
+        m_hat, v_hat = m / (1.0 - 0.9 ** step), v / (1.0 - 0.999 ** step)
+        want -= want_lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+        assert params.tobytes() == want.tobytes()
+        assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+
+
 def test_adam_shape_mismatch():
     with pytest.raises(ContractError):
         adam_step(np.zeros(3), np.zeros(2), init_optim(3, 1e-3))

@@ -11,7 +11,7 @@ from tiwlab.mixture import (
     two_mode_balanced_mixture,
     two_mode_bias_mixture,
 )
-from tiwlab.net import Mlp
+from tiwlab.net import Mlp, adam_step, init_optim
 from tiwlab.objectives import (
     ObjectiveSpec,
     QuadratureGrid,
@@ -28,6 +28,7 @@ from tiwlab.ratio import (
     oracle_ratio_model,
     train_discriminator,
 )
+from tiwlab.sde import lambda_weight
 
 from conftest import standard_normal_mixture
 
@@ -506,6 +507,103 @@ def test_pooled_draw_follows_the_objective(sched, oned, oracle_1d, monkeypatch):
         assert ref_share(kind, "obs") == pytest.approx(0.5, abs=0.05)
     assert ref_share("dsm", "obs") == pytest.approx(60 / 660, abs=0.03)
     assert ref_share("dsm", "bias") == 0.0
+
+
+def reference_train_score(data, spec, sched, cfg):
+    """train_score written out from the public entry points, every operation
+    in the order of 0.5 * lam * weight * ||s - k - c||^2 with the unit weight
+    and zero correction of the kinds that read none; returns the parameters."""
+    rng = np.random.default_rng(cfg.seed)
+    pool = {"bias": data.bias_points, "ref": data.ref_points, "obs": data.pooled}[spec.stream]
+    n_pool, dim = pool.shape
+    n_bias, B = data.bias_points.shape[0], cfg.batch_size
+    if spec.kind == "iw_dsm":
+        iw = spec.ratio.weight_and_correction(pool, 0.0, spec.ratio_form, want_grad=False)[0]
+    net = Mlp(dim, list(cfg.hidden), dim, time_embed=cfg.time_embed,
+              n_frequencies=cfg.n_frequencies, seed=cfg.seed)
+    state = init_optim(net.n_params, cfg.learning_rate)
+    for step in range(cfg.steps):
+        if spec.balanced_draw:
+            pick_ref = rng.integers(0, 2, B).astype(bool)
+            idx = np.where(pick_ref, n_bias + rng.integers(0, n_pool - n_bias, B),
+                           rng.integers(0, n_bias, B))
+        else:
+            idx = rng.integers(0, n_pool, B)
+        x0 = pool[idx]
+        ts = rng.uniform(sched.t_eps, sched.T, B)
+        eps = rng.standard_normal((B, dim))
+        X_t = sched.forward_sample(x0, ts, eps)
+        target = sched.cond_score(X_t, x0, ts)
+        lam = lambda_weight(sched, ts, spec.lambda_kind)
+        weights, corr = np.ones(B), np.zeros((B, dim))
+        if spec.kind == "iw_dsm":
+            weights = iw[idx]
+        elif spec.kind != "dsm":
+            w, g = spec.ratio.weight_and_correction(X_t, ts, spec.ratio_form, spec.alpha)
+            if spec.kind != "correction_only":
+                weights = w
+            if spec.kind != "weight_only":
+                corr = g
+        out, cache = net.forward(X_t, ts, want_cache=True)
+        resid = out - target - corr
+        losses = 0.5 * lam * weights * (resid * resid).sum(axis=1)
+        outgrad = (lam * weights)[:, None] * resid
+        assert np.isfinite(losses.mean())
+        state.learning_rate = cfg.learning_rate * 0.5 * (1.0 + np.cos(np.pi * step / cfg.steps))
+        adam_step(net.params, net.param_gradient(outgrad / B, cache), state)
+    return net.params
+
+
+@pytest.mark.parametrize("kind, ratio, lambda_kind", [
+    ("dsm", None, "sigma_squared"), ("dsm", None, "uniform"),
+    ("iw_dsm", "learned", "sigma_squared"), ("iw_dsm", "oracle", "sigma_squared"),
+    ("tiw_dsm", "learned", "sigma_squared"), ("tiw_dsm", "oracle", "sigma_squared"),
+    ("tiw_dsm", "learned", "uniform"), ("weight_only", "oracle", "uniform"),
+    ("correction_only", "learned", "uniform")])
+def test_train_score_gives_the_bytes_of_the_written_out_loop(kind, ratio, lambda_kind, sched,
+                                                             oned, oracle_1d):
+    bias, data = oned
+    split = DatasetSplit(bias_points=bias.sample(200, seed=40),
+                         ref_points=data.sample(30, seed=41))
+    learned = RatioModel(sched=sched, kind="learned", net=Mlp(1, [16, 16], 1, seed=42))
+    spec = ObjectiveSpec(kind=kind, lambda_kind=lambda_kind, alpha=1.0 if kind == "tiw_dsm"
+                         else 0.7, ratio={"learned": learned, "oracle": oracle_1d}.get(ratio))
+    cfg = ScoreTrainConfig(hidden=(16, 16), steps=3, batch_size=48, telemetry_every=0, seed=43)
+    want = reference_train_score(split, spec, sched, cfg)
+    assert train_score(split, spec, sched, cfg).params.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("t, error", [(1.5, InputError), (np.nan, InputError),
+                                      (5e-4, NumericalError)], ids=["above-T", "nan", "below-t_eps"])
+def test_loss_entry_points_refuse_times_outside_t_eps_to_T(t, error, sched, oned, oracle_1d,
+                                                         monkeypatch):
+    bias, data = oned
+    net = Mlp(1, [8], 1, seed=44)
+    spec = ObjectiveSpec(kind="tiw_dsm", ratio=oracle_1d, stream="obs")
+    with pytest.raises(error):
+        persample_loss(net, spec, [0.3], t, [0.2], sched)
+    with pytest.raises(error):
+        persample_loss(net, spec, [0.3], np.array([t]), [0.2], sched)
+    # mc_loss_gradient draws its own times: stratum i of m gets
+    # t_eps + (i + u) / m * (T - t_eps), so a u of m * (t - t_eps) / (T - t_eps)
+    # puts stratum 0 at t, and one outside [0, 1) takes t outside [t_eps, T]
+    m, seed = 100, 45
+    u = m * (t - sched.t_eps) / (sched.T - sched.t_eps)
+    default_rng = np.random.default_rng
+
+    class TimeDraws:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def uniform(self, size):
+            draws = self.rng.uniform(size=size)
+            draws[0] = u
+            return draws
+
+    monkeypatch.setattr(np.random, "default_rng", lambda s=None: TimeDraws(default_rng(s))
+                        if s == [seed, 2] else default_rng(s))
+    with pytest.raises(error):
+        mc_loss_gradient(net, spec, sched, pooled_mixture(bias, data), n=2 * m, seed=seed)
 
 
 def test_train_deterministic(sched, oned):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from tiwlab import ratio
 from tiwlab.errors import InputError, IoError
 from tiwlab.mixture import GaussianMixture, perturbed_score_batch, pooled_mixture
-from tiwlab.net import Mlp, load_net
+from tiwlab.net import Mlp, adam_step, init_optim, load_net
 from tiwlab.ratio import (
     LOGIT_CLAMP,
     DatasetSplit,
@@ -19,7 +19,7 @@ from tiwlab.ratio import (
     save_ratio_model,
     train_discriminator,
 )
-from tiwlab.sde import LAMBDA_KINDS
+from tiwlab.sde import LAMBDA_KINDS, lambda_weight
 
 
 @pytest.fixture(scope="module")
@@ -296,6 +296,52 @@ def test_t0_discriminator_trains_under_every_temporal_weighting(sched_module, p_
         params[kind] = rm.net.params
     assert not np.array_equal(params["sigma_squared"], Mlp(2, [8], 1, seed=5).params)
     assert params["sigma_squared"].tobytes() == params["uniform"].tobytes()
+
+
+def reference_train_discriminator(split, sched, cfg):
+    """train_discriminator written out from the public entry points, every
+    operation in the order of lam * BCE and lam * (sigmoid(h) - label), with
+    the constant weight 1 at t = 0; returns the parameters."""
+    rng = np.random.default_rng(cfg.seed)
+    B, n_ref = cfg.batch_size, cfg.batch_size // 2
+
+    def carve(points):
+        n_hold = min(int(round(cfg.holdout_fraction * points.shape[0])), points.shape[0] - 1)
+        return points[rng.permutation(points.shape[0])[n_hold:]]
+
+    ref_train, bias_train = carve(split.ref_points), carve(split.bias_points)
+    net = Mlp(split.dim, list(cfg.hidden), 1, time_embed=cfg.time_embed,
+              n_frequencies=cfg.n_frequencies, seed=cfg.seed)
+    state = init_optim(net.n_params, cfg.learning_rate)
+    labels = np.concatenate([np.ones(n_ref), np.zeros(B - n_ref)])
+    for _ in range(cfg.steps):
+        x0 = np.vstack([ref_train[rng.integers(0, ref_train.shape[0], n_ref)],
+                        bias_train[rng.integers(0, bias_train.shape[0], B - n_ref)]])
+        t = np.zeros(B) if cfg.time_independent else rng.uniform(sched.t_eps, sched.T, B)
+        x_t = sched.forward_sample(x0, t, rng.standard_normal(x0.shape))
+        out, cache = net.forward(x_t, t, want_cache=True)
+        h = out[:, 0]
+        lam = 1.0 if cfg.time_independent else lambda_weight(sched, t, cfg.lambda_prime)
+        losses = lam * (np.logaddexp(0.0, h) - labels * h)
+        dh = lam * (0.5 * (1.0 + np.tanh(0.5 * h)) - labels)
+        assert np.isfinite(losses.mean())
+        adam_step(net.params, net.param_gradient(dh[:, None] / B, cache), state)
+    return net.params
+
+
+@pytest.mark.parametrize("time_independent, lambda_prime, holdout", [
+    (False, "uniform", 0.0), (False, "sigma_squared", 0.2), (True, "uniform", 0.0),
+    (True, "sigma_squared", 0.0)])
+def test_train_discriminator_gives_the_bytes_of_the_written_out_loop(
+        time_independent, lambda_prime, holdout, sched_module, p_data_module, p_bias_module):
+    split = DatasetSplit(bias_points=p_bias_module.sample(120, seed=7),
+                         ref_points=p_data_module.sample(30, seed=8))
+    cfg = DiscTrainConfig(steps=3, seed=9, hidden=(16, 16), batch_size=40,
+                          time_independent=time_independent, lambda_prime=lambda_prime,
+                          holdout_fraction=holdout)
+    want = reference_train_discriminator(split, sched_module, cfg)
+    got = train_discriminator(split, sched_module, cfg).net.params
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("batch_size", [3, 5, 8])

@@ -17,23 +17,23 @@ from tiwlab.sde import SamplerSpec, VpSchedule
 
 
 def test_oracle_source_close_to_fresh_draws(sched, p_data):
-    samples, prov = generate(mixture_score(p_data, sched), sched,
+    samples, prov = generate(mixture_score(p_data, sched, "oracle-data"), sched,
                              SamplerSpec(steps=200, seed=1), 10_000)
-    assert prov["source"] == "oracle"
+    assert prov["source"] == "oracle-data"
     fresh = p_data.sample(10_000, seed=2)
     assert energy_distance(samples, fresh) < 0.01
 
 
 def test_single_sample_row(sched, p_data):
-    samples, _ = generate(mixture_score(p_data, sched), sched, SamplerSpec(steps=20, seed=3), 1)
+    samples, _ = generate(mixture_score(p_data, sched, "oracle-data"), sched, SamplerSpec(steps=20, seed=3), 1)
     assert samples.shape == (1, 2)
     assert np.all(np.isfinite(samples))
 
 
 def test_identical_jobs_identical_outputs(sched, p_bias, tmp_path):
     spec = SamplerSpec(steps=50, seed=4)
-    a, prov_a = generate(mixture_score(p_bias, sched), sched, spec, 128, output=tmp_path / "a")
-    b, prov_b = generate(mixture_score(p_bias, sched), sched, spec, 128, output=tmp_path / "b")
+    a, prov_a = generate(mixture_score(p_bias, sched, "oracle-bias"), sched, spec, 128, output=tmp_path / "a")
+    b, prov_b = generate(mixture_score(p_bias, sched, "oracle-bias"), sched, spec, 128, output=tmp_path / "b")
     np.testing.assert_array_equal(a, b)
     assert prov_a == prov_b
     assert (tmp_path / "a" / "samples.csv").read_bytes() == \
@@ -44,7 +44,7 @@ def test_checkpoint_source_and_provenance(sched, tmp_path):
     net = Mlp(2, [8], 2, seed=5)
     path = tmp_path / "score.ckpt"
     save_net(net, path, extra={"role": "score"})
-    samples, prov = generate(checkpoint_score(path), sched, SamplerSpec(steps=30, seed=6),
+    samples, prov = generate(checkpoint_score(path, "score.ckpt"), sched, SamplerSpec(steps=30, seed=6),
                              16, output=tmp_path / "run")
     assert samples.shape == (16, 2)
     assert prov["source_hash"] and prov["steps"] == 30
@@ -59,7 +59,7 @@ def test_checkpoint_read_once_per_generate(sched, tmp_path, monkeypatch):
     reads = []
     read_bytes = artifacts.read_bytes
     monkeypatch.setattr(artifacts, "read_bytes", lambda p: reads.append(p) or read_bytes(p))
-    _, prov = generate(checkpoint_score(path), sched, SamplerSpec(steps=4, seed=6), 8)
+    _, prov = generate(checkpoint_score(path, "score.ckpt"), sched, SamplerSpec(steps=4, seed=6), 8)
     assert reads == [path]
     assert prov["source_hash"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -71,7 +71,7 @@ def test_provenance_does_not_depend_on_the_output_directory(sched, tmp_path):
         path = tmp_path / run / "score.ckpt"
         path.parent.mkdir()
         save_net(net, path, extra={"role": "score"})
-        generate(checkpoint_score(path), sched, SamplerSpec(steps=10, seed=6), 8,
+        generate(checkpoint_score(path, "score.ckpt"), sched, SamplerSpec(steps=10, seed=6), 8,
                  output=path.parent)
         records.append((path.parent / "provenance.json").read_bytes())
     assert records[0] == records[1]
@@ -82,7 +82,7 @@ def test_corrupt_checkpoint_reports_field(sched, tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"garbage-not-a-checkpoint")
     with pytest.raises(IoError, match="magic"):
-        generate(checkpoint_score(path), sched, SamplerSpec(steps=10, seed=0), 4)
+        generate(checkpoint_score(path, "score.ckpt"), sched, SamplerSpec(steps=10, seed=0), 4)
 
 
 def test_provenance_record_replays_output(p_data, tmp_path):
@@ -91,15 +91,15 @@ def test_provenance_record_replays_output(p_data, tmp_path):
     # a schedule with no default value, so that a replay on the default one differs
     sched = VpSchedule(beta_min=0.2, beta_max=15.0, T=0.9, t_eps=0.01)
     out = tmp_path / "orig"
-    generate(mixture_score(p_data, sched), sched, SamplerSpec(steps=40, seed=13), 64, output=out)
+    generate(mixture_score(p_data, sched, "oracle-data"), sched, SamplerSpec(steps=40, seed=13), 64, output=out)
     prov = json.loads((out / "provenance.json").read_text())
     replay_sched = VpSchedule(**prov["schedule"])
     replay_spec = SamplerSpec(steps=prov["steps"], seed=prov["seed"])
-    replayed, replay_prov = generate(mixture_score(p_data, replay_sched), replay_sched,
+    replayed, replay_prov = generate(mixture_score(p_data, replay_sched, "oracle-data"), replay_sched,
                                      replay_spec, prov["n"])
     np.testing.assert_array_equal(replayed, read_samples_csv(out / "samples.csv"))
     assert replay_prov == prov
-    on_default, _ = generate(mixture_score(p_data, VpSchedule()), VpSchedule(), replay_spec,
+    on_default, _ = generate(mixture_score(p_data, VpSchedule(), "oracle-data"), VpSchedule(), replay_spec,
                              prov["n"])
     assert not np.array_equal(on_default, replayed)
 

@@ -9,7 +9,8 @@ import pytest
 from tiwlab import sde, workers
 from tiwlab.errors import EXIT_CODES, InputError, NumericalError
 from tiwlab.metrics import energy_distance
-from tiwlab.mixture import GaussianMixture
+from tiwlab.mixture import GaussianMixture, perturbed_score_batch
+from tiwlab.net import Mlp
 from tiwlab.sde import LAMBDA_KINDS, SamplerSpec, VpSchedule, lambda_weight, reverse_generate
 
 from conftest import needs_blas_setter
@@ -182,6 +183,24 @@ def test_generate_step_doubling_convergence(sched, p_data):
         X = reverse_generate(sched, oracle_score_fn(p_data, sched), spec, n=2000, dim=2)
         out[steps] = energy_distance(X, target)
     assert abs(out[200] - out[100]) < 0.2 * max(out[100], out[200])
+
+
+@pytest.mark.parametrize("score", ["net", "mixture"])
+def test_heun_gives_the_bytes_of_the_written_out_integrator(score, sched, p_data):
+    # every drift is -0.5 beta(t) (x + s(x, t)), beta and s computed at that t
+    net = Mlp(2, [16, 16], 2, seed=3)
+    score_fn = {"net": net.forward,
+                "mixture": lambda X, t: perturbed_score_batch(p_data, sched, X, t)}[score]
+    spec, n = SamplerSpec(steps=5, seed=4), 64
+    times = np.linspace(sched.T, sched.t_eps, spec.steps + 1)
+    x = np.array([np.random.default_rng([spec.seed, i]).standard_normal(2) for i in range(n)])
+    for t, t_next in zip(times[:-1], times[1:]):
+        dt = t_next - t
+        k1 = -0.5 * sched.beta(t) * (x + score_fn(x, t))
+        xx = x + dt * k1
+        k2 = -0.5 * sched.beta(t_next) * (xx + score_fn(xx, t_next))
+        x = x + 0.5 * dt * (k1 + k2)
+    assert reverse_generate(sched, score_fn, spec, n, 2).tobytes() == x.tobytes()
 
 
 def test_generate_rejects_nonfinite_score(sched):

@@ -20,7 +20,10 @@ objective's checkpoint, score_tiw_dsm.ckpt), and one `train-score` that
 diverges (exit code 4) and keeps its telemetry; one more `sample` reads
 `--source oracle-bias`. Prints one "<sha256>  <name>" line for every CSV
 (samples and telemetry included), checkpoint, provenance.json (which
-names each sample's score source) and identity_checks.txt the runs write
+names each sample's score source as the command gave it: a run's
+checkpoint relative to the output directory, oracle-data, or the
+--source path, here relative to the runs' directory) and
+identity_checks.txt the runs write
 (dre_curve.csv, the four field_*.csv lattices and eval.csv among them),
 and for the loss value and gradient bytes of each oracle call. Two
 checkouts whose arithmetic is the same print the same lines:
@@ -73,10 +76,12 @@ def cli_runs(out):
            "--all-baselines")
     tiwlab("sweep-alpha", "--config", config, *sets, "--output-dir", str(out / "sweep"),
            "--alphas", "0,0.5,1")
-    for label, source in (("ckpt", str(out / "debias" / "tiw_dsm" / "score.ckpt")),
-                          ("oracle", "oracle-data")):
-        tiwlab("sample", "--config", config, *sets, "--output-dir",
-               str(out / f"sample_{label}"), "--source", source)
+    # from out, so that the checkpoint path, which provenance.json records as
+    # given, does not name the output directory
+    with contextlib.chdir(out):
+        for label, source in (("ckpt", "debias/tiw_dsm/score.ckpt"), ("oracle", "oracle-data")):
+            tiwlab("sample", "--config", config, *sets, "--output-dir",
+                   str(out / f"sample_{label}"), "--source", source)
     tiwlab("sample", "--config", config, *sets, "--set", "eval.n_samples=2000",
            "--output-dir", str(out / "sample_split"), "--source", "oracle-data")
     tiwlab("eval", "--config", config, *sets, "--output-dir", str(out / "sample_ckpt"))
