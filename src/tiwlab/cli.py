@@ -176,14 +176,10 @@ def _generate_samples(cfg, source, out_dir):
                     out_dir)
 
 
-def _oracle_reference(cfg):
-    return cfg.mixture("data").sample(cfg.raw["eval"]["n_oracle"],
-                                      seed=cfg.seeds["eval"])
-
-
 def _shared_reference(cfg):
-    """The oracle reference and its self-distance, once for every score run."""
-    ref = _oracle_reference(cfg)
+    """The oracle reference and its self-distance: eval's, and once for every
+    score run."""
+    ref = cfg.mixture("data").sample(cfg.raw["eval"]["n_oracle"], seed=cfg.seeds["eval"])
     return ref, mean_self_distance(ref)
 
 
@@ -296,8 +292,9 @@ def cmd_eval(cfg: ExperimentConfig, samples_path=None, label="run"):
                          "quote or a line break")
     out = cfg.output_dir
     samples = read_samples_csv(samples_path or out / "samples.csv")
-    report = evaluate_samples(samples, _oracle_reference(cfg),
-                              cfg.mixture("data"), notes=label)
+    ref, ref_self = _shared_reference(cfg)
+    report = evaluate_samples(samples, ref, cfg.mixture("data"), notes=label,
+                              oracle_self=ref_self)
     artifacts.write_csv(out / "eval.csv", report.csv_header(), [report.csv_row()])
     print(f"bias {report.bias:.4f}, proportions "
           f"{np.array2string(report.proportions, precision=4)}, "

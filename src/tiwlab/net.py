@@ -24,11 +24,13 @@ always a fresh array; with a cache, the cache's arrays are views of one
 fresh allocation. The (W, b) views into the parameter vector, and into
 the buffer param_gradient sums into before returning a copy, are built
 once, so ``params`` can be written in place but not rebound. forward
-checks x and t once. The time features of the last per-row t are kept with
-a copy of that t, so a call at the same times (the two noise blocks of an
-antithetic pair) reuses them; those of the last scalar t are kept apart,
-so the sampler's two drifts at one t share them. adam_step writes through
-two scratch vectors in OptimState, in the textbook update's order.
+checks x and t once. One memo per process keeps the time features of the
+last call, keyed by the embedding, the bytes of t and the batch size, so
+every network of that embedding gets them back at the same times: the two
+noise blocks of an antithetic pair, Heun's second drift at t_{k+1} and the
+next step's first, and the discriminator and score net of one tiw_dsm
+step. adam_step writes through two scratch vectors in OptimState, in the
+textbook update's order.
 
 Checkpoint format (little-endian): magic ``TIWNET``, u16 format version,
 u32 header length, JSON header (architecture + arbitrary extra fields),
@@ -36,6 +38,7 @@ then the parameter vector as raw float64. Round-trips are bit-exact. A
 header's activation field, written by older versions, must be "silu".
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -82,6 +85,23 @@ def _silu(z, prime):
         prime += 1.0
         prime *= s
     z *= s
+
+
+@functools.lru_cache(maxsize=1)
+def _time_features(time_embed, n_frequencies, t_bytes, batch):
+    """(batch, embed_dim) read-only time features of the float64 times in
+    t_bytes: one per row, or one (a scalar t) broadcast over the batch. The
+    last call is kept; keyed by bytes, not values, since -0.0 == 0.0 but
+    their features differ in sign."""
+    rows = np.frombuffer(t_bytes).reshape(-1, 1)
+    if time_embed == "append-scalar":
+        feats = rows
+    else:
+        # harmonics 1..k of the unit horizon; keeps the t-dependence band-limited
+        freqs = np.arange(1, n_frequencies + 1, dtype=np.float64)
+        ang = 2.0 * np.pi * rows * freqs[None, :]
+        feats = np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+    return np.broadcast_to(feats, (batch, feats.shape[1]))
 
 
 @dataclass
@@ -158,10 +178,6 @@ class Mlp:
         # then each hidden layer's output and SiLU derivative
         cols = np.cumsum([0, self.widths[0], *np.repeat(self.hidden, 2)]).tolist()
         self._cache_spans = list(zip(cols[:-1], cols[1:]))
-        # harmonics 1..k of the unit horizon; keeps the t-dependence band-limited
-        self._freqs = np.arange(1, self.n_frequencies + 1, dtype=np.float64)
-        self._times_key, self._times_feats = None, None
-        self._scalar_key, self._scalar_feats = None, None
 
     @property
     def params(self):
@@ -206,33 +222,6 @@ class Mlp:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _time_features(self, t, batch):
-        """(batch, embed_dim) read-only time features. Those of the last
-        per-row t are kept with its bytes, and a t of the same bytes gets the
-        same array back; those of the last scalar t and batch are kept apart,
-        one row broadcast over the batch."""
-        t = _row_times(t, batch)
-        # bytes, not values: -0.0 == 0.0, but their features differ in sign;
-        # a copy of t: append-scalar features view it, and the caller may change it
-        key = t.tobytes()
-        if t.ndim == 0:
-            if (key, batch) != self._scalar_key:
-                self._scalar_key, self._scalar_feats = (key, batch), self._embed(t.copy(), batch)
-            return self._scalar_feats
-        if key != self._times_key:
-            self._times_key, self._times_feats = key, self._embed(t.copy(), batch)
-        return self._times_feats
-
-    def _embed(self, t, batch):
-        # a scalar t gives one row of features, broadcast over the batch
-        rows = t.reshape(-1, 1)
-        if self.time_embed == "append-scalar":
-            feats = rows
-        else:
-            ang = 2.0 * np.pi * rows * self._freqs[None, :]
-            feats = np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
-        return np.broadcast_to(feats, (batch, feats.shape[1]))
-
     def forward(self, x, t, want_cache=False):
         """(n, output_dim) output of an (n, input_dim) batch x; with want_cache
         also the ForwardCache that param_gradient consumes."""
@@ -242,7 +231,8 @@ class Mlp:
         if not np.isfinite(X).all():
             raise InputError("non-finite network input")
         B = X.shape[0]
-        time_feats = self._time_features(t, B)
+        time_feats = _time_features(self.time_embed, self.n_frequencies,
+                                    _row_times(t, B).tobytes(), B)
         if want_cache:
             block = np.empty(B * self._cache_spans[-1][1])
             views = [block[B * lo:B * hi].reshape(B, hi - lo) for lo, hi in self._cache_spans]

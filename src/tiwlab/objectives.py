@@ -31,10 +31,12 @@ noised moments, the space nodes and weights, lambda(t) and the exact
 log-density and score of a chunk are one array pass each, and only the
 net's forward at the node's scalar t, the residual sum and the parameter
 gradient stay per node, added in node order. The Monte Carlo gradient
-evaluates the +eps and -eps blocks of a slice back to back, so the net's
-time features (kept for the last per-row t, see Mlp) and iw_dsm's t=0
-weights serve both, and adds the block sums in block-major order. Both
-give the bytes of the one-node-at-a-time and block-major forms.
+evaluates the +eps and -eps blocks of a slice back to back, so the time
+features (net.py keeps those of the last call) and iw_dsm's t=0 weights
+serve both, and adds the block sums in block-major order. Both give the
+bytes of the one-node-at-a-time and block-major forms. In a tiw_dsm step
+the score net reuses the time features that the discriminator's forward
+computed at the same times.
 
 persample_loss and mc_loss_gradient check their times once (InputError
 above T or NaN, NumericalError below t_eps); train_score draws its times
@@ -302,8 +304,8 @@ def mc_loss_gradient(net, spec: ObjectiveSpec, sched, base_mixture: GaussianMixt
     sched._kernel_times(ts, m, sched.t_eps)  # the one check of every time
 
     # the two blocks of a slice run back to back, so the second reuses the
-    # net's time features (and iw_dsm's t=0 weights, which depend on x0
-    # alone); the sums keep the block-major order: every +eps slice, then
+    # time features of the first (and iw_dsm's t=0 weights, which depend on
+    # x0 alone); the sums keep the block-major order: every +eps slice, then
     # every -eps slice
     parts = []
     for s in range(0, m, batch):

@@ -67,10 +67,21 @@ def write_samples_csv(path, samples):
 
 
 def read_samples_csv(path):
+    """The (n, d) matrix of a samples CSV: an x0,...,x{d-1} header, then at
+    least one row of d finite values; IoError naming path otherwise."""
     header, _, body = artifacts.read_text(path).partition("\n")
     if not header.startswith("x0"):
         raise IoError(f"{path} is not a samples CSV (missing x0 header)")
+    if not body.strip():
+        raise IoError(f"{path} is not a samples CSV: no data rows")
     try:
-        return np.loadtxt(body.splitlines(), delimiter=",", ndmin=2)
+        samples = np.loadtxt(body.splitlines(), delimiter=",", ndmin=2)
     except ValueError as e:
         raise IoError(f"{path} is not a samples CSV: {e}") from e
+    columns = header.count(",") + 1
+    if samples.shape[1] != columns:
+        raise IoError(f"{path} is not a samples CSV: its header names {columns} "
+                      f"columns, its rows hold {samples.shape[1]}")
+    if not np.isfinite(samples).all():
+        raise IoError(f"{path} holds a non-finite value (nan or inf)")
+    return samples

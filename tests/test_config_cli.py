@@ -699,8 +699,9 @@ def test_eval_refuses_non_finite_samples(tiny_config, capsys, value):
     config, out = tiny_config()
     bad = out.parent / "bad.csv"
     bad.write_text(f"x0,x1\n0.5,0.25\n0.5,{value}\n")
-    assert main(["eval", "--config", str(config), "--samples", str(bad)]) == 2
-    assert "non-finite" in capsys.readouterr().err
+    assert main(["eval", "--config", str(config), "--samples", str(bad)]) == 5
+    err = capsys.readouterr().err
+    assert "non-finite" in err and str(bad) in err
     assert not (out / "eval.csv").exists()
 
 
@@ -714,15 +715,32 @@ def test_eval_refuses_a_label_that_breaks_the_csv(tiny_config, capsys, label):
     assert not (out / "eval.csv").exists()
 
 
-@pytest.mark.parametrize("body", ["0.5,0.25\n0.5,oops\n", "0.5,0.25\n0.5\n"],
-                         ids=["non-numeric", "ragged"])
-def test_malformed_samples_csv_exits_5(tiny_config, capsys, body):
+@pytest.mark.parametrize("body", ["0.5,0.25\n0.5,oops\n", "0.5,0.25\n0.5\n", "",
+                                  "0.5\n0.25\n"],
+                         ids=["non-numeric", "ragged", "header-only", "narrow-rows"])
+def test_malformed_samples_csv_exits_5(tiny_config, capsys, recwarn, body):
     config, out = tiny_config()
     bad = out.parent / "bad.csv"
     bad.write_text("x0,x1\n" + body)
     assert main(["eval", "--config", str(config), "--samples", str(bad)]) == 5
     err = capsys.readouterr().err
     assert "error[io]" in err and str(bad) in err
+    assert not recwarn.list  # numpy's "input contained no data" included
+
+
+@pytest.mark.parametrize("command", ["train-disc", "train-score"])
+def test_non_finite_training_data_exits_5_naming_the_file(tiny_config, capsys, recwarn,
+                                                           command):
+    config, out = tiny_config(objective={"kind": "dsm"})  # reads no discriminator
+    assert main(["gen-data", "--config", str(config)]) == 0
+    ref = out / "ref.csv"
+    lines = ref.read_text().splitlines()
+    lines[2] = "nan," + lines[2].split(",", 1)[1]
+    ref.write_text("\n".join(lines) + "\n")
+    assert main([command, "--config", str(config)]) == 5
+    err = capsys.readouterr().err
+    assert "error[io]" in err and str(ref) in err and "non-finite" in err
+    assert not recwarn.list
 
 
 def test_unwritable_json_artifact_exits_5(tiny_config, capsys):
@@ -873,7 +891,7 @@ def test_parallel_map_refuses_an_item_waiting_on_a_later_one(monkeypatch, after)
 def test_debias_computes_the_reference_self_distance_once(tiny_config, monkeypatch):
     config, _ = tiny_config()
     monkeypatch.setattr(workers, "_cores", lambda: 1)
-    ref = cli._oracle_reference(load_config(config))
+    ref, _ = cli._shared_reference(load_config(config))
     pairs = []
 
     def counting(a, b):

@@ -12,11 +12,13 @@ from tiwlab.net import (
     Mlp,
     NetArch,
     _sigmoid,
+    _time_features,
     adam_step,
     init_optim,
     load_net,
     save_net,
 )
+from tiwlab.sde import _row_times
 
 from conftest import zero_width_checkpoint
 
@@ -108,35 +110,37 @@ def test_inference_forward_gives_the_cached_forward_bytes(time_embed):
 
 @pytest.mark.parametrize("time_embed", ["append-scalar", "sinusoidal"])
 def test_time_features_of_the_last_per_row_time_are_kept(time_embed):
-    net = Mlp(1, [4], 1, time_embed=time_embed, seed=1)
+    def feats(t, batch):
+        return _time_features(time_embed, 8, _row_times(t, batch).tobytes(), batch)
 
-    def fresh(t):
-        return Mlp(1, [4], 1, time_embed=time_embed)._time_features(t.copy(), t.size)
+    def fresh(t):  # the uncached reference
+        return _time_features.__wrapped__(time_embed, 8, t.tobytes(), t.size)
 
     t = np.linspace(0.1, 0.9, 7)
-    first = net._time_features(t, 7)
-    assert net._time_features(t.copy(), 7) is first  # same shape and values
+    first = feats(t, 7)
+    assert feats(t.copy(), 7) is first  # same shape and values
     assert not first.flags.writeable
-    # a scalar time is never kept, so it does not evict the per-row one
-    assert net._time_features(0.5, 7).tobytes() == fresh(np.full(7, 0.5)).tobytes()
-    assert net._time_features(t, 7) is first
-    # new values in the same array recompute; the kept copy did not follow them
+    # a scalar time gives the bytes of that time spelled out per row
+    assert feats(0.5, 7).tobytes() == fresh(np.full(7, 0.5)).tobytes()
+    # new values in the same array recompute; the kept features did not follow them
     old = t.copy()
     t[3] = 0.25
-    second = net._time_features(t, 7)
+    second = feats(t, 7)
     assert second is not first and second.tobytes() == fresh(t).tobytes()
-    assert net._time_features(old, 7).tobytes() == fresh(old).tobytes()
+    assert first.tobytes() == fresh(old).tobytes()
     # a new batch size misses
-    third = net._time_features(t[:5], 5)
+    third = feats(t[:5], 5)
     assert third.shape[0] == 5 and third.tobytes() == fresh(t[:5]).tobytes()
     # -0.0 == 0.0, but its features differ in sign
-    zeros = net._time_features(np.zeros(3), 3)
-    assert net._time_features(-np.zeros(3), 3) is not zeros
+    zeros = feats(np.zeros(3), 3)
+    assert feats(-np.zeros(3), 3) is not zeros
 
 
 def unblocked_forward(net, X, t):
     """The forward pass on whole-batch fresh arrays: (output, acts, primes)."""
-    feats = np.concatenate([X, net._time_features(t, X.shape[0])], axis=1)
+    time_feats = _time_features.__wrapped__(net.time_embed, net.n_frequencies,
+                                            _row_times(t, X.shape[0]).tobytes(), X.shape[0])
+    feats = np.concatenate([X, time_feats], axis=1)
     views = [net.params[off:off + np.prod(shape, dtype=int)].reshape(shape)
              for off, shape in net.layout]
     a, acts, primes = feats, [feats], []

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from tiwlab import net as net_module
 from tiwlab import objectives
 from tiwlab.errors import InputError, NumericalError
 from tiwlab.mixture import (
@@ -11,7 +12,7 @@ from tiwlab.mixture import (
     two_mode_balanced_mixture,
     two_mode_bias_mixture,
 )
-from tiwlab.net import Mlp, adam_step, init_optim
+from tiwlab.net import Mlp, _time_features, adam_step, init_optim
 from tiwlab.objectives import (
     ObjectiveSpec,
     QuadratureGrid,
@@ -422,8 +423,7 @@ def test_iw_dsm_gradient_evaluates_each_base_weight_once(sched, oned, oracle_1d,
 
 
 @pytest.mark.parametrize("time_embed", ["sinusoidal", "append-scalar"])
-def test_tiw_mc_gradient_equals_the_block_major_sum(time_embed, sched, oned, oracle_1d,
-                                                    monkeypatch):
+def test_tiw_mc_gradient_equals_the_block_major_sum(time_embed, sched, oned, oracle_1d):
     bias, data = oned
     obs = pooled_mixture(bias, data)
     net = Mlp(1, [8], 1, time_embed=time_embed, seed=5)
@@ -432,16 +432,10 @@ def test_tiw_mc_gradient_equals_the_block_major_sum(time_embed, sched, oned, ora
     n, batch = 2_000, 300  # four slices, the last one partial
     want_loss, want_grad = block_major_mc(net, spec, sched, obs, n, 8, batch)
 
-    embeds = []
-    original = Mlp._embed
-
-    def counted(self, t, rows):
-        embeds.append(rows)
-        return original(self, t, rows)
-
-    monkeypatch.setattr(Mlp, "_embed", counted)
+    _time_features.cache_clear()
     loss, grad = mc_loss_gradient(net, spec, sched, obs, n=n, seed=8, batch=batch)
-    assert embeds == [300, 300, 300, 100]  # once per slice, shared by +eps and -eps
+    # once per slice, shared by +eps and -eps
+    assert _time_features.cache_info()[:2] == (4, 4)  # (hits, misses)
     assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
     assert grad.tobytes() == want_grad.tobytes()
 
@@ -571,6 +565,33 @@ def test_train_score_gives_the_bytes_of_the_written_out_loop(kind, ratio, lambda
     cfg = ScoreTrainConfig(hidden=(16, 16), steps=3, batch_size=48, telemetry_every=0, seed=43)
     want = reference_train_score(split, spec, sched, cfg)
     assert train_score(split, spec, sched, cfg).params.tobytes() == want.tobytes()
+
+
+def test_both_networks_read_one_time_feature_memo(sched, oned, monkeypatch):
+    bias, data = oned
+    split = DatasetSplit(bias_points=bias.sample(200, seed=46),
+                         ref_points=data.sample(30, seed=47))
+    learned = RatioModel(sched=sched, kind="learned", net=Mlp(1, [16, 16], 1, seed=48))
+    spec = ObjectiveSpec(kind="tiw_dsm", ratio=learned)
+    cfg = ScoreTrainConfig(hidden=(16, 16), steps=5, batch_size=48, telemetry_every=0, seed=49)
+    # a tiw_dsm step computes its times' features once, for the
+    # discriminator, and the score net at the same times reuses them
+    _time_features.cache_clear()
+    train_score(split, spec, sched, cfg)
+    assert _time_features.cache_info()[:2] == (cfg.steps, cfg.steps)  # (hits, misses)
+
+    # two networks of one embedding get the same array back
+    returned = []
+
+    def recorded(*args):
+        returned.append(_time_features(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(net_module, "_time_features", recorded)
+    X, t = np.zeros((6, 2)), np.linspace(0.1, 0.6, 6)
+    Mlp(2, [8], 2, seed=50).forward(X, t)
+    Mlp(2, [4, 4], 1, seed=51).value_and_input_gradient(X, t.copy())
+    assert len(returned) == 2 and returned[0] is returned[1]
 
 
 @pytest.mark.parametrize("t, error", [(1.5, InputError), (np.nan, InputError),

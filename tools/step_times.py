@@ -126,7 +126,10 @@ def child(src, steps):
     env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
     env.setdefault("OPENBLAS_NUM_THREADS", "1")
     done = subprocess.run([sys.executable, __file__, "--measure", str(steps)], env=env,
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True)
+    if done.returncode:
+        sys.stderr.write(done.stderr)
+        raise SystemExit(f"timing run of {src} exited {done.returncode}")
     return json.loads(done.stdout.splitlines()[-1])
 
 
@@ -140,14 +143,16 @@ def main():
     parser.add_argument("--src", help="a second tree's src/ directory, timed alternately")
     parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--steps", type=int, default=100,
-                        help="steps (or drifts) per timed run, even (default 100)")
+                        help="steps (or drifts) per timed run, even and >= 4 "
+                        "(default 100)")
     parser.add_argument("--measure", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.measure:
         print(json.dumps(measure(args.measure)))
         return
-    if args.rounds < 1 or args.steps < 2 or args.steps % 2:
-        parser.error("--rounds must be >= 1 and --steps an even number >= 2")
+    # a Heun run takes steps // 2 steps, and the sampler at least 2
+    if args.rounds < 1 or args.steps < 4 or args.steps % 2:
+        parser.error("--rounds must be >= 1 and --steps an even number >= 4")
     trees = {"this": ROOT / "src"}
     if args.src:
         trees["other"] = Path(args.src)
