@@ -178,9 +178,11 @@ def _deep_merge(base, override):
     return out
 
 
-class _Loader(yaml.SafeLoader):
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """yaml.safe_load that also reads YAML 1.2 floats: the YAML 1.1 pattern
-    wants a dot and a signed exponent, so it reads 1e-3 and 1e6 as strings."""
+    wants a dot and a signed exponent, so it reads 1e-3 and 1e6 as strings.
+    It parses with libyaml when pyyaml was built with it (the values are the
+    same; a syntax error's message is worded differently)."""
 
 
 _Loader.add_implicit_resolver(  # after int and the 1.1 float, which it keeps

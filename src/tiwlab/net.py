@@ -25,11 +25,11 @@ fresh allocation. The (W, b) views into the parameter vector, and into
 the buffer param_gradient sums into before returning a copy, are built
 once, so ``params`` can be written in place but not rebound. forward
 checks x and t once. One memo per process keeps the time features of the
-last call, keyed by the embedding, the bytes of t and the batch size, so
-every network of that embedding gets them back at the same times: the two
-noise blocks of an antithetic pair, Heun's second drift at t_{k+1} and the
-next step's first, and the discriminator and score net of one tiw_dsm
-step. adam_step writes through two scratch vectors in OptimState, in the
+last call, keyed by the embedding and the bytes of t, so every network of
+that embedding gets them back at the same times: the two noise blocks of
+an antithetic pair, Heun's second drift at t_{k+1} and the next step's
+first, and the discriminator and score net of one tiw_dsm step.
+adam_step writes through two scratch vectors in OptimState, in the
 textbook update's order.
 
 Checkpoint format (little-endian): magic ``TIWNET``, u16 format version,
@@ -88,11 +88,12 @@ def _silu(z, prime):
 
 
 @functools.lru_cache(maxsize=1)
-def _time_features(time_embed, n_frequencies, t_bytes, batch):
-    """(batch, embed_dim) read-only time features of the float64 times in
-    t_bytes: one per row, or one (a scalar t) broadcast over the batch. The
-    last call is kept; keyed by bytes, not values, since -0.0 == 0.0 but
-    their features differ in sign."""
+def _time_features(time_embed, n_frequencies, t_bytes):
+    """(rows, embed_dim) read-only time features of the float64 times in
+    t_bytes, one row per time: (1, embed_dim) for a scalar t, which the
+    caller broadcasts over its batch. The last call is kept; keyed by
+    bytes, not values, since -0.0 == 0.0 but their features differ in
+    sign."""
     rows = np.frombuffer(t_bytes).reshape(-1, 1)
     if time_embed == "append-scalar":
         feats = rows
@@ -101,7 +102,8 @@ def _time_features(time_embed, n_frequencies, t_bytes, batch):
         freqs = np.arange(1, n_frequencies + 1, dtype=np.float64)
         ang = 2.0 * np.pi * rows * freqs[None, :]
         feats = np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
-    return np.broadcast_to(feats, (batch, feats.shape[1]))
+    feats.flags.writeable = False
+    return feats
 
 
 @dataclass
@@ -232,7 +234,7 @@ class Mlp:
             raise InputError("non-finite network input")
         B = X.shape[0]
         time_feats = _time_features(self.time_embed, self.n_frequencies,
-                                    _row_times(t, B).tobytes(), B)
+                                    _row_times(t, B).tobytes())
         if want_cache:
             block = np.empty(B * self._cache_spans[-1][1])
             views = [block[B * lo:B * hi].reshape(B, hi - lo) for lo, hi in self._cache_spans]
@@ -240,7 +242,7 @@ class Mlp:
         else:
             feats = np.empty((B, self.widths[0]))
         feats[:, :self.input_dim] = X
-        feats[:, self.input_dim:] = time_feats
+        feats[:, self.input_dim:] = time_feats  # one row for a scalar t, broadcast
 
         a = feats
         primes, acts = [], [feats]

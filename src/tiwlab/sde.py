@@ -34,7 +34,10 @@ LAMBDA_KINDS = ("sigma_squared", "uniform")
 # default 200 Heun steps on 2 cores, a split paid off from about 130 rows per
 # worker with a 3x64 score net and from about 670 with the exact mixture
 # score, the cheapest score here; below that the pool start and the per-step
-# overhead each worker repeats cost more than the split saves
+# overhead each worker repeats cost more than the split saves. It also keeps
+# every chunk at batch sizes where a row's forward through a score net does
+# not depend on the chunk: BLAS rounds some rows of a small batch otherwise
+# (101 rows of a 3x64 net in chunks of 50 and 51 changed two rows)
 MIN_ROWS_PER_WORKER = 1000
 
 

@@ -75,7 +75,9 @@ def parallel_map(fn, items, after=None):
     the workers through the fork, so they need not pickle (a pickled Mlp
     would lose the sharing of its layer views with its parameters), and a
     worker starts without a fresh import. The only other threads of a
-    tiwlab process are OpenBLAS's, which stops its pool across a fork.
+    tiwlab process are OpenBLAS's, which stops its pool across a fork, and
+    those of kernels.pairwise_mean_dist, which joins them before it
+    returns, so none is alive at a fork.
     With one worker (always so inside a worker), items that can only run
     one after another (each waits, directly or not, on the one before it),
     or no OpenBLAS whose threads can be set, the calls run here, in index

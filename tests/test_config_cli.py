@@ -10,8 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from tiwlab import cli, kernels, sde, workers
+from tiwlab import cli, config, kernels, sde, workers
 from tiwlab.cli import _objective_spec, main
 from tiwlab.config import (
     DEFAULT_CONFIG,
@@ -249,6 +250,38 @@ def test_two_mode_yaml_holds_the_defaults():
     raw = load_config(TWO_MODE).raw
     assert raw.pop("output_dir") == "runs/two-mode"
     assert raw == {k: v for k, v in DEFAULT_CONFIG.items() if k != "output_dir"}
+
+
+YAML_SCALARS = ["1e-3", "1e6", ".5", "-1", "true", "[1, 2]", "1_000", "0x10", "~", "1.0e+3",
+                "nan", ".nan", "inf", ".inf"]
+MALFORMED_YAML = ["a: [1, 2", "a: b: c", "{", "key: 'unterminated", "- a\nb: c", "a:\n\t- 1",
+                  "[1, 2]]", "&a b: *c", "!!python/object/apply:os.system [ls]"]
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="pyyaml built without libyaml")
+def test_libyaml_reads_configs_as_the_pure_python_parser_does(tmp_path, monkeypatch):
+    assert issubclass(config._Loader, yaml.CSafeLoader)
+
+    def outcomes(base):
+        # config._Loader's resolvers, the YAML 1.2 float among them, over base
+        monkeypatch.setattr(config, "_Loader", type("Loader", (base,), {
+            "yaml_implicit_resolvers": config._Loader.yaml_implicit_resolvers}))
+        out = [load_config(TWO_MODE).raw]
+        out += [apply_overrides({}, [f"a={text}"])["a"] for text in YAML_SCALARS]
+        for i, text in enumerate(MALFORMED_YAML):
+            path = tmp_path / f"bad{i}.yaml"
+            path.write_text(text)
+            for call in (lambda: load_config(path), lambda: apply_overrides({}, [f"a={text}"])):
+                with pytest.raises(ConfigError) as info:
+                    call()
+                # the parser's own message is worded differently in libyaml
+                cause = info.value.__cause__
+                out.append((type(cause).__name__, str(info.value).removesuffix(str(cause))))
+        monkeypatch.undo()
+        return out
+
+    # repr tells 1 from 1.0 and True, and matches nan to nan
+    assert repr(outcomes(yaml.CSafeLoader)) == repr(outcomes(yaml.SafeLoader))
 
 
 def test_two_mode_yaml_choice_comments_match_the_declared_choices():

@@ -2,10 +2,12 @@
 building the perturbed mixture one time at a time and, for fewer than 8
 components, with the (n, k, d) reduction form bit for bit; the pairwise distance
 sum agrees with the difference-tensor form summed per row block, counts
-each pair of a set against itself once, and keeps its temporary to two
-row blocks."""
+each pair of a set against itself once, keeps its temporary to two
+row blocks, and gives the same bytes on any number of threads."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tiwlab import kernels
+from tiwlab import kernels, workers
 from tiwlab.mixture import GaussianMixture, perturbed_log_density_batch, perturbed_score_batch
 from tiwlab.sde import VpSchedule
 
@@ -158,11 +160,11 @@ def test_pairwise_mean_dist_matches_bruteforce():
     np.testing.assert_allclose(kernels.pairwise_mean_dist(A, B), brute, rtol=1e-12)
 
 
-def _pairwise_mean_dist_reference(A, B):
-    """The (rows, n, d) difference-tensor form, summed per ROW_BLOCK rows."""
+def _pairwise_mean_dist_reference(A, B, rows=kernels.ROW_BLOCK):
+    """The (rows, n, d) difference-tensor form, summed per block of rows."""
     sums = []
-    for r in range(0, A.shape[0], kernels.ROW_BLOCK):
-        diff = A[r:r + kernels.ROW_BLOCK, None, :] - B[None, :, :]
+    for r in range(0, A.shape[0], rows):
+        diff = A[r:r + rows, None, :] - B[None, :, :]
         sums.append(np.sqrt((diff * diff).sum(axis=2)).sum())
     return math.fsum(sums) / (A.shape[0] * B.shape[0])
 
@@ -213,3 +215,102 @@ def test_pairwise_mean_dist_temporary_is_bounded_by_pairs():
             tracemalloc.stop()
         # two (ROW_BLOCK, n) float64 buffers; the m x n distance matrix is 8 MB
         assert peak < 2.5 * kernels.ROW_BLOCK * n * 8
+
+
+def _block_rows(n):
+    return max(1, min(kernels.ROW_BLOCK, kernels.BLOCK_ENTRIES // n))
+
+
+@pytest.mark.parametrize("m, n, d", [(300, 4000, 2), (37, 2500, 3)])
+def test_pairwise_mean_dist_matches_the_reference_in_its_own_blocks(m, n, d):
+    # B above 1,024 rows: blocks of fewer than ROW_BLOCK rows of A
+    rng = np.random.default_rng(m)
+    A, B = rng.normal(size=(m, d)), rng.normal(size=(n, d)) + 0.5
+    want = _pairwise_mean_dist_reference(A, B, _block_rows(n))
+    assert kernels.pairwise_mean_dist(A, B) == want
+
+
+def _threads_per_call(monkeypatch, cores):
+    """Let the kernel see cores cores; return a function of (A, B) that
+    calls it and returns its result and the number of threads that ran its
+    blocks."""
+    monkeypatch.setattr(workers, "_cores", lambda: cores)
+    seen, block_sum = set(), kernels._block_sum
+
+    def recorded(*args):
+        seen.add(threading.current_thread())
+        return block_sum(*args)
+
+    monkeypatch.setattr(kernels, "_block_sum", recorded)
+
+    def call(A, B):
+        seen.clear()
+        return kernels.pairwise_mean_dist(A, B), len(seen)
+    return call
+
+
+@pytest.mark.parametrize("n", [4000, 1024, 300])
+def test_pairwise_mean_dist_gives_the_same_bytes_on_any_number_of_cores(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    A, B = rng.normal(size=(n, 2)), rng.normal(size=(n, 2)) * 2.0
+    got = {}
+    for cores in (1, 2, 3):
+        call = _threads_per_call(monkeypatch, cores)
+        before = threading.active_count()
+        runs = [call(A, other) for other in (B, A.copy())]  # the cross and self paths
+        # every thread is joined before the call returns
+        assert threading.active_count() == before
+        # a B of up to 1,024 rows keeps 64-row blocks, on one thread
+        threads = min(cores, kernels.ROW_BLOCK // _block_rows(n))
+        assert [used for _, used in runs] == [threads, threads]
+        got[cores] = [value.hex() for value, _ in runs]
+    assert got[2] == got[1] and got[3] == got[1]
+
+
+def test_pairwise_mean_dist_threads_keep_their_temporaries_to_two_row_blocks(monkeypatch):
+    m = n = 4000
+    rng = np.random.default_rng(6)
+    A, B = rng.normal(size=(m, 2)), rng.normal(size=(n, 2))
+    monkeypatch.setattr(workers, "_cores", lambda: 3)
+    for other in (B, A.copy()):
+        tracemalloc.start()
+        try:
+            kernels.pairwise_mean_dist(A, other)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # three threads of two (16, n) buffers each: under two (ROW_BLOCK, n)
+        assert peak < 2.5 * kernels.ROW_BLOCK * n * 8
+
+
+def test_pairwise_mean_dist_on_more_threads_than_cores_loses_no_block(monkeypatch):
+    # 8,192 columns make 8-row blocks, so 8 threads on the machine's cores;
+    # a short switch interval interleaves their writes to the block sums
+    rng = np.random.default_rng(8)
+    A, B = rng.normal(size=(203, 2)), rng.normal(size=(8192, 2))
+    want = _pairwise_mean_dist_reference(A, B, 8)
+    call = _threads_per_call(monkeypatch, 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [call(A, B) for _ in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs == [(want, 8)] * 5
+
+
+def test_pairwise_mean_dist_raises_the_error_of_a_thread(monkeypatch):
+    monkeypatch.setattr(workers, "_cores", lambda: 2)
+    block_sum = kernels._block_sum
+
+    def failing(A, B, r, *args):
+        if r == 16:  # the first block of the second thread
+            raise FloatingPointError("block 1")
+        return block_sum(A, B, r, *args)
+
+    monkeypatch.setattr(kernels, "_block_sum", failing)
+    A = np.random.default_rng(9).normal(size=(4000, 2))
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="block 1"):
+        kernels.pairwise_mean_dist(A, A[::-1])
+    assert threading.active_count() == before

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from tiwlab import workers
 from tiwlab.errors import InputError
 from tiwlab.metrics import (
     EvalReport,
@@ -65,6 +66,17 @@ def test_energy_distance_self_draws_small(p_data):
 def test_energy_distance_symmetric(p_data, p_bias):
     a = p_data.sample(500, seed=9)
     b = p_bias.sample(500, seed=10)
+    assert energy_distance(a, b) == energy_distance(b, a)
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_energy_distance_of_4000_points_is_exact_on_any_number_of_cores(p_data, p_bias,
+                                                                       monkeypatch, cores):
+    # 16-row blocks, one thread per core
+    monkeypatch.setattr(workers, "_cores", lambda: cores)
+    a = p_data.sample(4000, seed=15)
+    b = p_bias.sample(4000, seed=16)
+    assert energy_distance(a, a.copy()) == 0.0
     assert energy_distance(a, b) == energy_distance(b, a)
 
 

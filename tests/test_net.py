@@ -111,24 +111,27 @@ def test_inference_forward_gives_the_cached_forward_bytes(time_embed):
 @pytest.mark.parametrize("time_embed", ["append-scalar", "sinusoidal"])
 def test_time_features_of_the_last_per_row_time_are_kept(time_embed):
     def feats(t, batch):
-        return _time_features(time_embed, 8, _row_times(t, batch).tobytes(), batch)
+        return _time_features(time_embed, 8, _row_times(t, batch).tobytes())
 
     def fresh(t):  # the uncached reference
-        return _time_features.__wrapped__(time_embed, 8, t.tobytes(), t.size)
+        return _time_features.__wrapped__(time_embed, 8, t.tobytes())
 
     t = np.linspace(0.1, 0.9, 7)
     first = feats(t, 7)
     assert feats(t.copy(), 7) is first  # same shape and values
     assert not first.flags.writeable
-    # a scalar time gives the bytes of that time spelled out per row
-    assert feats(0.5, 7).tobytes() == fresh(np.full(7, 0.5)).tobytes()
+    # a scalar time gives one row, the bytes of each row of that time spelled out
+    scalar = feats(0.5, 7)
+    assert scalar.shape[0] == 1 and feats(0.5, 3) is scalar  # any batch size
+    assert np.broadcast_to(scalar, (7, scalar.shape[1])).tobytes() == \
+        fresh(np.full(7, 0.5)).tobytes()
     # new values in the same array recompute; the kept features did not follow them
     old = t.copy()
     t[3] = 0.25
     second = feats(t, 7)
     assert second is not first and second.tobytes() == fresh(t).tobytes()
     assert first.tobytes() == fresh(old).tobytes()
-    # a new batch size misses
+    # fewer times miss
     third = feats(t[:5], 5)
     assert third.shape[0] == 5 and third.tobytes() == fresh(t[:5]).tobytes()
     # -0.0 == 0.0, but its features differ in sign
@@ -139,7 +142,8 @@ def test_time_features_of_the_last_per_row_time_are_kept(time_embed):
 def unblocked_forward(net, X, t):
     """The forward pass on whole-batch fresh arrays: (output, acts, primes)."""
     time_feats = _time_features.__wrapped__(net.time_embed, net.n_frequencies,
-                                            _row_times(t, X.shape[0]).tobytes(), X.shape[0])
+                                            _row_times(t, X.shape[0]).tobytes())
+    time_feats = np.broadcast_to(time_feats, (X.shape[0], time_feats.shape[1]))
     feats = np.concatenate([X, time_feats], axis=1)
     views = [net.params[off:off + np.prod(shape, dtype=int)].reshape(shape)
              for off, shape in net.layout]

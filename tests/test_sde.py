@@ -225,10 +225,10 @@ def test_generate_reports_the_step_of_a_nonfinite_score(sched):
 PARALLEL_MAP = workers.parallel_map
 
 
-def _split_into(monkeypatch, cores):
-    """Let reverse_generate split 16-row chunks over cores workers; return the
-    list of the chunk counts it passes to parallel_map."""
-    monkeypatch.setattr(sde, "MIN_ROWS_PER_WORKER", 16)
+def _split_into(monkeypatch, cores, min_rows=16):
+    """Let reverse_generate split chunks of min_rows rows or more over cores
+    workers; return the list of the chunk counts it passes to parallel_map."""
+    monkeypatch.setattr(sde, "MIN_ROWS_PER_WORKER", min_rows)
     monkeypatch.setattr(workers, "_cores", lambda: cores)
     counts = []
 
@@ -252,6 +252,26 @@ def test_split_sampling_gives_the_bytes_of_one_process(sched, p_data, monkeypatc
         assert counts == ([] if cores == 1 else [cores])
     assert runs[2].tobytes() == runs[1].tobytes()
     assert runs[3].tobytes() == runs[1].tobytes()
+    assert multiprocessing.active_children() == []
+
+
+@needs_blas_setter
+def test_split_sampling_with_a_score_net_gives_the_bytes_of_one_process(sched, monkeypatch):
+    # BLAS computes this score, so a row's bytes depend on its chunk at some
+    # batch sizes (with this net, 101 rows in chunks of 50 and 51); the
+    # split's real chunks, of MIN_ROWS_PER_WORKER rows or one more, are not
+    # among them
+    net = Mlp(2, [64, 64, 64], 2, seed=1)
+    spec = SamplerSpec(steps=10, seed=6)
+    min_rows = sde.MIN_ROWS_PER_WORKER
+    for cores in (2, 3):
+        n = cores * min_rows + 1  # chunks of min_rows, the last one row longer
+        runs = {}
+        for split in (1, cores):
+            counts = _split_into(monkeypatch, split, min_rows)
+            runs[split] = reverse_generate(sched, net.forward, spec, n=n, dim=2)
+            assert counts == ([] if split == 1 else [cores])
+        assert runs[cores].tobytes() == runs[1].tobytes()
     assert multiprocessing.active_children() == []
 
 

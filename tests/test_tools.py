@@ -33,7 +33,7 @@ def test_step_times_prints_a_row_per_case():
     assert done.returncode == 0, done.stderr
     rows = [line.split() for line in done.stdout.splitlines() if line.startswith("this ")]
     assert [row[1] for row in rows] == ["dsm", "iw_dsm", "tiw_dsm", "disc", "heun_256",
-                                        "heun_2000"]
+                                        "heun_2000", "ed_4000"]
     assert all(float(value) > 0 for row in rows for value in row[2:])
 
 

@@ -1,10 +1,12 @@
-"""Time one training step of each score objective, one discriminator step and
-one Heun drift of the sampler, at the default batches and widths.
+"""Time one training step of each score objective, one discriminator step,
+one Heun drift of the sampler, at the default batches and widths, and one
+energy distance of two 4000-point sets.
 
     python3 tools/step_times.py [--src OTHER/src] [--rounds 10] [--steps 100]
 
-Cases, each on the default two-mode data split (1000 biased and 100
-reference points, `split` config section) and the default schedule:
+Cases, each but ed_4000 on the default two-mode data split (1000 biased
+and 100 reference points, `split` config section) and the default
+schedule:
 
     dsm, iw_dsm, tiw_dsm  one `train_score` step at batch 128 and a 3x64 score
                           net, each on its default stream (obs); iw_dsm and
@@ -13,10 +15,13 @@ reference points, `split` config section) and the default schedule:
     heun_256, heun_2000   one drift of the probability-flow ODE (one 3x64
                           score-net forward plus the drift arithmetic) over
                           256 and 2000 rows, run in this process
+    ed_4000               one `metrics.energy_distance` (all three pair
+                          sums) of two sets of 4000 draws from the balanced
+                          two-mode mixture, on the process's cores
 
-A case's cost per step is the wall time of a run of --steps steps over
-that count, after one warm-up run; a round takes the median of REPEATS
-runs. The sampler's prior draws, timed on their own, are taken out of the
+A case's cost per step is the wall time of a run of --steps steps (of one
+call for ed_4000) over that count, after one warm-up run; a round takes
+the median of REPEATS runs. The sampler's prior draws, timed on their own, are taken out of the
 Heun runs; the training runs keep their set-up (network initialisation,
 and iw_dsm's weights per pool point), well under 1% at 100 steps. Each
 round runs every case once per tree, in a fresh interpreter with one BLAS
@@ -37,7 +42,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CASES = ("dsm", "iw_dsm", "tiw_dsm", "disc", "heun_256", "heun_2000")
+CASES = ("dsm", "iw_dsm", "tiw_dsm", "disc", "heun_256", "heun_2000", "ed_4000")
 # timed runs per case and round; a round reports their median
 REPEATS = 5
 
@@ -67,7 +72,7 @@ def measure(steps):
     """{case: seconds per step} of the tiwlab on sys.path."""
     import numpy as np
 
-    from tiwlab import sde
+    from tiwlab import metrics, sde
     from tiwlab.mixture import two_mode_balanced_mixture, two_mode_bias_mixture
     from tiwlab.net import Mlp
     from tiwlab.objectives import ObjectiveSpec, ScoreTrainConfig, train_score
@@ -104,18 +109,26 @@ def measure(steps):
             return prior
         return run
 
+    ed_sets = (two_mode_balanced_mixture().sample(4000, seed=505),
+               two_mode_balanced_mixture().sample(4000, seed=506))
+
+    def ed(n):
+        metrics.energy_distance(*ed_sets)
+        return 0.0
+
     runs = {"dsm": score("dsm"), "iw_dsm": score("iw_dsm"), "tiw_dsm": score("tiw_dsm"),
             "disc": disc,
-            "heun_256": heun(256), "heun_2000": heun(2000)}
+            "heun_256": heun(256), "heun_2000": heun(2000), "ed_4000": ed}
     out = {}
     for case in CASES:
         run = runs[case]
-        run(steps)  # warm-up
+        n = 1 if case == "ed_4000" else steps
+        run(n)  # warm-up
         per_step = []
         for _ in range(REPEATS):
             start = time.perf_counter()
-            untimed = run(steps)
-            per_step.append((time.perf_counter() - start - untimed) / steps)
+            untimed = run(n)
+            per_step.append((time.perf_counter() - start - untimed) / n)
         out[case] = statistics.median(per_step)
     out["env"] = {"numpy": np.__version__, "blas_threads": blas_threads(),
                   "cores": os.cpu_count()}
