@@ -341,8 +341,8 @@ def cmd_repro_fig3(cfg: ExperimentConfig):
     score_bias = bias.score(lattice)
     score_data = data.score(lattice)
     oracle = oracle_ratio_model(data, bias, cfg.schedule)
-    grad_w = oracle.grad_log_w(lattice, 0.0)
-    w = oracle.ratio_w(lattice, 0.0)
+    h, grad_w = oracle.logit_and_grad(lattice, 0.0)
+    w = np.exp(h)
 
     def field_rows(values):
         return [[*x, *np.atleast_1d(val)] for x, val in zip(lattice, values)]

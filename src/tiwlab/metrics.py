@@ -13,14 +13,13 @@ import numpy as np
 from . import kernels
 from .errors import InputError
 from .mixture import GaussianMixture
+from .ranges import check_batch
 
 
-def _check_samples(X, name):
-    X = np.ascontiguousarray(np.asarray(X, dtype=np.float64))
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise InputError(f"{name} must be a non-empty (n, dim) matrix")
-    if not np.isfinite(X).all():
-        raise InputError(f"{name} holds a non-finite value (nan or inf)")
+def _check_samples(X, name, dim=None):
+    X = check_batch(X, name, dim)
+    if X.shape[0] == 0:
+        raise InputError(f"{name} must be non-empty")
     return X
 
 
@@ -35,8 +34,12 @@ def bias_metric(samples_model, samples_ref, classifier: GaussianMixture):
 
     Zero iff the mean posteriors coincide; symmetric in the two sets.
     """
-    a = mode_proportions(samples_model, classifier)
-    b = mode_proportions(samples_ref, classifier)
+    return _proportion_gap(mode_proportions(samples_model, classifier),
+                           mode_proportions(samples_ref, classifier))
+
+
+def _proportion_gap(a, b):
+    """bias_metric of two sets' mode proportions a and b."""
     return float(np.abs(a - b).sum())
 
 
@@ -61,9 +64,7 @@ def energy_distance(a, b, b_self=None):
     evaluations share.
     """
     A = _check_samples(a, "a")
-    B = _check_samples(b, "b")
-    if A.shape[1] != B.shape[1]:
-        raise InputError(f"dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
+    B = _check_samples(b, "b", A.shape[1])
     # fix the cross-term summation order so the result is exactly symmetric
     first, second = (A, B) if (A.shape[0], A.tobytes()) <= (B.shape[0], B.tobytes()) \
         else (B, A)
@@ -104,8 +105,7 @@ def evaluate_samples(samples, oracle_samples, classifier, notes="", oracle_self=
     """
     proportions = mode_proportions(samples, classifier)
     return EvalReport(
-        # bias_metric, reusing the model's proportions
-        bias=float(np.abs(proportions - mode_proportions(oracle_samples, classifier)).sum()),
+        bias=_proportion_gap(proportions, mode_proportions(oracle_samples, classifier)),
         proportions=proportions,
         energy_distance=energy_distance(samples, oracle_samples, oracle_self),
         notes=notes,

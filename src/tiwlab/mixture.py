@@ -13,15 +13,8 @@ import numpy as np
 
 from . import kernels
 from .errors import InputError
+from .ranges import check_batch
 from .sde import _row_times
-
-
-def _as_batch(x, dim):
-    """x as a C-contiguous float64 (n, dim) batch; any other shape is refused."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[1] != dim:
-        raise InputError(f"x must have shape (n, {dim}), got {arr.shape}")
-    return np.ascontiguousarray(arr)
 
 
 @dataclass(frozen=True)
@@ -71,7 +64,7 @@ class GaussianMixture:
     # -- densities -----------------------------------------------------------
 
     def log_density(self, x):
-        return kernels.gm_logpdf(_as_batch(x, self.dim), self._log_weights, self.means,
+        return kernels.gm_logpdf(check_batch(x, dim=self.dim), self._log_weights, self.means,
                                  self.variances)
 
     def density(self, x):
@@ -79,12 +72,12 @@ class GaussianMixture:
 
     def score(self, x):
         """Gradient of log density: sum_i r_i(x) (mean_i - x) / variance_i."""
-        return kernels.gm_score(_as_batch(x, self.dim), self._log_weights, self.means,
+        return kernels.gm_score(check_batch(x, dim=self.dim), self._log_weights, self.means,
                                 self.variances)
 
     def posterior(self, x):
         """Component responsibilities r_i(x) = w_i N_i(x) / p(x); rows sum to 1."""
-        return kernels.gm_posterior(_as_batch(x, self.dim), self._log_weights, self.means,
+        return kernels.gm_posterior(check_batch(x, dim=self.dim), self._log_weights, self.means,
                                     self.variances)
 
     # -- transforms ----------------------------------------------------------
@@ -145,7 +138,7 @@ def _perturbed_moments(gm: GaussianMixture, sched, t):
 def _batch_moments(gm: GaussianMixture, sched, X, t):
     """The kernel arguments (X, log weights, means, variances) of gm noised
     to a shared or per-row time t, for an (n, d) batch X."""
-    X = _as_batch(X, gm.dim)
+    X = check_batch(X, dim=gm.dim)
     return (X, gm._log_weights,
             *_perturbed_moments(gm, sched, _row_times(t, X.shape[0])))
 

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import artifacts
 from .errors import ContractError, InputError, IoError, NumericalError
-from .ranges import check_value, check_values
+from .ranges import check_batch, check_value, check_values
 from .sde import _row_times
 
 TIME_EMBEDS = ("append-scalar", "sinusoidal")
@@ -227,11 +227,7 @@ class Mlp:
     def forward(self, x, t, want_cache=False):
         """(n, output_dim) output of an (n, input_dim) batch x; with want_cache
         also the ForwardCache that param_gradient consumes."""
-        X = np.asarray(x, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.input_dim:
-            raise InputError(f"x must have shape (n, {self.input_dim}), got {X.shape}")
-        if not np.isfinite(X).all():
-            raise InputError("non-finite network input")
+        X = check_batch(x, dim=self.input_dim)
         B = X.shape[0]
         time_feats = _time_features(self.time_embed, self.n_frequencies,
                                     _row_times(t, B).tobytes())

@@ -1,4 +1,5 @@
-"""The one check of a value against the type and range its field declares.
+"""The one check of a value against the type and range its field declares,
+and the one check of a point batch (check_batch).
 
 "ge", "gt" and "le" bound a number (each item of a list), "choices" lists
 the allowed values, "min_len" bounds a list's length, "key" names the config
@@ -10,6 +11,8 @@ import math
 import operator
 from dataclasses import fields
 from typing import get_args, get_origin
+
+import numpy as np
 
 from .errors import InputError
 
@@ -59,3 +62,13 @@ def check_fields(obj):
         if f.default is not None:
             check_value(getattr(obj, f.name), f.type, f.metadata,
                         f"{type(obj).__name__}.{f.name}")
+
+
+def check_batch(x, name="x", dim=None):
+    """x as a C-contiguous float64 (n, d) batch of finite values, d = dim if given."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or (dim is not None and x.shape[1] != dim):
+        raise InputError(f"{name} must have shape (n, {dim or 'd'}), got {x.shape}")
+    if not np.isfinite(x).all():
+        raise InputError(f"{name} holds a non-finite value (nan or inf)")
+    return np.ascontiguousarray(x)

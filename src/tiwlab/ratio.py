@@ -19,7 +19,8 @@ The clamp is applied once, in RatioModel.logit_and_grad, so w and w~
 share it (the algebraic identity w~ = 2w/(1+w) survives it) and so do the
 gradients: they are derivatives of the clamped logit, zero wherever the
 clamp binds. Every weight and correction, objectives' included, comes
-from RatioModel.weight_and_correction; the named accessors are views of it.
+from RatioModel.logit_and_grad, most through weight_and_correction; the
+named accessors are views of these that no code of the package calls.
 
 A query is an (n, d) batch at a scalar or per-row t, answered at that t.
 The single-time baseline is a discriminator trained at t = 0 only, and its
@@ -39,7 +40,7 @@ from .mixture import (
     pooled_mixture,
 )
 from .net import Mlp, NetSpec, _sigmoid, init_optim, load_net, save_net, train_step
-from .ranges import check_fields
+from .ranges import check_batch, check_fields
 from .sde import LAMBDA_KINDS, VpSchedule, _kernel_sample, _lambda_factor
 
 RATIO_KINDS = ("learned", "oracle")
@@ -60,15 +61,10 @@ class DatasetSplit:
     ref_points: np.ndarray
 
     def __post_init__(self):
-        for name in ("bias_points", "ref_points"):
-            points = np.asarray(getattr(self, name), dtype=np.float64)
-            if points.ndim != 2:
-                raise InputError(f"{name} must have shape (n, d), got {points.shape}")
-            setattr(self, name, points)
+        self.bias_points = check_batch(self.bias_points, "bias_points")
+        self.ref_points = check_batch(self.ref_points, "ref_points", dim=self.bias_points.shape[1])
         if self.bias_points.shape[0] == 0 or self.ref_points.shape[0] == 0:
             raise InputError("both bias and reference sets must be non-empty")
-        if self.bias_points.shape[1] != self.ref_points.shape[1]:
-            raise InputError("bias and reference sets must share a dimension")
 
     @property
     def dim(self):
@@ -297,8 +293,8 @@ def dre_mse(rm: RatioModel, oracle_rm: RatioModel, eval_mix: GaussianMixture,
     """Monte-Carlo E[(w_true - w_est)^2] under eval_mix pushed to time t."""
     mix_t = eval_mix.perturb(rm.sched, t)
     X = mix_t.sample(n, seed)
-    w_true = oracle_rm.ratio_w(X, t)
-    w_est = rm.ratio_w(X, t)
+    w_true = oracle_rm.weight_and_correction(X, t, "plain", want_grad=False)[0]
+    w_est = rm.weight_and_correction(X, t, "plain", want_grad=False)[0]
     return float(np.mean((w_true - w_est) ** 2))
 
 

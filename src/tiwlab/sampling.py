@@ -26,6 +26,7 @@ from . import artifacts
 from .errors import InputError, IoError
 from .mixture import GaussianMixture, perturbed_score_batch
 from .net import load_net
+from .ranges import check_batch
 from .sde import SamplerSpec, VpSchedule, reverse_generate
 
 
@@ -60,9 +61,10 @@ def generate(source, sched: VpSchedule, spec: SamplerSpec, n, output=None):
 
 
 def write_samples_csv(path, samples):
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 2:
-        raise InputError(f"samples must have shape (n, d), got {samples.shape}")
+    """Write an (n, d) batch of finite values, n, d >= 1, as read_samples_csv reads it."""
+    samples = check_batch(samples, "samples")
+    if 0 in samples.shape:
+        raise InputError(f"samples must be non-empty, got shape {samples.shape}")
     artifacts.write_csv(path, [f"x{i}" for i in range(samples.shape[1])], samples)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import workers
 from .errors import InputError, NumericalError
-from .ranges import check_fields
+from .ranges import check_batch, check_fields
 
 LAMBDA_KINDS = ("sigma_squared", "uniform")
 # fewest trajectories per worker for which reverse_generate fans out. At the
@@ -92,22 +92,18 @@ class VpSchedule:
     def forward_sample(self, x0, t, noise):
         """Draw alpha(t) x0 + sigma(t) noise from the kernel, for (n, d) x0
         and noise at a scalar or per-row t."""
-        x0 = np.asarray(x0, dtype=np.float64)
-        noise = np.asarray(noise, dtype=np.float64)
-        if x0.ndim != 2 or x0.shape != noise.shape:
-            raise InputError(f"x0 and noise must be (n, d) batches of one shape, "
-                             f"got {x0.shape} and {noise.shape}")
+        x0, noise = check_batch(x0, "x0"), check_batch(noise, "noise")
+        if x0.shape != noise.shape:
+            raise InputError(f"x0 and noise must have one shape, got {x0.shape} and {noise.shape}")
         alpha, sigma = self._alpha_sigma(self._kernel_times(t, x0.shape[0]))
         return _kernel_sample(alpha, sigma, x0, noise)
 
     def cond_score(self, x_t, x0, t):
         """Gradient of the log perturbation kernel: -(x_t - alpha x0) / sigma^2,
         for (n, d) batches at a scalar or per-row t."""
-        x_t = np.asarray(x_t, dtype=np.float64)
-        x0 = np.asarray(x0, dtype=np.float64)
-        if x0.ndim != 2 or x_t.shape != x0.shape:
-            raise InputError(f"x_t and x0 must be (n, d) batches of one shape, "
-                             f"got {x_t.shape} and {x0.shape}")
+        x_t, x0 = check_batch(x_t, "x_t"), check_batch(x0, "x0")
+        if x_t.shape != x0.shape:
+            raise InputError(f"x_t and x0 must have one shape, got {x_t.shape} and {x0.shape}")
         alpha, sigma = self._alpha_sigma(self._kernel_times(t, x0.shape[0], self.t_eps))
         return _kernel_score(alpha, sigma, x_t, x0)
 

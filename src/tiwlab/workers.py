@@ -87,15 +87,14 @@ def parallel_map(fn, items, after=None):
     error, so no worker outlives the call.
     """
     after = after or {}
-    # what each item waits on, directly or through others
-    waits = [set() for _ in items]
-    for i, deps in sorted(after.items()):
+    for i, deps in after.items():
         for j in deps:
             if not 0 <= j < i < len(items):
                 raise ContractError(f"item {i} of {len(items)} may only wait on "
                                     f"an earlier item, not on {j}")
-            waits[i] |= waits[j] | {j}
-    chain = all(i - 1 in waits[i] for i in range(1, len(items)))
+    # every wait is on a lower index, so item i waits on i - 1, through other
+    # items or not, only if it names i - 1 itself
+    chain = all(i - 1 in after.get(i, ()) for i in range(1, len(items)))
     n = 1 if chain else min(len(items), available())
     set_blas_threads = _blas_thread_setter() if n > 1 else None
     if set_blas_threads is None:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiwlab.errors import InputError
+from tiwlab.metrics import energy_distance, evaluate_samples, mode_proportions
 from tiwlab.mixture import (
     GaussianMixture,
     perturbed_log_density_and_score_batch,
@@ -71,6 +72,22 @@ POINT_SETS = {
         lambda X, tmp: ORACLE.weight_and_correction(X, np.full(len(X), 0.3)),
     "DatasetSplit": lambda X, tmp: DatasetSplit(bias_points=X, ref_points=X),
     "write_samples_csv": lambda X, tmp: write_samples_csv(tmp / "samples.csv", X),
+    "mode_proportions": lambda X, tmp: mode_proportions(X, GM),
+    "energy_distance[a]": lambda X, tmp: energy_distance(X, np.ones((3, 2))),
+    "energy_distance[b]": lambda X, tmp: energy_distance(np.ones((3, 2)), X),
+    "evaluate_samples": lambda X, tmp: evaluate_samples(X, np.ones((3, 2)), GM),
+}
+# the name an entry's error gives its point set, where it is not "x"
+REFUSED_AS = {
+    "GaussianMixture.means": "means",
+    "VpSchedule.forward_sample": "x0",
+    "VpSchedule.cond_score": "x0",
+    "DatasetSplit": "bias_points",
+    "write_samples_csv": "samples",
+    "mode_proportions": "samples",
+    "energy_distance[a]": "a",
+    "energy_distance[b]": "b",
+    "evaluate_samples": "samples",
 }
 
 
@@ -82,6 +99,15 @@ def test_a_single_point_is_refused_with_the_batch_shape(entry, tmp_path):
     with pytest.raises(InputError, match=r"(shape|be) \([nk], [2d]\).*got \(2,\)"):
         f(x, tmp_path)
     f(x[None, :], tmp_path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", POINT_SETS)
+def test_a_non_finite_point_is_refused_naming_the_input(entry, bad, tmp_path):
+    # a nan or inf point would reach a weight, a correction or a score unseen
+    with pytest.raises(InputError, match=rf"^{REFUSED_AS.get(entry, 'x')} .*finite"):
+        POINT_SETS[entry](np.array([[0.5, bad]]), tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 # every entry point that takes a shared or per-row time t with an (n, d) batch

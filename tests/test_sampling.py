@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from tiwlab.errors import IoError
+from tiwlab.errors import InputError, IoError
 from tiwlab.metrics import energy_distance
 from tiwlab.net import Mlp, save_net
 from tiwlab.sampling import (
@@ -110,3 +110,13 @@ def test_samples_csv_round_trip(tmp_path):
     write_samples_csv(path, X)
     np.testing.assert_array_equal(read_samples_csv(path), X)
     assert path.read_text().splitlines()[0] == "x0,x1,x2"
+
+
+@pytest.mark.parametrize("X", [np.array([[0.5, np.nan]]), np.array([[0.5], [-np.inf]]),
+                               np.zeros((0, 2)), np.zeros((2, 0))],
+                         ids=["nan", "-inf", "no-rows", "no-columns"])
+def test_samples_csv_writer_refuses_what_its_reader_refuses(tmp_path, X):
+    # read_samples_csv exits 5 on each of these, so none is written
+    with pytest.raises(InputError, match="^samples (holds a non-finite|must be non-empty)"):
+        write_samples_csv(tmp_path / "samples.csv", X)
+    assert list(tmp_path.iterdir()) == []

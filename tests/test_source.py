@@ -130,3 +130,23 @@ def test_only_net_reads_a_checkpoints_role():
              for line in _role_reads(ast.parse(path.read_text()))]
     assert found == []
     assert list(_role_reads(ast.parse((SRC / "net.py").read_text())))
+
+
+def _batch_shape_raises(tree):
+    """Line of each raise whose message names an (n, ...) batch shape."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            if any(isinstance(part, ast.Constant) and isinstance(part.value, str)
+                   and "(n, " in part.value for part in ast.walk(node.exc)):
+                yield node.lineno
+
+
+def test_only_ranges_checks_a_point_batch():
+    """ranges.check_batch is the one check that points are a finite (n, d)
+    batch; a module that words an (n, ...) shape error again has a second
+    copy of it, which can disagree on nan and inf."""
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "ranges.py"
+             for line in _batch_shape_raises(ast.parse(path.read_text()))]
+    assert found == []
+    assert list(_batch_shape_raises(ast.parse((SRC / "ranges.py").read_text())))
