@@ -1,5 +1,8 @@
 """Small fully connected SiLU network with a time input, trained by Adam.
 
+The time t enters as 2 * n_frequencies extra input columns, sin(2πkt) and
+cos(2πkt) for k = 1..n_frequencies, after the input_dim columns of x.
+
 The same class serves as the score network s(x, t) and as the
 discriminator logit h(x, t). Parameters live in one flat float64 vector
 (layout: W_0, b_0, W_1, b_1, ...) so optimizers and checkpoints can treat
@@ -25,8 +28,8 @@ fresh allocation. The (W, b) views into the parameter vector, and into
 the buffer param_gradient sums into before returning a copy, are built
 once, so ``params`` can be written in place but not rebound. forward
 checks x and t once. One memo per process keeps the time features of the
-last call, keyed by the embedding and the bytes of t, so every network of
-that embedding gets them back at the same times: the two noise blocks of
+last call, keyed by n_frequencies and the bytes of t, so every network of
+that n_frequencies gets them back at the same times: the two noise blocks of
 an antithetic pair, Heun's second drift at t_{k+1} and the next step's
 first, and the discriminator and score net of one tiw_dsm step.
 adam_step writes through two scratch vectors in OptimState, in the
@@ -35,7 +38,8 @@ textbook update's order.
 Checkpoint format (little-endian): magic ``TIWNET``, u16 format version,
 u32 header length, JSON header (architecture + arbitrary extra fields),
 then the parameter vector as raw float64. Round-trips are bit-exact. A
-header's activation field, written by older versions, must be "silu".
+header field that older versions wrote and that has one value left
+(RETIRED_FIELDS) must hold that value, and is otherwise ignored.
 """
 
 import functools
@@ -52,12 +56,12 @@ from .errors import ContractError, InputError, IoError, NumericalError
 from .ranges import check_batch, check_value, check_values
 from .sde import _row_times
 
-TIME_EMBEDS = ("append-scalar", "sinusoidal")
-
 CHECKPOINT_MAGIC = b"TIWNET"
 CHECKPOINT_VERSION = 1
 # header role -> its name; a score net outputs input_dim entries, a discriminator 1
 ROLES = {"score": "a score network", "discriminator": "a discriminator"}
+# header field older versions wrote -> the one value it may hold
+RETIRED_FIELDS = {"activation": "silu", "time_embed": "sinusoidal"}
 
 # float64 entries per row block of the elementwise chain: 128 KB, which is
 # 256 rows at width 64
@@ -88,20 +92,16 @@ def _silu(z, prime):
 
 
 @functools.lru_cache(maxsize=1)
-def _time_features(time_embed, n_frequencies, t_bytes):
-    """(rows, embed_dim) read-only time features of the float64 times in
-    t_bytes, one row per time: (1, embed_dim) for a scalar t, which the
-    caller broadcasts over its batch. The last call is kept; keyed by
-    bytes, not values, since -0.0 == 0.0 but their features differ in
-    sign."""
-    rows = np.frombuffer(t_bytes).reshape(-1, 1)
-    if time_embed == "append-scalar":
-        feats = rows
-    else:
-        # harmonics 1..k of the unit horizon; keeps the t-dependence band-limited
-        freqs = np.arange(1, n_frequencies + 1, dtype=np.float64)
-        ang = 2.0 * np.pi * rows * freqs[None, :]
-        feats = np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
+def _time_features(n_frequencies, t_bytes):
+    """(rows, 2 * n_frequencies) read-only time features of the float64
+    times in t_bytes, one row per time: the sines, then the cosines, of
+    harmonics 1..n_frequencies of the unit horizon, which keep the
+    t-dependence band-limited. A scalar t gives one row, which the caller
+    broadcasts over its batch. The last call is kept; keyed by bytes, not
+    values, since -0.0 == 0.0 but their features differ in sign."""
+    freqs = np.arange(1, n_frequencies + 1, dtype=np.float64)
+    ang = 2.0 * np.pi * np.frombuffer(t_bytes).reshape(-1, 1) * freqs[None, :]
+    feats = np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
     feats.flags.writeable = False
     return feats
 
@@ -111,7 +111,6 @@ class NetSpec:
     """Hidden architecture of an Mlp; the two training configs extend it."""
 
     hidden: tuple[int, ...] = field(default=(64, 64, 64), metadata={"ge": 1})
-    time_embed: str = field(default="sinusoidal", metadata={"choices": TIME_EMBEDS})
     n_frequencies: int = field(default=8, metadata={"ge": 1})
 
 
@@ -145,14 +144,13 @@ class ForwardCache:
 
 
 class Mlp:
-    def __init__(self, input_dim, hidden, output_dim, time_embed=NetSpec.time_embed,
-                 n_frequencies=NetSpec.n_frequencies, params=None, seed=0):
+    def __init__(self, input_dim, hidden, output_dim, n_frequencies=NetSpec.n_frequencies,
+                 params=None, seed=0):
         check_values(locals(), NetArch, "Mlp")  # the arguments NetArch declares
         self.input_dim, self.hidden, self.output_dim = input_dim, list(hidden), output_dim
-        self.time_embed, self.n_frequencies = time_embed, n_frequencies
+        self.n_frequencies = n_frequencies
 
-        self.embed_dim = 1 if time_embed == "append-scalar" else 2 * self.n_frequencies
-        self.widths = [self.input_dim + self.embed_dim] + self.hidden + [self.output_dim]
+        self.widths = [input_dim + 2 * n_frequencies] + self.hidden + [output_dim]
         # layout descriptor: (offset, shape) per tensor, W then b per layer
         self.layout = []
         off = 0
@@ -229,8 +227,7 @@ class Mlp:
         also the ForwardCache that param_gradient consumes."""
         X = check_batch(x, dim=self.input_dim)
         B = X.shape[0]
-        time_feats = _time_features(self.time_embed, self.n_frequencies,
-                                    _row_times(t, B).tobytes())
+        time_feats = _time_features(self.n_frequencies, _row_times(t, B).tobytes())
         if want_cache:
             block = np.empty(B * self._cache_spans[-1][1])
             views = [block[B * lo:B * hi].reshape(B, hi - lo) for lo, hi in self._cache_spans]
@@ -417,9 +414,10 @@ def load_net(path, role=None, dim=None):
         raise IoError(f"corrupt checkpoint {path}: unreadable header ({e})") from e
     if not isinstance(header, dict):
         raise IoError(f"corrupt checkpoint {path}: header is {header!r}, not an object")
-    if header.get("activation", "silu") != "silu":
-        raise IoError(f"corrupt checkpoint {path}: activation field is "
-                      f"{header['activation']!r}, not 'silu'")
+    for name, only in RETIRED_FIELDS.items():
+        if header.get(name, only) != only:
+            raise IoError(f"corrupt checkpoint {path}: {name} field is "
+                          f"{header[name]!r}, not {only!r}")
     for f in fields(_Header):
         if f.name not in header:
             raise IoError(f"corrupt checkpoint {path}: missing header field {f.name!r}")

@@ -382,8 +382,7 @@ def train_score(data: DatasetSplit, spec: ObjectiveSpec, sched: VpSchedule,
 
     iw_cache = _iw_weights(spec, pool) if spec.kind == "iw_dsm" else None
 
-    net = Mlp(dim, list(cfg.hidden), dim, time_embed=cfg.time_embed,
-              n_frequencies=cfg.n_frequencies, seed=cfg.seed)
+    net = Mlp(dim, list(cfg.hidden), dim, n_frequencies=cfg.n_frequencies, seed=cfg.seed)
     state = init_optim(net.n_params, cfg.learning_rate)
 
     telemetry = []  # CSV rows

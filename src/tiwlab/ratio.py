@@ -232,8 +232,7 @@ def train_discriminator(split: DatasetSplit, sched: VpSchedule,
     ref_train, ref_hold = carve(split.ref_points)
     bias_train, bias_hold = carve(split.bias_points)
 
-    net = Mlp(split.dim, list(cfg.hidden), 1, time_embed=cfg.time_embed,
-              n_frequencies=cfg.n_frequencies, seed=cfg.seed)
+    net = Mlp(split.dim, list(cfg.hidden), 1, n_frequencies=cfg.n_frequencies, seed=cfg.seed)
     state = init_optim(net.n_params, cfg.learning_rate)
     labels = np.concatenate([np.ones(n_ref), np.zeros(cfg.batch_size - n_ref)])
     for step in range(cfg.steps):

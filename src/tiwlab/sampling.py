@@ -48,8 +48,6 @@ def mixture_score(gm: GaussianMixture, sched: VpSchedule, name):
 def generate(source, sched: VpSchedule, spec: SamplerSpec, n, output=None):
     """n samples from a score source (checkpoint_score, mixture_score) and their
     provenance dict; both go to samples.csv and provenance.json in output."""
-    if n < 1:
-        raise InputError("n must be >= 1")
     score_fn, dim, entry = source
     samples = reverse_generate(sched, score_fn, spec, n, dim)
     provenance = {"n": n, "dim": dim, **asdict(spec), "schedule": asdict(sched), **entry}

@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 
@@ -9,16 +11,41 @@ from tiwlab.errors import IoError
 from tiwlab.sampling import read_samples_csv, write_samples_csv
 
 
-def test_failed_samples_write_leaves_previous_file_whole(tmp_path):
+def test_failed_samples_write_leaves_previous_file_whole(tmp_path, monkeypatch):
+    on_disk = []
+
+    class PartWriter(io.BufferedWriter):
+        # puts the first half of the data on disk, then fails as a full disk does
+        def write(self, data):
+            super().write(data[:len(data) // 2])
+            self.flush()
+            on_disk.append(os.fstat(self.fileno()).st_size)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    path = tmp_path / "samples.csv"
+    write_samples_csv(path, np.arange(2000.0).reshape(1000, 2))
+    before = path.read_bytes()
+    monkeypatch.setattr(os, "fdopen", lambda fd, mode: PartWriter(io.FileIO(fd, mode)))
+    with pytest.raises(IoError, match="samples.csv"):
+        write_samples_csv(path, np.arange(2000.0).reshape(1000, 2) + 0.5)
+    assert len(on_disk) == 1 and on_disk[0] > 0  # it failed mid-write
+    assert path.read_bytes() == before
+    assert read_samples_csv(path).shape == (1000, 2)
+    assert os.listdir(tmp_path) == ["samples.csv"]
+
+
+def test_a_non_number_cell_is_refused_before_any_write(tmp_path, monkeypatch):
     path = tmp_path / "samples.csv"
     write_samples_csv(path, np.arange(2000.0).reshape(1000, 2))
     before = path.read_bytes()
     rows = np.arange(2000.0).reshape(1000, 2).astype(object)
     rows[500, 1] = "not a number"
+    writes = []
+    monkeypatch.setattr(artifacts, "write_bytes", lambda *args: writes.append(args))
     with pytest.raises(ValueError):
         write_samples_csv(path, rows)
+    assert writes == []
     assert path.read_bytes() == before
-    assert read_samples_csv(path).shape == (1000, 2)
     assert os.listdir(tmp_path) == ["samples.csv"]
 
 

@@ -5,7 +5,7 @@ import re
 import shutil
 import signal
 import time
-from dataclasses import fields
+from dataclasses import Field, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from tiwlab.config import (
 )
 from tiwlab.errors import ConfigError, ContractError, InputError, NumericalError
 from tiwlab.kernels import pairwise_mean_dist
-from tiwlab.net import TIME_EMBEDS, Mlp, load_net, save_net
+from tiwlab.net import Mlp, load_net, save_net
 from tiwlab.objectives import (
     OBJECTIVE_KINDS,
     STREAMS,
@@ -89,8 +89,6 @@ def test_bad_value_rejected():
 
 
 ENUM_FIELDS = [
-    ("disc_net.time_embed", TIME_EMBEDS),
-    ("score_net.time_embed", TIME_EMBEDS),
     ("disc_train.lambda_prime", LAMBDA_KINDS),
     ("objective.kind", OBJECTIVE_KINDS),
     ("objective.lambda_kind", LAMBDA_KINDS),
@@ -301,11 +299,21 @@ def test_two_mode_yaml_choice_comments_match_the_declared_choices():
     assert {"objective.kind", "objective.stream", "objective.ratio"} <= set(checked)
 
 
+def test_config_has_39_leaves():
+    # a new knob shows up as an edit here
+    def leaves(node):
+        if isinstance(node, dict):
+            return sum(map(leaves, node.values()))
+        return int(isinstance(node, Field))
+
+    assert leaves(LAYOUT) == 39
+
+
 def test_config_hashes_pinned():
     assert config_hash(ExperimentConfig(raw={})) == \
-        "1b1db872988af7e3ba01094a4d74dc6fc1e81bf3345d1fe7d6dd4491b4390d2d"
+        "a2017cc7eb9d751ccacaac1603d6b97b439cec477656cb57e595cb64ff547e21"
     assert config_hash(load_config(TWO_MODE)) == \
-        "fbb313ba8873e2d466548d1131c63e41fdef13b2c37e35b0c86b3361989b122f"
+        "2229887d8288597f47e19863b30abb6c658ec51cc34d47f44b4cbe188d20321b"
 
 
 # each library type a section maps to: its defaults (given what the CLI built,

@@ -9,6 +9,7 @@ import pytest
 from tiwlab.errors import EXIT_CODES, ContractError, InputError, IoError
 from tiwlab.net import (
     BLOCK_ELEMENTS,
+    RETIRED_FIELDS,
     Mlp,
     NetArch,
     _sigmoid,
@@ -57,16 +58,18 @@ def test_zero_params_give_zero_output():
 
 
 def test_single_linear_layer_with_identity_block():
-    net = Mlp(2, [], 2, time_embed="append-scalar")
-    W = np.zeros((2, 3))
+    # one frequency: the feature columns are x, sin 2πt and cos 2πt
+    net = Mlp(2, [], 2, n_frequencies=1)
+    W = np.zeros((2, 4))
     W[0, 0] = W[1, 1] = 1.0
     net.params[:] = np.concatenate([W.ravel(), np.zeros(2)])
     np.testing.assert_array_equal(net.forward([[1.0, 2.0]], 0.5), [[1.0, 2.0]])
-    # picking up the time column instead reproduces t
-    W2 = np.zeros((2, 3))
-    W2[0, 2] = 1.0
+    # picking up the time columns instead reproduces sin 2πt and cos 2πt
+    W2 = np.zeros((2, 4))
+    W2[0, 2] = W2[1, 3] = 1.0
     net.params[:] = np.concatenate([W2.ravel(), np.zeros(2)])
-    np.testing.assert_array_equal(net.forward([[1.0, 2.0]], 0.5), [[0.5, 0.0]])
+    np.testing.assert_array_equal(net.forward([[1.0, 2.0]], 0.5),
+                                  [[np.sin(2 * np.pi * 0.5), np.cos(2 * np.pi * 0.5)]])
 
 
 def test_forward_is_pure():
@@ -90,15 +93,13 @@ def test_batch_matches_single_rows():
         np.testing.assert_allclose(batch[i], net.forward(X[i:i + 1], ts[i])[0], rtol=1e-15)
 
 
-@pytest.mark.parametrize("time_embed", ["append-scalar", "sinusoidal"])
-def test_inference_forward_gives_the_cached_forward_bytes(time_embed):
+def test_inference_forward_gives_the_cached_forward_bytes():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(50, 2)) * 3.0
     ts = rng.uniform(0.0, 1.0, 50)
     X_before, ts_before = X.copy(), ts.copy()
     for n_frequencies in (3, 8):
-        net = Mlp(2, [16, 16], 2, time_embed=time_embed, n_frequencies=n_frequencies,
-                  seed=4)
+        net = Mlp(2, [16, 16], 2, n_frequencies=n_frequencies, seed=4)
         for t in (ts, 0.37, 1e-3, 1.0):
             assert net.forward(X, t).tobytes() == \
                 net.forward(X, t, want_cache=True)[0].tobytes()
@@ -108,13 +109,12 @@ def test_inference_forward_gives_the_cached_forward_bytes(time_embed):
     assert X.tobytes() == X_before.tobytes() and ts.tobytes() == ts_before.tobytes()
 
 
-@pytest.mark.parametrize("time_embed", ["append-scalar", "sinusoidal"])
-def test_time_features_of_the_last_per_row_time_are_kept(time_embed):
+def test_time_features_of_the_last_per_row_time_are_kept():
     def feats(t, batch):
-        return _time_features(time_embed, 8, _row_times(t, batch).tobytes())
+        return _time_features(8, _row_times(t, batch).tobytes())
 
     def fresh(t):  # the uncached reference
-        return _time_features.__wrapped__(time_embed, 8, t.tobytes())
+        return _time_features.__wrapped__(8, t.tobytes())
 
     t = np.linspace(0.1, 0.9, 7)
     first = feats(t, 7)
@@ -141,7 +141,7 @@ def test_time_features_of_the_last_per_row_time_are_kept(time_embed):
 
 def unblocked_forward(net, X, t):
     """The forward pass on whole-batch fresh arrays: (output, acts, primes)."""
-    time_feats = _time_features.__wrapped__(net.time_embed, net.n_frequencies,
+    time_feats = _time_features.__wrapped__(net.n_frequencies,
                                             _row_times(t, X.shape[0]).tobytes())
     time_feats = np.broadcast_to(time_feats, (X.shape[0], time_feats.shape[1]))
     feats = np.concatenate([X, time_feats], axis=1)
@@ -159,14 +159,13 @@ def unblocked_forward(net, X, t):
         acts.append(a)
 
 
-@pytest.mark.parametrize("time_embed", ["append-scalar", "sinusoidal"])
-def test_blocked_forward_gives_the_unblocked_bytes(time_embed):
+def test_blocked_forward_gives_the_unblocked_bytes():
     # three row blocks of the first hidden layer plus a partial one; the
     # narrower second layer blocks its rows differently
     rows = 3 * (BLOCK_ELEMENTS // 64) + 37
     rng = np.random.default_rng(12)
     X = rng.normal(size=(rows, 2)) * 3.0
-    net = Mlp(2, [64, 48], 2, time_embed=time_embed, seed=6)
+    net = Mlp(2, [64, 48], 2, seed=6)
     for t in (0.37, rng.uniform(0.0, 1.0, rows)):
         want, want_acts, want_primes = unblocked_forward(net, X, t)
         assert net.forward(X, t).tobytes() == want.tobytes()
@@ -242,14 +241,14 @@ def test_zero_output_gradient_gives_zero_param_gradient():
 
 def test_linear_net_gradient_is_outer_product():
     # loss = ||W f||^2 / 2 has dW = (W f) f^T
-    net = Mlp(2, [], 2, time_embed="append-scalar", seed=7)
+    net = Mlp(2, [], 2, n_frequencies=1, seed=7)
     x, t = np.array([[0.8, -0.5]]), 0.25
     out, cache = net.forward(x, t, want_cache=True)
     grad = net.param_gradient(out, cache)
-    feats = np.array([0.8, -0.5, 0.25])
+    feats = np.array([0.8, -0.5, np.sin(2 * np.pi * t), np.cos(2 * np.pi * t)])
     expected_W = np.outer(out[0], feats)
-    np.testing.assert_allclose(grad[:6].reshape(2, 3), expected_W, rtol=1e-12)
-    np.testing.assert_allclose(grad[6:], out[0], rtol=1e-12)  # bias part
+    np.testing.assert_allclose(grad[:8].reshape(2, 4), expected_W, rtol=1e-12)
+    np.testing.assert_allclose(grad[8:], out[0], rtol=1e-12)  # bias part
 
 
 def test_cache_mismatch_rejected():
@@ -265,8 +264,8 @@ def test_cache_mismatch_rejected():
 # ---------------------------------------------------------------------------
 
 def test_input_gradient_linear_net_is_weight_block():
-    net = Mlp(2, [], 2, time_embed="append-scalar", seed=9)
-    W = net.params[:6].reshape(2, 3)
+    net = Mlp(2, [], 2, n_frequencies=1, seed=9)
+    W = net.params[:8].reshape(2, 4)
     jac = net.input_gradient([[0.3, 0.4]], 0.6)
     np.testing.assert_allclose(jac, W[None, :, :2], rtol=1e-14)
 
@@ -359,7 +358,7 @@ def test_adam_shape_mismatch():
 # ---------------------------------------------------------------------------
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
-    net = Mlp(2, [8, 8], 1, time_embed="append-scalar", seed=23)
+    net = Mlp(2, [8, 8], 1, n_frequencies=3, seed=23)
     path = tmp_path / "net.ckpt"
     save_net(net, path, extra={"role": "discriminator"})
     clone, header = load_net(path)
@@ -403,6 +402,8 @@ UNBUILDABLE = [
     # the activation field of older checkpoints: only the SiLU they all used
     ("activation", {"activation": "relu"}, "activation"),
     ("activation-tanh", {"activation": "tanh"}, "activation"),
+    # the time_embed field of older checkpoints: only the sinusoidal features
+    ("time_embed", {"time_embed": "append-scalar"}, "time_embed"),
     ("hidden", {"hidden": [9]}, None),
     ("input_dim", {"input_dim": 0}, None),
     ("hidden-null", {"hidden": None}, None),
@@ -428,6 +429,7 @@ def test_checkpoint_with_unbuildable_architecture_is_corrupt(tmp_path, change, n
     change_header(path, change)
     with pytest.raises(IoError) as info:
         load_net(path)
+    assert EXIT_CODES[info.value.category] == 5
     assert str(info.value).startswith(f"corrupt checkpoint {path}: ")
     if named:
         assert str(info.value).startswith(f"corrupt checkpoint {path}: {named} field is ")
@@ -451,16 +453,18 @@ def test_checkpoint_whose_header_is_not_an_object_is_corrupt(tmp_path, blob):
         load_net(path)
 
 
-def test_checkpoint_with_the_silu_activation_field_loads(tmp_path):
-    # checkpoints written before SiLU became the only activation carry the
-    # field; it is read and ignored
+@pytest.mark.parametrize("name", RETIRED_FIELDS)
+def test_checkpoint_with_a_retired_header_field_loads(tmp_path, name):
+    # checkpoints written by older versions carry the field with its one
+    # value left (the SiLU activation, the sinusoidal time embedding); it is
+    # read and ignored
     net = Mlp(2, [8], 1, seed=1)
     path = tmp_path / "net.ckpt"
     save_net(net, path)
-    assert "activation" not in load_net(path)[1]
-    change_header(path, {"activation": "silu"})
+    assert name not in load_net(path)[1]
+    change_header(path, {name: RETIRED_FIELDS[name]})
     clone, header = load_net(path)
-    assert header["activation"] == "silu"
+    assert header[name] == RETIRED_FIELDS[name]
     assert clone.arch_dict() == net.arch_dict()
     assert clone.params.tobytes() == net.params.tobytes()
 
@@ -500,14 +504,12 @@ def test_load_net_refuses_a_checkpoint_unfit_for_its_role(tmp_path, saved, read,
     assert str(path) in str(info.value) and message in str(info.value)
 
 
-VALID_ARCH = dict(input_dim=2, hidden=[8], output_dim=1, time_embed="sinusoidal",
-                  n_frequencies=8)
+VALID_ARCH = dict(input_dim=2, hidden=[8], output_dim=1, n_frequencies=8)
 
 
 def _outside(f):
-    """A value just outside the bound or choices field f declares."""
-    meta = f.metadata
-    bad = f"no-such-{f.name}" if "choices" in meta else meta["ge"] - 1
+    """A value just below the bound field f declares."""
+    bad = f.metadata["ge"] - 1
     return [bad] if get_origin(f.type) is tuple else bad
 
 
@@ -520,14 +522,9 @@ def test_mlp_enforces_each_declared_bound_and_choice(f):
 
 @pytest.mark.parametrize("name,value", [("input_dim", True), ("output_dim", 1.0),
                                         ("hidden", [8.0]), ("hidden", 8),
-                                        ("n_frequencies", 8.5), ("time_embed", None)])
+                                        ("n_frequencies", 8.5)])
 def test_mlp_takes_only_exact_types(name, value):
     # no int() coercion: a bool or a float is refused, not truncated
     with pytest.raises(InputError, match=rf"^Mlp\.{name}"):
         Mlp(**{**VALID_ARCH, name: value})
 
-
-def test_append_scalar_takes_no_zero_frequencies():
-    # the config refuses n_frequencies 0 under every embedding, and so does Mlp
-    with pytest.raises(InputError, match="n_frequencies"):
-        Mlp(2, [8], 1, time_embed="append-scalar", n_frequencies=0)

@@ -321,8 +321,7 @@ def test_chunked_quadrature_gives_the_per_node_bytes(case, lambda_kind, want_gra
     # unequal variances, so the widest component sets the space bounds
     data = GaussianMixture(weights=[0.3, 0.7], means=[[-2.0, -1.0][:dim], [2.0, 2.5][:dim]],
                            variances=[1.0, 0.45])
-    net = Mlp(dim, [8], dim, time_embed="sinusoidal" if dim == 1 else "append-scalar",
-              seed=21)
+    net = Mlp(dim, [8], dim, seed=21)
     net.params[-1] += 1.5
     value, grads = objectives._sm_quadrature(net, grid, sched, data, lambda_kind, want_grad)
     want_value, want_grads = per_node_quadrature(net, grid, sched, data, lambda_kind,
@@ -354,7 +353,7 @@ def test_tiw_gradient_matches_sm_quadrature_2d_linear_model(sched):
                            variances=[1.0, 1.0])
     obs = pooled_mixture(bias, data)
     oracle = oracle_ratio_model(data, bias, sched)
-    net = Mlp(2, [], 2, time_embed="append-scalar", seed=14)
+    net = Mlp(2, [], 2, n_frequencies=1, seed=14)
     net.params[-2:] += 1.5  # push output biases off the optimum
     _, grad_q = loss_sm_oracle(net, QuadratureGrid(n_t=12, n_x=72, t_panels=6),
                                sched, data)
@@ -422,11 +421,10 @@ def test_iw_dsm_gradient_evaluates_each_base_weight_once(sched, oned, oracle_1d,
     assert grad.tobytes() == want_grad.tobytes()
 
 
-@pytest.mark.parametrize("time_embed", ["sinusoidal", "append-scalar"])
-def test_tiw_mc_gradient_equals_the_block_major_sum(time_embed, sched, oned, oracle_1d):
+def test_tiw_mc_gradient_equals_the_block_major_sum(sched, oned, oracle_1d):
     bias, data = oned
     obs = pooled_mixture(bias, data)
-    net = Mlp(1, [8], 1, time_embed=time_embed, seed=5)
+    net = Mlp(1, [8], 1, seed=5)
     net.params[-1] += 2.0
     spec = ObjectiveSpec(kind="tiw_dsm", ratio=oracle_1d, stream="obs")
     n, batch = 2_000, 300  # four slices, the last one partial
@@ -513,8 +511,7 @@ def reference_train_score(data, spec, sched, cfg):
     n_bias, B = data.bias_points.shape[0], cfg.batch_size
     if spec.kind == "iw_dsm":
         iw = spec.ratio.weight_and_correction(pool, 0.0, spec.ratio_form, want_grad=False)[0]
-    net = Mlp(dim, list(cfg.hidden), dim, time_embed=cfg.time_embed,
-              n_frequencies=cfg.n_frequencies, seed=cfg.seed)
+    net = Mlp(dim, list(cfg.hidden), dim, n_frequencies=cfg.n_frequencies, seed=cfg.seed)
     state = init_optim(net.n_params, cfg.learning_rate)
     for step in range(cfg.steps):
         if spec.balanced_draw:

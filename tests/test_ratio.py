@@ -310,8 +310,7 @@ def reference_train_discriminator(split, sched, cfg):
         return points[rng.permutation(points.shape[0])[n_hold:]]
 
     ref_train, bias_train = carve(split.ref_points), carve(split.bias_points)
-    net = Mlp(split.dim, list(cfg.hidden), 1, time_embed=cfg.time_embed,
-              n_frequencies=cfg.n_frequencies, seed=cfg.seed)
+    net = Mlp(split.dim, list(cfg.hidden), 1, n_frequencies=cfg.n_frequencies, seed=cfg.seed)
     state = init_optim(net.n_params, cfg.learning_rate)
     labels = np.concatenate([np.ones(n_ref), np.zeros(B - n_ref)])
     for _ in range(cfg.steps):

@@ -13,7 +13,7 @@ from tiwlab.sampling import (
     read_samples_csv,
     write_samples_csv,
 )
-from tiwlab.sde import SamplerSpec, VpSchedule
+from tiwlab.sde import SamplerSpec, VpSchedule, reverse_generate
 
 
 def test_oracle_source_close_to_fresh_draws(sched, p_data):
@@ -38,6 +38,23 @@ def test_identical_jobs_identical_outputs(sched, p_bias, tmp_path):
     assert prov_a == prov_b
     assert (tmp_path / "a" / "samples.csv").read_bytes() == \
         (tmp_path / "b" / "samples.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_no_samples_is_refused_before_any_score_call(sched, tmp_path, n):
+    calls = []
+
+    def score_fn(X, t):
+        calls.append(t)
+        return -X
+
+    spec = SamplerSpec(steps=4, seed=1)
+    with pytest.raises(InputError, match="^n must be >= 1$"):
+        generate((score_fn, 2, {"source": "test"}), sched, spec, n, output=tmp_path / "run")
+    with pytest.raises(InputError, match="^n must be >= 1$"):
+        reverse_generate(sched, score_fn, spec, n=n, dim=2)
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_checkpoint_source_and_provenance(sched, tmp_path):
