@@ -85,9 +85,10 @@ class EvalReport:
 
     def __post_init__(self):
         self.proportions = np.asarray(self.proportions, dtype=np.float64)
-        if abs(self.proportions.sum() - 1.0) > 1e-9:
+        # written so that NaN fails them: nan < 0 and nan > 1e-9 are both False
+        if not abs(self.proportions.sum() - 1.0) <= 1e-9:
             raise InputError("proportions must sum to 1 within 1e-9")
-        if self.bias < 0.0 or self.energy_distance < -1e-12:
+        if not (self.bias >= 0.0 and self.energy_distance >= -1e-12):
             raise InputError("bias and energy distance must be non-negative")
 
     def csv_header(self):

@@ -14,7 +14,6 @@ import numpy as np
 from . import kernels
 from .errors import InputError
 from .ranges import check_batch
-from .sde import _row_times
 
 
 @dataclass(frozen=True)
@@ -87,6 +86,9 @@ class GaussianMixture:
 
         Means scale by alpha(t); each variance becomes alpha^2 v + sigma^2.
         """
+        t = sched.check_times(t)
+        if t.ndim != 0:
+            raise InputError(f"perturb takes one scalar time t, got shape {t.shape}")
         means, variances = _perturbed_moments(self, sched, t)
         return GaussianMixture(weights=self.weights.copy(), means=means, variances=variances)
 
@@ -124,12 +126,13 @@ def pooled_mixture(a: GaussianMixture, b: GaussianMixture):
 
 
 def _perturbed_moments(gm: GaussianMixture, sched, t):
-    """Component means and variances of gm pushed to time t.
+    """Component means and variances of gm pushed to a float64 time t that
+    its caller has checked (sched.check_times) or built inside [0, T].
 
     A scalar t gives the (k, d) / (k,) moments of gm.perturb(sched, t); a
     per-row t of shape (n,) gives (n, k, d) / (n, k), one set per row.
     """
-    alpha, sigma = sched.alpha_sigma(t)
+    alpha, sigma = sched._alpha_sigma(t)
     means = alpha[..., None, None] * gm.means
     variances = alpha[..., None] ** 2 * gm.variances + sigma[..., None] ** 2
     return means, variances
@@ -137,10 +140,11 @@ def _perturbed_moments(gm: GaussianMixture, sched, t):
 
 def _batch_moments(gm: GaussianMixture, sched, X, t):
     """The kernel arguments (X, log weights, means, variances) of gm noised
-    to a shared or per-row time t, for an (n, d) batch X."""
+    to a shared or per-row time t, for an (n, d) batch X; X and t are
+    checked here, once (check_batch, sched.check_times)."""
     X = check_batch(X, dim=gm.dim)
     return (X, gm._log_weights,
-            *_perturbed_moments(gm, sched, _row_times(t, X.shape[0])))
+            *_perturbed_moments(gm, sched, sched.check_times(t, X.shape[0])))
 
 
 def perturbed_log_density_batch(gm: GaussianMixture, sched, X, t):

@@ -145,7 +145,7 @@ def persample_loss(net, spec: ObjectiveSpec, x0, t, noise, sched):
     x0, noise = (np.asarray(a, dtype=np.float64).reshape(1, -1) for a in (x0, noise))
     if x0.shape != noise.shape:
         raise InputError(f"x0 and noise must have one size, got {x0.size} and {noise.size}")
-    ts = sched._kernel_times(t, 1, sched.t_eps).reshape(1)
+    ts = sched.check_times(t, 1, sched.t_eps).reshape(1)
     losses, *_ = _batch_terms(net, x0, ts, noise, sched, spec)
     return float(losses[0])
 
@@ -301,7 +301,7 @@ def mc_loss_gradient(net, spec: ObjectiveSpec, sched, base_mixture: GaussianMixt
     ts = t_lo + (np.arange(m) + rng_t.uniform(size=m)) / m * (t_hi - t_lo)
     eps = np.random.default_rng([seed, 3]).standard_normal(x0.shape)
     eps = eps / np.sqrt((eps * eps).mean())
-    sched._kernel_times(ts, m, sched.t_eps)  # the one check of every time
+    sched.check_times(ts, m, sched.t_eps)  # the one check of every time
 
     # the two blocks of a slice run back to back, so the second reuses the
     # time features of the first (and iw_dsm's t=0 weights, which depend on

@@ -23,6 +23,8 @@ from RatioModel.logit_and_grad, most through weight_and_correction; the
 named accessors are views of these that no code of the package calls.
 
 A query is an (n, d) batch at a scalar or per-row t, answered at that t.
+For both kinds x is checked first, then t, which must lie in [0, T]
+(VpSchedule.check_times): w_t is defined on the diffusion's horizon only.
 The single-time baseline is a discriminator trained at t = 0 only, and its
 readers (iw_dsm's weights, the ratio-error scan) query it at t = 0. A
 checkpoint's logit_clamp or time_independent header key is ignored.
@@ -104,6 +106,8 @@ class RatioModel:
     def _raw_logit(self, x, t, want_grad):
         """Unclamped logit and, when asked, its x-gradient (else None)."""
         if self.kind == "learned":
+            x = check_batch(x, dim=self.net.input_dim)
+            t = self.sched.check_times(t, x.shape[0])
             if want_grad:
                 out, grad = self.net.value_and_input_gradient(x, t)
             else:

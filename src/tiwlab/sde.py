@@ -13,11 +13,11 @@ score depends only on row i of the states), and every trajectory draws its
 prior from its own stream, so the trajectories may be integrated in row
 chunks in worker processes with the same result.
 
-Each public entry point checks its times once. The training loops draw
-theirs inside [t_eps, T] and take alpha(t) and sigma(t) once per step from
-_alpha_sigma, for _kernel_sample, _kernel_score and _lambda_factor, the
-unchecked arithmetic of forward_sample, cond_score and lambda_weight. The
-sampler computes beta over its time grid once.
+Each public entry point checks its times once, in VpSchedule.check_times.
+The training loops draw theirs inside [t_eps, T] and take alpha(t) and
+sigma(t) once per step from _alpha_sigma, for _kernel_sample, _kernel_score
+and _lambda_factor, the unchecked arithmetic of forward_sample, cond_score
+and lambda_weight. The sampler computes beta over its time grid once.
 """
 
 from dataclasses import dataclass, field
@@ -57,20 +57,26 @@ class VpSchedule:
         if self.t_eps >= self.T:
             raise InputError("need t_eps < T")
 
-    def _check_t(self, t):
-        t = np.asarray(t, dtype=np.float64)
+    def check_times(self, t, n=None, floor=0.0):
+        """t as float64, checked once: with n, finite and scalar or one per row
+        of an n-row batch (_row_times); in [0, T] (InputError); not below
+        floor (NumericalError: the kernel score is singular below t_eps)."""
+        t = np.asarray(t, dtype=np.float64) if n is None else _row_times(t, n)
         # NaN fails both comparisons, so it is refused too
         if not ((t >= 0.0) & (t <= self.T)).all():
             raise InputError(f"time must lie in [0, {self.T}], got {t!r}")
+        if np.any(t < floor):
+            raise NumericalError(f"the kernel score is singular below t_eps={floor}, "
+                                 f"got t={t!r}")
         return t
 
     def beta(self, t):
-        t = self._check_t(t)
+        t = self.check_times(t)
         return self.beta_min + t * (self.beta_max - self.beta_min)
 
     def alpha_sigma(self, t):
         """Perturbation-kernel coefficients (alpha(t), sigma(t))."""
-        return self._alpha_sigma(self._check_t(t))
+        return self._alpha_sigma(self.check_times(t))
 
     def _alpha_sigma(self, t):
         # alpha_sigma of a float64 t already known to lie in [0, T]
@@ -79,23 +85,13 @@ class VpSchedule:
         sigma = np.sqrt(1.0 - alpha * alpha)
         return alpha, sigma
 
-    def _kernel_times(self, t, n, floor=0.0):
-        """t as float64, checked once: a scalar or one time per row of an n-row
-        batch, finite and in [0, T] (InputError), and not below floor
-        (NumericalError: the kernel score is singular below t_eps)."""
-        t = self._check_t(_row_times(t, n))
-        if np.any(t < floor):
-            raise NumericalError(f"the kernel score is singular below t_eps={floor}, "
-                                 f"got t={t!r}")
-        return t
-
     def forward_sample(self, x0, t, noise):
         """Draw alpha(t) x0 + sigma(t) noise from the kernel, for (n, d) x0
         and noise at a scalar or per-row t."""
         x0, noise = check_batch(x0, "x0"), check_batch(noise, "noise")
         if x0.shape != noise.shape:
             raise InputError(f"x0 and noise must have one shape, got {x0.shape} and {noise.shape}")
-        alpha, sigma = self._alpha_sigma(self._kernel_times(t, x0.shape[0]))
+        alpha, sigma = self._alpha_sigma(self.check_times(t, x0.shape[0]))
         return _kernel_sample(alpha, sigma, x0, noise)
 
     def cond_score(self, x_t, x0, t):
@@ -104,7 +100,7 @@ class VpSchedule:
         x_t, x0 = check_batch(x_t, "x_t"), check_batch(x0, "x0")
         if x_t.shape != x0.shape:
             raise InputError(f"x_t and x0 must have one shape, got {x_t.shape} and {x0.shape}")
-        alpha, sigma = self._alpha_sigma(self._kernel_times(t, x0.shape[0], self.t_eps))
+        alpha, sigma = self._alpha_sigma(self.check_times(t, x0.shape[0], self.t_eps))
         return _kernel_score(alpha, sigma, x_t, x0)
 
 
@@ -119,7 +115,8 @@ def _kernel_score(alpha, sigma, x_t, x0):
 
 
 def _row_times(t, n):
-    """t as a finite float64 array: a scalar, or one time per row of an n-row batch."""
+    """t as a finite float64 array: a scalar, or one time per row of an n-row
+    batch; check_times without the schedule, all that Mlp.forward can check."""
     t = np.asarray(t, dtype=np.float64)
     if t.ndim != 0 and t.shape != (n,):
         raise InputError(f"t must be scalar or shape ({n},), got {t.shape}")

@@ -112,6 +112,16 @@ def test_eval_report_validates_proportions():
         EvalReport(bias=0.1, proportions=[0.7, 0.7], energy_distance=0.0)
 
 
+@pytest.mark.parametrize("fields", [
+    {"bias": np.nan}, {"proportions": [np.nan, np.nan]}, {"energy_distance": np.nan},
+], ids=["bias", "proportions", "energy_distance"])
+def test_eval_report_refuses_nan(fields):
+    # nan < 0 and abs(nan - 1) > 1e-9 are both False, so checks written that way pass nan
+    with pytest.raises(InputError):
+        EvalReport(**{"bias": 0.1, "proportions": [0.5, 0.5], "energy_distance": 0.0,
+                      **fields})
+
+
 def test_evaluate_samples_bundle(p_data):
     model = p_data.sample(2000, seed=11)
     ref = p_data.sample(2000, seed=12)

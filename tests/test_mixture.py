@@ -13,9 +13,10 @@ from tiwlab.mixture import (
     pooled_mixture,
 )
 from tiwlab.net import Mlp
+from tiwlab.objectives import ObjectiveSpec, persample_loss
 from tiwlab.ratio import DatasetSplit, RatioModel, oracle_ratio_model
 from tiwlab.sampling import write_samples_csv
-from tiwlab.sde import VpSchedule
+from tiwlab.sde import VpSchedule, lambda_weight
 
 from conftest import mixture_pdf_by_hand, standard_normal_mixture
 
@@ -119,6 +120,8 @@ PER_ROW_TIMES = {
         lambda X, t: perturbed_log_density_and_score_batch(GM, SCHED, X, t),
     "VpSchedule.forward_sample": lambda X, t: SCHED.forward_sample(X, t, np.ones_like(X)),
     "VpSchedule.cond_score": lambda X, t: SCHED.cond_score(np.ones_like(X), X, t),
+    "RatioModel.weight_and_correction[learned]":
+        lambda X, t: RatioModel(SCHED, net=Mlp(2, [4], 1, seed=0)).weight_and_correction(X, t),
     "RatioModel.weight_and_correction[oracle]":
         lambda X, t: ORACLE.weight_and_correction(X, t),
 }
@@ -145,6 +148,48 @@ def test_a_non_finite_time_is_refused(entry):
     for t in (np.array([0.3, np.nan]), np.array([0.3, np.inf]), np.nan):
         with pytest.raises(InputError, match="t must be finite"):
             f(X, t)
+
+
+# every entry point that checks a time against a schedule, called with a
+# 1-row X at a shared or per-row time t
+SCHEDULED_TIMES = {
+    **{entry: f for entry, f in PER_ROW_TIMES.items() if entry != "Mlp.forward"},
+    "VpSchedule.beta": lambda X, t: SCHED.beta(t),
+    "VpSchedule.alpha_sigma": lambda X, t: SCHED.alpha_sigma(t),
+    "lambda_weight": lambda X, t: lambda_weight(SCHED, t, "sigma_squared"),
+    "GaussianMixture.perturb": lambda X, t: GM.perturb(SCHED, t),
+    "persample_loss": lambda X, t: persample_loss(Mlp(2, [4], 2, seed=0),
+                                                  ObjectiveSpec(kind="dsm"), X[0], t,
+                                                  np.ones(2), SCHED),
+}
+
+
+@pytest.mark.parametrize("per_row", [False, True], ids=["scalar", "per-row"])
+@pytest.mark.parametrize("t", [-0.5, SCHED.T + 0.5])
+@pytest.mark.parametrize("entry", SCHEDULED_TIMES)
+def test_a_time_outside_the_horizon_is_refused(entry, t, per_row):
+    # w_t, the kernel and the noised mixtures are defined on [0, T] only
+    with pytest.raises(InputError, match=r"time must lie in \[0, 1\.0\]"):
+        SCHEDULED_TIMES[entry](np.zeros((1, 2)), np.array([t]) if per_row else t)
+
+
+@pytest.mark.parametrize("t", [1.5, -0.5, [0.3, 1.5]], ids=str)
+def test_learned_and_oracle_ratios_refuse_the_same_times(t):
+    # the oracle is the judge of the learned ratio, so both answer the same queries
+    learned = RatioModel(SCHED, net=Mlp(2, [4], 1, seed=0))
+    errors = []
+    for rm in (learned, ORACLE):
+        with pytest.raises(InputError, match="time must lie in") as info:
+            rm.weight_and_correction(np.zeros((2, 2)), t)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("t", [np.full(3, 0.3), np.full(1, 0.3)], ids=["(3,)", "(1,)"])
+def test_perturb_refuses_a_per_row_time_naming_t(t):
+    # one scalar time gives one mixture; per-row times would give one per row
+    with pytest.raises(InputError, match=r"scalar time t, got shape \(%d,\)" % t.size):
+        GM.perturb(SCHED, t)
 
 
 def test_rejects_dim_mismatch_query(p_data):

@@ -150,3 +150,31 @@ def test_only_ranges_checks_a_point_batch():
              for line in _batch_shape_raises(ast.parse(path.read_text()))]
     assert found == []
     assert list(_batch_shape_raises(ast.parse((SRC / "ranges.py").read_text())))
+
+
+def _time_range_raisers(tree):
+    """Qualified name of each function holding a raise whose message is a
+    time's range error (outside [0, T], or below t_eps)."""
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.ClassDef, ast.Module)):
+            continue
+        for fn in scope.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Raise) and node.exc is not None and any(
+                        isinstance(part, ast.Constant) and isinstance(part.value, str)
+                        and ("time must lie in" in part.value
+                             or "singular below t_eps" in part.value)
+                        for part in ast.walk(node.exc)):
+                    prefix = "" if isinstance(scope, ast.Module) else f"{scope.name}."
+                    yield f"{prefix}{fn.name}"
+
+
+def test_only_check_times_checks_a_time():
+    """VpSchedule.check_times is the one check of a time against the
+    schedule; a function that words the range error again has a second copy
+    of it, which can disagree on nan or on the horizon."""
+    found = {f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
+             for name in _time_range_raisers(ast.parse(path.read_text()))}
+    assert found == {"sde.py:VpSchedule.check_times"}
