@@ -10,7 +10,6 @@ byte. Commands compose through files in the configured output directory:
     sample       samples.csv, provenance.json
     eval         eval.csv
     repro-fig2   dre_curve.csv, dre_summary.json
-    repro-fig3   field_*.csv lattices
     debias       per-baseline subruns, eval_rows.csv, report.json
     sweep-alpha  per-alpha subruns, alpha_sweep.csv, identity_checks.txt
 
@@ -60,7 +59,7 @@ from .config import (
     config_hash,
     load_config,
 )
-from .errors import EXIT_CODES, InputError, TiwlabError
+from .errors import EXIT_CODES, InputError, NumericalError, TiwlabError
 from .metrics import evaluate_samples, mean_self_distance
 from .net import Mlp, save_net
 from .objectives import RATIO_READERS, ObjectiveSpec, persample_loss, train_score
@@ -328,35 +327,6 @@ def cmd_repro_fig2(cfg: ExperimentConfig):
     return 0
 
 
-def cmd_repro_fig3(cfg: ExperimentConfig):
-    """Vector-field lattices of the two scores and the ratio correction at t=0."""
-    out = cfg.output_dir
-    bias, data = cfg.mixture("bias"), cfg.mixture("data")
-    if bias.dim != 2:
-        raise InputError("field lattices are only defined for 2-D mixtures")
-    g = cfg.raw["field_grid"]
-    axis = np.linspace(-g["extent"], g["extent"], g["resolution"])
-    xs, ys = np.meshgrid(axis, axis, indexing="ij")
-    lattice = np.column_stack([xs.ravel(), ys.ravel()])
-    score_bias = bias.score(lattice)
-    score_data = data.score(lattice)
-    oracle = oracle_ratio_model(data, bias, cfg.schedule)
-    h, grad_w = oracle.logit_and_grad(lattice, 0.0)
-    w = np.exp(h)
-
-    def field_rows(values):
-        return [[*x, *np.atleast_1d(val)] for x, val in zip(lattice, values)]
-
-    vector = ["x0", "x1", "v0", "v1"]
-    for name, header, values in (("field_score_bias", vector, score_bias),
-                                 ("field_score_data", vector, score_data),
-                                 ("field_grad_log_w", vector, grad_w),
-                                 ("field_w", ["x0", "x1", "w"], w)):
-        artifacts.write_csv(out / f"{name}.csv", header, field_rows(values))
-    print(f"wrote 4 lattice files ({lattice.shape[0]} rows each) under {out}")
-    return 0
-
-
 def cmd_debias(cfg: ExperimentConfig, all_baselines=False):
     """Full pipeline: data -> discriminators -> score training -> evaluation."""
     out = cfg.output_dir
@@ -388,8 +358,8 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, alphas):
     runs = [Run(f"alpha={a:g}", label, f"tiw_alpha@{a:g}", dict(kind="tiw_alpha", alpha=a))
             for a, label in zip(alphas, labels)]
     report, split, rows = _score_runs(cfg, runs)
-    artifacts.write_text(out / "identity_checks.txt", _endpoint_identity_checks(
-        cfg, split, _objective_spec(cfg, **runs[0].fields)))
+    _check_endpoint_identities(cfg, split, _objective_spec(cfg, **runs[0].fields),
+                               out / "identity_checks.txt")
     report.add_artifact(out / "identity_checks.txt")
     for alpha, ev in zip(alphas, rows):
         print(f"alpha {alpha:g}: bias {ev.bias:.4f}, energy distance "
@@ -402,8 +372,9 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, alphas):
     return 0
 
 
-def _endpoint_identity_checks(cfg, split, spec):
-    """Per-sample identities at the endpoints of a sweep run's spec, logged."""
+def _check_endpoint_identities(cfg, split, spec, path):
+    """Per-sample identities at the endpoints of a sweep run's spec, logged to
+    path; a NumericalError unless both hold exactly, as they do by construction."""
     sched = cfg.schedule
     rng = np.random.default_rng(cfg.seeds["score"])
     pool = split.pooled
@@ -411,17 +382,22 @@ def _endpoint_identity_checks(cfg, split, spec):
     probe_net = Mlp(split.dim, [8], split.dim, seed=cfg.seeds["score"])
     # each endpoint alpha of tiw_alpha and the objective it must equal there
     ends = ((0.0, replace(spec, kind="dsm")), (1.0, replace(spec, kind="tiw_dsm", alpha=1.0)))
-    worst = [0.0, 0.0]
+    worst = np.zeros(2)  # np.maximum, unlike max, keeps a nan
     for x0 in pool[idx]:
         t = float(rng.uniform(sched.t_eps, sched.T))
         sample = (x0, t, rng.standard_normal(split.dim), sched)
         for i, (alpha, same) in enumerate(ends):
             scaled = replace(spec, alpha=alpha)
-            worst[i] = max(worst[i], abs(persample_loss(probe_net, scaled, *sample)
-                                         - persample_loss(probe_net, same, *sample)))
-    return "".join(f"alpha={alpha:g} per-sample loss == {same.kind} on shared batch: "
-                   f"max |diff| = {w!r} (exact identity expected)\n"
-                   for (alpha, same), w in zip(ends, worst))
+            worst[i] = np.maximum(worst[i], abs(persample_loss(probe_net, scaled, *sample)
+                                                - persample_loss(probe_net, same, *sample)))
+    checks = [(alpha, same.kind, w) for (alpha, same), w in zip(ends, worst.tolist())]
+    artifacts.write_text(path, "".join(f"alpha={alpha:g} per-sample loss == {kind} on shared "
+                                       f"batch: max |diff| = {w!r} (exact identity expected)\n"
+                                       for alpha, kind, w in checks))
+    for alpha, kind, w in checks:
+        if w != 0.0:
+            raise NumericalError(f"sweep-alpha: at alpha={alpha:g} the per-sample loss must "
+                                 f"equal {kind}'s exactly, but differs by {w!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -480,10 +456,6 @@ def build_parser():
                        help="density-ratio error curve and integrated-error ratio")
     _add_common(p)
     p.set_defaults(func=lambda cfg, args: cmd_repro_fig2(cfg))
-
-    p = sub.add_parser("repro-fig3", help="score/correction vector-field lattices")
-    _add_common(p)
-    p.set_defaults(func=lambda cfg, args: cmd_repro_fig3(cfg))
 
     p = sub.add_parser("debias", help="full pipeline incl. training and evaluation")
     _add_common(p)

@@ -93,12 +93,6 @@ class _Eval:
     dre_n: int = field(default=20000, metadata={"ge": 10})
 
 
-@dataclass
-class _FieldGrid:
-    resolution: int = field(default=25, metadata={"ge": 2})
-    extent: float = field(default=4.0, metadata={"gt": 0})
-
-
 # ---------------------------------------------------------------------------
 # what the declarations give: the layout, the defaults, the validator
 # ---------------------------------------------------------------------------
@@ -132,7 +126,6 @@ LAYOUT = {
     "objective": _leaves(ObjectiveSpec, _RatioKind),
     "sampler": _leaves(SamplerSpec),
     "eval": _leaves(_Eval),
-    "field_grid": _leaves(_FieldGrid),
 }
 
 

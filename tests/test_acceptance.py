@@ -330,7 +330,6 @@ def test_criterion_8_cli_determinism(tmp_path):
         ["sample", "--source", str(out / "score_tiw_dsm.ckpt")],
         ["eval", "--label", "det"],
         ["repro-fig2"],
-        ["repro-fig3"],
         ["debias", "--all-baselines"],
         ["sweep-alpha", "--alphas", "0,1"],
     ]

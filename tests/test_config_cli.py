@@ -30,6 +30,7 @@ from tiwlab.objectives import (
     STREAMS,
     ObjectiveSpec,
     ScoreTrainConfig,
+    persample_loss,
 )
 from tiwlab.ranges import check_value
 from tiwlab.ratio import RATIO_KINDS, DiscTrainConfig
@@ -173,7 +174,7 @@ BAD_OVERRIDES = [
     ("eval.dre_grid=[a,b]", "eval.dre_grid"),
     ("eval.dre_n=9", "eval.dre_n"),
     ("sampler.steps=1", "sampler.steps"),
-    ("field_grid.extent=0", "field_grid.extent"),
+    ("field_grid.extent=1", "field_grid: additional key is not allowed"),
     ("objective.alpha=-0.1", "objective.alpha"),
     ("objective.alpha=true", "objective.alpha"),
     ("mixtures.bias.weights=[]", "mixtures.bias.weights"),
@@ -212,7 +213,6 @@ def test_integral_float_is_not_an_integer(tiny_config, capsys, override):
 
 # (command, a non-finite override of a float leaf, or list item, it reads)
 NON_FINITE = [
-    ("repro-fig3", "field_grid.extent=.inf"),
     ("gen-data", "mixtures.data.weights=[.nan,.nan]"),
     ("sample", "schedule.beta_max=.nan"),
     ("sample", "schedule.horizon=.inf"),
@@ -299,21 +299,21 @@ def test_two_mode_yaml_choice_comments_match_the_declared_choices():
     assert {"objective.kind", "objective.stream", "objective.ratio"} <= set(checked)
 
 
-def test_config_has_39_leaves():
+def test_config_has_37_leaves():
     # a new knob shows up as an edit here
     def leaves(node):
         if isinstance(node, dict):
             return sum(map(leaves, node.values()))
         return int(isinstance(node, Field))
 
-    assert leaves(LAYOUT) == 39
+    assert leaves(LAYOUT) == 37
 
 
 def test_config_hashes_pinned():
     assert config_hash(ExperimentConfig(raw={})) == \
-        "a2017cc7eb9d751ccacaac1603d6b97b439cec477656cb57e595cb64ff547e21"
+        "a65327ebdc434107bef7f062d497c87f29b11e0edef4e0be08de8f841249bb04"
     assert config_hash(load_config(TWO_MODE)) == \
-        "2229887d8288597f47e19863b30abb6c658ec51cc34d47f44b4cbe188d20321b"
+        "aead9ec1298d2346642494939abf1b759e49465778749ffa7e965756f7f444f0"
 
 
 # each library type a section maps to: its defaults (given what the CLI built,
@@ -469,15 +469,26 @@ def test_a_checkpoint_with_a_zero_width_layer_is_corrupt(tiny_config, capsys):
     assert not (out / "samples.csv").exists()
 
 
-@pytest.mark.parametrize("flag", [["--kind", "reverse-sde"], ["--integrator", "euler"],
-                                  ["--integrator", "heun"]], ids=" ".join)
-def test_sample_has_no_sampler_choice_flags(tiny_config, capsys, flag):
-    # Heun on the probability-flow ODE is the only sampler
+# Heun on the probability-flow ODE is the only sampler, and no command writes
+# the closed-form t = 0 lattices repro-fig3 wrote, which nothing read
+RETIRED = [
+    (["sample", "--source", "oracle-data", "--kind", "reverse-sde"],
+     "unrecognized arguments: --kind reverse-sde"),
+    (["sample", "--source", "oracle-data", "--integrator", "euler"],
+     "unrecognized arguments: --integrator euler"),
+    (["sample", "--source", "oracle-data", "--integrator", "heun"],
+     "unrecognized arguments: --integrator heun"),
+    (["repro-fig3"], "invalid choice: 'repro-fig3'"),
+]
+
+
+@pytest.mark.parametrize("argv,message", RETIRED, ids=[m for _, m in RETIRED])
+def test_retired_commands_and_flags_exit_2(tiny_config, capsys, argv, message):
     config, out = tiny_config()
     with pytest.raises(SystemExit) as caught:
-        main(["sample", "--config", str(config), "--source", "oracle-data", *flag])
+        main([*argv, "--config", str(config)])
     assert caught.value.code == 2
-    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -521,29 +532,6 @@ def test_sample_oracle_deterministic(tiny_config, tmp_path):
     assert prov["steps"] == 24 and prov["seed"] == 9
     assert main(args) == 0
     assert (out / "samples.csv").read_bytes() == first
-
-
-def test_field_lattices(tiny_config):
-    config, out = tiny_config()
-    assert main(["repro-fig3", "--config", str(config)]) == 0
-    res = DEFAULT_CONFIG["field_grid"]["resolution"]
-
-    def load(name):
-        return np.loadtxt(out / name, delimiter=",", skiprows=1, ndmin=2)
-
-    sb = load("field_score_bias.csv")
-    sd = load("field_score_data.csv")
-    gw = load("field_grad_log_w.csv")
-    w = load("field_w.csv")
-    assert sb.shape[0] == res * res
-    np.testing.assert_array_equal(sb[:, :2], sd[:, :2])
-    # correction field is exactly the score difference
-    np.testing.assert_allclose(gw[:, 2:], sd[:, 2:] - sb[:, 2:], rtol=1e-10,
-                               atol=1e-12)
-    # ratio at the minority mode
-    at_mode = np.all(w[:, :2] == [2.0, 2.0], axis=1)
-    assert at_mode.sum() == 1
-    assert w[at_mode, 2][0] == pytest.approx(5.0, rel=1e-4)
 
 
 def test_dre_curve_grid_increasing(tiny_config):
@@ -687,6 +675,23 @@ def test_sweep_alpha_identities_and_ordering(tiny_config):
     assert rows[:, 0].tolist() == [0.0, 1.0]
     # ratio scaling at alpha=1 should not increase the bias statistic
     assert rows[1, 1] <= rows[0, 1]
+
+
+def test_sweep_alpha_refuses_a_broken_endpoint_identity(tiny_config, monkeypatch, capsys):
+    def one_ulp_off_at_alpha_1(net, spec, *sample):
+        loss = persample_loss(net, spec, *sample)
+        if spec.kind == "tiw_alpha" and spec.alpha == 1.0:
+            return np.nextafter(loss, np.inf)
+        return loss
+
+    monkeypatch.setattr(cli, "persample_loss", one_ulp_off_at_alpha_1)
+    config, out = tiny_config()
+    assert main(["sweep-alpha", "--config", str(config), "--alphas", "0,1"]) == 4
+    err = capsys.readouterr().err
+    assert "at alpha=1 the per-sample loss must equal tiw_dsm's exactly" in err
+    checks = (out / "identity_checks.txt").read_text().splitlines()
+    assert checks[0].endswith("max |diff| = 0.0 (exact identity expected)")
+    assert "max |diff| = 0.0" not in checks[1]
 
 
 @pytest.mark.parametrize("stream", ["auto", "bias"])

@@ -143,10 +143,11 @@ def test_clamp_caps_learned_ratio(sched_module):
 def test_oracle_grad_is_score_difference(oracle, p_data_module, p_bias_module, sched_module):
     rng = np.random.default_rng(3)
     X = rng.normal(scale=2.0, size=(20, 2))
-    t = 0.3
-    expected = p_data_module.perturb(sched_module, t).score(X) - \
-        p_bias_module.perturb(sched_module, t).score(X)
-    np.testing.assert_array_equal(oracle.grad_log_w(X, t), expected)
+    # at t = 0 the perturbed mixtures are the clean ones
+    for t in (0.0, 0.3):
+        expected = p_data_module.perturb(sched_module, t).score(X) - \
+            p_bias_module.perturb(sched_module, t).score(X)
+        np.testing.assert_array_equal(oracle.grad_log_w(X, t), expected)
 
 
 def test_oracle_grad_matches_finite_difference(oracle):

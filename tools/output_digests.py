@@ -6,11 +6,10 @@ Runs, in process and from the src/ tree next to this script, a short
 `debias --all-baselines`, a `sweep-alpha`, three `sample` runs (from the
 tiw_dsm checkpoint, and from the exact data score at 128 and at 2000
 rows; 2000 rows split into one row chunk per worker when two or more
-cores are available) with an `eval` of the first, `gen-data`,
-`repro-fig2` (which reloads both discriminators it trains) and
-`repro-fig3` in a directory of their own, and the two oracle
-functions, `loss_sm_oracle` and `mc_loss_gradient`, on 1-D and 2-D
-mixtures. In one more output directory it runs the training branches
+cores are available) with an `eval` of the first, `gen-data` and
+`repro-fig2` (which reloads both discriminators it trains) in a
+directory of their own, and the two oracle functions, `loss_sm_oracle`
+and `mc_loss_gradient`, on 1-D and 2-D mixtures. In one more output directory it runs the training branches
 those skip: `gen-data`, both discriminators under the sigma_squared BCE
 weight with a held-out fifth, `train-score` for weight_only,
 correction_only and iw_dsm on the bias stream, the named baselines dsm_ref
@@ -23,9 +22,8 @@ diverges (exit code 4) and keeps its telemetry; one more `sample` reads
 names each sample's score source as the command gave it: a run's
 checkpoint relative to the output directory, oracle-data, or the
 --source path, here relative to the runs' directory) and
-identity_checks.txt the runs write
-(dre_curve.csv, the four field_*.csv lattices and eval.csv among them),
-and for the loss value and gradient bytes of each oracle call. Two
+identity_checks.txt the runs write (dre_curve.csv and eval.csv among
+them), and for the loss value and gradient bytes of each oracle call. Two
 checkouts whose arithmetic is the same print the same lines:
 
     (cd parent && python3 tools/output_digests.py) > parent.txt
@@ -86,7 +84,7 @@ def cli_runs(out):
            "--output-dir", str(out / "sample_split"), "--source", "oracle-data")
     tiwlab("eval", "--config", config, *sets, "--output-dir", str(out / "sample_ckpt"))
     figs = ("--output-dir", str(out / "figs"))
-    for command in ("gen-data", "repro-fig2", "repro-fig3"):
+    for command in ("gen-data", "repro-fig2"):
         tiwlab(command, "--config", config, *sets, *figs)
     steps = ("--output-dir", str(out / "steps"))
     tiwlab("gen-data", "--config", config, *sets, *steps)
