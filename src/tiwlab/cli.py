@@ -14,8 +14,8 @@ byte. Commands compose through files in the configured output directory:
     sweep-alpha  per-alpha subruns, alpha_sweep.csv, identity_checks.txt
 
 A score run is a value (Run); debias and sweep-alpha are lists of runs
-through one pipeline (_score_runs), so a sweep-alpha run takes the
-configured stream and lambda (_objective_spec), as a debias run does.
+through one pipeline (_score_runs), so a sweep-alpha run, tiw_dsm at its
+alpha, takes the configured stream and lambda (_objective_spec).
 _disc_read alone decides which discriminator a run reads; a score source is
 a value (sampling.checkpoint_score or mixture_score), picked in cmd_sample.
 
@@ -120,6 +120,14 @@ def _ratio_for(cfg: ExperimentConfig, kind):
         raise InputError(f"discriminator checkpoint {path} not found "
                          f"(run train-disc{' --time-independent' if t0 else ''} first)")
     return load_ratio_model(path, cfg.schedule, cfg.mixture("data").dim)
+
+
+def _configured_name(cfg: ExperimentConfig):
+    """The configured objective's run name: its kind, plus "@<alpha>" where
+    the kind scales the time-dependent ratio (RATIO_READERS False) by an
+    alpha other than 1, so a scaled run never takes a named baseline's name."""
+    kind, alpha = cfg.raw["objective"]["kind"], cfg.raw["objective"]["alpha"]
+    return f"{kind}@{alpha:g}" if RATIO_READERS.get(kind) is False and alpha != 1 else kind
 
 
 def _objective_spec(cfg: ExperimentConfig, **fields) -> ObjectiveSpec:
@@ -258,7 +266,7 @@ def cmd_train_disc(cfg: ExperimentConfig, time_independent=False):
 def cmd_train_score(cfg: ExperimentConfig, baseline=None):
     split = _load_split(cfg)
     spec = _objective_spec(cfg, **BASELINES.get(baseline, {}))
-    name = baseline or spec.kind
+    name = baseline or _configured_name(cfg)
     out = cfg.output_dir
     telemetry = out / f"telemetry_{name}.csv"
     net = train_score(split, spec, cfg.schedule, cfg.score_train_config(telemetry))
@@ -270,8 +278,8 @@ def cmd_train_score(cfg: ExperimentConfig, baseline=None):
 
 def cmd_sample(cfg: ExperimentConfig, source=None):
     out, dim = cfg.output_dir, cfg.mixture("data").dim
-    if source in (None, "score"):
-        name = SCORE_CKPT.format(cfg.raw["objective"]["kind"])
+    if source is None:
+        name = SCORE_CKPT.format(_configured_name(cfg))
         if not (out / name).exists():
             raise InputError(f"score checkpoint {out / name} not found (run train-score)")
         src = checkpoint_score(out / name, name, dim)
@@ -330,7 +338,7 @@ def cmd_repro_fig2(cfg: ExperimentConfig):
 def cmd_debias(cfg: ExperimentConfig, all_baselines=False):
     """Full pipeline: data -> discriminators -> score training -> evaluation."""
     out = cfg.output_dir
-    fields = BASELINES if all_baselines else {cfg.raw["objective"]["kind"]: {}}
+    fields = BASELINES if all_baselines else {_configured_name(cfg): {}}
     runs = [Run(name, name, name, f) for name, f in fields.items()]
     report, _, rows = _score_runs(cfg, runs)
     for run, ev in zip(runs, rows):
@@ -347,7 +355,7 @@ def cmd_debias(cfg: ExperimentConfig, all_baselines=False):
 
 
 def cmd_sweep_alpha(cfg: ExperimentConfig, alphas):
-    """One TIW training per ratio-scaling value; logs the endpoint identities."""
+    """One tiw_dsm training per ratio-scaling value; logs the alpha = 0 identity."""
     if not all(0.0 <= a < np.inf for a in alphas):  # also refuses nan
         raise InputError("alpha values must be finite and >= 0")
     labels = [f"alpha_{a:g}" for a in alphas]
@@ -355,10 +363,10 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, alphas):
         raise InputError(f"alpha values repeat a run label ({', '.join(labels)}); "
                          "give each once, distinct at 6 significant digits")
     out = cfg.output_dir
-    runs = [Run(f"alpha={a:g}", label, f"tiw_alpha@{a:g}", dict(kind="tiw_alpha", alpha=a))
+    runs = [Run(f"alpha={a:g}", label, f"tiw_dsm@{a:g}", dict(kind="tiw_dsm", alpha=a))
             for a, label in zip(alphas, labels)]
     report, split, rows = _score_runs(cfg, runs)
-    _check_endpoint_identities(cfg, split, _objective_spec(cfg, **runs[0].fields),
+    _check_alpha_zero_identity(cfg, split, _objective_spec(cfg, **runs[0].fields),
                                out / "identity_checks.txt")
     report.add_artifact(out / "identity_checks.txt")
     for alpha, ev in zip(alphas, rows):
@@ -372,32 +380,28 @@ def cmd_sweep_alpha(cfg: ExperimentConfig, alphas):
     return 0
 
 
-def _check_endpoint_identities(cfg, split, spec, path):
-    """Per-sample identities at the endpoints of a sweep run's spec, logged to
-    path; a NumericalError unless both hold exactly, as they do by construction."""
+def _check_alpha_zero_identity(cfg, split, spec, path):
+    """Compare a sweep run's spec at alpha = 0 with dsm on shared per-sample
+    draws and log the largest difference to path; a NumericalError unless it
+    is exactly 0, as it is by construction."""
     sched = cfg.schedule
     rng = np.random.default_rng(cfg.seeds["score"])
     pool = split.pooled
     idx = rng.integers(0, pool.shape[0], 16)
     probe_net = Mlp(split.dim, [8], split.dim, seed=cfg.seeds["score"])
-    # each endpoint alpha of tiw_alpha and the objective it must equal there
-    ends = ((0.0, replace(spec, kind="dsm")), (1.0, replace(spec, kind="tiw_dsm", alpha=1.0)))
-    worst = np.zeros(2)  # np.maximum, unlike max, keeps a nan
+    scaled, dsm = replace(spec, alpha=0.0), replace(spec, kind="dsm")
+    worst = 0.0
     for x0 in pool[idx]:
         t = float(rng.uniform(sched.t_eps, sched.T))
         sample = (x0, t, rng.standard_normal(split.dim), sched)
-        for i, (alpha, same) in enumerate(ends):
-            scaled = replace(spec, alpha=alpha)
-            worst[i] = np.maximum(worst[i], abs(persample_loss(probe_net, scaled, *sample)
-                                                - persample_loss(probe_net, same, *sample)))
-    checks = [(alpha, same.kind, w) for (alpha, same), w in zip(ends, worst.tolist())]
-    artifacts.write_text(path, "".join(f"alpha={alpha:g} per-sample loss == {kind} on shared "
-                                       f"batch: max |diff| = {w!r} (exact identity expected)\n"
-                                       for alpha, kind, w in checks))
-    for alpha, kind, w in checks:
-        if w != 0.0:
-            raise NumericalError(f"sweep-alpha: at alpha={alpha:g} the per-sample loss must "
-                                 f"equal {kind}'s exactly, but differs by {w!r}")
+        # np.maximum, unlike max, keeps a nan
+        worst = float(np.maximum(worst, abs(persample_loss(probe_net, scaled, *sample)
+                                            - persample_loss(probe_net, dsm, *sample))))
+    artifacts.write_text(path, "alpha=0 per-sample loss == dsm on shared batch: "
+                               f"max |diff| = {worst!r} (exact identity expected)\n")
+    if worst != 0.0:
+        raise NumericalError("sweep-alpha: at alpha=0 the per-sample loss must equal "
+                             f"dsm's exactly, but differs by {worst!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,20 @@ class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     It parses with libyaml when pyyaml was built with it (the values are the
     same; a syntax error's message is worded differently)."""
 
+    def construct_mapping(self, node, deep=False):
+        """SafeLoader's mapping, with a key repeated at one level refused
+        rather than read as its last value; a "<<" merge entry is no key, so an
+        explicit key still overrides a merged one."""
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"found repeated key {key!r}", key_node.start_mark)
+                seen.add(key)
+        return yaml.constructor.SafeConstructor.construct_mapping(self, node, deep)
+
 
 _Loader.add_implicit_resolver(  # after int and the 1.1 float, which it keeps
     "tag:yaml.org,2002:float",

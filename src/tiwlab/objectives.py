@@ -9,7 +9,7 @@ the variant:
 
     dsm               weight = 1,            c = 0
     iw_dsm            weight = ratio at t=0, c = 0
-    tiw_dsm/tiw_alpha weight = ratio^a,      c = grad log ratio^a
+    tiw_dsm           weight = ratio^a,      c = grad log ratio^a
     weight_only       weight = ratio^a,      c = 0
     correction_only   weight = 1,            c = grad log ratio^a
 
@@ -19,11 +19,11 @@ draw half/half (the practical form trained on the full observed set); on
 one set, "bias" or "ref", the plain data-vs-bias ratio (the form whose
 weight-only / correction-only fixed points are the biased and unbiased
 scores respectively). The (weight, c) pair itself comes from
-RatioModel.weight_and_correction. tiw_dsm is tiw_alpha at a = 1; only
-tiw_alpha and the two ablations read alpha. An exact-quadrature oracle
-loss is provided for verifying that the reweighted objective's parameter
-gradient coincides with classical score matching against the clean data
-density.
+RatioModel.weight_and_correction. tiw_dsm and the two ablations read
+alpha; a = 1 is the paper's objective, and tiw_dsm at a = 0 is dsm. An
+exact-quadrature oracle loss is provided for verifying that the
+reweighted objective's parameter gradient coincides with classical score
+matching against the clean data density.
 
 The quadrature sets up its t-nodes in chunks of about QUAD_ROW_BUDGET
 space-node rows (a 2-D node larger than that is a chunk of its own): the
@@ -57,14 +57,13 @@ from .ratio import DatasetSplit, RatioModel
 from .sde import (LAMBDA_KINDS, VpSchedule, _kernel_sample, _kernel_score, _lambda_factor,
                   lambda_weight)
 
-OBJECTIVE_KINDS = ("dsm", "iw_dsm", "tiw_dsm", "tiw_alpha",
-                   "weight_only", "correction_only")
+OBJECTIVE_KINDS = ("dsm", "iw_dsm", "tiw_dsm", "weight_only", "correction_only")
 STREAMS = ("bias", "ref", "obs")
 
 # the ratio each kind reads: the t=0 one (True) or the time-dependent one
 # (False); kinds missing here read none
-RATIO_READERS = {"iw_dsm": True, "tiw_dsm": False, "tiw_alpha": False,
-                 "weight_only": False, "correction_only": False}
+RATIO_READERS = {"iw_dsm": True, "tiw_dsm": False, "weight_only": False,
+                 "correction_only": False}
 _KIND_DEFAULT_STREAM = {"weight_only": "bias", "correction_only": "bias"}
 
 
@@ -83,9 +82,6 @@ class ObjectiveSpec:
         check_fields(self)
         if self.stream == "auto":
             self.stream = _KIND_DEFAULT_STREAM.get(self.kind, "obs")
-        if self.kind == "tiw_dsm" and self.alpha != 1.0:
-            raise InputError("tiw_dsm is tiw_alpha at alpha = 1; use kind tiw_alpha "
-                             f"for alpha = {self.alpha!r}")
         if self.kind in RATIO_READERS and self.ratio is None:
             raise InputError(f"objective kind {self.kind!r} requires a ratio model")
 

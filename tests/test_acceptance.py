@@ -149,7 +149,7 @@ def test_criterion_4_degeneracy_identities(setup1d):
     unit = oracle_ratio_model(data, data, sched)
     net = Mlp(1, [12], 1, seed=7)
     dsm = ObjectiveSpec(kind="dsm")
-    alpha0 = ObjectiveSpec(kind="tiw_alpha", alpha=0.0, ratio=oracle)
+    alpha0 = ObjectiveSpec(kind="tiw_dsm", alpha=0.0, ratio=oracle)
     unit_tiw = ObjectiveSpec(kind="tiw_dsm", ratio=unit)
     unit_iw = ObjectiveSpec(kind="iw_dsm", ratio=unit)
     rng = np.random.default_rng(40)

@@ -188,6 +188,7 @@ BAD_OVERRIDES = [
     ("objective.tau=0.3", r"objective\.tau: additional"),
     ("score_train.lr_decay=none", r"score_train\.lr_decay: additional"),
     ("objective.kind=interpolated", "objective.kind"),
+    ("objective.kind=tiw_alpha", "objective.kind"),
     # Heun on the probability-flow ODE is the only sampler
     ("sampler.kind=reverse-sde", r"sampler\.kind: additional"),
     ("sampler.integrator=euler", r"sampler\.integrator: additional"),
@@ -251,9 +252,10 @@ def test_two_mode_yaml_holds_the_defaults():
 
 
 YAML_SCALARS = ["1e-3", "1e6", ".5", "-1", "true", "[1, 2]", "1_000", "0x10", "~", "1.0e+3",
-                "nan", ".nan", "inf", ".inf"]
+                "nan", ".nan", "inf", ".inf", "{<<: {b: 1, c: 2}, b: 3}"]
 MALFORMED_YAML = ["a: [1, 2", "a: b: c", "{", "key: 'unterminated", "- a\nb: c", "a:\n\t- 1",
-                  "[1, 2]]", "&a b: *c", "!!python/object/apply:os.system [ls]"]
+                  "[1, 2]]", "&a b: *c", "!!python/object/apply:os.system [ls]",
+                  "a: 1\nb: {c: 1, c: 2}"]
 
 
 @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="pyyaml built without libyaml")
@@ -261,9 +263,11 @@ def test_libyaml_reads_configs_as_the_pure_python_parser_does(tmp_path, monkeypa
     assert issubclass(config._Loader, yaml.CSafeLoader)
 
     def outcomes(base):
-        # config._Loader's resolvers, the YAML 1.2 float among them, over base
+        # config._Loader's resolvers, the YAML 1.2 float among them, and its
+        # repeated-key check over base
         monkeypatch.setattr(config, "_Loader", type("Loader", (base,), {
-            "yaml_implicit_resolvers": config._Loader.yaml_implicit_resolvers}))
+            "yaml_implicit_resolvers": config._Loader.yaml_implicit_resolvers,
+            "construct_mapping": config._Loader.construct_mapping}))
         out = [load_config(TWO_MODE).raw]
         out += [apply_overrides({}, [f"a={text}"])["a"] for text in YAML_SCALARS]
         for i, text in enumerate(MALFORMED_YAML):
@@ -280,6 +284,29 @@ def test_libyaml_reads_configs_as_the_pure_python_parser_does(tmp_path, monkeypa
 
     # repr tells 1 from 1.0 and True, and matches nan to nan
     assert repr(outcomes(yaml.CSafeLoader)) == repr(outcomes(yaml.SafeLoader))
+
+
+@pytest.mark.parametrize("text,overrides,key,line", [
+    ("objective: {kind: dsm}\nseeds: {data: 1}\nobjective: {alpha: 0.5}\n", [], "objective", 3),
+    ("seeds:\n  data: 1\n  data: 2\n", [], "data", 3),
+    ("", ["--set", "seeds={data: 1, data: 2}"], "data", 1),
+])
+def test_a_repeated_yaml_key_is_refused(tmp_path, capsys, text, overrides, key, line):
+    # a repeated key is an error at any depth, not its last value
+    path = tmp_path / "config.yaml"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["gen-data", "--config", str(path), "--output-dir", str(out), *overrides]) == 3
+    err = capsys.readouterr().err
+    assert f"found repeated key {key!r}" in err and f"line {line}," in err
+    assert not out.exists()
+
+
+def test_an_explicit_yaml_key_overrides_a_merged_one(tmp_path):
+    path = tmp_path / "config.yaml"
+    path.write_text("disc_net: &n {hidden: [8], n_frequencies: 2}\n"
+                    "score_net:\n  <<: *n\n  n_frequencies: 3\n")
+    assert load_config(path).raw["score_net"] == {"hidden": [8], "n_frequencies": 3}
 
 
 def test_two_mode_yaml_choice_comments_match_the_declared_choices():
@@ -469,6 +496,15 @@ def test_a_checkpoint_with_a_zero_width_layer_is_corrupt(tiny_config, capsys):
     assert not (out / "samples.csv").exists()
 
 
+def test_sample_source_score_is_a_path(tiny_config, capsys, monkeypatch, tmp_path):
+    # only no --source means the configured objective's checkpoint
+    config, out = tiny_config()
+    monkeypatch.chdir(tmp_path)
+    assert main(["sample", "--config", str(config), "--source", "score"]) == 5
+    assert "cannot read score:" in capsys.readouterr().err
+    assert not (out / "samples.csv").exists()
+
+
 # Heun on the probability-flow ODE is the only sampler, and no command writes
 # the closed-form t = 0 lattices repro-fig3 wrote, which nothing read
 RETIRED = [
@@ -611,15 +647,39 @@ def test_named_baselines_ignore_objective_alpha(tiny_config):
     assert (out / "tiw_dsm" / "score.ckpt").read_bytes() == alpha_one
 
 
-def test_configured_tiw_dsm_rejects_alpha(tiny_config, capsys):
-    config, _ = tiny_config()
-    main(["gen-data", "--config", str(config)])
-    argv = ["train-score", "--config", str(config), "--set", "objective.ratio=oracle",
-            "--set", "score_train.steps=5"]
-    assert main(argv + ["--set", "objective.alpha=0.5"]) == 2
-    assert "tiw_alpha" in capsys.readouterr().err
-    assert main(argv + ["--set", "objective.alpha=0.5",
-                        "--set", "objective.kind=tiw_alpha"]) == 0
+def test_configured_tiw_dsm_reads_alpha(tiny_config):
+    # a configured tiw_dsm run at alpha 0.5 is the sweep's alpha 0.5 run, and
+    # is named apart from the alpha 1 baseline
+    config, out = tiny_config()
+    assert main(["debias", "--config", str(config), "--set", "objective.alpha=0.5"]) == 0
+    assert main(["sweep-alpha", "--config", str(config), "--alphas", "0.5"]) == 0
+    net_a, header_a = load_net(out / "tiw_dsm@0.5" / "score.ckpt")
+    net_b, header_b = load_net(out / "alpha_0.5" / "score.ckpt")
+    assert header_a["objective"] == header_b["objective"] == "tiw_dsm@0.5"
+    assert net_a.params.tobytes() == net_b.params.tobytes()
+    assert not (out / "tiw_dsm").exists()
+    rows = (out / "eval_rows.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["tiw_dsm@0.5"]
+
+
+def test_train_score_names_a_scaled_run_apart_from_the_baseline(tiny_config):
+    config, out = tiny_config(score_train={"steps": 5, "batch_size": 32,
+                                           "telemetry_every": 5})
+    for argv in (["gen-data"], ["train-disc"]):
+        assert main(argv + ["--config", str(config)]) == 0
+    half = ["--config", str(config), "--set", "objective.alpha=0.5"]
+    assert main(["train-score", "--baseline", "tiw_dsm"] + half) == 0
+    assert main(["train-score"] + half) == 0
+    baseline, header = load_net(out / "score_tiw_dsm.ckpt")
+    assert header["objective"] == "tiw_dsm"
+    scaled, header = load_net(out / "score_tiw_dsm@0.5.ckpt")
+    assert header["objective"] == "tiw_dsm@0.5"
+    assert scaled.params.tobytes() != baseline.params.tobytes()
+    assert (out / "telemetry_tiw_dsm@0.5.csv").is_file()
+    # sample reads the configured objective's checkpoint by that name
+    assert main(["sample", "--set", "eval.n_samples=4"] + half) == 0
+    provenance = json.loads((out / "provenance.json").read_text())
+    assert provenance["source"] == "score_tiw_dsm@0.5.ckpt"
 
 
 @pytest.fixture(scope="module")
@@ -644,14 +704,14 @@ def disc_run(tmp_path_factory):
 @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
 def test_train_score_every_objective_kind(kind, ratio, disc_run):
     config, out = disc_run
-    overrides = [f"objective.kind={kind}", f"objective.ratio={ratio}"]
-    if kind != "tiw_dsm":
-        overrides += ["objective.alpha=0.5"]
+    overrides = [f"objective.kind={kind}", f"objective.ratio={ratio}", "objective.alpha=0.5"]
     argv = ["train-score", "--config", str(config)]
     assert main(argv + [a for o in overrides for a in ("--set", o)]) == 0
-    _, header = load_net(out / f"score_{kind}.ckpt")
-    assert header["objective"] == kind
-    assert (out / f"telemetry_{kind}.csv").read_text().count("\n") == 3
+    # the kinds that scale the time-dependent ratio by alpha name it
+    name = kind if cli.RATIO_READERS.get(kind) is not False else f"{kind}@0.5"
+    _, header = load_net(out / f"score_{name}.ckpt")
+    assert header["objective"] == name
+    assert (out / f"telemetry_{name}.csv").read_text().count("\n") == 3
 
     spec = _objective_spec(load_config(config, overrides))
     if kind == "dsm":
@@ -662,7 +722,7 @@ def test_train_score_every_objective_kind(kind, ratio, disc_run):
             # iw_dsm reads the t=0 discriminator, the other kinds the time-dependent one
             disc, _ = load_net(out / cli.DISC_CKPT[kind == "iw_dsm"])
             assert spec.ratio.net.params.tobytes() == disc.params.tobytes()
-        assert spec.alpha == (1.0 if kind == "tiw_dsm" else 0.5)
+        assert spec.alpha == 0.5
 
 
 def test_sweep_alpha_identities_and_ordering(tiny_config):
@@ -670,7 +730,7 @@ def test_sweep_alpha_identities_and_ordering(tiny_config):
     rc = main(["sweep-alpha", "--config", str(config), "--alphas", "0,1"])
     assert rc == 0
     checks = (out / "identity_checks.txt").read_text()
-    assert checks.count("max |diff| = 0.0") == 2
+    assert checks.count("max |diff| = 0.0") == 1
     rows = np.loadtxt(out / "alpha_sweep.csv", delimiter=",", skiprows=1, ndmin=2)
     assert rows[:, 0].tolist() == [0.0, 1.0]
     # ratio scaling at alpha=1 should not increase the bias statistic
@@ -678,20 +738,20 @@ def test_sweep_alpha_identities_and_ordering(tiny_config):
 
 
 def test_sweep_alpha_refuses_a_broken_endpoint_identity(tiny_config, monkeypatch, capsys):
-    def one_ulp_off_at_alpha_1(net, spec, *sample):
+    def one_ulp_off_at_alpha_0(net, spec, *sample):
         loss = persample_loss(net, spec, *sample)
-        if spec.kind == "tiw_alpha" and spec.alpha == 1.0:
+        if spec.kind == "tiw_dsm" and spec.alpha == 0.0:
             return np.nextafter(loss, np.inf)
         return loss
 
-    monkeypatch.setattr(cli, "persample_loss", one_ulp_off_at_alpha_1)
+    monkeypatch.setattr(cli, "persample_loss", one_ulp_off_at_alpha_0)
     config, out = tiny_config()
     assert main(["sweep-alpha", "--config", str(config), "--alphas", "0,1"]) == 4
     err = capsys.readouterr().err
-    assert "at alpha=1 the per-sample loss must equal tiw_dsm's exactly" in err
+    assert "at alpha=0 the per-sample loss must equal dsm's exactly" in err
     checks = (out / "identity_checks.txt").read_text().splitlines()
-    assert checks[0].endswith("max |diff| = 0.0 (exact identity expected)")
-    assert "max |diff| = 0.0" not in checks[1]
+    assert len(checks) == 1 and checks[0].startswith("alpha=0 per-sample loss == dsm")
+    assert "max |diff| = 0.0" not in checks[0]
 
 
 @pytest.mark.parametrize("stream", ["auto", "bias"])
@@ -701,7 +761,7 @@ def test_sweep_alpha_one_matches_tiw_checkpoint(tiny_config, stream):
     config, out = tiny_config(objective={"stream": stream})
     assert main(["debias", "--config", str(config)]) == 0
     assert main(["sweep-alpha", "--config", str(config), "--alphas", "1"]) == 0
-    assert (out / "identity_checks.txt").read_text().count("max |diff| = 0.0") == 2
+    assert (out / "identity_checks.txt").read_text().count("max |diff| = 0.0") == 1
     tiw = (out / "tiw_dsm" / "score.ckpt").read_bytes()
     alpha1 = (out / "alpha_1" / "score.ckpt").read_bytes()
     # parameter payloads coincide bit for bit (headers differ by objective label)

@@ -116,9 +116,9 @@ def test_tiw_degenerates_to_dsm_with_unit_ratio(sched, unit_oracle):
         assert tiw == dsm  # bit-level
 
 
-def test_tiw_alpha_zero_is_dsm_bitwise(sched, oracle_1d):
+def test_tiw_dsm_at_alpha_zero_is_dsm_bitwise(sched, oracle_1d):
     net = Mlp(1, [8], 1, seed=6)
-    spec = ObjectiveSpec(kind="tiw_alpha", alpha=0.0, ratio=oracle_1d)
+    spec = ObjectiveSpec(kind="tiw_dsm", alpha=0.0, ratio=oracle_1d)
     for seed in range(5):
         x0, t, eps = random_case(1, seed)
         tiw0 = persample_loss(net, spec, x0, t, eps, sched)
@@ -195,13 +195,13 @@ def test_spec_requires_ratio():
         ObjectiveSpec(kind="dsm", stream="nowhere")
 
 
-def test_tiw_dsm_is_alpha_one_only(oracle_1d):
-    # tiw_dsm is tiw_alpha at alpha = 1; any other alpha is a different objective
-    assert ObjectiveSpec(kind="tiw_dsm", alpha=1.0, ratio=oracle_1d).alpha == 1.0
-    for alpha in (0.0, 0.5, 2.0):
-        with pytest.raises(InputError, match="tiw_alpha"):
-            ObjectiveSpec(kind="tiw_dsm", alpha=alpha, ratio=oracle_1d)
-        ObjectiveSpec(kind="tiw_alpha", alpha=alpha, ratio=oracle_1d)
+def test_tiw_dsm_takes_any_alpha(oracle_1d):
+    # tiw_dsm reads alpha (alpha = 1 is the paper's objective); there is no
+    # second kind for the scaled form
+    for alpha in (0.0, 0.5, 1.0, 2.0):
+        assert ObjectiveSpec(kind="tiw_dsm", alpha=alpha, ratio=oracle_1d).alpha == alpha
+    with pytest.raises(InputError, match="tiw_alpha"):
+        ObjectiveSpec(kind="tiw_alpha", alpha=0.5, ratio=oracle_1d)
 
 
 # ---------------------------------------------------------------------------
